@@ -17,26 +17,19 @@ import numpy as np
 
 from .config import DEFAULT_ENUM_BUDGET
 from .errors import BoundDegenerate, ParameterOrderViolated, ValidationError
-from .ensembles import (
-    EnsembleSpec,
-    exact_subset_moment,
-    exact_subset_phase_moment,
-    haar_moment,
-    sample_state,
-)
+from .ensembles import EnsembleSpec, exact_subset_moment, exact_subset_phase_moment, haar_moment
 from .growth import Expr, GrowthClass
-from .linalg import PartitionSpec, PureState, trace_distance
-from .randprims import RngSeed
+from .linalg import PartitionSpec, trace_distance
+from .randprims import RngSeed, as_seed
 from .resources import (
     MEASURE_COHERENCE_RE,
     MEASURE_ENTANGLEMENT,
     MEASURE_MAGIC,
     ResourceMeasure,
     aggregate_measure,
-    measure_pure_amps,
-    reduced_purity,
+    measure_statistic,
 )
-from .distinguishers import hadamard_test_prob
+from .distinguishers import make_coherence_distinguisher, make_hadamard_distinguisher, make_swap_distinguisher
 from .sampling import paired_value_means
 
 __all__ = [
@@ -175,6 +168,8 @@ def verify_distance_bound(
     sizes = sorted(int(s) for s in sizes)
     if not sizes:
         raise ValidationError("at least one size required")
+    if len(set(sizes)) != len(sizes):
+        raise ValidationError("sizes must be distinct")
     budget = DEFAULT_ENUM_BUDGET if budget is None else budget
     lhs = {s: _exact_lhs(kind, n, s, t, budget, cap) for s in sizes}
 
@@ -335,31 +330,15 @@ class PropCheckReport:
 
 
 def _prop_statistics(prop: int, part: PartitionSpec | None, alpha: int, n: int):
-    """Per-sample (acceptance, resource) statistics for one pipeline check."""
+    """(resource measure, distinguisher) of one pipeline check."""
     if prop == 7:
-        measure = ResourceMeasure(MEASURE_COHERENCE_RE)
-
-        def accept(amps: np.ndarray) -> float:
-            p = np.abs(amps) ** 2
-            return float(np.sum(p**2))
-
-    elif prop == 8:
-        if part is None:
-            part = PartitionSpec(1, n - 1)
-        measure = ResourceMeasure(MEASURE_ENTANGLEMENT, partition=part)
-
-        def accept(amps: np.ndarray) -> float:
-            return 0.5 * (1.0 + reduced_purity(PureState(n, amps), part))
-
-    elif prop == 9:
-        measure = ResourceMeasure(MEASURE_MAGIC, alpha=alpha)
-
-        def accept(amps: np.ndarray) -> float:
-            return hadamard_test_prob(PureState(n, amps), alpha)
-
-    else:
-        raise ValidationError("prop must be 7, 8, or 9")
-    return measure, accept
+        return ResourceMeasure(MEASURE_COHERENCE_RE), make_coherence_distinguisher()
+    if prop == 8:
+        part = part or PartitionSpec(1, n - 1)
+        return ResourceMeasure(MEASURE_ENTANGLEMENT, partition=part), make_swap_distinguisher(part)
+    if prop == 9:
+        return ResourceMeasure(MEASURE_MAGIC, alpha=alpha), make_hadamard_distinguisher(alpha)
+    raise ValidationError("prop must be 7, 8, or 9")
 
 
 def empirical_prop_check(
@@ -386,27 +365,15 @@ def empirical_prop_check(
     if e_high.n != e_low.n:
         raise ValidationError("ensembles must share the qubit count")
     n = e_high.n
-    measure, accept = _prop_statistics(prop, part, alpha, n)
-    master = seed if isinstance(seed, RngSeed) else RngSeed(int(seed))
-
-    def acc_for(spec: EnsembleSpec):
-        def fn(rng: np.random.Generator) -> float:
-            return accept(sample_state(spec, rng))
-
-        return fn
-
-    def res_for(spec: EnsembleSpec):
-        def fn(rng: np.random.Generator) -> float:
-            return measure_pure_amps(measure, sample_state(spec, rng), n)
-
-        return fn
-
+    measure, dist = _prop_statistics(prop, part, alpha, n)
+    accept = dist.accept_prob_pure
+    # the low ensemble is drawn once for its acceptance and resource streams
     acc_high, acc_low, res_low = paired_value_means(
-        master,
+        as_seed(seed),
         samples,
-        (acc_for(e_high), acc_for(e_low), res_for(e_low)),
-        salts=(e_high.seed.seed, e_low.seed.seed, e_low.seed.seed),
+        (accept, accept, measure_statistic(measure)),
         threads=threads,
+        sources=(e_high, e_low, e_low),
     )
     eta_hat = abs(acc_low.mean - acc_high.mean)
     eta_se = float(math.hypot(acc_low.stderr, acc_high.stderr))

@@ -24,9 +24,9 @@ from .config import DEFAULT_BUDGET_CONSTANT, DEFAULT_KAPPA, dim_cap
 from .errors import (
     DimensionCapExceeded,
     DomainCapExceeded,
-    DomainOverflow,
     EnumerationBudgetExceeded,
     TprsError,
+    ValidationError,
 )
 from .bounds import empirical_prop_check, verify_distance_bound
 from .distinguishers import hybrid_experiment
@@ -38,7 +38,6 @@ from .ensembles import (
     advise_subset_size,
     build_subset_phase_state,
     build_subset_state,
-    sample_state,
 )
 from .growth import GrowthClass, check_closure, check_repetition_consistency, is_negligible, parse_bound_expr, table_lower_bound
 from .linalg import PartitionSpec
@@ -46,9 +45,10 @@ from .randprims import PhaseFunction, RngSeed
 from .resources import (
     MEASURE_NAMES,
     ResourceMeasure,
+    aggregate_measure,
     estimate_gap,
     haar_expected,
-    measure_pure_amps,
+    measure_statistic,
 )
 from .sampling import paired_value_means
 
@@ -106,17 +106,27 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _ints(text: str, sep: str, what: str, count: int | None = None) -> list[int]:
+    """Integers of a ``sep``-separated list; malformed text is a validation error."""
+    try:
+        values = [int(x) for x in text.split(sep)]
+    except ValueError:
+        values = None
+    if values is None or (count is not None and len(values) != count):
+        raise ValidationError(f"{what}, got {text!r}")
+    return values
+
+
 def _parse_partition(text: str | None, n: int) -> PartitionSpec:
     if text is None:
         return PartitionSpec(n // 2, n - n // 2) if n >= 2 else PartitionSpec(1, 1)
-    a, b = text.split(":")
-    return PartitionSpec(int(a), int(b))
+    return PartitionSpec(*_ints(text, ":", "partition must be A:B", 2))
 
 
 def _parse_measure(name: str, n: int, partition: str | None, alpha: int) -> ResourceMeasure:
     name = _MEASURE_ALIASES.get(name, name)
     if name not in MEASURE_NAMES:
-        raise TprsError(f"unknown measure {name!r}; choose from {MEASURE_NAMES}")
+        raise ValidationError(f"unknown measure {name!r}; choose from {MEASURE_NAMES}")
     if name in ("entanglement-entropy", "collision-entanglement"):
         return ResourceMeasure(name, partition=_parse_partition(partition, n))
     if name == "stabilizer-renyi":
@@ -132,19 +142,19 @@ def _parse_ensemble(text: str, n: int, t: int, seed: int) -> EnsembleSpec:
         for item in rest.split(","):
             key, _, val = item.partition("=")
             if key.strip() == "m":
-                m = int(val)
+                (m,) = _ints(val, ",", "ensemble parameter m must be an integer", 1)
             else:
-                raise TprsError(f"unknown ensemble parameter {key!r}")
+                raise ValidationError(f"unknown ensemble parameter {key!r}")
     if kind not in ENSEMBLE_KINDS:
-        raise TprsError(f"unknown ensemble kind {kind!r}; choose from {ENSEMBLE_KINDS}")
+        raise ValidationError(f"unknown ensemble kind {kind!r}; choose from {ENSEMBLE_KINDS}")
     return EnsembleSpec(kind, n, m=m, t=t, seed=RngSeed(seed))
 
 
 def _int_list(text: str) -> list[int]:
     if ".." in text:
-        lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(x) for x in text.split(",")]
+        lo, hi = _ints(text, "..", "range must be lo..hi", 2)
+        return list(range(lo, hi + 1))
+    return _ints(text, ",", "expected a comma list of integers")
 
 
 # ---------------------------------------------------------------------------
@@ -158,10 +168,12 @@ def _cmd_build(resolved: dict) -> tuple[list[str], list[dict], int]:
     if resolved.get("members"):
         spec = SubsetSpec.from_bitstrings(resolved["members"].split(","))
         if n and spec.n != n:
-            raise TprsError("member width disagrees with --n")
+            raise ValidationError("member width disagrees with --n")
     else:
         if not resolved.get("m") or not n:
-            raise TprsError("provide --members, or both --n and --m")
+            raise ValidationError("provide --members, or both --n and --m")
+        if n < 1 or not 1 <= resolved["m"] <= 2**n:
+            raise ValidationError("need n >= 1 and 1 <= m <= 2^n")
         rng = seed.generator(0)
         members = rng.choice(2**n, size=resolved["m"], replace=False)
         spec = SubsetSpec(n, tuple(int(x) for x in members))
@@ -177,7 +189,7 @@ def _cmd_build(resolved: dict) -> tuple[list[str], list[dict], int]:
             f = PhaseFunction.keyed_from_rng(spec.n, seed.generator(1))
         state = build_subset_phase_state(spec, f)
     else:
-        raise TprsError("kind must be subset or subset-phase")
+        raise ValidationError("kind must be subset or subset-phase")
     rows = []
     for idx in np.flatnonzero(np.abs(state.amps) > 0):
         amp = state.amps[idx]
@@ -199,10 +211,12 @@ def _cmd_build(resolved: dict) -> tuple[list[str], list[dict], int]:
 def _cmd_distance(resolved: dict) -> tuple[list[str], list[dict], int]:
     kind = resolved["kind"]
     n, t = resolved["n"], resolved["t"]
-    if kind == "subset-phase":
-        sizes = [2**e for e in _int_list(resolved["mexp"])] if resolved.get("mexp") else _int_list(resolved["m"])
-    else:
+    if kind == "subset-phase" and resolved.get("mexp"):
+        sizes = [2**e for e in _int_list(resolved["mexp"])]
+    elif resolved.get("m"):
         sizes = _int_list(resolved["m"])
+    else:
+        raise ValidationError("provide --m (or --mexp for the subset-phase kind)")
     report = verify_distance_bound(kind, n, sizes, t)
     rows = []
     for r in report.rows:
@@ -287,13 +301,7 @@ def _sweep_measured(measure: ResourceMeasure, T: GrowthClass, n: int, seed: int,
     if advice.m < 1:
         return None, None
     spec = EnsembleSpec("subset-phase-true-random", n, m=advice.m, t=1, seed=RngSeed(seed))
-
-    def fn(rng):
-        return measure_pure_amps(measure, sample_state(spec, rng), n)
-
-    (acc,) = paired_value_means(RngSeed(seed), samples, (fn,), threads=threads)
-    from .resources import aggregate_measure
-
+    (acc,) = paired_value_means(RngSeed(seed), samples, (measure_statistic(measure),), threads=threads, sources=(spec,))
     return aggregate_measure(measure, acc)
 
 
@@ -347,7 +355,7 @@ def _cmd_sweep(resolved: dict) -> tuple[list[str], list[dict], int]:
 def measure_n_guard(measure: ResourceMeasure, n: int) -> int:
     # partition-carrying measures need a partition matching each sweep n
     if measure.partition is not None and measure.partition.n != n:
-        raise TprsError(f"partition {measure.partition.n_a}:{measure.partition.n_b} does not match n={n}")
+        raise ValidationError(f"partition {measure.partition.n_a}:{measure.partition.n_b} does not match n={n}")
     return n
 
 
@@ -573,7 +581,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         resolved = resolve_config(args)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, TprsError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     if getattr(args, "print_config", False):
@@ -589,7 +597,7 @@ def main(argv: list[str] | None = None) -> int:
     except (DimensionCapExceeded, EnumerationBudgetExceeded, DomainCapExceeded) as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (TprsError, DomainOverflow, ValueError, KeyError) as exc:
+    except TprsError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     wall = time.perf_counter() - start

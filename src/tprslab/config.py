@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import os
 
+from .errors import ValidationError
+
 ENV_DIM_CAP = "TPRS_DIM_CAP"
 
 DEFAULT_DIM_CAP = 4096          # largest dense operator dimension (2^(n t))
@@ -23,7 +25,6 @@ HERM_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-9
 EIG_FLOOR = 1e-12
-PROP_TOL = 1e-9
 
 
 def dim_cap(override: int | None = None) -> int:
@@ -35,5 +36,5 @@ def dim_cap(override: int | None = None) -> int:
         try:
             return int(env)
         except ValueError as exc:
-            raise ValueError(f"{ENV_DIM_CAP} must be an integer, got {env!r}") from exc
+            raise ValidationError(f"{ENV_DIM_CAP} must be an integer, got {env!r}") from exc
     return DEFAULT_DIM_CAP

@@ -17,12 +17,19 @@ import numpy as np
 
 from .config import DEFAULT_BUDGET_CONSTANT, dim_cap
 from .errors import CopyMismatch, DimensionCapExceeded, ValidationError
-from .ensembles import EnsembleSpec, sample_state
+from .ensembles import EnsembleSpec
 from .growth import GrowthClass
-from .linalg import DensityOperator, PartitionSpec, PureState
-from .randprims import RngSeed
-from .resources import pauli_basis, pauli_expectations_pure, reduced_purity
-from .sampling import paired_value_means
+from .linalg import DensityOperator, PartitionSpec
+from .randprims import RngSeed, as_seed
+from .resources import (
+    MEASURE_COLLISION_ENT,
+    ResourceMeasure,
+    measure_pure_amps,
+    pauli_basis,
+    pauli_power_sums,
+    pauli_power_trace,
+)
+from .sampling import MeanAccumulator, paired_value_means
 
 __all__ = [
     "DistinguisherDescriptor",
@@ -105,17 +112,6 @@ def pauli_projector(n: int, alpha: int, cap: int | None = None) -> np.ndarray:
     return _pauli_projector_cached(n, alpha, dim_cap(cap))
 
 
-def _pauli_power_trace(rho, alpha: int) -> float:
-    """(1/2^n) sum_P Tr(P rho)^{2 alpha}; the trace-power route."""
-    if isinstance(rho, PureState):
-        ev = pauli_expectations_pure(rho.amps, rho.n)
-        n = rho.n
-    else:
-        ev = np.einsum("pij,ji->p", pauli_basis(rho.n), rho.mat).real
-        n = rho.n
-    return float(np.sum(ev ** (2 * alpha))) / 2**n
-
-
 def hadamard_test_prob(rho, alpha: int) -> float:
     """Acceptance of the 2*alpha-copy replica test: (1 + power trace) / 2.
 
@@ -124,7 +120,7 @@ def hadamard_test_prob(rho, alpha: int) -> float:
     """
     if alpha < 3 or alpha % 2 == 0:
         raise ValidationError("alpha must be an odd integer >= 3")
-    return 0.5 * (1.0 + _pauli_power_trace(rho, alpha))
+    return 0.5 * (1.0 + pauli_power_trace(rho, alpha))
 
 
 def hadamard_test_prob_projector(rho: DensityOperator, alpha: int, cap: int | None = None) -> float:
@@ -145,8 +141,9 @@ class DistinguisherDescriptor:
     """A budgeted t-copy acceptance test.
 
     ``accept_prob`` consumes the t-copy density operator (the contractual
-    surface); ``accept_prob_pure`` is the equivalent fast path on single-copy
-    amplitudes used by the estimators and cross-checked in tests.
+    surface); ``accept_prob_pure(amps, n)`` is the equivalent fast path on
+    single-copy amplitudes used by the estimators and cross-checked in tests:
+    a float for one (2^n,) vector, one value per row for a (rows, 2^n) block.
     """
 
     name: str
@@ -164,8 +161,10 @@ def make_swap_distinguisher(part: PartitionSpec) -> DistinguisherDescriptor:
         op = swap_on_a_operator(n, part)
         return 0.5 * (1.0 + float(np.einsum("ij,ji->", op, omega.mat).real))
 
-    def accept_pure(amps: np.ndarray, n: int) -> float:
-        return 0.5 * (1.0 + reduced_purity(PureState(n, amps), part))
+    purity = ResourceMeasure(MEASURE_COLLISION_ENT, partition=part)
+
+    def accept_pure(amps: np.ndarray, n: int):
+        return 0.5 * (1.0 + measure_pure_amps(purity, amps, n))
 
     return DistinguisherDescriptor(
         name=f"swap[{part.n_a}:{part.n_b}]",
@@ -186,9 +185,9 @@ def make_coherence_distinguisher() -> DistinguisherDescriptor:
         idx = np.arange(d)
         return float(diag[idx * d + idx].sum())
 
-    def accept_pure(amps: np.ndarray, n: int) -> float:
+    def accept_pure(amps: np.ndarray, n: int):
         p = np.abs(amps) ** 2
-        return float(np.sum(p**2))
+        return np.sum(p**2, axis=-1)  # a float64 scalar for one vector
 
     return DistinguisherDescriptor(
         name="coherence-projector",
@@ -209,8 +208,9 @@ def make_hadamard_distinguisher(alpha: int) -> DistinguisherDescriptor:
         proj = pauli_projector(n, alpha)
         return 0.5 * (1.0 + float(np.einsum("ij,ji->", proj, omega.mat).real))
 
-    def accept_pure(amps: np.ndarray, n: int) -> float:
-        return hadamard_test_prob(PureState(n, amps), alpha)
+    def accept_pure(amps: np.ndarray, n: int):
+        values = 0.5 * (1.0 + pauli_power_sums(np.reshape(amps, (-1, 2**n)), n, alpha))
+        return float(values[0]) if np.ndim(amps) == 1 else values
 
     return DistinguisherDescriptor(
         name=f"hadamard(alpha={alpha})",
@@ -276,6 +276,25 @@ class AdvantageReport:
             raise ValidationError("stderr must be nonnegative")
 
 
+def _advantage_report(
+    dist: DistinguisherDescriptor, acc1: MeanAccumulator, acc2: MeanAccumulator, n: int, T: GrowthClass, budget: float
+) -> AdvantageReport:
+    cost = dist.declared_cost(n, dist.copies_required)
+    t_val = T.eval(n)
+    return AdvantageReport(
+        distinguisher=dist.name,
+        adv=abs(acc1.mean - acc2.mean),
+        stderr=float(math.hypot(acc1.stderr, acc2.stderr)),
+        budget_ok=bool(cost <= budget * t_val),
+        threshold=1.0 / t_val,
+        p1=acc1.mean,
+        p2=acc2.mean,
+        se1=acc1.stderr,
+        se2=acc2.stderr,
+        samples=acc1.count,
+    )
+
+
 def estimate_advantage(
     dist: DistinguisherDescriptor,
     e1: EnsembleSpec,
@@ -286,44 +305,16 @@ def estimate_advantage(
     threads: int = 1,
     budget_constant: float = DEFAULT_BUDGET_CONSTANT,
 ) -> AdvantageReport:
-    """Monte-Carlo advantage |E_1[accept] - E_2[accept]| with paired seeds."""
+    """Monte-Carlo advantage |E_1[accept] - E_2[accept]| with paired generators."""
     if e1.n != e2.n:
         raise ValidationError("ensembles must share the qubit count")
     if e1.t != dist.copies_required or e2.t != dist.copies_required:
         raise CopyMismatch(
             f"{dist.name} needs t={dist.copies_required}, got {e1.t} and {e2.t}"
         )
-    master = seed if isinstance(seed, RngSeed) else RngSeed(int(seed))
-
-    def value_for(spec: EnsembleSpec):
-        def fn(rng: np.random.Generator) -> float:
-            return dist.accept_prob_pure(sample_state(spec, rng), spec.n)
-
-        return fn
-
-    acc1, acc2 = paired_value_means(
-        master,
-        samples,
-        (value_for(e1), value_for(e2)),
-        salts=(e1.seed.seed, e2.seed.seed),
-        threads=threads,
-    )
-    adv = abs(acc1.mean - acc2.mean)
-    stderr = float(math.hypot(acc1.stderr, acc2.stderr))
-    cost = dist.declared_cost(e1.n, dist.copies_required)
-    t_val = T.eval(e1.n)
-    return AdvantageReport(
-        distinguisher=dist.name,
-        adv=adv,
-        stderr=stderr,
-        budget_ok=bool(cost <= budget_constant * t_val),
-        threshold=1.0 / t_val,
-        p1=acc1.mean,
-        p2=acc2.mean,
-        se1=acc1.stderr,
-        se2=acc2.stderr,
-        samples=samples,
-    )
+    accept = dist.accept_prob_pure
+    acc1, acc2 = paired_value_means(as_seed(seed), samples, (accept, accept), threads=threads, sources=(e1, e2))
+    return _advantage_report(dist, acc1, acc2, e1.n, T, budget_constant)
 
 
 # ---------------------------------------------------------------------------
@@ -344,9 +335,6 @@ class HybridReport:
     legs: tuple[HybridLeg, ...]
     triangle_ok: bool
 
-    def legs_for(self, name: str) -> dict[str, AdvantageReport]:
-        return {leg.pair: leg.report for leg in self.legs if leg.report.distinguisher == name}
-
 
 def hybrid_experiment(
     n: int,
@@ -361,17 +349,19 @@ def hybrid_experiment(
 ) -> HybridReport:
     """Pairwise advantages along keyed -> true-random -> Haar.
 
-    Runs every selected two-copy distinguisher on the three ensemble pairs
-    and verifies the triangle inequality
-    adv(keyed, haar) <= adv(keyed, true) + adv(true, haar) + noise slack.
+    Draws each of the three ensembles once, evaluates every selected
+    two-copy distinguisher on those draws, and verifies the triangle
+    inequality adv(keyed, haar) <= adv(keyed, true) + adv(true, haar) + noise
+    slack for each.
     """
     if t != 2:
         raise CopyMismatch("the registered hybrid distinguishers are two-copy tests")
     T = T or GrowthClass("log")
-    master = seed if isinstance(seed, RngSeed) else RngSeed(int(seed))
-    keyed = EnsembleSpec("subset-phase-keyed", n, m=m, t=t)
-    true = EnsembleSpec("subset-phase-true-random", n, m=m, t=t)
-    haar = EnsembleSpec("haar", n, t=t)
+    specs = {
+        "keyed": EnsembleSpec("subset-phase-keyed", n, m=m, t=t),
+        "true": EnsembleSpec("subset-phase-true-random", n, m=m, t=t),
+        "haar": EnsembleSpec("haar", n, t=t),
+    }
     if distinguishers is None:
         table = registry(n)
         if names is None:
@@ -383,30 +373,25 @@ def hybrid_experiment(
         if wrong_t:
             raise CopyMismatch(f"distinguishers {wrong_t} need t != {t}")
         distinguishers = tuple(table[nm] for nm in names)
-    pairs = (("keyed-vs-true", keyed, true), ("true-vs-haar", true, haar), ("keyed-vs-haar", keyed, haar))
+    accs = paired_value_means(
+        as_seed(seed),
+        samples,
+        tuple(dist.accept_prob_pure for dist in distinguishers for _ in specs),
+        threads=threads,
+        sources=tuple(specs.values()) * len(distinguishers),
+    )
+    pairs = (("keyed-vs-true", "keyed", "true"), ("true-vs-haar", "true", "haar"), ("keyed-vs-haar", "keyed", "haar"))
     legs = []
     triangle_ok = True
-    for k, dist in enumerate(distinguishers):
-        reports = {}
-        for j, (pair_name, ea, eb) in enumerate(pairs):
-            rep = estimate_advantage(
-                dist, ea, eb, samples, T, seed=_leg_seed(master, k, j), threads=threads
-            )
-            reports[pair_name] = rep
-            legs.append(HybridLeg(pair_name, rep))
-        slack = 3.0 * (
-            reports["keyed-vs-true"].stderr
-            + reports["true-vs-haar"].stderr
-            + reports["keyed-vs-haar"].stderr
-        )
+    for i, dist in enumerate(distinguishers):
+        acc = dict(zip(specs, accs[len(specs) * i : len(specs) * (i + 1)]))
+        reports = {
+            pair: _advantage_report(dist, acc[a], acc[b], n, T, DEFAULT_BUDGET_CONSTANT) for pair, a, b in pairs
+        }
+        legs.extend(HybridLeg(pair, rep) for pair, rep in reports.items())
+        slack = 3.0 * sum(rep.stderr for rep in reports.values())
         lhs = reports["keyed-vs-haar"].adv
         rhs = reports["keyed-vs-true"].adv + reports["true-vs-haar"].adv + slack
         if lhs > rhs:
             triangle_ok = False
     return HybridReport(n=n, m=m, t=t, legs=tuple(legs), triangle_ok=triangle_ok)
-
-
-def _leg_seed(master: RngSeed, dist_index: int, pair_index: int) -> RngSeed:
-    # stable per-leg seed derived from the master seed
-    mix = (master.seed * 1000003 + dist_index * 101 + pair_index) % 2**64
-    return RngSeed(mix)

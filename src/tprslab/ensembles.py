@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .errors import (
 )
 from .growth import GrowthClass
 from .linalg import DensityOperator, PureState, symmetric_dimension, symmetric_projector
-from .randprims import KeyedPermutation, PhaseFunction, RngSeed, sample_haar_block
+from .randprims import KeyedPermutation, PhaseFunction, RngSeed, draw_key_words, sample_haar_block
 from .sampling import DEFAULT_CHUNK, chunk_layout, run_ordered
 
 __all__ = [
@@ -103,6 +103,8 @@ class SubsetSpec:
         if len(widths) != 1:
             raise ValidationError("all member strings must share one width")
         n = widths.pop()
+        if any(set(s) - {"0", "1"} for s in strings):
+            raise ValidationError("member strings must be binary")
         return cls(n, tuple(int(s, 2) for s in strings))
 
 
@@ -184,15 +186,15 @@ def build_subset_phase_state(spec: SubsetSpec, f: PhaseFunction) -> PureState:
     return PureState(spec.n, amps)
 
 
-def _as_perm_fn(sigma, n: int):
+def _perm_images(sigma, n: int, xs: np.ndarray) -> np.ndarray:
     if isinstance(sigma, KeyedPermutation):
         if sigma.n != n:
             raise ValidationError("permutation width must match n")
-        return sigma.apply
+        return sigma.apply_many(xs)
     table = np.asarray(sigma, dtype=np.int64)
     if table.shape != (2**n,):
         raise ValidationError("permutation table must have 2^n entries")
-    return lambda x: int(table[x])
+    return table[xs]
 
 
 def build_permuted_subset_phase_state(n: int, m_exp: int, sigma, f: PhaseFunction) -> PureState:
@@ -205,13 +207,9 @@ def build_permuted_subset_phase_state(n: int, m_exp: int, sigma, f: PhaseFunctio
         raise BadSubsetExponent(f"m_exp {m_exp} outside 0..{n}")
     if f.n != n:
         raise ValidationError("phase function domain width must match n")
-    perm = _as_perm_fn(sigma, n)
-    shift = n - m_exp
+    images = _perm_images(sigma, n, np.arange(2**m_exp) << (n - m_exp))
     amps = np.zeros(2**n, dtype=np.complex128)
-    scale = 1.0 / math.sqrt(2**m_exp)
-    for x in range(2**m_exp):
-        y = perm(x << shift)
-        amps[y] += scale * (1.0 - 2.0 * f.eval(y))
+    np.add.at(amps, images, 1.0 / math.sqrt(2**m_exp) * (1.0 - 2.0 * f.eval_many(images)))
     return PureState(n, amps)
 
 
@@ -279,44 +277,46 @@ def stabilizer_orbit(n: int) -> tuple[np.ndarray, ...]:
 # Sampling
 
 
-def sample_state(spec: EnsembleSpec, rng: np.random.Generator) -> np.ndarray:
-    """One amplitude vector drawn from the ensemble using ``rng``."""
+def sample_block(spec: EnsembleSpec, count: int, rng: np.random.Generator) -> np.ndarray:
+    """(count, 2^n) block of amplitude rows drawn from the ensemble using ``rng``.
+
+    True-random subsets take the m smallest of 2^n uniforms per row, then m
+    sign bits per row for the phase kind. Keyed kinds draw every row's
+    KEY_BYTES permutation key, then every row's phase key, as one
+    ``rng.bytes`` call each, and evaluate Feistel images and phase bits on
+    uint64 arrays.
+    """
     d = spec.dim
     if spec.kind == KIND_HAAR:
-        z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        return z / np.linalg.norm(z)
-    if spec.kind == KIND_STABILIZER:
-        orbit = stabilizer_orbit(spec.n)
-        return orbit[int(rng.integers(len(orbit)))]
-    if spec.kind == KIND_SUBSET_TRUE:
-        members = rng.choice(d, size=spec.m, replace=False)
-        amps = np.zeros(d, dtype=np.complex128)
-        amps[members] = 1.0 / math.sqrt(spec.m)
-        return amps
-    if spec.kind == KIND_SUBSET_PHASE_TRUE:
-        members = rng.choice(d, size=spec.m, replace=False)
-        signs = 1.0 - 2.0 * rng.integers(0, 2, size=spec.m)
-        amps = np.zeros(d, dtype=np.complex128)
-        amps[members] = signs / math.sqrt(spec.m)
-        return amps
-    if spec.kind == KIND_SUBSET_KEYED:
-        perm = KeyedPermutation.from_rng(spec.n, rng)
-        members = [perm.apply(x) for x in range(spec.m)]
-        amps = np.zeros(d, dtype=np.complex128)
-        amps[members] = 1.0 / math.sqrt(spec.m)
-        return amps
-    if spec.kind == KIND_SUBSET_PHASE_KEYED:
-        perm = KeyedPermutation.from_rng(spec.n, rng)
-        phase = PhaseFunction.keyed_from_rng(spec.n, rng)
-        return build_permuted_subset_phase_state(spec.n, spec.m_exp, perm, phase).amps
-    raise ValidationError(f"unknown ensemble kind {spec.kind!r}")
-
-
-def sample_block(spec: EnsembleSpec, count: int, rng: np.random.Generator) -> np.ndarray:
-    """(count, 2^n) block of samples; vectorized for the Haar kind."""
-    if spec.kind == KIND_HAAR:
         return sample_haar_block(spec.n, count, rng)
-    return np.stack([sample_state(spec, rng) for _ in range(count)])
+    if spec.kind == KIND_STABILIZER:
+        orbit = np.stack(stabilizer_orbit(spec.n))
+        return orbit[rng.integers(len(orbit), size=count)]
+    signs = None
+    if spec.kind in (KIND_SUBSET_TRUE, KIND_SUBSET_PHASE_TRUE):
+        members = np.argpartition(rng.random((count, d)), spec.m - 1, axis=1)[:, : spec.m]
+        if spec.kind == KIND_SUBSET_PHASE_TRUE:
+            signs = rng.integers(0, 2, size=(count, spec.m))
+    else:
+        # subset-keyed permutes 0..m-1; the phase kind the zero-padded prefixes
+        shift = spec.n - spec.m_exp if spec.kind == KIND_SUBSET_PHASE_KEYED else 0
+        prefixes = np.arange(spec.m, dtype=np.uint64) << shift
+        words = draw_key_words(rng, count)[:, None]
+        members = KeyedPermutation.apply_block(words, prefixes, spec.n, KeyedPermutation.default_rounds(spec.n))
+        if spec.kind == KIND_SUBSET_PHASE_KEYED:
+            signs = PhaseFunction.keyed_bits(draw_key_words(rng, count)[:, None], members)
+        members = members.astype(np.intp)
+    values = np.full(members.shape, 1.0 / math.sqrt(spec.m))
+    if signs is not None:
+        values *= 1.0 - 2.0 * signs
+    amps = np.zeros((count, d), dtype=np.complex128)
+    np.put_along_axis(amps, members, values, axis=1)
+    return amps
+
+
+def sample_state(spec: EnsembleSpec, rng: np.random.Generator) -> np.ndarray:
+    """One amplitude vector drawn from the ensemble using ``rng``."""
+    return sample_block(spec, 1, rng)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -356,24 +356,12 @@ def exact_subset_moment(
     dim = _check_moment_dims(n, t, cap)
     d = 2**n
     acc = np.zeros((dim, dim), dtype=np.complex128)
-    batch: list[np.ndarray] = []
-
-    def flush():
-        nonlocal acc
-        if batch:
-            block = np.stack(batch)
-            rows = _tfold_rows(block, t)
-            acc += np.einsum("si,sj->ij", rows, rows.conj())
-            batch.clear()
-
-    scale = 1.0 / math.sqrt(m)
-    for subset in combinations(range(d), m):
-        v = np.zeros(d, dtype=np.complex128)
-        v[list(subset)] = scale
-        batch.append(v)
-        if len(batch) >= 256:
-            flush()
-    flush()
+    subsets = combinations(range(2**n), m)
+    while batch := list(islice(subsets, 256)):
+        block = np.zeros((len(batch), 2**n), dtype=np.complex128)
+        np.put_along_axis(block, np.array(batch), 1.0 / math.sqrt(m), axis=1)
+        rows = _tfold_rows(block, t)
+        acc += rows.T @ rows.conj()
     acc /= count
     return DensityOperator(n * t, (acc + acc.conj().T) / 2, validate=False)
 
@@ -397,7 +385,7 @@ def exact_subset_phase_moment(
         block = np.zeros((2**m, d), dtype=np.complex128)
         block[:, list(subset)] = signs
         rows = _tfold_rows(block, t)
-        acc += np.einsum("si,sj->ij", rows, rows.conj())
+        acc += rows.T @ rows.conj()
     acc /= count
     return DensityOperator(n * t, (acc + acc.conj().T) / 2, validate=False)
 
@@ -429,9 +417,8 @@ def mc_ensemble_moment(
         rng = spec.seed.generator(idx)
         block = sample_block(spec, size, rng)
         rows = _tfold_rows(block, spec.t)
-        s1 = np.einsum("si,sj->ij", rows, rows.conj())
-        s2 = np.einsum("si,sj->ij", np.abs(rows) ** 2, np.abs(rows.conj()) ** 2)
-        return s1, s2
+        a2 = np.abs(rows) ** 2
+        return rows.T @ rows.conj(), a2.T @ a2
 
     sum1 = np.zeros((dim, dim), dtype=np.complex128)
     sum2 = np.zeros((dim, dim))

@@ -14,7 +14,7 @@ from itertools import permutations, product
 
 import numpy as np
 
-from .config import EIG_FLOOR, HERM_TOL, NORM_TOL, PROP_TOL, PSD_TOL, TRACE_TOL, dim_cap
+from .config import EIG_FLOOR, HERM_TOL, NORM_TOL, PSD_TOL, TRACE_TOL, dim_cap
 from .errors import (
     DimensionCapExceeded,
     DimensionMismatch,
@@ -252,10 +252,3 @@ def copy_transposition_operator(n: int, t: int, i: int, j: int) -> np.ndarray:
     op = np.zeros((dim, dim))
     op[swapped @ weights, np.arange(dim)] = 1.0
     return op
-
-
-def assert_close_operator(a: np.ndarray, b: np.ndarray, tol: float = PROP_TOL) -> None:
-    """Entrywise closeness assertion used by property checks."""
-    dev = float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
-    if dev > tol:
-        raise AssertionError(f"operators deviate by {dev} beyond {tol}")

@@ -1,15 +1,16 @@
 """Seedable randomness and keyed pseudorandom primitives.
 
-The keyed permutation is a 4-round balanced Feistel network over n-bit
-strings (unbalanced split for odd n) with a keyed 64-bit mixing hash as the
-round function. The keyed phase function takes the low bit of the same hash.
-Both are deterministic desk-scale stand-ins: only functional correctness and
-empirical uniformity are claimed, never cryptographic security.
+The keyed permutation is a balanced Feistel network over n-bit strings
+(unbalanced split for odd n). A byte key is hashed once into a 64-bit word;
+round outputs and keyed phase bits come from a SplitMix64 mixer of that word,
+the round index and the half-block, evaluated on ``uint64`` arrays with one
+key word per row (the scalar methods are the one-element case). Both are
+deterministic desk-scale stand-ins: only functional correctness and empirical
+uniformity are claimed, never cryptographic security.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,8 +23,11 @@ __all__ = [
     "RngSeed",
     "KeyedPermutation",
     "PhaseFunction",
+    "key_words",
+    "draw_key_words",
     "sample_true_permutation",
     "sample_haar_state",
+    "as_seed",
     "as_generator",
 ]
 
@@ -45,22 +49,80 @@ class RngSeed:
             raise ValidationError("seed must fit in 64 unsigned bits")
 
     def generator(self, *path: int) -> np.random.Generator:
-        """Independent generator for a derivation path (chunk index, sample index, ...)."""
+        """Independent generator for a derivation path (chunk index, ensemble seed, ...)."""
         return np.random.default_rng(np.random.SeedSequence(entropy=self.seed, spawn_key=path))
+
+
+def as_seed(seed: "RngSeed | int") -> RngSeed:
+    """Coerce a plain integer seed; an RngSeed passes through."""
+    return seed if isinstance(seed, RngSeed) else RngSeed(int(seed))
 
 
 def as_generator(seed: "RngSeed | int | np.random.Generator") -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
-    if isinstance(seed, RngSeed):
-        return seed.generator()
-    return RngSeed(int(seed)).generator()
+    return as_seed(seed).generator()
 
 
-def _mix64(key: bytes, *words: int) -> int:
-    data = b"".join(int(w).to_bytes(8, "little") for w in words)
-    digest = hashlib.blake2b(data, digest_size=8, key=key).digest()
-    return int.from_bytes(digest, "little")
+# ---------------------------------------------------------------------------
+# 64-bit integer mixing on uint64 arrays (wrapping arithmetic)
+
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+_PHASE_TWEAK = np.uint64(0xD1B54A32D192ED03)
+
+
+def _mix(z: np.ndarray) -> np.ndarray:
+    """SplitMix64 finaliser, a bijection of uint64 with full avalanche."""
+    z = (z ^ (z >> 30)) * _MIX1
+    z = (z ^ (z >> 27)) * _MIX2
+    return z ^ (z >> 31)
+
+
+def _mask(width: int) -> np.uint64:
+    return np.uint64((1 << width) - 1)
+
+
+def _domain(xs, n: int) -> np.ndarray:
+    """Points of {0,1}^n as a uint64 array; anything outside is an overflow."""
+    xs = np.asarray(xs, dtype=np.int64).reshape(-1)
+    for x in xs[(xs < 0) | (xs >= 2**n)][:1]:
+        raise DomainOverflow(f"{x} outside 0..2^{n}-1")
+    return xs.astype(np.uint64)
+
+
+def key_words(keys: np.ndarray) -> np.ndarray:
+    """Hash a (count, length) uint8 array of byte keys into (count,) uint64
+    words: the mixer folds the zero-padded little-endian 64-bit chunks into
+    the key length, so keys of different lengths stay distinct."""
+    keys = np.asarray(keys, dtype=np.uint8)
+    count, length = keys.shape
+    padded = np.zeros((count, -(-length // 8) * 8), dtype=np.uint8)
+    padded[:, :length] = keys
+    chunks = padded.view("<u8").astype(np.uint64)
+    h = np.full(count, length, dtype=np.uint64)
+    for j in range(chunks.shape[1]):
+        h = _mix((h ^ chunks[:, j]) + np.uint64(_GOLDEN))
+    return h
+
+
+def draw_key_words(rng: np.random.Generator, count: int) -> np.ndarray:
+    """Words of ``count`` fresh KEY_BYTES-byte keys, drawn as one ``rng.bytes`` call."""
+    raw = np.frombuffer(rng.bytes(KEY_BYTES * count), dtype=np.uint8)
+    return key_words(raw.reshape(count, KEY_BYTES))
+
+
+def _word_of(key: bytes) -> np.ndarray:
+    return key_words(np.frombuffer(key, dtype=np.uint8)[None, :])
+
+
+def _round(words: np.ndarray | None, rnd: int, half: np.ndarray, width: int) -> np.ndarray:
+    """Keyed Feistel round function; ``words is None`` is the identity key."""
+    if words is None:
+        return np.zeros_like(half)
+    sub = _mix(words + np.uint64((rnd + 1) * _GOLDEN % 2**64))
+    return _mix(sub ^ half) & _mask(width)
 
 
 @dataclass(frozen=True)
@@ -81,57 +143,56 @@ class KeyedPermutation:
             raise ValidationError("domain width must be >= 1")
         if self.rounds < 1:
             raise ValidationError("at least one Feistel round required")
+        object.__setattr__(self, "_words", _word_of(self.key) if self.key else None)
+
+    @staticmethod
+    def default_rounds(n: int) -> int:
+        """Four rounds mix poorly on tiny domains (the exact table distribution
+        at n=2 sits at total-variation 0.083 from uniform after 4 rounds and
+        quarters every 2 rounds), so small widths get extra rounds to push the
+        residual bias below Monte-Carlo resolution."""
+        return 4 + 2 * max(0, 8 - n)
 
     @classmethod
     def from_rng(cls, n: int, rng: np.random.Generator, rounds: int | None = None) -> "KeyedPermutation":
-        """Fresh random key; round count adapts to the width when unspecified.
+        """Fresh random key; round count adapts to the width when unspecified."""
+        return cls(n, bytes(rng.bytes(KEY_BYTES)), cls.default_rounds(n) if rounds is None else rounds)
 
-        Four rounds mix poorly on tiny domains (the exact table distribution
-        at n=2 sits at total-variation 0.083 from uniform after 4 rounds and
-        quarters every 2 rounds), so small widths get extra rounds to push the
-        residual bias below Monte-Carlo resolution.
-        """
-        if rounds is None:
-            rounds = 4 + 2 * max(0, 8 - n)
-        return cls(n, bytes(rng.bytes(KEY_BYTES)), rounds)
+    @staticmethod
+    def apply_block(words: np.ndarray | None, xs: np.ndarray, n: int, rounds: int) -> np.ndarray:
+        """Images of the uint64 array ``xs`` under the permutations keyed by
+        ``words`` (broadcast against ``xs``; None is the identity key)."""
+        wl, wr = n - n // 2, n // 2  # left gets the ceil half so n=1 degenerates to (1, 0)
+        left, right = xs >> wr, xs & _mask(wr)
+        for rnd in range(rounds):
+            left, right = right, left ^ _round(words, rnd, right, wl)
+            wl, wr = wr, wl
+        return (left << wr) | right
 
-    @property
-    def _widths(self) -> tuple[int, int]:
-        # left gets the ceil half so n=1 degenerates to (1, 0)
-        return (self.n - self.n // 2, self.n // 2)
+    @staticmethod
+    def invert_block(words: np.ndarray | None, ys: np.ndarray, n: int, rounds: int) -> np.ndarray:
+        """Preimages of ``ys``; inverse of ``apply_block`` with the same arguments."""
+        wl, wr = n - n // 2, n // 2
+        if rounds % 2 == 1:
+            wl, wr = wr, wl
+        left, right = ys >> wr, ys & _mask(wr)
+        for rnd in range(rounds - 1, -1, -1):
+            wl, wr = wr, wl
+            left, right = right ^ _round(words, rnd, left, wl), left
+        return (left << wr) | right
 
-    def _round(self, rnd: int, right: int, width: int) -> int:
-        if not self.key:
-            return 0
-        return _mix64(self.key, rnd, right) & ((1 << width) - 1)
-
-    def _check(self, x: int) -> None:
-        if not (0 <= x < 2**self.n):
-            raise DomainOverflow(f"{x} outside 0..2^{self.n}-1")
+    def apply_many(self, xs) -> np.ndarray:
+        return self.apply_block(self._words, _domain(xs, self.n), self.n, self.rounds).astype(np.int64)
 
     def apply(self, x: int) -> int:
-        self._check(x)
-        wl, wr = self._widths
-        left, right = x >> wr, x & ((1 << wr) - 1)
-        for rnd in range(self.rounds):
-            left, right = right, left ^ self._round(rnd, right, wl)
-            wl, wr = wr, wl
-        return (left << wr) | right
+        return int(self.apply_many([x])[0])
 
     def invert(self, y: int) -> int:
-        self._check(y)
-        wl, wr = self._widths
-        if self.rounds % 2 == 1:
-            wl, wr = wr, wl
-        left, right = y >> wr, y & ((1 << wr) - 1)
-        for rnd in range(self.rounds - 1, -1, -1):
-            wl, wr = wr, wl
-            left, right = right ^ self._round(rnd, left, wl), left
-        return (left << wr) | right
+        return int(self.invert_block(self._words, _domain([y], self.n), self.n, self.rounds)[0])
 
     def table(self) -> np.ndarray:
         """Full forward map as an int array; exportable as a JSON list."""
-        return np.array([self.apply(x) for x in range(2**self.n)], dtype=np.int64)
+        return self.apply_many(np.arange(2**self.n))
 
 
 @dataclass(frozen=True)
@@ -154,6 +215,7 @@ class PhaseFunction:
             tab = np.asarray(self.table, dtype=np.uint8) & 1
             tab.setflags(write=False)
             object.__setattr__(self, "table", tab)
+        object.__setattr__(self, "_words", _word_of(self.key) if self.kind == PHASE_KEYED else None)
 
     @classmethod
     def zero(cls, n: int) -> "PhaseFunction":
@@ -171,17 +233,21 @@ class PhaseFunction:
     def random_table(cls, n: int, rng: np.random.Generator) -> "PhaseFunction":
         return cls(n, PHASE_TABLE, table=rng.integers(0, 2, size=2**n, dtype=np.uint8))
 
+    @staticmethod
+    def keyed_bits(words: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        """Keyed phase bits of the uint64 array ``xs`` under ``words`` (broadcast)."""
+        return (_mix(_mix(words ^ _PHASE_TWEAK) ^ xs) >> 63).astype(np.uint8)
+
     def eval(self, x: int) -> int:
-        if not (0 <= x < 2**self.n):
-            raise DomainOverflow(f"{x} outside 0..2^{self.n}-1")
-        if self.kind == PHASE_ZERO:
-            return 0
-        if self.kind == PHASE_TABLE:
-            return int(self.table[x])
-        return _mix64(self.key, x) & 1
+        return int(self.eval_many([x])[0])
 
     def eval_many(self, xs) -> np.ndarray:
-        return np.array([self.eval(int(x)) for x in xs], dtype=np.uint8)
+        xs = _domain(xs, self.n)
+        if self.kind == PHASE_ZERO:
+            return np.zeros(xs.shape, dtype=np.uint8)
+        if self.kind == PHASE_TABLE:
+            return self.table[xs.astype(np.intp)]
+        return self.keyed_bits(self._words, xs)
 
 
 def sample_true_permutation(
@@ -190,24 +256,19 @@ def sample_true_permutation(
     """Uniform (Fisher-Yates) permutation of {0,1}^n as an explicit table."""
     if 2**n > cap:
         raise DomainCapExceeded(f"2^{n} exceeds table cap {cap}")
-    rng = as_generator(seed)
-    return rng.permutation(2**n)
+    return as_generator(seed).permutation(2**n)
 
 
 def sample_haar_state(n: int, seed: "RngSeed | int | np.random.Generator") -> PureState:
     """Haar-random pure state via a normalized complex Gaussian vector."""
-    rng = as_generator(seed)
-    z = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
-    return PureState(n, z / np.linalg.norm(z))
+    return PureState(n, sample_haar_block(n, 1, as_generator(seed))[0])
 
 
 def sample_haar_block(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """(count, 2^n) array of Haar state amplitudes; fast path for estimators."""
-    z = rng.standard_normal((count, 2**n)) + 1j * rng.standard_normal((count, 2**n))
-    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    z = np.empty((count, 2**n), dtype=np.complex128)
+    z.real = rng.standard_normal((count, 2**n))
+    z.imag = rng.standard_normal((count, 2**n))
+    z /= np.linalg.norm(z.view(np.float64), axis=1, keepdims=True)
     return z
 
-
-def permutation_table_json(p: KeyedPermutation) -> list[int]:
-    """Forward table as a plain list for JSON export (debugging aid)."""
-    return [int(v) for v in p.table()]

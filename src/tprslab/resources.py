@@ -18,9 +18,9 @@ import numpy as np
 
 from .config import EIG_FLOOR
 from .errors import DimensionCapExceeded, NoAnalyticForm, ValidationError
-from .ensembles import EnsembleSpec, sample_state
+from .ensembles import EnsembleSpec
 from .linalg import DensityOperator, PartitionSpec, PureState, von_neumann_entropy
-from .randprims import RngSeed
+from .randprims import RngSeed, as_seed
 from .sampling import MeanAccumulator, paired_value_means
 
 __all__ = [
@@ -38,6 +38,9 @@ __all__ = [
     "estimate_gap",
     "GapReport",
     "measure_pure_amps",
+    "measure_statistic",
+    "pauli_power_sums",
+    "pauli_power_trace",
 ]
 
 MAGIC_MAX_QUBITS = 4  # 4^n Pauli enumeration cap for the trace-power route
@@ -90,14 +93,18 @@ def _diag_probs(rho: DensityOperator) -> np.ndarray:
     return np.clip(rho.diagonal(), 0.0, None)
 
 
-def _shannon_bits(p: np.ndarray) -> float:
-    p = p[p > EIG_FLOOR]
-    return float(-np.sum(p * np.log2(p))) if p.size else 0.0
+def _shannon_bits(p: np.ndarray) -> np.ndarray:
+    """Shannon entropy in bits along the last axis; entries at or below
+    EIG_FLOOR contribute 0."""
+    terms = np.zeros_like(p)
+    np.log2(p, out=terms, where=p > EIG_FLOOR)
+    terms *= p
+    return -np.sum(terms, axis=-1)
 
 
 def coherence_relative_entropy(rho: DensityOperator) -> float:
     """C(rho) = H(diag rho) - H(rho), in bits, in [0, n]."""
-    return _shannon_bits(_diag_probs(rho)) - von_neumann_entropy(rho)
+    return float(_shannon_bits(_diag_probs(rho))) - von_neumann_entropy(rho)
 
 
 def coherence_hs_distance(rho: DensityOperator) -> float:
@@ -106,22 +113,23 @@ def coherence_hs_distance(rho: DensityOperator) -> float:
     return float(1.0 - np.sum(diag**2))
 
 
-def _schmidt_probs(psi: PureState, part: PartitionSpec) -> np.ndarray:
-    part.check(psi.n)
-    mat = psi.amps.reshape(2**part.n_a, 2**part.n_b)
-    s = np.linalg.svd(mat, compute_uv=False)
-    return s**2
+def _schmidt_probs(amps: np.ndarray, part: PartitionSpec) -> np.ndarray:
+    """Squared Schmidt coefficients of pure states (..., 2^n) across the
+    partition: eigenvalues of the smaller-side Gram matrix, ascending."""
+    mat = amps.reshape(amps.shape[:-1] + (2**part.n_a, 2**part.n_b))
+    return np.linalg.eigvalsh(mat @ mat.conj().swapaxes(-1, -2))
 
 
 def entanglement_entropy(psi: PureState, part: PartitionSpec) -> float:
     """Entropy of either reduction of a pure state across the partition, in bits."""
-    return _shannon_bits(_schmidt_probs(psi, part))
+    part.check(psi.n)
+    return float(_shannon_bits(_schmidt_probs(psi.amps, part)))
 
 
 def reduced_purity(psi: PureState, part: PartitionSpec) -> float:
     """Tr(rho_A^2) of the smaller-side reduction."""
-    lam = _schmidt_probs(psi, part)
-    return float(np.sum(lam**2))
+    part.check(psi.n)
+    return float(np.sum(_schmidt_probs(psi.amps, part) ** 2))
 
 
 def collision_entanglement(psi: PureState, part: PartitionSpec) -> float:
@@ -158,6 +166,23 @@ def pauli_expectations_pure(amps: np.ndarray, n: int) -> np.ndarray:
     return np.einsum("i,pij,j->p", amps.conj(), basis, amps).real
 
 
+def pauli_power_sums(amps: np.ndarray, n: int, alpha: int) -> np.ndarray:
+    """(1/2^n) sum_P <psi|P|psi>^{2 alpha} for each row of a (rows, 2^n) block.
+
+    Row by row on ``pauli_expectations_pure``: a batched contraction against
+    the (4^n, 2^n, 2^n) basis would hold a (rows, 4^n) intermediate per term.
+    """
+    return np.array([np.sum(pauli_expectations_pure(row, n) ** (2 * alpha)) for row in amps]) / 2**n
+
+
+def pauli_power_trace(state, alpha: int) -> float:
+    """(1/2^n) sum_P Tr(P rho)^{2 alpha} of a PureState or DensityOperator."""
+    if isinstance(state, PureState):
+        return float(pauli_power_sums(state.amps[None, :], state.n, alpha)[0])
+    ev = np.einsum("pij,ji->p", pauli_basis(state.n), state.mat).real
+    return float(np.sum(ev ** (2 * alpha))) / 2**state.n
+
+
 def stabilizer_renyi_entropy(state, alpha: int) -> float:
     """Magic monotone from 2*alpha-th powers of Pauli expectations, in bits.
 
@@ -166,20 +191,9 @@ def stabilizer_renyi_entropy(state, alpha: int) -> float:
     """
     if alpha < 2:
         raise ValidationError("alpha must be >= 2")
-    if isinstance(state, PureState):
-        n = state.n
-        ev = pauli_expectations_pure(state.amps, n)
-    else:
-        rho: DensityOperator = state
-        n = rho.n
-        if rho.purity() < 1.0 - 1e-9:
-            warnings.warn(
-                "stabilizer Renyi entropy of a mixed state is non-standard", stacklevel=2
-            )
-        basis = pauli_basis(n)
-        ev = np.einsum("pij,ji->p", basis, rho.mat).real
-    total = float(np.sum(ev ** (2 * alpha))) / 2**n
-    return float(np.log2(total) / (1 - alpha))
+    if not isinstance(state, PureState) and state.purity() < 1.0 - 1e-9:
+        warnings.warn("stabilizer Renyi entropy of a mixed state is non-standard", stacklevel=2)
+    return float(np.log2(pauli_power_trace(state, alpha)) / (1 - alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -274,27 +288,37 @@ def haar_expected(
 # Monte-Carlo gap estimation
 
 
-def measure_pure_amps(measure: ResourceMeasure, amps: np.ndarray, n: int) -> float:
-    """Raw per-sample statistic for a pure state given as amplitudes.
+def measure_pure_amps(measure: ResourceMeasure, amps: np.ndarray, n: int):
+    """Raw statistic of pure states given as amplitudes: a float for one
+    (2^n,) vector, one value per row for a (rows, 2^n) block.
 
     For collision-entanglement the raw statistic is the reduced purity; the
     aggregator applies -log2 to the purity mean so the estimate converges to
     the closed-form reference (a direct mean of -log2 purity would not).
     """
-    if measure.name == MEASURE_COHERENCE_RE:
-        p = np.abs(amps) ** 2
-        return _shannon_bits(p)
-    if measure.name == MEASURE_COHERENCE_HS:
-        p = np.abs(amps) ** 2
-        return float(1.0 - np.sum(p**2))
-    psi = PureState(n, amps)
-    if measure.name == MEASURE_ENTANGLEMENT:
-        return entanglement_entropy(psi, measure.partition)
-    if measure.name == MEASURE_COLLISION_ENT:
-        return reduced_purity(psi, measure.partition)
-    if measure.name == MEASURE_MAGIC:
-        return stabilizer_renyi_entropy(psi, measure.alpha)
-    raise ValidationError(f"unknown measure {measure.name!r}")
+    block = np.asarray(amps).reshape(-1, 2**n)
+    if measure.name in (MEASURE_COHERENCE_RE, MEASURE_COHERENCE_HS):
+        p = np.abs(block)
+        p *= p
+        values = _shannon_bits(p) if measure.name == MEASURE_COHERENCE_RE else 1.0 - np.einsum("ij,ij->i", p, p)
+    elif measure.name in (MEASURE_ENTANGLEMENT, MEASURE_COLLISION_ENT):
+        measure.partition.check(n)
+        lam = _schmidt_probs(block, measure.partition)
+        values = _shannon_bits(lam) if measure.name == MEASURE_ENTANGLEMENT else np.sum(lam**2, axis=1)
+    elif measure.name == MEASURE_MAGIC:
+        values = np.log2(pauli_power_sums(block, n, measure.alpha)) / (1 - measure.alpha)
+    else:
+        raise ValidationError(f"unknown measure {measure.name!r}")
+    return float(values[0]) if np.ndim(amps) == 1 else values
+
+
+def measure_statistic(measure: ResourceMeasure):
+    """The measure as a block statistic ``(block, n) -> values`` for ``paired_value_means``."""
+
+    def statistic(block: np.ndarray, n: int) -> np.ndarray:
+        return measure_pure_amps(measure, block, n)
+
+    return statistic
 
 
 def aggregate_measure(measure: ResourceMeasure, acc: MeanAccumulator) -> tuple[float, float]:
@@ -330,9 +354,9 @@ def estimate_gap(
     seed: RngSeed | int = 0,
     threads: int = 1,
 ) -> GapReport:
-    """Monte-Carlo resource gap with per-sample-index paired seeds.
+    """Monte-Carlo resource gap with paired generators.
 
-    Sample i of each ensemble draws from a generator seeded by (seed, i,
+    Chunk c of each ensemble draws from a generator seeded by (seed, c,
     ensemble seed): specs sharing a seed get common random numbers (the gap of
     an ensemble against itself is exactly zero), while distinct ensemble seeds
     give independent streams.
@@ -341,20 +365,9 @@ def estimate_gap(
         raise ValidationError("ensembles must share the qubit count")
     if measure.partition is not None:
         measure.partition.check(e_high.n)
-    master = seed if isinstance(seed, RngSeed) else RngSeed(int(seed))
-
-    def value_for(spec: EnsembleSpec):
-        def fn(rng: np.random.Generator) -> float:
-            return measure_pure_amps(measure, sample_state(spec, rng), spec.n)
-
-        return fn
-
+    statistic = measure_statistic(measure)
     acc_high, acc_low = paired_value_means(
-        master,
-        samples,
-        (value_for(e_high), value_for(e_low)),
-        salts=(e_high.seed.seed, e_low.seed.seed),
-        threads=threads,
+        as_seed(seed), samples, (statistic, statistic), threads=threads, sources=(e_high, e_low)
     )
     mean_h, se_h = aggregate_measure(measure, acc_high)
     mean_l, se_l = aggregate_measure(measure, acc_low)

@@ -1,79 +1,87 @@
-"""Deterministic chunked Monte-Carlo machinery.
+"""Deterministic block Monte-Carlo engine.
 
-Work is split into fixed-size chunks addressed by index; chunk index (never
-thread identity) seeds the generator and results merge in index order, so an
-estimate depends only on (seed, samples) and is byte-identical for any thread
-count.
+Work is split into fixed-size chunks addressed by index. In chunk c, every
+source (an ensemble spec with a salt, by default its own seed) draws its rows
+from a generator seeded by (seed, c, salt), as consecutive sub-blocks of at
+most SUB_BLOCK_AMPS amplitudes, and every statistic of that source is read
+from the same sub-block. Sources sharing a salt get identically seeded
+generators, so identical specs draw identical rows (common random numbers: a
+same-spec, same-seed gap is exactly 0) while distinct salts decorrelate.
+Per-chunk means and squared deviations merge in chunk order, so an estimate
+depends only on (seed, samples) and is byte-identical for any thread count.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ValidationError
 from .randprims import RngSeed
 
 __all__ = ["MeanAccumulator", "chunk_layout", "run_ordered", "paired_value_means"]
 
 DEFAULT_CHUNK = 1024
+# Amplitudes per drawn sub-block (128 KiB of complex128). Each worker thread's
+# allocator keeps its sub-block working set: 1 MiB sub-blocks raised a
+# gap-and-sweep run's peak memory by ~10 MB and were no faster.
+SUB_BLOCK_AMPS = 1 << 13
 
 
 def chunk_layout(samples: int, chunk: int = DEFAULT_CHUNK) -> list[tuple[int, int, int]]:
     """(chunk_index, start_offset, size) triples covering ``samples`` draws."""
     if samples < 1:
-        raise ValueError("samples must be >= 1")
-    out = []
-    start = 0
-    idx = 0
-    while start < samples:
-        size = min(chunk, samples - start)
-        out.append((idx, start, size))
-        start += size
-        idx += 1
-    return out
+        raise ValidationError("samples must be >= 1")
+    return [(idx, start, min(chunk, samples - start)) for idx, start in enumerate(range(0, samples, chunk))]
 
 
 def run_ordered(worker, count: int, threads: int = 1) -> list:
-    """Evaluate worker(0..count-1), merged in index order regardless of threads."""
-    if threads <= 1 or count <= 1:
+    """Evaluate worker(0..count-1), merged in index order regardless of threads.
+
+    The pool never has more workers than tasks or usable cores.
+    """
+    workers = min(threads, count, os.cpu_count() or 1)
+    if workers <= 1:
         return [worker(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, range(count)))
 
 
 @dataclass
 class MeanAccumulator:
-    """Running sum / sum-of-squares for a scalar stream."""
+    """Count, mean and sum of squared deviations (M2) of a scalar stream."""
 
-    total: float = 0.0
-    total_sq: float = 0.0
     count: int = 0
+    mean: float = 0.0
+    m2: float = 0.0
 
-    def add_block(self, values: np.ndarray) -> None:
-        v = np.asarray(values, dtype=float)
-        self.total += float(v.sum())
-        self.total_sq += float((v * v).sum())
-        self.count += int(v.size)
+    @classmethod
+    def of(cls, values: np.ndarray) -> "MeanAccumulator":
+        v = np.asarray(values, dtype=float).reshape(-1)
+        mean = float(v.mean()) if v.size else 0.0
+        return cls(v.size, mean, float(np.sum((v - mean) ** 2)))
 
     def merge(self, other: "MeanAccumulator") -> None:
-        self.total += other.total
-        self.total_sq += other.total_sq
-        self.count += other.count
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count
+        """Chan et al.'s pairwise update; a constant stream keeps M2 exactly 0."""
+        if other.count == 0:
+            return
+        if self.count == 0:
+            self.count, self.mean, self.m2 = other.count, other.mean, other.m2
+            return
+        total = self.count + other.count
+        delta = other.mean - self.mean
+        self.mean += delta * other.count / total
+        self.m2 += other.m2 + delta * delta * self.count * other.count / total
+        self.count = total
 
     @property
     def stderr(self) -> float:
         if self.count < 2:
             return 0.0
-        var = max(self.total_sq / self.count - self.mean**2, 0.0)
-        # unbiased-ish correction; negligible at the sample counts used here
-        var *= self.count / (self.count - 1)
-        return float(np.sqrt(var / self.count))
+        return float(np.sqrt(self.m2 / (self.count - 1) / self.count))
 
 
 def paired_value_means(
@@ -83,32 +91,43 @@ def paired_value_means(
     salts=None,
     threads: int = 1,
     chunk: int = DEFAULT_CHUNK,
+    *,
+    sources,
 ) -> list[MeanAccumulator]:
-    """Per-stream means where stream k's sample i uses a generator seeded by
-    (seed, chunk, offset, salt_k).
+    """Per-stream means; stream k calls ``value_fns[k](block, n)`` on the
+    (rows, 2^n) amplitude blocks of ensemble ``sources[k]``.
 
-    Streams sharing a salt receive identically seeded fresh generators at each
-    sample index, so identical sampling procedures yield identical draws
-    (common-random-number pairing; a same-spec same-salt null comparison is
-    exactly 0). Distinct salts decorrelate the streams.
+    ``salts[k]`` (default: the source's own seed) picks the generator family;
+    streams with equal (source, salt) read the same rows, drawn once.
     """
-    layout = chunk_layout(samples, chunk)
-    n_streams = len(value_fns)
-    if salts is None:
-        salts = (0,) * n_streams
-    if len(salts) != n_streams:
-        raise ValueError("one salt per value stream required")
+    from .ensembles import sample_block  # ensembles imports this module
 
-    def worker(i: int):
+    n_streams = len(value_fns)
+    if len(sources) != n_streams:
+        raise ValidationError("one source per value stream required")
+    if salts is None:
+        salts = tuple(spec.seed.seed for spec in sources)
+    if len(salts) != n_streams:
+        raise ValidationError("one salt per value stream required")
+    layout = chunk_layout(samples, chunk)
+    groups: dict[tuple, list[int]] = {}
+    for k, key in enumerate(zip(sources, salts)):
+        groups.setdefault(key, []).append(k)
+
+    def worker(i: int) -> list[MeanAccumulator]:
         idx, _, size = layout[i]
-        accs = [MeanAccumulator() for _ in range(n_streams)]
-        for off in range(size):
-            for k, fn in enumerate(value_fns):
-                accs[k].add_block(np.array([fn(seed.generator(idx, off, salts[k]))]))
-        return accs
+        values = np.empty((n_streams, size))
+        for (spec, salt), streams in groups.items():
+            rng = seed.generator(idx, salt)
+            rows = max(1, SUB_BLOCK_AMPS // spec.dim)
+            for lo in range(0, size, rows):
+                block = sample_block(spec, min(rows, size - lo), rng)
+                for k in streams:
+                    values[k, lo : lo + len(block)] = value_fns[k](block, spec.n)
+        return [MeanAccumulator.of(v) for v in values]
 
     totals = [MeanAccumulator() for _ in range(n_streams)]
     for accs in run_ordered(worker, len(layout), threads):
-        for k in range(n_streams):
-            totals[k].merge(accs[k])
+        for total, acc in zip(totals, accs):
+            total.merge(acc)
     return totals

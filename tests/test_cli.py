@@ -257,3 +257,61 @@ class TestConfigHandling:
         )
         assert code == 2
         assert "kind" in err
+
+
+class TestThreadIdentity:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["prop-check", "--prop", "7", "--n", "4", "--T", "log", "--e1", "haar", "--e2", "subset-phase-keyed:m=4"],
+            ["prop-check", "--prop", "8", "--n", "4", "--T", "log", "--e1", "haar",
+             "--e2", "subset-phase-true-random:m=4"],
+            ["hybrid", "--n", "3", "--m", "4", "--distinguishers", "coherence,swap"],
+        ],
+    )
+    def test_csv_byte_identical_for_1_2_4_threads(self, argv, tmp_path):
+        outputs = []
+        for threads in ("1", "2", "4"):
+            path = tmp_path / f"t{threads}.csv"
+            assert main(["--samples", "2500", "--seed", "13", "--threads", threads, "--out", str(path)] + argv) in (0, 4)
+            outputs.append(path.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
+
+
+class TestErrorMapping:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gap", "--measure", "entanglement-entropy", "--n", "4", "--e1", "haar", "--e2", "haar", "--partition", "a:b"],
+            ["gap", "--measure", "entanglement-entropy", "--n", "4", "--e1", "haar", "--e2", "haar", "--partition", "1:1:2"],
+            ["gap", "--measure", "coherence-re", "--n", "3", "--e1", "haar", "--e2", "subset-true-random:m=x"],
+            ["sweep", "--measure", "coherence-re", "--n", "3..x"],
+            ["distance", "--kind", "subset", "--n", "3", "--t", "2", "--m", "2,x"],
+            ["distance", "--kind", "subset", "--n", "3", "--t", "2"],
+            ["distance", "--kind", "subset", "--n", "3", "--t", "2", "--m", "2,2"],
+            ["build", "--kind", "subset", "--n", "2", "--members", "0x,11"],
+            ["build", "--kind", "subset", "--n", "2", "--m", "5"],
+            ["--samples", "0", "gap", "--measure", "coherence-re", "--n", "3", "--e1", "haar", "--e2", "haar"],
+        ],
+    )
+    def test_bad_input_exits_2(self, argv, capsys):
+        code, _, err = run(argv, capsys)
+        assert code == 2
+        assert "validation error" in err
+
+    def test_bad_dim_cap_environment_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setenv("TPRS_DIM_CAP", "lots")
+        code, _, err = run(["advise", "--T", "log", "--n", "16"], capsys)
+        assert code == 2
+        assert "TPRS_DIM_CAP" in err
+
+    @pytest.mark.parametrize("exc", [ValueError, KeyError])
+    def test_program_errors_are_not_relabelled(self, exc, monkeypatch):
+        from tprslab import cli
+
+        def broken(*args, **kwargs):
+            raise exc("engine bug")
+
+        monkeypatch.setattr(cli, "estimate_gap", broken)
+        with pytest.raises(exc):
+            main(["gap", "--measure", "coherence-re", "--n", "3", "--e1", "haar", "--e2", "haar"])

@@ -7,6 +7,7 @@ import pytest
 
 from tprslab.config import dim_cap
 from tprslab.ensembles import (
+    ENSEMBLE_KINDS,
     EnsembleSpec,
     SubsetSpec,
     advise_copies,
@@ -20,6 +21,7 @@ from tprslab.ensembles import (
     mc_ensemble_moment,
     operator_from_json,
     operator_to_json,
+    sample_block,
     sample_state,
     stabilizer_orbit,
 )
@@ -31,7 +33,7 @@ from tprslab.errors import (
 )
 from tprslab.growth import GrowthClass
 from tprslab.linalg import copy_transposition_operator
-from tprslab.randprims import KeyedPermutation, PhaseFunction, RngSeed
+from tprslab.randprims import KEY_BYTES, KeyedPermutation, PhaseFunction, RngSeed
 
 from .util import MINUS, PLUS, kron_all
 
@@ -289,6 +291,60 @@ class TestMonteCarloMoment:
             for _ in range(20):
                 amps = sample_state(spec, rng)
                 assert abs(np.linalg.norm(amps) - 1) < 1e-12
+
+
+SUBSET_KINDS = ("subset-phase-keyed", "subset-phase-true-random", "subset-keyed", "subset-true-random")
+
+
+def _subset_m(kind, n):
+    return 2 ** (n // 2) if "phase" in kind else n - 1
+
+
+class TestSampleBlock:
+    @pytest.mark.parametrize("n", range(3, 11))
+    @pytest.mark.parametrize("kind", SUBSET_KINDS)
+    def test_rows_unit_norm_with_m_distinct_members(self, kind, n):
+        m = _subset_m(kind, n)
+        block = sample_block(EnsembleSpec(kind, n, m=m), 40, RngSeed(n).generator())
+        assert block.shape == (40, 2**n)
+        assert np.max(np.abs(np.linalg.norm(block, axis=1) - 1)) <= 1e-12
+        assert np.all(np.count_nonzero(block, axis=1) == m)
+        assert np.allclose(np.abs(block[block != 0]), 1 / math.sqrt(m), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("kind,n", [("haar", 3), ("haar", 10), ("stabilizer-orbit", 3)])
+    def test_dense_kinds_unit_norm(self, kind, n):
+        block = sample_block(EnsembleSpec(kind, n), 50, RngSeed(7).generator())
+        assert np.max(np.abs(np.linalg.norm(block, axis=1) - 1)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [3, 5, 8, 10])
+    @pytest.mark.parametrize("kind", ("subset-phase-keyed", "subset-keyed"))
+    def test_keyed_rows_equal_scalar_primitives(self, kind, n):
+        """Row i uses the i-th KEY_BYTES slice of one rng.bytes call as its
+        permutation key and, for the phase kind, of a second call as its phase key."""
+        count, m = 12, _subset_m(kind, n)
+        spec = EnsembleSpec(kind, n, m=m)
+        block = sample_block(spec, count, RngSeed(50 + n).generator())
+        rng = RngSeed(50 + n).generator()
+        perm_raw = rng.bytes(KEY_BYTES * count)
+        phase_raw = rng.bytes(KEY_BYTES * count) if kind == "subset-phase-keyed" else None
+        rounds = KeyedPermutation.default_rounds(n)
+        for i, row in enumerate(block):
+            perm = KeyedPermutation(n, perm_raw[i * KEY_BYTES : (i + 1) * KEY_BYTES], rounds)
+            want = np.zeros(2**n, dtype=complex)
+            if phase_raw is None:
+                want[[perm.apply(x) for x in range(m)]] = 1 / math.sqrt(m)
+            else:
+                f = PhaseFunction.keyed(n, phase_raw[i * KEY_BYTES : (i + 1) * KEY_BYTES])
+                for x in range(m):
+                    y = perm.apply(x << (n - spec.m_exp))
+                    want[y] = 1 / math.sqrt(m) * (1.0 - 2.0 * f.eval(y))
+            assert np.array_equal(row, want)
+
+    def test_sample_state_is_first_block_row(self):
+        for kind in ENSEMBLE_KINDS:
+            spec = EnsembleSpec(kind, 3, m=4 if kind in SUBSET_KINDS else None)
+            one = sample_state(spec, RngSeed(3).generator())
+            assert np.array_equal(one, sample_block(spec, 1, RngSeed(3).generator())[0])
 
 
 class TestAdvisors:

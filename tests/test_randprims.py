@@ -2,17 +2,24 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tprslab.errors import DomainCapExceeded, DomainOverflow
 from tprslab.linalg import symmetric_projector
 from tprslab.randprims import (
+    KEY_BYTES,
     KeyedPermutation,
     PhaseFunction,
     RngSeed,
+    draw_key_words,
+    key_words,
     sample_haar_block,
     sample_haar_state,
     sample_true_permutation,
 )
+
+from .util import feistel_apply_oracle, key_word_oracle, phase_bit_oracle
 
 
 class TestKeyedPermutation:
@@ -58,6 +65,57 @@ class TestKeyedPermutation:
         p = KeyedPermutation(5, b"odd-round-key!!!", rounds=3)
         for x in range(32):
             assert p.invert(p.apply(x)) == x
+
+
+class TestVectorisedFeistel:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        key=st.binary(max_size=24),
+        n=st.integers(1, 24),
+        rounds=st.integers(1, 9),
+        data=st.data(),
+    )
+    def test_invert_apply_round_trip(self, key, n, rounds, data):
+        p = KeyedPermutation(n, key, rounds)
+        x = data.draw(st.integers(0, 2**n - 1))
+        assert p.invert(p.apply(x)) == x
+        assert p.apply(p.invert(x)) == x
+
+    @settings(max_examples=60, deadline=None)
+    @given(key=st.binary(max_size=24), n=st.integers(1, 16), rounds=st.integers(1, 9))
+    def test_scalar_matches_python_int_oracle(self, key, n, rounds):
+        p = KeyedPermutation(n, key, rounds)
+        for x in {0, 1, 2**n - 1, (0x5A5A5A & (2**n - 1))}:
+            assert p.apply(x) == feistel_apply_oracle(key, n, rounds, x)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8, 11])
+    def test_block_rows_match_scalar_keys(self, n):
+        rng = np.random.default_rng(n)
+        keys = [bytes(rng.bytes(KEY_BYTES)) for _ in range(7)]
+        words = key_words(np.frombuffer(b"".join(keys), dtype=np.uint8).reshape(7, KEY_BYTES))
+        xs = np.arange(2**n, dtype=np.uint64)
+        rounds = KeyedPermutation.default_rounds(n)
+        images = KeyedPermutation.apply_block(words[:, None], xs, n, rounds)
+        back = KeyedPermutation.invert_block(words[:, None], images, n, rounds)
+        for key, row, inv in zip(keys, images, back):
+            assert row.tolist() == KeyedPermutation(n, key, rounds).table().tolist()
+            assert np.array_equal(inv, xs)
+        bits = PhaseFunction.keyed_bits(words[:, None], xs)
+        for key, row in zip(keys, bits):
+            assert row.tolist() == PhaseFunction.keyed(n, key).eval_many(range(2**n)).tolist()
+
+    def test_key_word_matches_oracle(self):
+        for key in (b"", b"k", b"det", b"exhaustive-key!!", bytes(range(23))):
+            assert int(key_words(np.frombuffer(key, dtype=np.uint8)[None, :])[0]) == key_word_oracle(key)
+
+    def test_draw_key_words_is_one_bytes_call(self):
+        a = draw_key_words(RngSeed(4).generator(), 5)
+        raw = RngSeed(4).generator().bytes(5 * KEY_BYTES)
+        assert [int(w) for w in a] == [key_word_oracle(raw[i : i + KEY_BYTES]) for i in range(0, len(raw), KEY_BYTES)]
+
+    def test_phase_bits_match_oracle(self):
+        f = PhaseFunction.keyed(7, b"phase-oracle-key")
+        assert [f.eval(x) for x in range(128)] == [phase_bit_oracle(b"phase-oracle-key", x) for x in range(128)]
 
 
 class TestPhaseFunction:

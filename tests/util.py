@@ -99,3 +99,50 @@ def entropy_bits(probs):
     p = np.asarray(probs, dtype=float)
     p = p[p > 1e-12]
     return float(-(p * np.log2(p)).sum())
+
+
+def schmidt_probs_oracle(amps, n_a, n_b):
+    """Reduced spectrum via the index-loop partial trace of |psi><psi|."""
+    amps = np.asarray(amps, dtype=complex)
+    red = loop_partial_trace(np.outer(amps, amps.conj()), n_a, n_b, "A")
+    return np.linalg.eigvalsh(red)
+
+
+_MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def _splitmix_int(z):
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def key_word_oracle(key: bytes) -> int:
+    """Python-int fold of a byte key into the 64-bit word the library uses."""
+    h = len(key)
+    padded = key + b"\0" * (-len(key) % 8)
+    for j in range(0, len(padded), 8):
+        h = _splitmix_int(((h ^ int.from_bytes(padded[j : j + 8], "little")) + _GOLDEN) & _MASK64)
+    return h
+
+
+def feistel_apply_oracle(key: bytes, n: int, rounds: int, x: int) -> int:
+    """Scalar Python-int Feistel network; an empty key has zero round output."""
+    word = key_word_oracle(key) if key else None
+    wl, wr = n - n // 2, n // 2
+    left, right = x >> wr, x & ((1 << wr) - 1)
+    for rnd in range(rounds):
+        f = 0
+        if word is not None:
+            sub = _splitmix_int((word + (rnd + 1) * _GOLDEN) & _MASK64)
+            f = _splitmix_int(sub ^ right) & ((1 << wl) - 1)
+        left, right = right, left ^ f
+        wl, wr = wr, wl
+    return (left << wr) | right
+
+
+def phase_bit_oracle(key: bytes, x: int) -> int:
+    sub = _splitmix_int(key_word_oracle(key) ^ 0xD1B54A32D192ED03)
+    return _splitmix_int(sub ^ x) >> 63
+
