@@ -27,7 +27,6 @@ from .resources import (
     MEASURE_MAGIC,
     ResourceMeasure,
     aggregate_measure,
-    measure_statistic,
 )
 from .distinguishers import make_coherence_distinguisher, make_hadamard_distinguisher, make_swap_distinguisher
 from .sampling import paired_value_means
@@ -371,7 +370,7 @@ def empirical_prop_check(
     acc_high, acc_low, res_low = paired_value_means(
         as_seed(seed),
         samples,
-        (accept, accept, measure_statistic(measure)),
+        (accept, accept, measure.statistic),
         threads=threads,
         sources=(e_high, e_low, e_low),
     )

@@ -48,7 +48,6 @@ from .resources import (
     aggregate_measure,
     estimate_gap,
     haar_expected,
-    measure_statistic,
 )
 from .sampling import paired_value_means
 
@@ -301,7 +300,7 @@ def _sweep_measured(measure: ResourceMeasure, T: GrowthClass, n: int, seed: int,
     if advice.m < 1:
         return None, None
     spec = EnsembleSpec("subset-phase-true-random", n, m=advice.m, t=1, seed=RngSeed(seed))
-    (acc,) = paired_value_means(RngSeed(seed), samples, (measure_statistic(measure),), threads=threads, sources=(spec,))
+    (acc,) = paired_value_means(RngSeed(seed), samples, (measure.statistic,), threads=threads, sources=(spec,))
     return aggregate_measure(measure, acc)
 
 

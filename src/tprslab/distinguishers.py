@@ -349,18 +349,23 @@ def hybrid_experiment(
 ) -> HybridReport:
     """Pairwise advantages along keyed -> true-random -> Haar.
 
-    Draws each of the three ensembles once, evaluates every selected
-    two-copy distinguisher on those draws, and verifies the triangle
-    inequality adv(keyed, haar) <= adv(keyed, true) + adv(true, haar) + noise
-    slack for each.
+    The chained legs read one draw of keyed, true-random and Haar; the direct
+    keyed-vs-haar leg reads an independent draw (ensemble seed 1), so the
+    check adv(keyed, haar) <= adv(keyed, true) + adv(true, haar) + noise
+    slack tests the legs' consistency within their errors (on shared draws
+    it would hold identically). Every distinguisher reads the same draws.
     """
     if t != 2:
         raise CopyMismatch("the registered hybrid distinguishers are two-copy tests")
     T = T or GrowthClass("log")
+    keyed = EnsembleSpec("subset-phase-keyed", n, m=m, t=t)
+    haar = EnsembleSpec("haar", n, t=t)
     specs = {
-        "keyed": EnsembleSpec("subset-phase-keyed", n, m=m, t=t),
+        "keyed": keyed,
         "true": EnsembleSpec("subset-phase-true-random", n, m=m, t=t),
-        "haar": EnsembleSpec("haar", n, t=t),
+        "haar": haar,
+        "keyed-direct": keyed.with_seed(1),
+        "haar-direct": haar.with_seed(1),
     }
     if distinguishers is None:
         table = registry(n)
@@ -380,7 +385,11 @@ def hybrid_experiment(
         threads=threads,
         sources=tuple(specs.values()) * len(distinguishers),
     )
-    pairs = (("keyed-vs-true", "keyed", "true"), ("true-vs-haar", "true", "haar"), ("keyed-vs-haar", "keyed", "haar"))
+    pairs = (
+        ("keyed-vs-true", "keyed", "true"),
+        ("true-vs-haar", "true", "haar"),
+        ("keyed-vs-haar", "keyed-direct", "haar-direct"),
+    )
     legs = []
     triangle_ok = True
     for i, dist in enumerate(distinguishers):

@@ -36,6 +36,7 @@ PHASE_TABLE = "truly-random-table"
 PHASE_ZERO = "constant-zero"
 
 KEY_BYTES = 16
+MAX_WIDTH = 63  # widest domain the uint64 (int64 at the boundary) arrays hold
 
 
 @dataclass(frozen=True)
@@ -139,8 +140,8 @@ class KeyedPermutation:
     rounds: int = 4
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValidationError("domain width must be >= 1")
+        if not 1 <= self.n <= MAX_WIDTH:
+            raise ValidationError(f"domain width must be in 1..{MAX_WIDTH}")
         if self.rounds < 1:
             raise ValidationError("at least one Feistel round required")
         object.__setattr__(self, "_words", _word_of(self.key) if self.key else None)
@@ -169,18 +170,6 @@ class KeyedPermutation:
             wl, wr = wr, wl
         return (left << wr) | right
 
-    @staticmethod
-    def invert_block(words: np.ndarray | None, ys: np.ndarray, n: int, rounds: int) -> np.ndarray:
-        """Preimages of ``ys``; inverse of ``apply_block`` with the same arguments."""
-        wl, wr = n - n // 2, n // 2
-        if rounds % 2 == 1:
-            wl, wr = wr, wl
-        left, right = ys >> wr, ys & _mask(wr)
-        for rnd in range(rounds - 1, -1, -1):
-            wl, wr = wr, wl
-            left, right = right ^ _round(words, rnd, left, wl), left
-        return (left << wr) | right
-
     def apply_many(self, xs) -> np.ndarray:
         return self.apply_block(self._words, _domain(xs, self.n), self.n, self.rounds).astype(np.int64)
 
@@ -188,7 +177,15 @@ class KeyedPermutation:
         return int(self.apply_many([x])[0])
 
     def invert(self, y: int) -> int:
-        return int(self.invert_block(self._words, _domain([y], self.n), self.n, self.rounds)[0])
+        wl, wr = self.n - self.n // 2, self.n // 2
+        if self.rounds % 2 == 1:
+            wl, wr = wr, wl
+        ys = _domain([y], self.n)
+        left, right = ys >> wr, ys & _mask(wr)
+        for rnd in range(self.rounds - 1, -1, -1):
+            wl, wr = wr, wl
+            left, right = right ^ _round(self._words, rnd, left, wl), left
+        return int(((left << wr) | right)[0])
 
     def table(self) -> np.ndarray:
         """Full forward map as an int array; exportable as a JSON list."""
@@ -205,8 +202,8 @@ class PhaseFunction:
     table: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValidationError("domain width must be >= 1")
+        if not 1 <= self.n <= MAX_WIDTH:
+            raise ValidationError(f"domain width must be in 1..{MAX_WIDTH}")
         if self.kind not in (PHASE_KEYED, PHASE_TABLE, PHASE_ZERO):
             raise ValidationError(f"unknown phase function kind {self.kind!r}")
         if self.kind == PHASE_TABLE:

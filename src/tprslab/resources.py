@@ -38,7 +38,6 @@ __all__ = [
     "estimate_gap",
     "GapReport",
     "measure_pure_amps",
-    "measure_statistic",
     "pauli_power_sums",
     "pauli_power_trace",
 ]
@@ -83,6 +82,10 @@ class ResourceMeasure:
         if self.partition is not None:
             return f"{self.name}[{self.partition.n_a}:{self.partition.n_b}]"
         return self.name
+
+    def statistic(self, block: np.ndarray, n: int) -> np.ndarray:
+        """The raw statistic as a block statistic for ``paired_value_means``."""
+        return measure_pure_amps(self, block, n)
 
 
 # ---------------------------------------------------------------------------
@@ -312,15 +315,6 @@ def measure_pure_amps(measure: ResourceMeasure, amps: np.ndarray, n: int):
     return float(values[0]) if np.ndim(amps) == 1 else values
 
 
-def measure_statistic(measure: ResourceMeasure):
-    """The measure as a block statistic ``(block, n) -> values`` for ``paired_value_means``."""
-
-    def statistic(block: np.ndarray, n: int) -> np.ndarray:
-        return measure_pure_amps(measure, block, n)
-
-    return statistic
-
-
 def aggregate_measure(measure: ResourceMeasure, acc: MeanAccumulator) -> tuple[float, float]:
     """(mean, stderr) in the measure's reporting units."""
     if measure.name == MEASURE_COLLISION_ENT:
@@ -365,9 +359,8 @@ def estimate_gap(
         raise ValidationError("ensembles must share the qubit count")
     if measure.partition is not None:
         measure.partition.check(e_high.n)
-    statistic = measure_statistic(measure)
     acc_high, acc_low = paired_value_means(
-        as_seed(seed), samples, (statistic, statistic), threads=threads, sources=(e_high, e_low)
+        as_seed(seed), samples, (measure.statistic, measure.statistic), threads=threads, sources=(e_high, e_low)
     )
     mean_h, se_h = aggregate_measure(measure, acc_high)
     mean_l, se_l = aggregate_measure(measure, acc_low)

@@ -1,12 +1,13 @@
 """Deterministic block Monte-Carlo engine.
 
 Work is split into fixed-size chunks addressed by index. In chunk c, every
-source (an ensemble spec with a salt, by default its own seed) draws its rows
-from a generator seeded by (seed, c, salt), as consecutive sub-blocks of at
-most SUB_BLOCK_AMPS amplitudes, and every statistic of that source is read
-from the same sub-block. Sources sharing a salt get identically seeded
+source (an ensemble spec) draws its rows from a generator seeded by
+(seed, c, ensemble seed), as consecutive sub-blocks of at most SUB_BLOCK_AMPS
+amplitudes, and every statistic of that source is read from the same
+sub-block. Sources sharing an ensemble seed get identically seeded
 generators, so identical specs draw identical rows (common random numbers: a
-same-spec, same-seed gap is exactly 0) while distinct salts decorrelate.
+same-spec, same-seed gap is exactly 0) while distinct ensemble seeds
+decorrelate.
 Per-chunk means and squared deviations merge in chunk order, so an estimate
 depends only on (seed, samples) and is byte-identical for any thread count.
 """
@@ -88,7 +89,6 @@ def paired_value_means(
     seed: RngSeed,
     samples: int,
     value_fns,
-    salts=None,
     threads: int = 1,
     chunk: int = DEFAULT_CHUNK,
     *,
@@ -97,28 +97,23 @@ def paired_value_means(
     """Per-stream means; stream k calls ``value_fns[k](block, n)`` on the
     (rows, 2^n) amplitude blocks of ensemble ``sources[k]``.
 
-    ``salts[k]`` (default: the source's own seed) picks the generator family;
-    streams with equal (source, salt) read the same rows, drawn once.
+    Streams with equal sources read the same rows, drawn once.
     """
     from .ensembles import sample_block  # ensembles imports this module
 
     n_streams = len(value_fns)
     if len(sources) != n_streams:
         raise ValidationError("one source per value stream required")
-    if salts is None:
-        salts = tuple(spec.seed.seed for spec in sources)
-    if len(salts) != n_streams:
-        raise ValidationError("one salt per value stream required")
     layout = chunk_layout(samples, chunk)
     groups: dict[tuple, list[int]] = {}
-    for k, key in enumerate(zip(sources, salts)):
-        groups.setdefault(key, []).append(k)
+    for k, spec in enumerate(sources):
+        groups.setdefault(spec, []).append(k)
 
     def worker(i: int) -> list[MeanAccumulator]:
         idx, _, size = layout[i]
         values = np.empty((n_streams, size))
-        for (spec, salt), streams in groups.items():
-            rng = seed.generator(idx, salt)
+        for spec, streams in groups.items():
+            rng = seed.generator(idx, spec.seed.seed)
             rows = max(1, SUB_BLOCK_AMPS // spec.dim)
             for lo in range(0, size, rows):
                 block = sample_block(spec, min(rows, size - lo), rng)

@@ -315,3 +315,21 @@ class TestErrorMapping:
         monkeypatch.setattr(cli, "estimate_gap", broken)
         with pytest.raises(exc):
             main(["gap", "--measure", "coherence-re", "--n", "3", "--e1", "haar", "--e2", "haar"])
+
+    def test_inconsistent_hybrid_leg_exits_4(self, monkeypatch, capsys):
+        from tprslab import ensembles
+
+        original = ensembles.sample_block
+
+        def broken(spec, count, rng):
+            # the direct leg's Haar draws come back as basis states
+            block = original(spec, count, rng)
+            if spec.kind == "haar" and spec.seed.seed == 1:
+                block = 0 * block
+                block[:, 0] = 1.0
+            return block
+
+        monkeypatch.setattr(ensembles, "sample_block", broken)
+        code, out, _ = run(["--samples", "400", "--seed", "3", "hybrid", "--n", "2", "--m", "2"], capsys)
+        assert code == 4
+        assert all(line.endswith("false") for line in out.strip().splitlines()[1:])

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tprslab.errors import DomainCapExceeded, DomainOverflow
+from tprslab.errors import DomainCapExceeded, DomainOverflow, ValidationError
 from tprslab.linalg import symmetric_projector
 from tprslab.randprims import (
     KEY_BYTES,
+    MAX_WIDTH,
     KeyedPermutation,
     PhaseFunction,
     RngSeed,
@@ -71,7 +72,7 @@ class TestVectorisedFeistel:
     @settings(max_examples=200, deadline=None)
     @given(
         key=st.binary(max_size=24),
-        n=st.integers(1, 24),
+        n=st.integers(1, MAX_WIDTH),
         rounds=st.integers(1, 9),
         data=st.data(),
     )
@@ -82,7 +83,7 @@ class TestVectorisedFeistel:
         assert p.apply(p.invert(x)) == x
 
     @settings(max_examples=60, deadline=None)
-    @given(key=st.binary(max_size=24), n=st.integers(1, 16), rounds=st.integers(1, 9))
+    @given(key=st.binary(max_size=24), n=st.integers(1, MAX_WIDTH), rounds=st.integers(1, 9))
     def test_scalar_matches_python_int_oracle(self, key, n, rounds):
         p = KeyedPermutation(n, key, rounds)
         for x in {0, 1, 2**n - 1, (0x5A5A5A & (2**n - 1))}:
@@ -96,13 +97,24 @@ class TestVectorisedFeistel:
         xs = np.arange(2**n, dtype=np.uint64)
         rounds = KeyedPermutation.default_rounds(n)
         images = KeyedPermutation.apply_block(words[:, None], xs, n, rounds)
-        back = KeyedPermutation.invert_block(words[:, None], images, n, rounds)
-        for key, row, inv in zip(keys, images, back):
-            assert row.tolist() == KeyedPermutation(n, key, rounds).table().tolist()
-            assert np.array_equal(inv, xs)
+        for key, row in zip(keys, images):
+            p = KeyedPermutation(n, key, rounds)
+            assert row.tolist() == p.table().tolist()
+            assert [p.invert(int(y)) for y in row] == xs.tolist()
         bits = PhaseFunction.keyed_bits(words[:, None], xs)
         for key, row in zip(keys, bits):
             assert row.tolist() == PhaseFunction.keyed(n, key).eval_many(range(2**n)).tolist()
+
+    def test_widths_beyond_uint64_are_rejected(self):
+        top = 2**MAX_WIDTH - 1
+        p = KeyedPermutation(MAX_WIDTH, b"wide")
+        assert p.invert(p.apply(top)) == top
+        assert PhaseFunction.keyed(MAX_WIDTH, b"wide").eval(top) in (0, 1)
+        for n in (MAX_WIDTH + 1, 128):
+            with pytest.raises(ValidationError):
+                KeyedPermutation(n, b"wide")
+            with pytest.raises(ValidationError):
+                PhaseFunction.keyed(n, b"wide")
 
     def test_key_word_matches_oracle(self):
         for key in (b"", b"k", b"det", b"exhaustive-key!!", bytes(range(23))):

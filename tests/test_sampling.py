@@ -8,7 +8,7 @@ from tprslab.ensembles import EnsembleSpec
 from tprslab.errors import ValidationError
 from tprslab.growth import GrowthClass
 from tprslab.randprims import RngSeed
-from tprslab.resources import ResourceMeasure, estimate_gap, measure_statistic
+from tprslab.resources import ResourceMeasure, estimate_gap
 from tprslab.sampling import MeanAccumulator, chunk_layout, paired_value_means, run_ordered
 
 
@@ -50,18 +50,16 @@ class TestLayoutAndPool:
 
 class TestPairedValueMeans:
     def _stat(self):
-        return measure_statistic(ResourceMeasure("coherence-hs"))
+        return ResourceMeasure("coherence-hs").statistic
 
-    def test_salts_and_sources_must_match_streams(self):
+    def test_sources_must_match_streams(self):
         spec = EnsembleSpec("haar", 3)
-        with pytest.raises(ValidationError):
-            paired_value_means(RngSeed(1), 10, (self._stat(),), salts=(0, 1), sources=(spec,))
         with pytest.raises(ValidationError):
             paired_value_means(RngSeed(1), 10, (self._stat(), self._stat()), sources=(spec,))
 
     def test_thread_count_never_changes_a_result(self):
         specs = (EnsembleSpec("haar", 5, seed=RngSeed(1)), EnsembleSpec("subset-phase-keyed", 5, m=4, seed=RngSeed(2)))
-        stat = measure_statistic(ResourceMeasure("coherence-re"))
+        stat = ResourceMeasure("coherence-re").statistic
         runs = [paired_value_means(RngSeed(3), 2500, (stat, stat), threads=t, sources=specs) for t in (1, 2, 4)]
         for other in runs[1:]:
             assert other == runs[0]
@@ -80,7 +78,7 @@ class TestPairedValueMeans:
         assert calls == [("haar", 100)]
         assert a == b
 
-    def test_equal_salts_give_common_random_numbers(self):
+    def test_equal_ensemble_seeds_give_common_random_numbers(self):
         stat = self._stat()
         x = EnsembleSpec("haar", 3, seed=RngSeed(5))
         y = EnsembleSpec("haar", 3, t=2, seed=RngSeed(5))
@@ -91,7 +89,7 @@ class TestPairedValueMeans:
 
     def test_sub_blocks_cover_large_states(self):
         spec = EnsembleSpec("subset-phase-true-random", 14, m=16)
-        (acc,) = paired_value_means(RngSeed(2), 5, (measure_statistic(ResourceMeasure("coherence-re")),), sources=(spec,))
+        (acc,) = paired_value_means(RngSeed(2), 5, (ResourceMeasure("coherence-re").statistic,), sources=(spec,))
         assert acc.count == 5 and acc.mean == 4.0 and acc.stderr == 0.0
 
 
@@ -101,7 +99,7 @@ class TestDrawOnce:
         original = ensembles.sample_block
 
         def spy(spec, count, rng):
-            calls.append(spec.kind)
+            calls.append((spec.kind, spec.seed.seed))
             return original(spec, count, rng)
 
         monkeypatch.setattr(ensembles, "sample_block", spy)
@@ -110,8 +108,25 @@ class TestDrawOnce:
     def test_hybrid_draws_each_ensemble_once(self, monkeypatch):
         calls = self._count_draws(monkeypatch)
         rep = hybrid_experiment(3, 4, 2, seed=1, samples=200, names=("coherence", "swap"))
-        assert sorted(calls) == ["haar", "subset-phase-keyed", "subset-phase-true-random"]
+        # chained legs share ensemble seed 0; the direct leg draws afresh at seed 1
+        chain = [("haar", 0), ("subset-phase-keyed", 0), ("subset-phase-true-random", 0)]
+        assert sorted(calls) == sorted(chain + [("haar", 1), ("subset-phase-keyed", 1)])
         assert len(rep.legs) == 6
+
+    def test_hybrid_triangle_check_catches_an_inconsistent_leg(self, monkeypatch):
+        original = ensembles.sample_block
+
+        def broken(spec, count, rng):
+            # a faulty sampler for the direct leg's keyed ensemble: basis states
+            block = original(spec, count, rng)
+            if spec.kind == "subset-phase-keyed" and spec.seed.seed == 1:
+                block = np.zeros_like(block)
+                block[:, 0] = 1.0
+            return block
+
+        assert hybrid_experiment(3, 4, 2, seed=1, samples=400, names=("coherence",)).triangle_ok
+        monkeypatch.setattr(ensembles, "sample_block", broken)
+        assert not hybrid_experiment(3, 4, 2, seed=1, samples=400, names=("coherence",)).triangle_ok
 
     def test_prop_check_draws_the_low_ensemble_once(self, monkeypatch):
         calls = self._count_draws(monkeypatch)
@@ -123,7 +138,7 @@ class TestDrawOnce:
             200,
             seed=1,
         )
-        assert sorted(calls) == ["haar", "subset-phase-true-random"]
+        assert sorted(calls) == [("haar", 0), ("subset-phase-true-random", 0)]
 
     def test_m16_coherence_low_side_is_exact(self):
         rep = estimate_gap(
