@@ -43,6 +43,7 @@ from .growth import GrowthClass, check_closure, check_repetition_consistency, is
 from .linalg import PartitionSpec
 from .randprims import PhaseFunction, RngSeed
 from .resources import (
+    MAGIC_MAX_QUBITS,
     MEASURE_NAMES,
     ResourceMeasure,
     aggregate_measure,
@@ -294,7 +295,7 @@ def _sweep_measured(measure: ResourceMeasure, T: GrowthClass, n: int, seed: int,
     """Mean measured resource of the advised low ensemble, when computable."""
     if n > MAX_MEASURED_N:
         return None, None
-    if measure.name == "stabilizer-renyi" and n > 4:
+    if measure.name == "stabilizer-renyi" and n > MAGIC_MAX_QUBITS:
         return None, None
     advice = advise_subset_size(T, n)
     if advice.m < 1:
@@ -559,12 +560,60 @@ _COMMANDS = {
 }
 
 
-def resolve_config(args: argparse.Namespace) -> dict:
-    """defaults < config file < explicit CLI flags."""
+_NOT_SETTINGS = ("help", "config", "print_config")
+
+
+def _option_tables(parser: argparse.ArgumentParser) -> dict:
+    """Option actions by dest: the top level's under None, each subcommand's under its name."""
+    tables = {None: {}}
+    for action in parser._actions:
+        tables[None][action.dest] = action
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                tables[name] = {a.dest: a for a in sub._actions}
+    return tables
+
+
+def _config_value(key: str, value, action: argparse.Action | None):
+    """A config-file value converted as the parser converts the same text on
+    the command line; None only where the setting defaults to None."""
+    if action is None:
+        return value
+    if value is None and GLOBAL_DEFAULTS.get(key, action.default) is None:
+        return None
+    if isinstance(value, (str, int, float)) and not isinstance(value, bool):
+        try:
+            converted = (action.type or str)(str(value))
+        except ValueError:
+            pass
+        else:
+            if action.choices is None or converted in action.choices:
+                return converted
+    raise ValidationError(f"config key {key!r} has an invalid value {value!r}")
+
+
+def resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
+    """defaults < config file < explicit CLI flags.
+
+    Config-file keys must be options of the parser (or the reported
+    ``dim_cap``); values are typed by the resolved subcommand's option, else
+    the shared one, and a key only another subcommand knows is kept as given.
+    """
     resolved = dict(GLOBAL_DEFAULTS)
     if getattr(args, "config", None):
         with open(args.config) as fh:
-            resolved.update(json.load(fh))
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValidationError("config file must hold a JSON object")
+        tables = _option_tables(parser)
+        known = set().union(*tables.values()).union(GLOBAL_DEFAULTS, ["dim_cap"]).difference(_NOT_SETTINGS)
+        unknown = sorted(set(doc) - known)
+        if unknown:
+            raise ValidationError(f"unknown config keys {unknown}")
+        command = args.command or _config_value("command", doc.get("command"), tables[None]["command"])
+        own = tables.get(command, {})
+        for key, value in doc.items():
+            resolved[key] = _config_value(key, value, own.get(key, tables[None].get(key)))
     for key, value in vars(args).items():
         if key in ("config", "print_config"):
             continue
@@ -579,7 +628,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        resolved = resolve_config(args)
+        resolved = resolve_config(args, parser)
     except (OSError, json.JSONDecodeError, TprsError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

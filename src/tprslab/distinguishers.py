@@ -115,8 +115,8 @@ def pauli_projector(n: int, alpha: int, cap: int | None = None) -> np.ndarray:
 def hadamard_test_prob(rho, alpha: int) -> float:
     """Acceptance of the 2*alpha-copy replica test: (1 + power trace) / 2.
 
-    Default route enumerates Pauli expectation powers, so it reaches any n
-    within the Pauli cap without building the 2^{2 alpha n} operator.
+    Reads the Walsh-Hadamard Pauli spectrum, so it reaches n <= MAGIC_MAX_QUBITS
+    without the dense Pauli stack or the 2^{2 alpha n} operator.
     """
     if alpha < 3 or alpha % 2 == 0:
         raise ValidationError("alpha must be an odd integer >= 3")
@@ -209,7 +209,7 @@ def make_hadamard_distinguisher(alpha: int) -> DistinguisherDescriptor:
         return 0.5 * (1.0 + float(np.einsum("ij,ji->", proj, omega.mat).real))
 
     def accept_pure(amps: np.ndarray, n: int):
-        values = 0.5 * (1.0 + pauli_power_sums(np.reshape(amps, (-1, 2**n)), n, alpha))
+        values = 0.5 * (1.0 + pauli_power_sums(amps, n, alpha))
         return float(values[0]) if np.ndim(amps) == 1 else values
 
     return DistinguisherDescriptor(

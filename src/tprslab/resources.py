@@ -21,7 +21,7 @@ from .errors import DimensionCapExceeded, NoAnalyticForm, ValidationError
 from .ensembles import EnsembleSpec
 from .linalg import DensityOperator, PartitionSpec, PureState, von_neumann_entropy
 from .randprims import RngSeed, as_seed
-from .sampling import MeanAccumulator, paired_value_means
+from .sampling import SUB_BLOCK_AMPS, MeanAccumulator, paired_value_means
 
 __all__ = [
     "ResourceMeasure",
@@ -42,7 +42,8 @@ __all__ = [
     "pauli_power_trace",
 ]
 
-MAGIC_MAX_QUBITS = 4  # 4^n Pauli enumeration cap for the trace-power route
+MAGIC_MAX_QUBITS = 10  # Pauli-spectrum route: a (2^n, 2^n) complex buffer per state, 16 MiB at n = 10
+PAULI_BASIS_MAX_QUBITS = 4  # dense (4^n, 2^n, 2^n) Pauli stack
 
 MEASURE_COHERENCE_RE = "coherence-re"
 MEASURE_COHERENCE_HS = "coherence-hs"
@@ -82,6 +83,13 @@ class ResourceMeasure:
         if self.partition is not None:
             return f"{self.name}[{self.partition.n_a}:{self.partition.n_b}]"
         return self.name
+
+    def check(self, n: int) -> None:
+        """Reject a qubit count the measure cannot be evaluated at."""
+        if self.partition is not None:
+            self.partition.check(n)
+        if self.name == MEASURE_MAGIC:
+            _check_magic_qubits(n)
 
     def statistic(self, block: np.ndarray, n: int) -> np.ndarray:
         """The raw statistic as a block statistic for ``paired_value_means``."""
@@ -153,8 +161,8 @@ def pauli_basis(n: int) -> np.ndarray:
     """All 4^n Pauli strings as a (4^n, 2^n, 2^n) stack (identity first)."""
     if n < 1:
         raise ValidationError("n must be >= 1")
-    if n > MAGIC_MAX_QUBITS:
-        raise DimensionCapExceeded(f"Pauli enumeration capped at n <= {MAGIC_MAX_QUBITS}")
+    if n > PAULI_BASIS_MAX_QUBITS:
+        raise DimensionCapExceeded(f"dense Pauli stack capped at n <= {PAULI_BASIS_MAX_QUBITS}")
     mats = [np.array([[1.0 + 0j]])]
     for _ in range(n):
         mats = [np.kron(m, p) for m in mats for p in _PAULI_1]
@@ -163,27 +171,114 @@ def pauli_basis(n: int) -> np.ndarray:
     return out
 
 
+def _check_magic_qubits(n: int) -> None:
+    """Reject qubit counts outside the Pauli-spectrum route, before it allocates."""
+    if n < 1:
+        raise ValidationError("n must be >= 1")
+    if n > MAGIC_MAX_QUBITS:
+        raise DimensionCapExceeded(f"Pauli spectrum capped at n <= {MAGIC_MAX_QUBITS}")
+
+
+@lru_cache(maxsize=4)
+def _spectrum_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(xor, phase, order) for the Walsh-Hadamard route at n qubits.
+
+    xor[a, x] = a ^ x; phase[a, b] = i^popcount(a & b), since the Pauli string
+    with X-part a and Z-part b is i^popcount(a & b) X^a Z^b; order[p] is the
+    flat (a, b) index of ``pauli_basis(n)[p]`` (I, X, Y, Z have X-bit 0, 1, 1, 0
+    and Z-bit 0, 0, 1, 1, and the first qubit is the most significant bit).
+    """
+    idx = np.arange(2**n)
+    both = idx[:, None] & idx[None, :]
+    ones = np.zeros_like(both)
+    for j in range(n):
+        ones += (both >> j) & 1
+    a = b = np.zeros(1, dtype=np.intp)
+    for _ in range(n):
+        a = (2 * a[:, None] + np.array([0, 1, 1, 0])).ravel()
+        b = (2 * b[:, None] + np.array([0, 0, 1, 1])).ravel()
+    return idx[:, None] ^ idx[None, :], np.array([1, 1j, -1, -1j])[ones % 4], a * 2**n + b
+
+
+@lru_cache(maxsize=8)
+def _hadamard(bits: int) -> np.ndarray:
+    """Unnormalised 2^bits Walsh-Hadamard matrix (complex, for BLAS)."""
+    h = np.ones((1, 1), dtype=np.complex128)
+    for _ in range(bits):
+        h = np.kron(h, [[1, 1], [1, -1]])
+    return h
+
+
+# Bits transformed per BLAS matmul: 32x32 Hadamard blocks ran 2-5x faster
+# than a radix-2 numpy butterfly, whose strided half-rows are short at low bits.
+_WHT_GROUP_BITS = 5
+
+
+def _pauli_spectrum(f: np.ndarray, n: int) -> np.ndarray:
+    """Signed Pauli expectations, in ``pauli_basis`` order, from f[..., a, x] = rho[x, x ^ a].
+
+    Tr(X^a Z^b rho) = sum_x (-1)^(b.x) rho[x, x ^ a] is the Walsh-Hadamard
+    transform of f over x, taken a few bits at a time: O(n 4^n) work per
+    state against O(8^n) for a contraction with the dense Pauli stack.
+    """
+    _, phase, order = _spectrum_tables(n)
+    lead, d = f.shape[:-2], 2**n
+    low = 1  # x-bits below ``low`` are transformed
+    while low < d:
+        bits = min(_WHT_GROUP_BITS, n - low.bit_length() + 1)
+        h = _hadamard(bits)
+        f = f.reshape(-1, 2**bits) @ h if low == 1 else h @ f.reshape(-1, 2**bits, low)
+        low <<= bits
+    signed = (f.reshape(lead + (d, d)) * phase).real
+    return signed.reshape(lead + (d * d,))[..., order]
+
+
 def pauli_expectations_pure(amps: np.ndarray, n: int) -> np.ndarray:
-    """<psi|P|psi> for every Pauli string P (real for valid states)."""
-    basis = pauli_basis(n)
-    return np.einsum("i,pij,j->p", amps.conj(), basis, amps).real
+    """<psi|P|psi> for every Pauli string P, in ``pauli_basis`` order (real
+    for valid states): shape (4^n,) for one (2^n,) vector, (rows, 4^n) for a
+    (rows, 2^n) block. Reaches n <= MAGIC_MAX_QUBITS; no dense basis is built.
+    """
+    _check_magic_qubits(n)
+    block = np.reshape(amps, (-1, 2**n))
+    f = np.take(block, _spectrum_tables(n)[0], axis=1)  # psi[x ^ a] at [row, a, x]
+    np.conjugate(f, out=f)
+    f *= block[:, None, :]
+    ev = _pauli_spectrum(f, n)
+    return ev[0] if np.ndim(amps) == 1 else ev
+
+
+def _power_sum(ev: np.ndarray, alpha: int) -> np.ndarray:
+    """sum_P ev^(2 alpha) along the last axis, by products (``**`` takes pow's slow path)."""
+    sq = ev * ev
+    acc = sq
+    for _ in range(alpha - 1):
+        acc = acc * sq
+    return acc.sum(axis=-1)
 
 
 def pauli_power_sums(amps: np.ndarray, n: int, alpha: int) -> np.ndarray:
     """(1/2^n) sum_P <psi|P|psi>^{2 alpha} for each row of a (rows, 2^n) block.
 
-    Row by row on ``pauli_expectations_pure``: a batched contraction against
-    the (4^n, 2^n, 2^n) basis would hold a (rows, 4^n) intermediate per term.
+    One ``pauli_expectations_pure`` call per slice of rows: a slice holds at
+    most SUB_BLOCK_AMPS spectrum entries (one state above that), so the
+    (rows, 2^n, 2^n) transform buffer and the (rows, 4^n) expectations stay
+    bounded whatever the block size.
     """
-    return np.array([np.sum(pauli_expectations_pure(row, n) ** (2 * alpha)) for row in amps]) / 2**n
+    block = np.reshape(amps, (-1, 2**n))
+    step = max(1, SUB_BLOCK_AMPS // 4**n)
+    out = np.empty(len(block))
+    for lo in range(0, len(block), step):
+        out[lo : lo + step] = _power_sum(pauli_expectations_pure(block[lo : lo + step], n), alpha)
+    return out / 2**n
 
 
 def pauli_power_trace(state, alpha: int) -> float:
     """(1/2^n) sum_P Tr(P rho)^{2 alpha} of a PureState or DensityOperator."""
     if isinstance(state, PureState):
-        return float(pauli_power_sums(state.amps[None, :], state.n, alpha)[0])
-    ev = np.einsum("pij,ji->p", pauli_basis(state.n), state.mat).real
-    return float(np.sum(ev ** (2 * alpha))) / 2**state.n
+        return float(pauli_power_sums(state.amps, state.n, alpha)[0])
+    _check_magic_qubits(state.n)
+    f = state.mat[np.arange(2**state.n), _spectrum_tables(state.n)[0]]  # rho[x, x ^ a] at [a, x]
+    return float(_power_sum(_pauli_spectrum(f, state.n), alpha)) / 2**state.n
 
 
 def stabilizer_renyi_entropy(state, alpha: int) -> float:
@@ -357,8 +452,7 @@ def estimate_gap(
     """
     if e_high.n != e_low.n:
         raise ValidationError("ensembles must share the qubit count")
-    if measure.partition is not None:
-        measure.partition.check(e_high.n)
+    measure.check(e_high.n)
     acc_high, acc_low = paired_value_means(
         as_seed(seed), samples, (measure.statistic, measure.statistic), threads=threads, sources=(e_high, e_low)
     )

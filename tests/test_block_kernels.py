@@ -102,7 +102,7 @@ class TestBlockKernels:
                 assert abs(had[i] - hadamard_test_prob(PureState(n, row), 3)) <= TOL
 
 
-@pytest.mark.parametrize("kind,n", [(kind, n) for kind, n in _cases() if n <= 4])  # Pauli enumeration cap
+@pytest.mark.parametrize("kind,n", [(kind, n) for kind, n in _cases() if n <= 4])  # per-row enumeration oracle; n = 5, 6 in test_pauli_spectrum.py
 def test_magic(kind, n):
     block = _block(kind, n)
     for alpha in (2, 3):

@@ -251,6 +251,30 @@ class TestConfigHandling:
         assert code == 0
         assert json.loads(out2) == json.loads(out)
 
+    @pytest.mark.parametrize(
+        "doc",
+        [{"samples": "x"}, {"samples": 2.5}, {"samples": None}, {"samples": True}, {"format": "xml"},
+         {"n": "x"}, {"command": "nope"}, {"bogus": 1}, {"print_config": True}, [1]],
+    )
+    def test_bad_config_file_exits_2(self, doc, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        code, _, err = run(["--config", str(cfg), "gap", "--measure", "coherence-re", "--n", "3",
+                            "--e1", "haar", "--e2", "haar", "--samples", "10"], capsys)
+        assert code == 2
+        assert err.startswith("config error:")
+
+    def test_config_values_take_the_parser_types(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"samples": "12", "kappa": 2, "n": "16", "T": "log", "command": "advise"}))
+        code, out, _ = run(["--config", str(cfg), "--print-config"], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["samples"] == 12 and doc["kappa"] == 2.0 and doc["n"] == 16
+        code, out, _ = run(["--config", str(cfg)], capsys)
+        assert code == 0
+        assert out.splitlines()[1].startswith("log,16,16,")
+
     def test_unknown_ensemble_kind(self, capsys):
         code, _, err = run(
             ["gap", "--measure", "coherence-re", "--n", "2", "--e1", "haar", "--e2", "nope"], capsys
@@ -333,3 +357,36 @@ class TestErrorMapping:
         code, out, _ = run(["--samples", "400", "--seed", "3", "hybrid", "--n", "2", "--m", "2"], capsys)
         assert code == 4
         assert all(line.endswith("false") for line in out.strip().splitlines()[1:])
+
+
+class TestMagicReach:
+    def test_gap_magic_beyond_dense_stack(self, capsys):
+        code, out, _ = run(["--samples", "64", "gap", "--measure", "magic", "--n", "6", "--e1", "haar",
+                            "--e2", "subset-phase-keyed:m=4"], capsys)
+        assert code == 0
+        row = out.splitlines()[1].split(",")
+        assert row[0] == "stabilizer-renyi(3)" and float(row[5]) > float(row[7]) > 0.0
+
+    def test_prop9_n5(self, capsys):
+        code, out, _ = run(["--samples", "200", "prop-check", "--prop", "9", "--n", "5", "--T", "log",
+                            "--e1", "haar", "--e2", "subset-phase-true-random:m=4"], capsys)
+        assert code == 0
+        assert out.splitlines()[1].split(",")[6] != ""
+
+    def test_sweep_measures_magic_up_to_the_cap(self, capsys):
+        code, out, _ = run(["--samples", "2", "sweep", "--measure", "magic", "--n", "10..11", "--classes", "log"], capsys)
+        assert code == 0
+        measured = {line.split(",")[2]: line.split(",")[4] for line in out.splitlines()[1:]}
+        assert measured["10"] != "" and measured["11"] == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gap", "--measure", "magic", "--n", "11", "--e1", "haar", "--e2", "haar"],
+            ["prop-check", "--prop", "9", "--n", "11", "--T", "log", "--e1", "haar", "--e2", "haar"],
+        ],
+    )
+    def test_magic_beyond_the_cap_exits_3(self, argv, capsys):
+        code, _, err = run(["--samples", "4"] + argv, capsys)
+        assert code == 3
+        assert "resource limit" in err

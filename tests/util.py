@@ -1,9 +1,13 @@
 """Shared test helpers: independent brute-force oracles kept deliberately
 separate from the library code paths they validate."""
 
+import functools
+import itertools
+
 import numpy as np
 
 from tprslab.linalg import DensityOperator, PureState
+from tprslab.resources import pauli_basis
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -78,21 +82,33 @@ def pure_trace_distance(a, b) -> float:
 
 
 def pauli_strings(n):
-    """Independent Pauli enumeration (ordering differs from the library's)."""
-    singles = [I2, X, Y, Z]
-    mats = [np.array([[1.0 + 0j]])]
-    for _ in range(n):
-        mats = [np.kron(p, m) for p in singles for m in mats]
-    return mats
+    """Independent Pauli enumeration (ordering differs from the library's),
+    built one string at a time: the 4^n dense strings together outgrow memory
+    from n = 6."""
+    for factors in itertools.product((I2, X, Y, Z), repeat=n):
+        yield functools.reduce(np.kron, factors)
+
+
+def pauli_expectation_values(amps, n):
+    """<psi|P|psi> for every Pauli string in enumeration order: shape (4^n,)
+    for one vector, (rows, 4^n) for a (rows, 2^n) block."""
+    amps = np.asarray(amps, dtype=complex)
+    return np.stack([np.sum(amps.conj() * (amps @ p.T), axis=-1).real for p in pauli_strings(n)], axis=-1)
 
 
 def pauli_power_sum(amps, n, alpha):
-    """sum_P <psi|P|psi>^{2 alpha} by direct enumeration."""
-    total = 0.0
-    for p in pauli_strings(n):
-        ev = np.vdot(amps, p @ amps).real
-        total += ev ** (2 * alpha)
-    return total
+    """sum_P <psi|P|psi>^{2 alpha} by direct enumeration (one value per row of a block)."""
+    return np.sum(pauli_expectation_values(amps, n) ** (2 * alpha), axis=-1)
+
+
+def pauli_trace_power_sum(mat, n, alpha):
+    """sum_P Tr(P rho)^{2 alpha} by direct enumeration."""
+    return sum(np.trace(p @ mat).real ** (2 * alpha) for p in pauli_strings(n))
+
+
+def pauli_basis_expectations(amps, n):
+    """<psi|P|psi> in ``pauli_basis`` order by contraction with the dense stack."""
+    return np.einsum("i,pij,j->p", np.conj(amps), pauli_basis(n), amps).real
 
 
 def entropy_bits(probs):
