@@ -15,11 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_ENUM_BUDGET
 from .errors import BoundDegenerate, ParameterOrderViolated, ValidationError
-from .ensembles import EnsembleSpec, exact_subset_moment, exact_subset_phase_moment, haar_moment
+from .ensembles import EnsembleSpec, exact_moment_block
 from .growth import Expr, GrowthClass
-from .linalg import PartitionSpec, trace_distance
+from .linalg import PartitionSpec
 from .randprims import RngSeed, as_seed
 from .resources import (
     MEASURE_COHERENCE_RE,
@@ -88,7 +87,7 @@ class BoundCheckReport:
 
 @dataclass(frozen=True)
 class DistanceBoundRow:
-    """Exact-enumeration specialization of BoundCheckReport (stderr is zero)."""
+    """One size of an exact distance check: lhs has no stderr."""
 
     size: int  # subset size m (phase kind rows use m = 2^{m_exp})
     lhs: float
@@ -96,9 +95,6 @@ class DistanceBoundRow:
     margin: float
     passed: bool
     fitted: bool
-
-    def as_check(self, constants: dict) -> BoundCheckReport:
-        return BoundCheckReport.build(self.lhs, 0.0, self.rhs, constants)
 
 
 @dataclass(frozen=True)
@@ -122,15 +118,11 @@ class DistanceBoundReport:
         return tuple(r.lhs for r in self.rows)
 
 
-def _exact_lhs(kind: str, n: int, size: int, t: int, budget, cap) -> float:
-    ref = haar_moment(n, t, cap=cap)
-    if kind == "subset-phase":
-        mom = exact_subset_phase_moment(n, size, t, budget=budget, cap=cap)
-    elif kind == "subset":
-        mom = exact_subset_moment(n, size, t, budget=budget, cap=cap)
-    else:
-        raise ValidationError("kind must be 'subset' or 'subset-phase'")
-    return trace_distance(mom, ref)
+def _exact_lhs(kind: str, n: int, size: int, t: int, cap) -> float:
+    # both moments live on the symmetric subspace, where the Haar moment is I/D
+    block = exact_moment_block(kind, n, size, t, cap=cap)
+    w = np.linalg.eigvalsh(block - np.eye(len(block)) / len(block))
+    return float(0.5 * np.sum(np.abs(w)))
 
 
 def _ls_slope(xs, ys) -> float | None:
@@ -148,7 +140,6 @@ def verify_distance_bound(
     t: int,
     fit_constants: bool = True,
     constants: dict | None = None,
-    budget: int | None = None,
     cap: int | None = None,
 ) -> DistanceBoundReport:
     """Exact moment-to-Haar trace distances checked against the fitted bound.
@@ -169,14 +160,12 @@ def verify_distance_bound(
         raise ValidationError("at least one size required")
     if len(set(sizes)) != len(sizes):
         raise ValidationError("sizes must be distinct")
-    budget = DEFAULT_ENUM_BUDGET if budget is None else budget
-    lhs = {s: _exact_lhs(kind, n, s, t, budget, cap) for s in sizes}
+    if kind == "subset-phase" and any(s & (s - 1) for s in sizes):
+        raise ValidationError("phase kind sizes must be powers of two")
+    lhs = {s: _exact_lhs(kind, n, s, t, cap) for s in sizes}
 
     fitted_sizes: set[int] = set()
     if kind == "subset-phase":
-        for s in sizes:
-            if s & (s - 1):
-                raise ValidationError("phase kind sizes must be powers of two")
         if constants is None:
             if not fit_constants:
                 raise ValidationError("provide constants or enable fitting")

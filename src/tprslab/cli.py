@@ -3,8 +3,8 @@
 Subcommands: build, distance, gap, sweep, hybrid, negl-check, advise,
 prop-check. Reports are CSV rows or a JSON document; identical config + seed
 gives byte-identical CSV regardless of --threads (JSON differs only in the
-wall_time_s field). Exit codes: 0 success, 2 validation, 3 resource or
-budget, 4 bound-check failure.
+wall_time_s field). Exit codes: 0 success, 2 validation, 3 resource
+limit, 4 bound-check failure.
 """
 
 from __future__ import annotations
@@ -21,13 +21,7 @@ import numpy as np
 
 from . import __version__
 from .config import DEFAULT_BUDGET_CONSTANT, DEFAULT_KAPPA, dim_cap
-from .errors import (
-    DimensionCapExceeded,
-    DomainCapExceeded,
-    EnumerationBudgetExceeded,
-    TprsError,
-    ValidationError,
-)
+from .errors import DimensionCapExceeded, DomainCapExceeded, TprsError, ValidationError
 from .bounds import empirical_prop_check, verify_distance_bound
 from .distinguishers import hybrid_experiment
 from .ensembles import (
@@ -642,7 +636,7 @@ def main(argv: list[str] | None = None) -> int:
     start = time.perf_counter()
     try:
         columns, rows, code = _COMMANDS[command](resolved)
-    except (DimensionCapExceeded, EnumerationBudgetExceeded, DomainCapExceeded) as exc:
+    except (DimensionCapExceeded, DomainCapExceeded) as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except TprsError as exc:

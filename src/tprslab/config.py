@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import os
 
-from .errors import ValidationError
+from .errors import DimensionCapExceeded, ValidationError
 
 ENV_DIM_CAP = "TPRS_DIM_CAP"
 
 DEFAULT_DIM_CAP = 4096          # largest dense operator dimension (2^(n t))
-DEFAULT_ENUM_BUDGET = 10**6     # exact-moment term budget
 DEFAULT_TABLE_CAP = 2**20       # explicit permutation table cap
 DEFAULT_BUDGET_CONSTANT = 10.0  # c in the runtime-budget test cost <= c * T(n)
 DEFAULT_KAPPA = 1.0             # rendering constant for asymptotic table entries
@@ -38,3 +37,13 @@ def dim_cap(override: int | None = None) -> int:
         except ValueError as exc:
             raise ValidationError(f"{ENV_DIM_CAP} must be an integer, got {env!r}") from exc
     return DEFAULT_DIM_CAP
+
+
+def check_dim(n: int, t: int, cap: int | None = None) -> int:
+    """Dense dimension 2^(n t) of t copies of n qubits; raises
+    DimensionCapExceeded above the cap. Call it before allocating."""
+    limit = dim_cap(cap)
+    dim = (2**n) ** t
+    if dim > limit:
+        raise DimensionCapExceeded(f"2^({n}*{t}) exceeds dimension cap {limit}")
+    return dim

@@ -15,8 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-from .config import DEFAULT_BUDGET_CONSTANT, dim_cap
-from .errors import CopyMismatch, DimensionCapExceeded, ValidationError
+from .config import DEFAULT_BUDGET_CONSTANT, check_dim
+from .errors import CopyMismatch, ValidationError
 from .ensembles import EnsembleSpec
 from .growth import GrowthClass
 from .linalg import DensityOperator, PartitionSpec
@@ -36,7 +36,6 @@ __all__ = [
     "AdvantageReport",
     "swap_test_prob",
     "coherence_projector_prob",
-    "coherence_projector_operator",
     "swap_on_a_operator",
     "pauli_projector",
     "hadamard_test_prob",
@@ -61,18 +60,6 @@ def coherence_projector_prob(rho: DensityOperator) -> float:
     return float(np.sum(diag**2))
 
 
-def coherence_projector_operator(n: int) -> np.ndarray:
-    """Projector pairing each qubit of copy 1 with its partner in copy 2.
-
-    Diagonal in the computational basis: sum_x |x,x><x,x| on 2n qubits.
-    """
-    d = 2**n
-    diag = np.zeros(d * d)
-    idx = np.arange(d)
-    diag[idx * d + idx] = 1.0
-    return np.diag(diag)
-
-
 def swap_on_a_operator(n: int, part: PartitionSpec) -> np.ndarray:
     """Operator swapping the A factors of two n-qubit copies."""
     part.check(n)
@@ -89,11 +76,9 @@ def swap_on_a_operator(n: int, part: PartitionSpec) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _pauli_projector_cached(n: int, alpha: int, limit: int) -> np.ndarray:
+def _pauli_projector_cached(n: int, alpha: int) -> np.ndarray:
     d = 2**n
     dim = d ** (2 * alpha)
-    if dim > limit:
-        raise DimensionCapExceeded(f"2^({n}*{2*alpha}) exceeds dimension cap {limit}")
     acc = np.zeros((dim, dim), dtype=np.complex128)
     for pauli in pauli_basis(n):
         term = np.array([[1.0 + 0j]])
@@ -109,7 +94,8 @@ def pauli_projector(n: int, alpha: int, cap: int | None = None) -> np.ndarray:
     """Pauli-replica operator: average of P^{x 2 alpha} over all 4^n Paulis."""
     if alpha < 3 or alpha % 2 == 0:
         raise ValidationError("alpha must be an odd integer >= 3")
-    return _pauli_projector_cached(n, alpha, dim_cap(cap))
+    check_dim(n, 2 * alpha, cap)
+    return _pauli_projector_cached(n, alpha)
 
 
 def hadamard_test_prob(rho, alpha: int) -> float:

@@ -4,7 +4,8 @@ parameter advisors for the runtime-bounded constructions.
 Subset states superpose computational basis strings from a subset S; the
 phase variants attach (-1)^{f(x)} signs. The keyed kinds draw a fresh
 permutation / phase key per sample; the true-random kinds sample S (and
-signs) uniformly, which is the measure the exact enumerations average over.
+signs) uniformly. The exact moments are those of the uniform measure, in
+closed form on the symmetric subspace (``exact_moment_block``).
 """
 
 from __future__ import annotations
@@ -12,21 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from itertools import combinations, islice
 
 import numpy as np
 
-from .config import DEFAULT_ENUM_BUDGET, dim_cap
-from .errors import (
-    BadSubsetExponent,
-    DimensionCapExceeded,
-    EmptySubset,
-    EnumerationBudgetExceeded,
-    UnsupportedGrowthClass,
-    ValidationError,
-)
+from .config import check_dim, dim_cap
+from .errors import BadSubsetExponent, EmptySubset, UnsupportedGrowthClass, ValidationError
 from .growth import GrowthClass
-from .linalg import DensityOperator, PureState, symmetric_dimension, symmetric_projector
+from .linalg import DensityOperator, PureState, symmetric_basis, symmetric_dimension, symmetric_projector
 from .randprims import KeyedPermutation, PhaseFunction, RngSeed, draw_key_words, sample_haar_block
 from .sampling import DEFAULT_CHUNK, chunk_layout, run_ordered
 
@@ -41,6 +34,7 @@ __all__ = [
     "sample_state",
     "sample_block",
     "haar_moment",
+    "exact_moment_block",
     "exact_subset_moment",
     "exact_subset_phase_moment",
     "mc_ensemble_moment",
@@ -48,8 +42,6 @@ __all__ = [
     "advise_subset_size",
     "advise_copies",
     "SubsetAdvice",
-    "operator_to_json",
-    "operator_from_json",
 ]
 
 KIND_SUBSET_PHASE_KEYED = "subset-phase-keyed"
@@ -69,6 +61,9 @@ ENSEMBLE_KINDS = (
 )
 _SUBSET_KINDS = (KIND_SUBSET_PHASE_KEYED, KIND_SUBSET_PHASE_TRUE, KIND_SUBSET_KEYED, KIND_SUBSET_TRUE)
 _PHASE_KINDS = (KIND_SUBSET_PHASE_KEYED, KIND_SUBSET_PHASE_TRUE)
+
+# values of the (rows, D, 2t) type array exact_moment_block sorts at a time
+_BLOCK_SLICE_VALUES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -337,57 +332,58 @@ def _tfold_rows(block: np.ndarray, t: int) -> np.ndarray:
     return out
 
 
-def _check_moment_dims(n: int, t: int, cap: int | None) -> int:
-    limit = dim_cap(cap)
-    if (2**n) ** t > limit:
-        raise DimensionCapExceeded(f"2^({n}*{t}) exceeds dimension cap {limit}")
-    return (2**n) ** t
+def exact_moment_block(kind: str, n: int, m: int, t: int, cap: int | None = None) -> np.ndarray:
+    """Exact t-copy moment of the size-m subset ("subset") or subset-phase
+    ("subset-phase") ensemble, averaged over every subset (and sign pattern),
+    as the real (D, D) block in the type basis of ``linalg.symmetric_basis``.
+
+    Entry <x|M|y> of the dense moment is C(d-k, m-k) / C(d, m) / m^t, where k
+    is the number of distinct values among x_1..x_t, y_1..y_t (zero for
+    k > m). The phase kind's sign average also zeroes every entry in which
+    some value occurs an odd number of times. So B[mu, nu] is that entry times
+    sqrt(N_mu N_nu).
+    """
+    if kind not in ("subset", "subset-phase"):
+        raise ValidationError("kind must be 'subset' or 'subset-phase'")
+    if not (1 <= m <= 2**n):
+        raise ValidationError("need 1 <= m <= 2^n")
+    basis = symmetric_basis(n, t, cap=cap)
+    d = 2**n
+    # C(d-k, m-k) / C(d, m) = prod_{j<k} (m-j) / (d-j), indexed by k
+    j = np.arange(min(2 * t, d))
+    coef = np.concatenate(([1.0], np.cumprod(np.maximum(m - j, 0) / (d - j)))) / float(m) ** t
+    types = basis.types.astype(np.min_scalar_type(d))
+    root = np.sqrt(basis.orbit)
+    size = len(types)
+    out = np.empty((size, size))
+    step = max(1, _BLOCK_SLICE_VALUES // (size * 2 * t))
+    for lo in range(0, size, step):
+        rows = types[lo : lo + step]
+        both = np.concatenate(np.broadcast_arrays(rows[:, None, :], types[None, :, :]), axis=2)
+        both.sort(axis=2)
+        entry = coef[1 + np.count_nonzero(both[..., 1:] != both[..., :-1], axis=2)]
+        if kind == "subset-phase":
+            entry *= np.all(both[..., 0::2] == both[..., 1::2], axis=2)
+        out[lo : lo + step] = entry * (root[lo : lo + step, None] * root)
+    return out
 
 
-def exact_subset_moment(
-    n: int, m: int, t: int, budget: int = DEFAULT_ENUM_BUDGET, cap: int | None = None
-) -> DensityOperator:
+def _dense_moment(kind: str, n: int, m: int, t: int, cap: int | None) -> DensityOperator:
+    block = exact_moment_block(kind, n, m, t, cap=cap)
+    basis = symmetric_basis(n, t, cap=cap)
+    root = np.sqrt(basis.orbit)
+    entries = block / root[:, None] / root
+    return DensityOperator(n * t, entries[np.ix_(basis.index, basis.index)], validate=False)
+
+
+def exact_subset_moment(n: int, m: int, t: int, cap: int | None = None) -> DensityOperator:
     """Exact average of |S><S|^{x t} over all size-m subsets."""
-    if not (1 <= m <= 2**n):
-        raise ValidationError("need 1 <= m <= 2^n")
-    count = math.comb(2**n, m)
-    if count > budget:
-        raise EnumerationBudgetExceeded(f"{count} subsets exceed budget {budget}")
-    dim = _check_moment_dims(n, t, cap)
-    d = 2**n
-    acc = np.zeros((dim, dim), dtype=np.complex128)
-    subsets = combinations(range(2**n), m)
-    while batch := list(islice(subsets, 256)):
-        block = np.zeros((len(batch), 2**n), dtype=np.complex128)
-        np.put_along_axis(block, np.array(batch), 1.0 / math.sqrt(m), axis=1)
-        rows = _tfold_rows(block, t)
-        acc += rows.T @ rows.conj()
-    acc /= count
-    return DensityOperator(n * t, (acc + acc.conj().T) / 2, validate=False)
+    return _dense_moment("subset", n, m, t, cap)
 
 
-def exact_subset_phase_moment(
-    n: int, m: int, t: int, budget: int = DEFAULT_ENUM_BUDGET, cap: int | None = None
-) -> DensityOperator:
+def exact_subset_phase_moment(n: int, m: int, t: int, cap: int | None = None) -> DensityOperator:
     """Exact average over all size-m subsets and all 2^m sign patterns."""
-    if not (1 <= m <= 2**n):
-        raise ValidationError("need 1 <= m <= 2^n")
-    count = math.comb(2**n, m) * (2**m)
-    if count > budget:
-        raise EnumerationBudgetExceeded(f"{count} subset/phase terms exceed budget {budget}")
-    dim = _check_moment_dims(n, t, cap)
-    d = 2**n
-    patterns = np.arange(2**m, dtype=np.int64)
-    signs = 1.0 - 2.0 * ((patterns[:, None] >> np.arange(m)) & 1)
-    signs = signs / math.sqrt(m)
-    acc = np.zeros((dim, dim), dtype=np.complex128)
-    for subset in combinations(range(d), m):
-        block = np.zeros((2**m, d), dtype=np.complex128)
-        block[:, list(subset)] = signs
-        rows = _tfold_rows(block, t)
-        acc += rows.T @ rows.conj()
-    acc /= count
-    return DensityOperator(n * t, (acc + acc.conj().T) / 2, validate=False)
+    return _dense_moment("subset-phase", n, m, t, cap)
 
 
 @dataclass(frozen=True)
@@ -408,7 +404,7 @@ def mc_ensemble_moment(
     Chunks are seeded by (spec.seed, chunk index) and merged in chunk order,
     so the estimate is reproducible for any thread count.
     """
-    dim = _check_moment_dims(spec.n, spec.t, cap)
+    dim = check_dim(spec.n, spec.t, cap)
     block_cap = max(1, min(DEFAULT_CHUNK, (1 << 22) // max(dim, 1)))
     layout = chunk_layout(samples, block_cap)
 
@@ -447,7 +443,7 @@ def advise_subset_size(T: GrowthClass, n: int) -> SubsetAdvice:
 
     m is the smallest power of two at or above f(n) * ceil(log2 n), where f is
     T's base function; the slowly growing log factor realizes the required
-    strict dominance of f while keeping desk-scale sizes enumerable. The cap
+    strict dominance of f while keeping desk-scale sizes small. The cap
     m <= 2^{n-1} keeps m well below the full domain.
     """
     if n < 2:
@@ -472,18 +468,3 @@ def advise_copies(T: GrowthClass, n: int, cap: int | None = None) -> int:
         raw = 2
     bits = int(math.log2(dim_cap(cap)))
     return max(1, min(raw, bits // n))
-
-
-# ---------------------------------------------------------------------------
-# JSON export
-
-
-def operator_to_json(op) -> list:
-    """Nested [re, im] pairs for cross-checking in other tools."""
-    mat = op.mat if isinstance(op, DensityOperator) else np.asarray(op)
-    return [[[float(e.real), float(e.imag)] for e in row] for row in mat]
-
-
-def operator_from_json(data: list) -> np.ndarray:
-    arr = np.asarray(data, dtype=float)
-    return arr[..., 0] + 1j * arr[..., 1]

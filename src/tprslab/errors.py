@@ -37,10 +37,6 @@ class BadSubsetExponent(TprsError):
     """Subset-size exponent incompatible with the qubit count."""
 
 
-class EnumerationBudgetExceeded(TprsError):
-    """Exact ensemble enumeration would exceed the term budget."""
-
-
 class CopyMismatch(TprsError):
     """Ensemble copy counts do not match a distinguisher's requirement."""
 

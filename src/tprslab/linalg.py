@@ -10,17 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import permutations, product
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .config import EIG_FLOOR, HERM_TOL, NORM_TOL, PSD_TOL, TRACE_TOL, dim_cap
-from .errors import (
-    DimensionCapExceeded,
-    DimensionMismatch,
-    PartitionMismatch,
-    ValidationError,
-)
+from .config import EIG_FLOOR, HERM_TOL, NORM_TOL, PSD_TOL, TRACE_TOL, check_dim
+from .errors import DimensionMismatch, PartitionMismatch, ValidationError
 
 __all__ = [
     "PureState",
@@ -31,6 +27,8 @@ __all__ = [
     "von_neumann_entropy",
     "collision_entropy",
     "trace_distance",
+    "SymmetricBasis",
+    "symmetric_basis",
     "symmetric_projector",
     "symmetric_dimension",
 ]
@@ -159,9 +157,7 @@ def tensor_power(rho: DensityOperator, t: int, cap: int | None = None) -> Densit
     """t-fold tensor product of a density operator with itself."""
     if t < 1:
         raise ValidationError("t must be >= 1")
-    limit = dim_cap(cap)
-    if rho.dim**t > limit:
-        raise DimensionCapExceeded(f"2^({rho.n}*{t}) exceeds dimension cap {limit}")
+    check_dim(rho.n, t, cap)
     out = rho.mat
     for _ in range(t - 1):
         out = np.kron(out, rho.mat)
@@ -206,7 +202,10 @@ def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:
     """Half the absolute eigenvalue sum of rho - sigma."""
     if rho.dim != sigma.dim:
         raise DimensionMismatch(f"dimensions {rho.dim} and {sigma.dim} differ")
-    w = np.linalg.eigvalsh(rho.mat - sigma.mat)
+    diff = rho.mat - sigma.mat
+    # an exactly real difference (e.g. two subset-phase moments) gets the
+    # same spectrum from the real symmetric solver, at a fraction of the cost
+    w = np.linalg.eigvalsh(diff if diff.imag.any() else diff.real)
     return float(0.5 * np.sum(np.abs(w)))
 
 
@@ -215,40 +214,45 @@ def symmetric_dimension(n: int, t: int) -> int:
     return math.comb(2**n + t - 1, t)
 
 
+class SymmetricBasis(NamedTuple):
+    """Orthonormal basis of the symmetric subspace of t copies of n qubits.
+
+    One vector per type mu, a sorted t-tuple of values in 0..2^n-1:
+    |mu> = sum of |x> over the orbit of mu under copy permutations, divided
+    by sqrt(N_mu). Arrays are read-only.
+    """
+
+    types: np.ndarray  # (D, t) sorted values, in lexicographic order
+    orbit: np.ndarray  # (D,) orbit sizes N_mu = t! / prod(multiplicity!)
+    index: np.ndarray  # (2^(n t),) type of each dense basis index
+
+
+@lru_cache(maxsize=16)
+def _symmetric_basis(n: int, t: int) -> SymmetricBasis:
+    d = 2**n
+    weights = d ** np.arange(t - 1, -1, -1, dtype=np.int64)
+    digits = (np.arange(d**t, dtype=np.int64)[:, None] // weights) % d
+    codes, index, orbit = np.unique(np.sort(digits, axis=1) @ weights, return_inverse=True, return_counts=True)
+    basis = SymmetricBasis((codes[:, None] // weights) % d, orbit, index)
+    for a in basis:
+        a.setflags(write=False)
+    return basis
+
+
+def symmetric_basis(n: int, t: int, cap: int | None = None) -> SymmetricBasis:
+    """Cached type basis of the symmetric subspace; D = symmetric_dimension(n, t)."""
+    if n < 1 or t < 1:
+        raise ValidationError("n and t must be >= 1")
+    check_dim(n, t, cap)
+    return _symmetric_basis(n, t)
+
+
 def symmetric_projector(n: int, t: int, cap: int | None = None) -> np.ndarray:
     """Orthogonal projector onto the symmetric subspace of (C^{2^n})^{x t}.
 
     Returned as a raw ndarray: it is idempotent with trace binom(2^n+t-1, t),
-    not a unit-trace operator.
+    not a unit-trace operator. Entry (x, y) is 1/N_mu when x and y share the
+    type mu, else 0.
     """
-    if n < 1 or t < 1:
-        raise ValidationError("n and t must be >= 1")
-    d = 2**n
-    limit = dim_cap(cap)
-    if d**t > limit:
-        raise DimensionCapExceeded(f"2^({n}*{t}) exceeds dimension cap {limit}")
-    dim = d**t
-    idx = np.array(list(product(range(d), repeat=t)), dtype=np.int64)
-    weights = d ** np.arange(t - 1, -1, -1, dtype=np.int64)
-    proj = np.zeros((dim, dim))
-    cols = np.arange(dim)
-    for perm in permutations(range(t)):
-        rows = idx[:, list(perm)] @ weights
-        proj[rows, cols] += 1.0
-    proj /= math.factorial(t)
-    return proj
-
-
-def copy_transposition_operator(n: int, t: int, i: int, j: int) -> np.ndarray:
-    """Permutation operator swapping copy factors i and j of t copies of n qubits."""
-    if not (0 <= i < t and 0 <= j < t):
-        raise ValidationError("copy indices out of range")
-    d = 2**n
-    dim = d**t
-    idx = np.array(list(product(range(d), repeat=t)), dtype=np.int64)
-    swapped = idx.copy()
-    swapped[:, [i, j]] = swapped[:, [j, i]]
-    weights = d ** np.arange(t - 1, -1, -1, dtype=np.int64)
-    op = np.zeros((dim, dim))
-    op[swapped @ weights, np.arange(dim)] = 1.0
-    return op
+    basis = symmetric_basis(n, t, cap=cap)
+    return (basis.index[:, None] == basis.index) / basis.orbit[basis.index][:, None]

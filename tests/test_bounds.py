@@ -15,9 +15,11 @@ from tprslab.bounds import (
     verify_distance_bound,
 )
 from tprslab.ensembles import EnsembleSpec, advise_subset_size
-from tprslab.errors import BoundDegenerate, EnumerationBudgetExceeded, ParameterOrderViolated
+from tprslab.errors import BoundDegenerate, ParameterOrderViolated, ValidationError
 from tprslab.growth import Const, Growth, GrowthClass, Mul, recip
 from tprslab.randprims import RngSeed
+
+from .util import distance_row_check
 
 LOG = GrowthClass.parse("log")
 
@@ -108,7 +110,7 @@ class TestBoundEvaluators:
         assert not bad.passed
         rep = verify_distance_bound("subset-phase", 3, [2, 4], 2)
         for row in rep.rows:
-            check = row.as_check(rep.constants)
+            check = distance_row_check(row, rep.constants)
             assert check.passed == row.passed
             assert check.margin == pytest.approx(row.margin)
 
@@ -156,9 +158,15 @@ class TestVerifyDistanceBound:
         rep = verify_distance_bound("subset-phase", 3, [2, 4], 2)
         assert rep.dominated_slope == pytest.approx(-1.515, abs=2e-3)
 
-    def test_budget_propagates(self):
-        with pytest.raises(EnumerationBudgetExceeded):
-            verify_distance_bound("subset", 4, [6], 2, budget=100)
+    def test_phase_sizes_checked_before_any_distance(self, monkeypatch):
+        from tprslab import bounds
+
+        def fail(*args, **kwargs):
+            raise AssertionError("distance computed before the size check")
+
+        monkeypatch.setattr(bounds, "exact_moment_block", fail)
+        with pytest.raises(ValidationError, match="powers of two"):
+            verify_distance_bound("subset-phase", 6, [16, 3], 2)
 
     def test_cross_size_drift_is_real(self):
         # Constants held across sizes only work at fixed n: the exact distance

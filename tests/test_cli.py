@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tprslab.cli import main
 
@@ -58,13 +62,15 @@ class TestDistance:
     def test_infeasible_exact_is_resource_error(self, capsys):
         code, _, err = run(["distance", "--kind", "subset", "--n", "8", "--t", "2", "--m", "4"], capsys)
         assert code == 3
-        assert "cap" in err or "budget" in err
+        assert "cap" in err
 
-    def test_enumeration_budget_also_exit_3(self, capsys):
-        # n=8 at t=1 fits the dimension cap but C(256, 4) blows the term budget
-        code, _, err = run(["distance", "--kind", "subset", "--n", "8", "--t", "1", "--m", "4"], capsys)
-        assert code == 3
-        assert "budget" in err
+    def test_single_copy_distance_beyond_enumeration(self, capsys):
+        # C(256, 4) subsets were too many to enumerate; at t = 1 the exact
+        # distance to I/d is (m - 1) / 2^n
+        code, out, _ = run(["distance", "--kind", "subset", "--n", "8", "--t", "1", "--m", "4"], capsys)
+        assert code == 0
+        row = dict(zip(*[line.split(",") for line in out.strip().splitlines()]))
+        assert float(row["lhs"]) == pytest.approx(3 / 256, abs=1e-12)
 
 
 class TestGapAndReproducibility:
@@ -390,3 +396,54 @@ class TestMagicReach:
         code, _, err = run(["--samples", "4"] + argv, capsys)
         assert code == 3
         assert "resource limit" in err
+
+
+@st.composite
+def _distance_argv(draw):
+    n = draw(st.integers(1, 9))
+    t = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["subset", "subset-phase"]))
+    if kind == "subset-phase" and draw(st.booleans()):
+        flag, value = "--mexp", st.one_of(st.just(0), st.integers(-1, n + 2))
+    else:
+        flag, value = "--m", st.one_of(st.just(0), st.integers(1, 2**n), st.integers(2**n + 1, 2**n + 4))
+    values = draw(st.lists(value, min_size=1, max_size=3))
+    if draw(st.booleans()):
+        values.append(values[0])  # a duplicate size
+    return ["distance", "--kind", kind, "--n", str(n), "--t", str(t), flag, ",".join(map(str, values))]
+
+
+class TestDistanceRobustness:
+    @settings(max_examples=60, deadline=None)
+    @given(argv=_distance_argv())
+    def test_argument_vectors_end_in_a_documented_exit_code(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects "-1,-1" as an option
+                assert exc.code == 2 and "usage:" in err.getvalue()
+                return
+        # 4 is the bound check failing at a size the fitted constant does not cover
+        assert code in (0, 2, 3, 4), (argv, err.getvalue())
+        if code in (2, 3):
+            assert err.getvalue().startswith(("validation error:", "resource limit:"))
+
+    @pytest.mark.parametrize("flag,value", [("--m", "4"), ("--mexp", "2")])
+    def test_n7_t2_exits_3_before_allocating(self, flag, value, monkeypatch, capsys):
+        from tprslab import linalg
+
+        def fail(*args):
+            raise AssertionError("symmetric basis built beyond the cap")
+
+        monkeypatch.setattr(linalg, "_symmetric_basis", fail)
+        code, _, err = run(["distance", "--kind", "subset-phase", "--n", "7", "--t", "2", flag, value], capsys)
+        assert code == 3
+        assert "resource limit: 2^(7*2) exceeds dimension cap 4096" in err
+
+    def test_n6_t2_reaches_the_cap(self, capsys):
+        # about 10^19 subset and sign terms to enumerate; the block has D = 2080
+        code, out, _ = run(["distance", "--kind", "subset-phase", "--n", "6", "--t", "2", "--mexp", "4"], capsys)
+        assert code == 0
+        row = dict(zip(*[line.split(",") for line in out.strip().splitlines()]))
+        assert float(row["lhs"]) == pytest.approx(33 / 1040, abs=1e-12)

@@ -8,7 +8,6 @@ from tprslab.distinguishers import (
     hadamard_test_prob,
     hadamard_test_prob_projector,
     hybrid_experiment,
-    coherence_projector_operator,
     coherence_projector_prob,
     make_coherence_distinguisher,
     make_hadamard_distinguisher,
@@ -25,7 +24,18 @@ from tprslab.randprims import RngSeed
 from tprslab.resources import stabilizer_renyi_entropy
 from tprslab.bounds import verify_distance_bound
 
-from .util import KET0, PLUS, TKET, dm, kron_all, pauli_power_sum, pure, random_density, random_pure
+from .util import (
+    KET0,
+    PLUS,
+    TKET,
+    coherence_projector_operator,
+    dm,
+    kron_all,
+    pauli_power_sum,
+    pure,
+    random_density,
+    random_pure,
+)
 
 LOG = GrowthClass.parse("log")
 

@@ -19,23 +19,15 @@ from tprslab.ensembles import (
     exact_subset_phase_moment,
     haar_moment,
     mc_ensemble_moment,
-    operator_from_json,
-    operator_to_json,
     sample_block,
     sample_state,
     stabilizer_orbit,
 )
-from tprslab.errors import (
-    BadSubsetExponent,
-    EmptySubset,
-    EnumerationBudgetExceeded,
-    ValidationError,
-)
+from tprslab.errors import BadSubsetExponent, EmptySubset, ValidationError
 from tprslab.growth import GrowthClass
-from tprslab.linalg import copy_transposition_operator
 from tprslab.randprims import KEY_BYTES, KeyedPermutation, PhaseFunction, RngSeed
 
-from .util import MINUS, PLUS, kron_all
+from .util import MINUS, PLUS, copy_transposition_operator, kron_all, operator_from_json, operator_to_json
 
 
 class TestSubsetSpec:
@@ -216,10 +208,6 @@ class TestMoments:
             for j in range(i + 1, 3):
                 w = copy_transposition_operator(n, 3, i, j)
                 assert np.max(np.abs(w @ op.mat - op.mat @ w)) < 1e-9
-
-    def test_budget(self):
-        with pytest.raises(EnumerationBudgetExceeded):
-            exact_subset_phase_moment(3, 6, 1, budget=100)
 
 
 class TestMonteCarloMoment:

@@ -8,7 +8,6 @@ from tprslab.linalg import (
     PartitionSpec,
     PureState,
     collision_entropy,
-    copy_transposition_operator,
     partial_trace,
     symmetric_projector,
     tensor_power,
@@ -20,6 +19,7 @@ from .util import (
     KET0,
     KET1,
     PLUS,
+    copy_transposition_operator,
     dm,
     kron_all,
     loop_partial_trace,

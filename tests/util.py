@@ -3,9 +3,11 @@ separate from the library code paths they validate."""
 
 import functools
 import itertools
+import math
 
 import numpy as np
 
+from tprslab.bounds import BoundCheckReport
 from tprslab.linalg import DensityOperator, PureState
 from tprslab.resources import pauli_basis
 
@@ -162,3 +164,90 @@ def phase_bit_oracle(key: bytes, x: int) -> int:
     sub = _splitmix_int(key_word_oracle(key) ^ 0xD1B54A32D192ED03)
     return _splitmix_int(sub ^ x) >> 63
 
+
+
+def _tfold_rows(block, t):
+    """Row-wise t-fold tensor power of a (B, d) block -> (B, d^t)."""
+    out = block
+    for _ in range(t - 1):
+        out = np.einsum("si,sj->sij", out, block).reshape(block.shape[0], -1)
+    return out
+
+
+def exact_subset_moment_oracle(n, m, t) -> DensityOperator:
+    """Average of |S><S|^{x t} by enumerating all C(2^n, m) subsets."""
+    d = 2**n
+    acc = np.zeros((d**t, d**t), dtype=complex)
+    subsets = itertools.combinations(range(d), m)
+    while batch := list(itertools.islice(subsets, 256)):
+        block = np.zeros((len(batch), d), dtype=complex)
+        np.put_along_axis(block, np.array(batch), 1.0 / math.sqrt(m), axis=1)
+        rows = _tfold_rows(block, t)
+        acc += rows.T @ rows.conj()
+    acc /= math.comb(d, m)
+    return DensityOperator(n * t, (acc + acc.conj().T) / 2, validate=False)
+
+
+def exact_subset_phase_moment_oracle(n, m, t) -> DensityOperator:
+    """Average over all C(2^n, m) subsets and all 2^m sign patterns."""
+    d = 2**n
+    patterns = np.arange(2**m)
+    signs = (1.0 - 2.0 * ((patterns[:, None] >> np.arange(m)) & 1)) / math.sqrt(m)
+    acc = np.zeros((d**t, d**t), dtype=complex)
+    for subset in itertools.combinations(range(d), m):
+        block = np.zeros((2**m, d), dtype=complex)
+        block[:, list(subset)] = signs
+        rows = _tfold_rows(block, t)
+        acc += rows.T @ rows.conj()
+    acc /= math.comb(d, m) * 2**m
+    return DensityOperator(n * t, (acc + acc.conj().T) / 2, validate=False)
+
+
+def _copy_indices(n, t):
+    d = 2**n
+    idx = np.array(list(itertools.product(range(d), repeat=t)), dtype=np.int64)
+    return idx, d ** np.arange(t - 1, -1, -1, dtype=np.int64)
+
+
+def symmetric_projector_oracle(n, t):
+    """Average of the t! copy-permutation operators."""
+    idx, weights = _copy_indices(n, t)
+    dim = len(idx)
+    proj = np.zeros((dim, dim))
+    for perm in itertools.permutations(range(t)):
+        proj[idx[:, list(perm)] @ weights, np.arange(dim)] += 1.0
+    return proj / math.factorial(t)
+
+
+def copy_transposition_operator(n, t, i, j):
+    """Permutation operator swapping copy factors i and j of t copies of n qubits."""
+    idx, weights = _copy_indices(n, t)
+    swapped = idx.copy()
+    swapped[:, [i, j]] = swapped[:, [j, i]]
+    op = np.zeros((len(idx), len(idx)))
+    op[swapped @ weights, np.arange(len(idx))] = 1.0
+    return op
+
+
+def coherence_projector_operator(n):
+    """Projector sum_x |x,x><x,x| pairing copy 1 with copy 2 on 2n qubits."""
+    d = 2**n
+    diag = np.zeros(d * d)
+    diag[np.arange(d) * (d + 1)] = 1.0
+    return np.diag(diag)
+
+
+def operator_to_json(op) -> list:
+    """Nested [re, im] pairs."""
+    mat = op.mat if isinstance(op, DensityOperator) else np.asarray(op)
+    return [[[float(e.real), float(e.imag)] for e in row] for row in mat]
+
+
+def operator_from_json(data: list) -> np.ndarray:
+    arr = np.asarray(data, dtype=float)
+    return arr[..., 0] + 1j * arr[..., 1]
+
+
+def distance_row_check(row, constants) -> BoundCheckReport:
+    """A distance-bound row as a BoundCheckReport with zero stderr."""
+    return BoundCheckReport.build(row.lhs, 0.0, row.rhs, constants)
