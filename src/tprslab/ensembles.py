@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import check_dim, dim_cap
+from .config import dim_cap
 from .errors import BadSubsetExponent, EmptySubset, UnsupportedGrowthClass, ValidationError
 from .growth import GrowthClass
 from .linalg import DensityOperator, PureState, symmetric_basis, symmetric_dimension, symmetric_projector
@@ -318,18 +318,22 @@ def sample_state(spec: EnsembleSpec, rng: np.random.Generator) -> np.ndarray:
 # Moment operators
 
 
+@lru_cache(maxsize=2)
 def haar_moment(n: int, t: int, cap: int | None = None) -> DensityOperator:
-    """Average t-copy projector of the Haar ensemble: P_sym / binom(2^n+t-1, t)."""
+    """Average t-copy projector of the Haar ensemble: P_sym / binom(2^n+t-1, t).
+    Cached per (n, t, cap); the matrix is read-only, so callers share it."""
     proj = symmetric_projector(n, t, cap=cap)
     return DensityOperator(n * t, proj / symmetric_dimension(n, t), validate=False)
 
 
-def _tfold_rows(block: np.ndarray, t: int) -> np.ndarray:
-    """Row-wise t-fold tensor power of a (B, d) block -> (B, d^t)."""
-    out = block
-    for _ in range(t - 1):
-        out = np.einsum("si,sj->sij", out, block).reshape(block.shape[0], -1)
-    return out
+def _dense_operator(block: np.ndarray, n: int, t: int, cap: int | None) -> DensityOperator:
+    """Dense operator of a (D, D) type-basis block: entry (x, y) is
+    block[mu, nu] / sqrt(N_mu N_nu), where mu and nu are the types of x and y."""
+    basis = symmetric_basis(n, t, cap=cap)
+    root = np.sqrt(basis.orbit)
+    # one symmetric divisor keeps an exactly Hermitian block exactly Hermitian
+    entries = block / np.outer(root, root)
+    return DensityOperator(n * t, entries[np.ix_(basis.index, basis.index)], validate=False)
 
 
 def exact_moment_block(kind: str, n: int, m: int, t: int, cap: int | None = None) -> np.ndarray:
@@ -368,22 +372,14 @@ def exact_moment_block(kind: str, n: int, m: int, t: int, cap: int | None = None
     return out
 
 
-def _dense_moment(kind: str, n: int, m: int, t: int, cap: int | None) -> DensityOperator:
-    block = exact_moment_block(kind, n, m, t, cap=cap)
-    basis = symmetric_basis(n, t, cap=cap)
-    root = np.sqrt(basis.orbit)
-    entries = block / root[:, None] / root
-    return DensityOperator(n * t, entries[np.ix_(basis.index, basis.index)], validate=False)
-
-
 def exact_subset_moment(n: int, m: int, t: int, cap: int | None = None) -> DensityOperator:
     """Exact average of |S><S|^{x t} over all size-m subsets."""
-    return _dense_moment("subset", n, m, t, cap)
+    return _dense_operator(exact_moment_block("subset", n, m, t, cap=cap), n, t, cap)
 
 
 def exact_subset_phase_moment(n: int, m: int, t: int, cap: int | None = None) -> DensityOperator:
     """Exact average over all size-m subsets and all 2^m sign patterns."""
-    return _dense_moment("subset-phase", n, m, t, cap)
+    return _dense_operator(exact_moment_block("subset-phase", n, m, t, cap=cap), n, t, cap)
 
 
 @dataclass(frozen=True)
@@ -401,30 +397,34 @@ def mc_ensemble_moment(
 ) -> MomentEstimate:
     """Monte-Carlo mean of the t-copy projector with a max-entry standard error.
 
-    Chunks are seeded by (spec.seed, chunk index) and merged in chunk order,
-    so the estimate is reproducible for any thread count.
+    Sums run over (D, D) pairs of types: in the basis of
+    ``linalg.symmetric_basis``, |psi>^{x t} has coordinates
+    v[mu] = sqrt(N_mu) prod_i psi[mu_i]. Chunks are seeded by (spec.seed,
+    chunk index) and merged in chunk order, so the estimate is reproducible
+    for any thread count.
     """
-    dim = check_dim(spec.n, spec.t, cap)
-    block_cap = max(1, min(DEFAULT_CHUNK, (1 << 22) // max(dim, 1)))
+    basis = symmetric_basis(spec.n, spec.t, cap=cap)
+    block_cap = max(1, min(DEFAULT_CHUNK, (1 << 22) // len(basis.index)))
     layout = chunk_layout(samples, block_cap)
+    root = np.sqrt(basis.orbit)
 
     def worker(i: int):
         idx, _, size = layout[i]
-        rng = spec.seed.generator(idx)
-        block = sample_block(spec, size, rng)
-        rows = _tfold_rows(block, spec.t)
-        a2 = np.abs(rows) ** 2
-        return rows.T @ rows.conj(), a2.T @ a2
+        block = sample_block(spec, size, spec.seed.generator(idx))
+        if not block.imag.any():  # subset and subset-phase rows: real products cost a quarter
+            block = block.real
+        prod = block[:, basis.types].prod(axis=2)
+        # every dense entry of the pair (mu, nu) has squared modulus a2[mu] a2[nu]
+        a2 = np.abs(prod) ** 2
+        v = prod * root
+        return v.T @ v.conj(), a2.T @ a2
 
-    sum1 = np.zeros((dim, dim), dtype=np.complex128)
-    sum2 = np.zeros((dim, dim))
-    for s1, s2 in run_ordered(worker, len(layout), threads):
-        sum1 += s1
-        sum2 += s2
-    mean = sum1 / samples
-    var = np.maximum(sum2 / samples - np.abs(mean) ** 2, 0.0)
+    sums = run_ordered(worker, len(layout), threads)  # summed in chunk order
+    mean = sum(s1 for s1, _ in sums) / samples
+    mean_sq = sum(s2 for _, s2 in sums) / samples
+    var = np.maximum(mean_sq - np.abs(mean) ** 2 / np.outer(basis.orbit, basis.orbit), 0.0)
     stderr = float(np.sqrt(var.max() / samples))
-    op = DensityOperator(spec.n * spec.t, (mean + mean.conj().T) / 2, validate=False)
+    op = _dense_operator((mean + mean.conj().T) / 2, spec.n, spec.t, cap)
     return MomentEstimate(op, stderr, samples)
 
 

@@ -2,8 +2,11 @@
 
 States and density operators are immutable value objects; all operations are
 pure functions, so everything here is safe to call from concurrent tasks.
-Storage is dense on purpose: the exact verification targets are tiny and
-clarity beats sparsity.
+Operators are stored dense. The copy moments are invariant under copy
+permutations, so their exact and Monte-Carlo constructions work in the
+symmetric subspace's type basis (``symmetric_basis``) and gather the dense
+matrix once, and ``trace_distance`` diagonalises only the distinct rows of a
+difference.
 """
 
 from __future__ import annotations
@@ -198,14 +201,50 @@ def collision_entropy(rho: DensityOperator) -> float:
     return float(-np.log2(rho.purity()))
 
 
+def _distinct_rows(mat: np.ndarray) -> np.ndarray:
+    """(G, G) matrix S^1/2 C S^1/2 with the nonzero spectrum of a square
+    complex matrix mat = Q C Q^T, where Q is the (dim, G) indicator of mat's
+    groups of bit-equal rows, S their sizes and C mat's entries between the
+    groups' first rows, in order of first occurrence.
+
+    Rows are grouped by an exact integer hash of their bits: the 32-bit words
+    times fixed odd 64-bit weights, summed with wraparound. Rows that differ
+    in one word never collide, nor do rows that differ in the signs of two
+    entries (with 64-bit words the sign bits' terms would cancel). The
+    grouping is kept only if mat[x, y] is bit-equal to mat[first(x),
+    first(y)] for every x and y, so that rows and columns both repeat, and C
+    is exactly Hermitian, so that the spectrum is the one eigvalsh finds for
+    mat from one triangle. Otherwise every row is its own group and mat
+    itself is returned.
+    """
+    words = mat.view(np.uint32)
+    weights = np.arange(1, 2 * words.shape[1], 2, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    hashes = np.einsum("ij,j->i", words, weights)
+    _, first, inverse, sizes = np.unique(hashes, return_index=True, return_inverse=True, return_counts=True)
+    rep = first[inverse]
+    order = np.argsort(first)
+    first, sizes = first[order], sizes[order]
+    reduced = mat[np.ix_(first, first)]
+    exact = np.array_equal(mat[np.ix_(rep, rep)].view(np.uint32), words)
+    if not (exact and np.array_equal(reduced, reduced.conj().T)):
+        return mat
+    root = np.sqrt(sizes)
+    return reduced * root[:, None] * root
+
+
 def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:
-    """Half the absolute eigenvalue sum of rho - sigma."""
+    """Half the absolute eigenvalue sum of rho - sigma.
+
+    Only the distinct rows of rho - sigma reach the eigensolver
+    (``_distinct_rows``). A moment operator gathered from the symmetric
+    subspace repeats each row across its type, so the eigen-problem has the
+    symmetric dimension; with no repeated rows it is the dense one. An
+    exactly real matrix goes to the real symmetric solver.
+    """
     if rho.dim != sigma.dim:
         raise DimensionMismatch(f"dimensions {rho.dim} and {sigma.dim} differ")
-    diff = rho.mat - sigma.mat
-    # an exactly real difference (e.g. two subset-phase moments) gets the
-    # same spectrum from the real symmetric solver, at a fraction of the cost
-    w = np.linalg.eigvalsh(diff if diff.imag.any() else diff.real)
+    reduced = _distinct_rows(rho.mat - sigma.mat)
+    w = np.linalg.eigvalsh(reduced if reduced.imag.any() else reduced.real)
     return float(0.5 * np.sum(np.abs(w)))
 
 

@@ -27,7 +27,15 @@ from tprslab.errors import BadSubsetExponent, EmptySubset, ValidationError
 from tprslab.growth import GrowthClass
 from tprslab.randprims import KEY_BYTES, KeyedPermutation, PhaseFunction, RngSeed
 
-from .util import MINUS, PLUS, copy_transposition_operator, kron_all, operator_from_json, operator_to_json
+from .util import (
+    MINUS,
+    PLUS,
+    copy_transposition_operator,
+    kron_all,
+    mc_ensemble_moment_oracle,
+    operator_from_json,
+    operator_to_json,
+)
 
 
 class TestSubsetSpec:
@@ -137,6 +145,12 @@ class TestMoments:
     @pytest.mark.parametrize("n,t", [(1, 1), (1, 2), (2, 2), (1, 3)])
     def test_haar_moment_trace(self, n, t):
         assert np.trace(haar_moment(n, t).mat) == pytest.approx(1.0, abs=1e-10)
+
+    def test_haar_moment_cached_and_read_only(self):
+        op = haar_moment(2, 3)
+        assert haar_moment(2, 3) is op
+        with pytest.raises(ValueError):
+            op.mat[0, 0] = 0
 
     @pytest.mark.parametrize(
         "maker",
@@ -286,6 +300,55 @@ SUBSET_KINDS = ("subset-phase-keyed", "subset-phase-true-random", "subset-keyed"
 
 def _subset_m(kind, n):
     return 2 ** (n // 2) if "phase" in kind else n - 1
+
+
+def _oracle_cases():
+    """Four kinds at t = 1..3 with d^t <= 512."""
+    out = []
+    for n in (1, 2, 3, 4):
+        for t in (1, 2, 3):
+            if 2 ** (n * t) > 512:
+                continue
+            d = 2**n
+            out += [
+                ("haar", n, None, t),
+                ("subset-keyed", n, max(1, d - 1), t),
+                ("subset-phase-true-random", n, max(1, d // 2), t),
+            ]
+            if n <= 3:
+                out.append(("stabilizer-orbit", n, None, t))
+    return out
+
+
+class TestMonteCarloMomentAgainstDenseOracle:
+    """The type-basis accumulation against the dense (d^t, d^t) one, on the
+    same chunks and draws; 1500 samples span two chunks."""
+
+    @pytest.mark.parametrize("kind,n,m,t", _oracle_cases())
+    def test_operator_and_stderr(self, kind, n, m, t):
+        spec = EnsembleSpec(kind, n, m=m, t=t, seed=RngSeed(40 + n * t))
+        got = mc_ensemble_moment(spec, 1500)
+        want = mc_ensemble_moment_oracle(spec, 1500)
+        assert got.operator.n == n * t and got.samples == 1500
+        assert np.max(np.abs(got.operator.mat - want.operator.mat)) <= 1e-12
+        assert got.stderr == pytest.approx(want.stderr, abs=1e-12)
+        assert np.array_equal(got.operator.mat, got.operator.mat.conj().T)
+
+    @pytest.mark.parametrize(
+        "kind,n,m,t",
+        [
+            ("haar", 2, None, 2),
+            ("subset-keyed", 3, 5, 2),
+            ("subset-phase-true-random", 2, 2, 3),
+            ("stabilizer-orbit", 2, None, 2),
+        ],
+    )
+    def test_byte_identical_across_threads(self, kind, n, m, t):
+        spec = EnsembleSpec(kind, n, m=m, t=t, seed=RngSeed(77))
+        runs = [mc_ensemble_moment(spec, 3500, threads=k) for k in (1, 2, 4)]
+        for est in runs[1:]:
+            assert est.operator.mat.tobytes() == runs[0].operator.mat.tobytes()
+            assert est.stderr == runs[0].stderr
 
 
 class TestSampleBlock:

@@ -1,23 +1,36 @@
 """Closed-form exact moments on the symmetric subspace against enumeration,
-and the real and complex routes of the trace distance."""
+and the trace distance's distinct-row reduction and real and complex routes
+against dense eigvalsh."""
 
 import math
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tprslab.bounds import _exact_lhs, verify_distance_bound
-from tprslab.ensembles import exact_moment_block, exact_subset_moment, exact_subset_phase_moment, haar_moment
+from tprslab.config import HERM_TOL
+from tprslab.ensembles import (
+    EnsembleSpec,
+    exact_moment_block,
+    exact_subset_moment,
+    exact_subset_phase_moment,
+    haar_moment,
+    mc_ensemble_moment,
+)
 from tprslab.errors import DimensionCapExceeded, ValidationError
 from tprslab.linalg import DensityOperator, symmetric_basis, symmetric_dimension, symmetric_projector, trace_distance
+from tprslab.randprims import RngSeed
 
 from .util import (
     exact_subset_moment_oracle,
     exact_subset_phase_moment_oracle,
     random_density,
     symmetric_projector_oracle,
+    trace_distance_oracle,
 )
 
 TOL = 1e-12
@@ -139,6 +152,8 @@ class TestValidation:
             lambda: exact_moment_block("subset-phase", 7, 16, 2),
             lambda: exact_subset_moment(2, 2, 4, cap=64),
             lambda: symmetric_projector(2, 4, cap=64),
+            lambda: haar_moment(2, 4, cap=64),
+            lambda: mc_ensemble_moment(EnsembleSpec("haar", 2, t=4), 10, cap=64),
         ):
             with pytest.raises(DimensionCapExceeded, match=r"exceeds dimension cap"):
                 call()
@@ -205,3 +220,118 @@ class TestTraceDistanceRoutes:
         rho = exact_subset_phase_moment(3, 4, 2)
         want = 0.5 * np.linalg.norm(rho.mat - haar_moment(3, 2).mat, "nuc")
         assert trace_distance(rho, haar_moment(3, 2)) == pytest.approx(want, abs=TOL)
+
+
+@contextmanager
+def eig_shapes():
+    """Records the shape of every eigvalsh input."""
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a):
+        seen.append(a.shape)
+        return eigvalsh(a)
+
+    with mock.patch.object(np.linalg, "eigvalsh", spy):
+        yield seen
+
+
+def _grouped_pair(rng, n, groups, real):
+    """rho = Q A Q^T and sigma = Q B Q^T for random density matrices A, B on
+    ``groups`` groups and a random assignment of the 2^n rows to them (every
+    group nonempty), both exactly Hermitian; returns the pair and the
+    assignment."""
+    dim = 2**n
+    label = rng.permutation(np.concatenate([np.arange(groups), rng.integers(groups, size=dim - groups)]))
+    mats = []
+    for _ in range(2):
+        g = rng.standard_normal((groups, groups))
+        if not real:
+            g = g + 1j * rng.standard_normal((groups, groups))
+        a = g @ g.conj().T
+        dense = ((a + a.conj().T) / 2)[np.ix_(label, label)]
+        mats.append(DensityOperator(n, dense / np.trace(dense).real, validate=False))
+    return mats, label
+
+
+class TestDistinctRowReduction:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 5), real=st.booleans(), seed=st.integers(0, 2**32 - 1), groups=st.integers(1, 32))
+    # the two groups' rows differ in the signs of two entries: a 64-bit-word hash collides
+    @example(n=2, real=False, seed=3858, groups=2)
+    def test_grouped_pairs_match_dense_eigvalsh(self, n, real, seed, groups):
+        groups = min(groups, 2**n)
+        (rho, sigma), _ = _grouped_pair(np.random.default_rng(seed), n, groups, real)
+        with eig_shapes() as seen:
+            got = trace_distance(rho, sigma)
+        assert got == pytest.approx(trace_distance_oracle(rho, sigma), abs=TOL)
+        assert seen == [(groups, groups)]
+
+    @pytest.mark.parametrize("real", [True, False])
+    def test_rows_one_ulp_apart_are_not_merged(self, real):
+        rng = np.random.default_rng(21)
+        (rho, sigma), label = _grouped_pair(rng, 4, 5, real)
+        x, y = np.flatnonzero(label == label[0])[:2]  # two rows of one group
+        mat = rho.mat.copy()
+        mat[x, y] = np.nextafter(mat[x, y].real, np.inf) + 1j * mat[x, y].imag
+        mat[y, x] = np.conj(mat[x, y])
+        rho = DensityOperator(4, mat, validate=False)
+        with eig_shapes() as seen:
+            got = trace_distance(rho, sigma)
+        assert got == pytest.approx(trace_distance_oracle(rho, sigma), abs=TOL)
+        assert seen == [(7, 7)]  # x and y leave their group; its other rows stay
+
+    def test_negative_zero_rows_are_not_merged(self):
+        rng = np.random.default_rng(22)
+        (rho, sigma), label = _grouped_pair(rng, 3, 3, True)
+        y = np.flatnonzero(label == label[0])[1]
+        z = int(np.flatnonzero(label != label[0])[0])
+        mats = []
+        for op in (rho, sigma):
+            mat = op.mat.copy()
+            mat[label == label[0], z] = mat[z, label == label[0]] = 0.0
+            mats.append(mat)
+        mats[0][y, z] = mats[0][z, y] = -0.0  # -0.0 - 0.0 = -0.0 in the difference
+        rho, sigma = (DensityOperator(3, m / np.trace(m).real, validate=False) for m in mats)
+        with eig_shapes() as seen:
+            got = trace_distance(rho, sigma)
+        assert got == pytest.approx(trace_distance_oracle(rho, sigma), abs=TOL)
+        assert seen[0][0] > 3  # the -0.0 rows and columns split their groups
+
+    @pytest.mark.parametrize("repeat", ["rows and columns", "rows", "none"])
+    def test_inputs_hermitian_only_within_tolerance(self, repeat):
+        rng = np.random.default_rng(23)
+        (rho, sigma), label = _grouped_pair(rng, 4, 5, False)
+        # a perturbation whose rows (and columns) repeat keeps the grouping
+        # of rho's rows, but not the Hermitian reduced matrix
+        e = {
+            "rows and columns": lambda: rng.uniform(-1, 1, (5, 5))[np.ix_(label, label)],
+            "rows": lambda: rng.uniform(-1, 1, (5, 16))[label],
+            "none": lambda: rng.uniform(-1, 1, (16, 16)),
+        }[repeat]()
+        mat = rho.mat + 0.4 * HERM_TOL * e
+        rho = DensityOperator(4, mat / np.trace(mat).real)
+        assert np.max(np.abs(rho.mat - rho.mat.conj().T)) > 0
+        with eig_shapes() as seen:
+            got = trace_distance(rho, sigma)
+        assert got == pytest.approx(trace_distance_oracle(rho, sigma), abs=TOL)
+        assert seen == [(16, 16)]  # every row is its own group
+
+    @pytest.mark.parametrize("real", [True, False])
+    def test_all_distinct_rows_are_the_dense_route(self, real):
+        rng = np.random.default_rng(24)
+        rho, sigma = _hermitian_pair(rng, 4, real)
+        with eig_shapes() as seen:
+            got = trace_distance(rho, sigma)
+        assert got == pytest.approx(trace_distance_oracle(rho, sigma), abs=TOL)
+        assert seen == [(16, 16)]
+
+    @pytest.mark.parametrize(
+        "kind,n,m,t", [("haar", 3, None, 3), ("subset-phase-true-random", 3, 4, 2), ("haar", 2, None, 2)]
+    )
+    def test_mc_moment_against_haar_moment(self, kind, n, m, t):
+        est = mc_ensemble_moment(EnsembleSpec(kind, n, m=m, t=t, seed=RngSeed(5)), 600)
+        with eig_shapes() as seen:
+            got = trace_distance(est.operator, haar_moment(n, t))
+        assert got == pytest.approx(trace_distance_oracle(est.operator, haar_moment(n, t)), abs=TOL)
+        assert seen == [(symmetric_dimension(n, t),) * 2]

@@ -8,8 +8,11 @@ import math
 import numpy as np
 
 from tprslab.bounds import BoundCheckReport
+from tprslab.config import check_dim
+from tprslab.ensembles import MomentEstimate, sample_block
 from tprslab.linalg import DensityOperator, PureState
 from tprslab.resources import pauli_basis
+from tprslab.sampling import DEFAULT_CHUNK, chunk_layout, run_ordered
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -165,7 +168,6 @@ def phase_bit_oracle(key: bytes, x: int) -> int:
     return _splitmix_int(sub ^ x) >> 63
 
 
-
 def _tfold_rows(block, t):
     """Row-wise t-fold tensor power of a (B, d) block -> (B, d^t)."""
     out = block
@@ -201,6 +203,34 @@ def exact_subset_phase_moment_oracle(n, m, t) -> DensityOperator:
         acc += rows.T @ rows.conj()
     acc /= math.comb(d, m) * 2**m
     return DensityOperator(n * t, (acc + acc.conj().T) / 2, validate=False)
+
+
+def mc_ensemble_moment_oracle(spec, samples, threads=1, cap=None) -> MomentEstimate:
+    """Monte-Carlo moment accumulated over dense (d^t, d^t) entries, with the
+    same chunks and generators as ``mc_ensemble_moment``."""
+    dim = check_dim(spec.n, spec.t, cap)
+    layout = chunk_layout(samples, max(1, min(DEFAULT_CHUNK, (1 << 22) // dim)))
+
+    def worker(i):
+        idx, _, size = layout[i]
+        rows = _tfold_rows(sample_block(spec, size, spec.seed.generator(idx)), spec.t)
+        a2 = np.abs(rows) ** 2
+        return rows.T @ rows.conj(), a2.T @ a2
+
+    sum1 = np.zeros((dim, dim), dtype=complex)
+    sum2 = np.zeros((dim, dim))
+    for s1, s2 in run_ordered(worker, len(layout), threads):
+        sum1 += s1
+        sum2 += s2
+    mean = sum1 / samples
+    var = np.maximum(sum2 / samples - np.abs(mean) ** 2, 0.0)
+    op = DensityOperator(spec.n * spec.t, (mean + mean.conj().T) / 2, validate=False)
+    return MomentEstimate(op, float(np.sqrt(var.max() / samples)), samples)
+
+
+def trace_distance_oracle(rho, sigma) -> float:
+    """Half the absolute eigenvalue sum of the dense difference."""
+    return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(rho.mat - sigma.mat))))
 
 
 def _copy_indices(n, t):
