@@ -208,13 +208,17 @@ class TestTraceDistanceRoutes:
 
         def spy(a):
             seen.append(a.dtype)
+            shapes.append(a.shape)
             return eigvalsh(a)
 
+        shapes = []
         monkeypatch.setattr(np.linalg, "eigvalsh", spy)
         for rho, sigma in pairs:
             want = 0.5 * np.linalg.norm(rho.mat - sigma.mat, "nuc")
             assert trace_distance(rho, sigma) == pytest.approx(want, abs=TOL)
         assert set(seen) == {np.dtype(np.float64 if real else np.complex128)}
+        # all rows distinct: the dense eigen-problem
+        assert shapes == [(rho.dim, rho.dim) for rho, _ in pairs]
 
     def test_real_route_on_the_moment_pair(self):
         rho = exact_subset_phase_moment(3, 4, 2)
@@ -316,15 +320,6 @@ class TestDistinctRowReduction:
             got = trace_distance(rho, sigma)
         assert got == pytest.approx(trace_distance_oracle(rho, sigma), abs=TOL)
         assert seen == [(16, 16)]  # every row is its own group
-
-    @pytest.mark.parametrize("real", [True, False])
-    def test_all_distinct_rows_are_the_dense_route(self, real):
-        rng = np.random.default_rng(24)
-        rho, sigma = _hermitian_pair(rng, 4, real)
-        with eig_shapes() as seen:
-            got = trace_distance(rho, sigma)
-        assert got == pytest.approx(trace_distance_oracle(rho, sigma), abs=TOL)
-        assert seen == [(16, 16)]
 
     @pytest.mark.parametrize(
         "kind,n,m,t", [("haar", 3, None, 3), ("subset-phase-true-random", 3, 4, 2), ("haar", 2, None, 2)]
