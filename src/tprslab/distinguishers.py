@@ -24,6 +24,7 @@ from .randprims import RngSeed, as_seed
 from .resources import (
     MEASURE_COLLISION_ENT,
     ResourceMeasure,
+    abs2,
     measure_pure_amps,
     pauli_basis,
     pauli_power_sums,
@@ -172,8 +173,8 @@ def make_coherence_distinguisher() -> DistinguisherDescriptor:
         return float(diag[idx * d + idx].sum())
 
     def accept_pure(amps: np.ndarray, n: int):
-        p = np.abs(amps) ** 2
-        return np.sum(p**2, axis=-1)  # a float64 scalar for one vector
+        p = abs2(np.asarray(amps))
+        return np.sum(p * p, axis=-1)  # a float64 scalar for one vector
 
     return DistinguisherDescriptor(
         name="coherence-projector",

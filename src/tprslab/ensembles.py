@@ -166,7 +166,7 @@ class EnsembleSpec:
 
 def build_subset_state(spec: SubsetSpec) -> PureState:
     """|S> = sum_{x in S} |x> / sqrt(|S|)."""
-    amps = np.zeros(2**spec.n, dtype=np.complex128)
+    amps = np.zeros(2**spec.n)
     amps[list(spec.members)] = 1.0 / math.sqrt(spec.m)
     return PureState(spec.n, amps)
 
@@ -175,7 +175,7 @@ def build_subset_phase_state(spec: SubsetSpec, f: PhaseFunction) -> PureState:
     """sum_{x in S} (-1)^{f(x)} |x> / sqrt(|S|)."""
     if f.n != spec.n:
         raise ValidationError("phase function domain width must match the subset")
-    amps = np.zeros(2**spec.n, dtype=np.complex128)
+    amps = np.zeros(2**spec.n)
     signs = 1.0 - 2.0 * f.eval_many(spec.members).astype(float)
     amps[list(spec.members)] = signs / math.sqrt(spec.m)
     return PureState(spec.n, amps)
@@ -203,7 +203,7 @@ def build_permuted_subset_phase_state(n: int, m_exp: int, sigma, f: PhaseFunctio
     if f.n != n:
         raise ValidationError("phase function domain width must match n")
     images = _perm_images(sigma, n, np.arange(2**m_exp) << (n - m_exp))
-    amps = np.zeros(2**n, dtype=np.complex128)
+    amps = np.zeros(2**n)
     np.add.at(amps, images, 1.0 / math.sqrt(2**m_exp) * (1.0 - 2.0 * f.eval_many(images)))
     return PureState(n, amps)
 
@@ -275,6 +275,8 @@ def stabilizer_orbit(n: int) -> tuple[np.ndarray, ...]:
 def sample_block(spec: EnsembleSpec, count: int, rng: np.random.Generator) -> np.ndarray:
     """(count, 2^n) block of amplitude rows drawn from the ensemble using ``rng``.
 
+    The four subset kinds have real amplitudes and return float64 rows; Haar
+    and stabilizer-orbit rows are complex128.
     True-random subsets take the m smallest of 2^n uniforms per row, then m
     sign bits per row for the phase kind. Keyed kinds draw every row's
     KEY_BYTES permutation key, then every row's phase key, as one
@@ -304,7 +306,7 @@ def sample_block(spec: EnsembleSpec, count: int, rng: np.random.Generator) -> np
     values = np.full(members.shape, 1.0 / math.sqrt(spec.m))
     if signs is not None:
         values *= 1.0 - 2.0 * signs
-    amps = np.zeros((count, d), dtype=np.complex128)
+    amps = np.zeros((count, d))
     np.put_along_axis(amps, members, values, axis=1)
     return amps
 
@@ -401,7 +403,8 @@ def mc_ensemble_moment(
     ``linalg.symmetric_basis``, |psi>^{x t} has coordinates
     v[mu] = sqrt(N_mu) prod_i psi[mu_i]. Chunks are seeded by (spec.seed,
     chunk index) and merged in chunk order, so the estimate is reproducible
-    for any thread count.
+    for any thread count. The operator has the rows' dtype: real for the
+    subset kinds.
     """
     basis = symmetric_basis(spec.n, spec.t, cap=cap)
     block_cap = max(1, min(DEFAULT_CHUNK, (1 << 22) // len(basis.index)))
@@ -411,8 +414,6 @@ def mc_ensemble_moment(
     def worker(i: int):
         idx, _, size = layout[i]
         block = sample_block(spec, size, spec.seed.generator(idx))
-        if not block.imag.any():  # subset and subset-phase rows: real products cost a quarter
-            block = block.real
         prod = block[:, basis.types].prod(axis=2)
         # every dense entry of the pair (mu, nu) has squared modulus a2[mu] a2[nu]
         a2 = np.abs(prod) ** 2

@@ -1,12 +1,12 @@
-"""Dense complex linear algebra over qubit Hilbert spaces.
+"""Dense linear algebra over qubit Hilbert spaces.
 
 States and density operators are immutable value objects; all operations are
 pure functions, so everything here is safe to call from concurrent tasks.
-Operators are stored dense. The copy moments are invariant under copy
-permutations, so their exact and Monte-Carlo constructions work in the
-symmetric subspace's type basis (``symmetric_basis``) and gather the dense
-matrix once, and ``trace_distance`` diagonalises only the distinct rows of a
-difference.
+Operators are stored dense, as float64 when real and complex128 otherwise.
+The copy moments are invariant under copy permutations, so their exact and
+Monte-Carlo constructions work in the symmetric subspace's type basis
+(``symmetric_basis``) and gather the dense matrix once, and
+``trace_distance`` diagonalises only the distinct rows of a difference.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ __all__ = [
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=np.complex128, copy=True)
+    out = np.array(a, dtype=np.complex128 if np.iscomplexobj(a) else np.float64, copy=True)
     out.setflags(write=False)
     return out
 
@@ -47,6 +47,7 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 class PureState:
     """Unit-norm amplitude vector of an n-qubit pure state.
 
+    Real amplitudes are stored as float64, complex ones as complex128.
     Basis ordering is big-endian: index x encodes the bit string of x with
     qubit 0 as the most significant bit, matching np.kron composition.
     Equality is identity; compare amplitudes explicitly when needed.
@@ -75,16 +76,12 @@ class PureState:
     def density(self) -> "DensityOperator":
         return DensityOperator(self.n, np.outer(self.amps, self.amps.conj()), validate=False)
 
-    def overlap(self, other: "PureState") -> complex:
-        if other.n != self.n:
-            raise DimensionMismatch("states live on different qubit counts")
-        return complex(np.vdot(other.amps, self.amps))
-
 
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
     """Hermitian, unit-trace, positive-semidefinite matrix on n qubits.
 
+    A real matrix is stored as float64, a complex one as complex128.
     ``validate=False`` skips the eigenvalue check for operators produced by
     invariant-preserving internal operations (tensor products, partial traces,
     convex averages of validated operators); ``validate_full`` re-asserts the
@@ -183,17 +180,18 @@ def partial_trace(rho: DensityOperator, part: PartitionSpec, keep: str) -> Densi
     return DensityOperator(nk, red, validate=False)
 
 
-def _entropy_of_probs(p: np.ndarray) -> float:
-    p = np.real(p)
-    p = p[p > EIG_FLOOR]
-    if p.size == 0:
-        return 0.0
-    return float(-np.sum(p * np.log2(p)))
+def shannon_bits(p: np.ndarray) -> np.ndarray:
+    """Shannon entropy in bits along the last axis; entries at or below
+    EIG_FLOOR contribute 0."""
+    terms = np.zeros_like(p)
+    np.log2(p, out=terms, where=p > EIG_FLOOR)
+    terms *= p
+    return -np.sum(terms, axis=-1)
 
 
 def von_neumann_entropy(rho: DensityOperator) -> float:
     """H(rho) = -Tr(rho log2 rho) in bits; eigenvalues below 1e-12 contribute 0."""
-    return _entropy_of_probs(rho.eigenvalues())
+    return float(shannon_bits(rho.eigenvalues()))
 
 
 def collision_entropy(rho: DensityOperator) -> float:
@@ -238,13 +236,12 @@ def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:
     Only the distinct rows of rho - sigma reach the eigensolver
     (``_distinct_rows``). A moment operator gathered from the symmetric
     subspace repeats each row across its type, so the eigen-problem has the
-    symmetric dimension; with no repeated rows it is the dense one. An
-    exactly real matrix goes to the real symmetric solver.
+    symmetric dimension; with no repeated rows it is the dense one. A real
+    difference goes to the real symmetric solver.
     """
     if rho.dim != sigma.dim:
         raise DimensionMismatch(f"dimensions {rho.dim} and {sigma.dim} differ")
-    reduced = _distinct_rows(rho.mat - sigma.mat)
-    w = np.linalg.eigvalsh(reduced if reduced.imag.any() else reduced.real)
+    w = np.linalg.eigvalsh(_distinct_rows(rho.mat - sigma.mat))
     return float(0.5 * np.sum(np.abs(w)))
 
 

@@ -16,10 +16,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import EIG_FLOOR
 from .errors import DimensionCapExceeded, NoAnalyticForm, ValidationError
 from .ensembles import EnsembleSpec
-from .linalg import DensityOperator, PartitionSpec, PureState, von_neumann_entropy
+from .linalg import DensityOperator, PartitionSpec, PureState, shannon_bits, von_neumann_entropy
 from .randprims import RngSeed, as_seed
 from .sampling import SUB_BLOCK_AMPS, MeanAccumulator, paired_value_means
 
@@ -104,18 +103,9 @@ def _diag_probs(rho: DensityOperator) -> np.ndarray:
     return np.clip(rho.diagonal(), 0.0, None)
 
 
-def _shannon_bits(p: np.ndarray) -> np.ndarray:
-    """Shannon entropy in bits along the last axis; entries at or below
-    EIG_FLOOR contribute 0."""
-    terms = np.zeros_like(p)
-    np.log2(p, out=terms, where=p > EIG_FLOOR)
-    terms *= p
-    return -np.sum(terms, axis=-1)
-
-
 def coherence_relative_entropy(rho: DensityOperator) -> float:
     """C(rho) = H(diag rho) - H(rho), in bits, in [0, n]."""
-    return float(_shannon_bits(_diag_probs(rho))) - von_neumann_entropy(rho)
+    return float(shannon_bits(_diag_probs(rho))) - von_neumann_entropy(rho)
 
 
 def coherence_hs_distance(rho: DensityOperator) -> float:
@@ -124,23 +114,31 @@ def coherence_hs_distance(rho: DensityOperator) -> float:
     return float(1.0 - np.sum(diag**2))
 
 
+def abs2(a: np.ndarray) -> np.ndarray:
+    """|a|^2 elementwise, with no hypot or sqrt: a*a for real a, re^2 + im^2 for complex a."""
+    return a.real * a.real + a.imag * a.imag if np.iscomplexobj(a) else a * a
+
+
+def _reduced_gram(amps: np.ndarray, part: PartitionSpec) -> np.ndarray:
+    """Smaller-side reductions M M^dagger of pure states (..., 2^n), real for real rows."""
+    mat = amps.reshape(amps.shape[:-1] + (2**part.n_a, 2**part.n_b))
+    return mat @ mat.conj().swapaxes(-1, -2)
+
+
 def _schmidt_probs(amps: np.ndarray, part: PartitionSpec) -> np.ndarray:
     """Squared Schmidt coefficients of pure states (..., 2^n) across the
     partition: eigenvalues of the smaller-side Gram matrix, ascending."""
-    mat = amps.reshape(amps.shape[:-1] + (2**part.n_a, 2**part.n_b))
-    return np.linalg.eigvalsh(mat @ mat.conj().swapaxes(-1, -2))
+    return np.linalg.eigvalsh(_reduced_gram(amps, part))
 
 
 def entanglement_entropy(psi: PureState, part: PartitionSpec) -> float:
     """Entropy of either reduction of a pure state across the partition, in bits."""
-    part.check(psi.n)
-    return float(_shannon_bits(_schmidt_probs(psi.amps, part)))
+    return measure_pure_amps(ResourceMeasure(MEASURE_ENTANGLEMENT, partition=part), psi.amps, psi.n)
 
 
 def reduced_purity(psi: PureState, part: PartitionSpec) -> float:
     """Tr(rho_A^2) of the smaller-side reduction."""
-    part.check(psi.n)
-    return float(np.sum(_schmidt_probs(psi.amps, part) ** 2))
+    return measure_pure_amps(ResourceMeasure(MEASURE_COLLISION_ENT, partition=part), psi.amps, psi.n)
 
 
 def collision_entanglement(psi: PureState, part: PartitionSpec) -> float:
@@ -395,14 +393,14 @@ def measure_pure_amps(measure: ResourceMeasure, amps: np.ndarray, n: int):
     the closed-form reference (a direct mean of -log2 purity would not).
     """
     block = np.asarray(amps).reshape(-1, 2**n)
+    measure.check(n)
     if measure.name in (MEASURE_COHERENCE_RE, MEASURE_COHERENCE_HS):
-        p = np.abs(block)
-        p *= p
-        values = _shannon_bits(p) if measure.name == MEASURE_COHERENCE_RE else 1.0 - np.einsum("ij,ij->i", p, p)
-    elif measure.name in (MEASURE_ENTANGLEMENT, MEASURE_COLLISION_ENT):
-        measure.partition.check(n)
-        lam = _schmidt_probs(block, measure.partition)
-        values = _shannon_bits(lam) if measure.name == MEASURE_ENTANGLEMENT else np.sum(lam**2, axis=1)
+        p = abs2(block)
+        values = shannon_bits(p) if measure.name == MEASURE_COHERENCE_RE else 1.0 - np.einsum("ij,ij->i", p, p)
+    elif measure.name == MEASURE_ENTANGLEMENT:
+        values = shannon_bits(_schmidt_probs(block, measure.partition))
+    elif measure.name == MEASURE_COLLISION_ENT:  # Tr(rho_A^2) as the Gram matrix's squared Frobenius norm
+        values = abs2(_reduced_gram(block, measure.partition)).sum(axis=(1, 2))
     elif measure.name == MEASURE_MAGIC:
         values = np.log2(pauli_power_sums(block, n, measure.alpha)) / (1 - measure.alpha)
     else:

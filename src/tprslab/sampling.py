@@ -26,7 +26,8 @@ from .randprims import RngSeed
 __all__ = ["MeanAccumulator", "chunk_layout", "run_ordered", "paired_value_means"]
 
 DEFAULT_CHUNK = 1024
-# Amplitudes per drawn sub-block (128 KiB of complex128). Each worker thread's
+# Amplitudes per drawn sub-block (64 KiB of float64 for the subset kinds, 128 KiB
+# of complex128 for Haar and stabilizer rows). Each worker thread's
 # allocator keeps its sub-block working set: 1 MiB sub-blocks raised a
 # gap-and-sweep run's peak memory by ~10 MB and were no faster.
 SUB_BLOCK_AMPS = 1 << 13

@@ -2,11 +2,14 @@
 
 Every block statistic the sampling engine evaluates must agree row by row,
 to 1e-12, with the single-state library function of the same quantity and
-with the independent oracles in tests/util.py.
+with the independent oracles in tests/util.py. Real rows stay float64 through
+every kernel and agree with their complex128 cast.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tprslab.distinguishers import (
     coherence_projector_prob,
@@ -15,8 +18,16 @@ from tprslab.distinguishers import (
     make_hadamard_distinguisher,
     make_swap_distinguisher,
 )
-from tprslab.ensembles import ENSEMBLE_KINDS, EnsembleSpec, sample_block
-from tprslab.linalg import PartitionSpec, PureState, partial_trace
+from tprslab.ensembles import (
+    ENSEMBLE_KINDS,
+    EnsembleSpec,
+    exact_subset_moment,
+    exact_subset_phase_moment,
+    haar_moment,
+    mc_ensemble_moment,
+    sample_block,
+)
+from tprslab.linalg import DensityOperator, PartitionSpec, PureState, partial_trace
 from tprslab.randprims import RngSeed
 from tprslab.resources import (
     ResourceMeasure,
@@ -125,3 +136,83 @@ def test_single_vector_gives_a_float():
         assert one == measure_pure_amps(measure, psi[None, :], 4)[0]
     assert isinstance(make_coherence_distinguisher().accept_prob_pure(psi, 4), float)
     assert isinstance(make_hadamard_distinguisher(3).accept_prob_pure(psi, 4), float)
+
+
+# ---------------------------------------------------------------------------
+# Dtype contract: real states and operators stay float64, complex ones complex128
+
+REAL, COMPLEX = np.dtype(np.float64), np.dtype(np.complex128)
+
+
+@pytest.mark.parametrize("kind", ENSEMBLE_KINDS)
+def test_sample_block_dtype(kind):
+    assert _block(kind, 3).dtype == (REAL if kind.startswith("subset") else COMPLEX)
+
+
+def test_state_and_operator_keep_the_input_dtype():
+    real = np.full(4, 0.5)
+    assert PureState(2, real).amps.dtype == PureState(2, real).density().mat.dtype == REAL
+    assert PureState(2, real.astype(complex)).amps.dtype == COMPLEX
+    assert DensityOperator(1, np.eye(2, dtype=np.float32) / 2).mat.dtype == REAL
+    assert DensityOperator(1, np.array([[0.5, 0.5j], [-0.5j, 0.5]])).mat.dtype == COMPLEX
+
+
+def test_moment_operator_dtype():
+    for op in (exact_subset_moment(3, 3, 2), exact_subset_phase_moment(3, 4, 2), haar_moment(3, 2)):
+        assert op.mat.dtype == REAL
+    phase = EnsembleSpec("subset-phase-true-random", 3, m=4, t=2, seed=RngSeed(5))
+    assert mc_ensemble_moment(phase, 40).operator.mat.dtype == REAL
+    assert mc_ensemble_moment(EnsembleSpec("haar", 3, t=2, seed=RngSeed(5)), 40).operator.mat.dtype == COMPLEX
+
+
+@pytest.mark.parametrize("kind", ENSEMBLE_KINDS)
+def test_entanglement_gram_dtype(kind, monkeypatch):
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a):
+        seen.append(a.dtype)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    measure_pure_amps(ResourceMeasure("entanglement-entropy", partition=PartitionSpec(1, 2)), _block(kind, 3), 3)
+    assert seen == [REAL if kind.startswith("subset") else COMPLEX]
+
+
+def test_purity_needs_no_eigen_solve(monkeypatch):
+    monkeypatch.setattr(np.linalg, "eigvalsh", None)
+    part = PartitionSpec(2, 2)
+    block = _block("haar", 4)
+    measure_pure_amps(ResourceMeasure("collision-entanglement", partition=part), block, 4)
+    make_swap_distinguisher(part).accept_prob_pure(block, 4)
+    reduced_purity(PureState(4, block[0]), part)
+
+
+def _kernels(n, n_a):
+    """Every block kernel of the sampling engine at n qubits, as (label, fn(block))."""
+    measures = [ResourceMeasure("coherence-re"), ResourceMeasure("coherence-hs")]
+    measures += [ResourceMeasure("stabilizer-renyi", alpha=alpha) for alpha in (2, 3)]
+    dists = [make_coherence_distinguisher(), make_hadamard_distinguisher(3)]
+    if n >= 2:
+        part = PartitionSpec(n_a, n - n_a)
+        measures += [ResourceMeasure(name, partition=part) for name in ("entanglement-entropy", "collision-entanglement")]
+        dists.append(make_swap_distinguisher(part))
+    return [(m.label(), lambda b, m=m: measure_pure_amps(m, b, n)) for m in measures] + [
+        (d.name, lambda b, d=d: d.accept_prob_pure(b, n)) for d in dists
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 5), sparse=st.booleans(), data=st.data())
+def test_real_rows_match_their_complex_cast(n, seed, rows, sparse, data):
+    rng = np.random.default_rng(seed)
+    block = rng.standard_normal((rows, 2**n))
+    if sparse:  # subset-like rows: most amplitudes exactly zero
+        block *= rng.random(block.shape) < 0.3
+        block[:, 0] += 1.0
+    block /= np.linalg.norm(block, axis=1, keepdims=True)
+    n_a = data.draw(st.integers(1, max(1, n // 2)))
+    for name, kernel in _kernels(n, n_a):
+        real, cplx = kernel(block), kernel(block.astype(complex))
+        assert np.asarray(real).dtype == REAL, name
+        np.testing.assert_allclose(real, cplx, rtol=0, atol=TOL, err_msg=name)

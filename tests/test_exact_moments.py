@@ -277,7 +277,7 @@ class TestDistinctRowReduction:
         (rho, sigma), label = _grouped_pair(rng, 4, 5, real)
         x, y = np.flatnonzero(label == label[0])[:2]  # two rows of one group
         mat = rho.mat.copy()
-        mat[x, y] = np.nextafter(mat[x, y].real, np.inf) + 1j * mat[x, y].imag
+        mat.real[x, y] = np.nextafter(mat.real[x, y], np.inf)  # a view of mat for either dtype
         mat[y, x] = np.conj(mat[x, y])
         rho = DensityOperator(4, mat, validate=False)
         with eig_shapes() as seen:
