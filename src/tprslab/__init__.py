@@ -13,6 +13,7 @@ from .linalg import (
     DensityOperator,
     PartitionSpec,
     PureState,
+    SymmetricOperator,
     collision_entropy,
     partial_trace,
     symmetric_projector,

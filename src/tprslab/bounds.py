@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundDegenerate, ParameterOrderViolated, ValidationError
-from .ensembles import EnsembleSpec, exact_moment_block
+from .ensembles import EnsembleSpec, exact_moment_block, haar_moment
 from .growth import Expr, GrowthClass
-from .linalg import PartitionSpec
+from .linalg import PartitionSpec, SymmetricOperator, trace_distance
 from .randprims import RngSeed, as_seed
 from .resources import (
     MEASURE_COHERENCE_RE,
@@ -119,10 +119,8 @@ class DistanceBoundReport:
 
 
 def _exact_lhs(kind: str, n: int, size: int, t: int, cap) -> float:
-    # both moments live on the symmetric subspace, where the Haar moment is I/D
-    block = exact_moment_block(kind, n, size, t, cap=cap)
-    w = np.linalg.eigvalsh(block - np.eye(len(block)) / len(block))
-    return float(0.5 * np.sum(np.abs(w)))
+    moment = SymmetricOperator(n * t, t, exact_moment_block(kind, n, size, t, cap=cap), cap)
+    return trace_distance(moment, haar_moment(n, t, cap))
 
 
 def _ls_slope(xs, ys) -> float | None:

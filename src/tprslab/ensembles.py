@@ -16,10 +16,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import dim_cap
+from .config import check_dim, dim_cap
 from .errors import BadSubsetExponent, EmptySubset, UnsupportedGrowthClass, ValidationError
 from .growth import GrowthClass
-from .linalg import DensityOperator, PureState, symmetric_basis, symmetric_dimension, symmetric_projector
+from .linalg import PureState, SymmetricOperator, symmetric_basis, symmetric_dimension
 from .randprims import KeyedPermutation, PhaseFunction, RngSeed, draw_key_words, sample_haar_block
 from .sampling import DEFAULT_CHUNK, chunk_layout, run_ordered
 
@@ -320,22 +320,13 @@ def sample_state(spec: EnsembleSpec, rng: np.random.Generator) -> np.ndarray:
 # Moment operators
 
 
-@lru_cache(maxsize=2)
-def haar_moment(n: int, t: int, cap: int | None = None) -> DensityOperator:
-    """Average t-copy projector of the Haar ensemble: P_sym / binom(2^n+t-1, t).
-    Cached per (n, t, cap); the matrix is read-only, so callers share it."""
-    proj = symmetric_projector(n, t, cap=cap)
-    return DensityOperator(n * t, proj / symmetric_dimension(n, t), validate=False)
-
-
-def _dense_operator(block: np.ndarray, n: int, t: int, cap: int | None) -> DensityOperator:
-    """Dense operator of a (D, D) type-basis block: entry (x, y) is
-    block[mu, nu] / sqrt(N_mu N_nu), where mu and nu are the types of x and y."""
-    basis = symmetric_basis(n, t, cap=cap)
-    root = np.sqrt(basis.orbit)
-    # one symmetric divisor keeps an exactly Hermitian block exactly Hermitian
-    entries = block / np.outer(root, root)
-    return DensityOperator(n * t, entries[np.ix_(basis.index, basis.index)], validate=False)
+@lru_cache(maxsize=16)  # one per shape the basis cache holds; each is a D x D block
+def haar_moment(n: int, t: int, cap: int | None = None) -> SymmetricOperator:
+    """Average t-copy projector of the Haar ensemble, P_sym / binom(2^n+t-1, t): the
+    SymmetricOperator with block I/D. Cached per (n, t, cap); it is read-only, so callers share it."""
+    check_dim(n, t, cap)
+    size = symmetric_dimension(n, t)
+    return SymmetricOperator(n * t, t, np.eye(size) / size, cap)
 
 
 def exact_moment_block(kind: str, n: int, m: int, t: int, cap: int | None = None) -> np.ndarray:
@@ -374,19 +365,19 @@ def exact_moment_block(kind: str, n: int, m: int, t: int, cap: int | None = None
     return out
 
 
-def exact_subset_moment(n: int, m: int, t: int, cap: int | None = None) -> DensityOperator:
-    """Exact average of |S><S|^{x t} over all size-m subsets."""
-    return _dense_operator(exact_moment_block("subset", n, m, t, cap=cap), n, t, cap)
+def exact_subset_moment(n: int, m: int, t: int, cap: int | None = None) -> SymmetricOperator:
+    """Exact average of |S><S|^{x t} over all size-m subsets, as a real SymmetricOperator."""
+    return SymmetricOperator(n * t, t, exact_moment_block("subset", n, m, t, cap=cap), cap)
 
 
-def exact_subset_phase_moment(n: int, m: int, t: int, cap: int | None = None) -> DensityOperator:
-    """Exact average over all size-m subsets and all 2^m sign patterns."""
-    return _dense_operator(exact_moment_block("subset-phase", n, m, t, cap=cap), n, t, cap)
+def exact_subset_phase_moment(n: int, m: int, t: int, cap: int | None = None) -> SymmetricOperator:
+    """Exact average over all size-m subsets and 2^m sign patterns, as a real SymmetricOperator."""
+    return SymmetricOperator(n * t, t, exact_moment_block("subset-phase", n, m, t, cap=cap), cap)
 
 
 @dataclass(frozen=True)
 class MomentEstimate:
-    operator: DensityOperator
+    operator: SymmetricOperator
     stderr: float
     samples: int
 
@@ -397,14 +388,13 @@ def mc_ensemble_moment(
     threads: int = 1,
     cap: int | None = None,
 ) -> MomentEstimate:
-    """Monte-Carlo mean of the t-copy projector with a max-entry standard error.
+    """Monte-Carlo mean of the t-copy projector, a SymmetricOperator, with a max-entry standard error.
 
     Sums run over (D, D) pairs of types: in the basis of
     ``linalg.symmetric_basis``, |psi>^{x t} has coordinates
     v[mu] = sqrt(N_mu) prod_i psi[mu_i]. Chunks are seeded by (spec.seed,
     chunk index) and merged in chunk order, so the estimate is reproducible
-    for any thread count. The operator has the rows' dtype: real for the
-    subset kinds.
+    for any thread count. The block is real for the subset kinds.
     """
     basis = symmetric_basis(spec.n, spec.t, cap=cap)
     block_cap = max(1, min(DEFAULT_CHUNK, (1 << 22) // len(basis.index)))
@@ -425,7 +415,7 @@ def mc_ensemble_moment(
     mean_sq = sum(s2 for _, s2 in sums) / samples
     var = np.maximum(mean_sq - np.abs(mean) ** 2 / np.outer(basis.orbit, basis.orbit), 0.0)
     stderr = float(np.sqrt(var.max() / samples))
-    op = _dense_operator((mean + mean.conj().T) / 2, spec.n, spec.t, cap)
+    op = SymmetricOperator(spec.n * spec.t, spec.t, (mean + mean.conj().T) / 2, cap)
     return MomentEstimate(op, stderr, samples)
 
 

@@ -2,18 +2,16 @@
 
 States and density operators are immutable value objects; all operations are
 pure functions, so everything here is safe to call from concurrent tasks.
-Operators are stored dense, as float64 when real and complex128 otherwise.
-The copy moments are invariant under copy permutations, so their exact and
-Monte-Carlo constructions work in the symmetric subspace's type basis
-(``symmetric_basis``) and gather the dense matrix once, and
-``trace_distance`` diagonalises only the distinct rows of a difference.
+Operators are stored as float64 when real and complex128 otherwise. Copy
+moments are ``SymmetricOperator`` blocks in the symmetric subspace's type basis
+(``symmetric_basis``), gathered dense only on request.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -24,6 +22,7 @@ from .errors import DimensionMismatch, PartitionMismatch, ValidationError
 __all__ = [
     "PureState",
     "DensityOperator",
+    "SymmetricOperator",
     "PartitionSpec",
     "tensor_power",
     "partial_trace",
@@ -41,6 +40,26 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=np.complex128 if np.iscomplexobj(a) else np.float64, copy=True)
     out.setflags(write=False)
     return out
+
+
+def _hermitian_unit_trace(a: np.ndarray, size: int) -> np.ndarray:
+    """Read-only copy of a, checked to be a (size, size) Hermitian matrix of trace 1."""
+    mat = _readonly(np.asarray(a))
+    if mat.shape != (size, size):
+        raise ValidationError(f"matrix shape {mat.shape}, expected ({size}, {size})")
+    herm = float(np.max(np.abs(mat - mat.conj().T)))
+    if herm > HERM_TOL:
+        raise ValidationError(f"Hermiticity violation {herm} beyond {HERM_TOL}")
+    tr = complex(np.trace(mat))
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise ValidationError(f"trace {tr} deviates from 1 beyond {TRACE_TOL}")
+    return mat
+
+
+def _check_psd(mat: np.ndarray) -> None:
+    lo = float(np.linalg.eigvalsh(mat)[0])
+    if lo < -PSD_TOL:
+        raise ValidationError(f"minimum eigenvalue {lo} below -{PSD_TOL}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,21 +114,10 @@ class DensityOperator:
     def __post_init__(self):
         if self.n < 1:
             raise ValidationError("qubit count must be >= 1")
-        mat = _readonly(np.asarray(self.mat))
-        d = 2**self.n
-        if mat.shape != (d, d):
-            raise ValidationError(f"matrix shape {mat.shape}, expected ({d}, {d})")
-        herm = float(np.max(np.abs(mat - mat.conj().T)))
-        if herm > HERM_TOL:
-            raise ValidationError(f"Hermiticity violation {herm} beyond {HERM_TOL}")
-        tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValidationError(f"trace {tr} deviates from 1 beyond {TRACE_TOL}")
+        mat = _hermitian_unit_trace(self.mat, 2**self.n)
         object.__setattr__(self, "mat", mat)
         if self.validate:
-            lo = float(np.linalg.eigvalsh(mat)[0])
-            if lo < -PSD_TOL:
-                raise ValidationError(f"minimum eigenvalue {lo} below -{PSD_TOL}")
+            _check_psd(mat)
 
     @property
     def dim(self) -> int:
@@ -129,6 +137,43 @@ class DensityOperator:
 
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.mat)
+
+
+@dataclass(frozen=True, eq=False)
+class SymmetricOperator:
+    """Hermitian, unit-trace operator on the symmetric subspace of t copies of n / t
+    qubits, held as its (D, D) ``block`` in the basis of ``symmetric_basis(n // t, t)``,
+    float64 when real. ``n`` and ``dim`` = 2^n are the dense space's, as for
+    ``DensityOperator``; ``mat``, the dense gather, is built under ``cap`` when first read, then cached read-only."""
+
+    n: int
+    t: int
+    block: np.ndarray
+    cap: int | None = None
+
+    def __post_init__(self):
+        if self.t < 1 or self.n < self.t or self.n % self.t:
+            raise ValidationError("n must be a positive multiple of t")
+        object.__setattr__(self, "block", _hermitian_unit_trace(self.block, symmetric_dimension(self.n // self.t, self.t)))
+
+    @property
+    def dim(self) -> int:
+        return 2**self.n
+
+    @cached_property
+    def mat(self) -> np.ndarray:
+        """Entry (x, y) is block[mu, nu] / sqrt(N_mu N_nu), mu and nu the types of x and y."""
+        basis = symmetric_basis(self.n // self.t, self.t, cap=self.cap)
+        root = np.sqrt(basis.orbit)
+        # one symmetric divisor keeps an exactly Hermitian block exactly Hermitian
+        mat = (self.block / np.outer(root, root))[np.ix_(basis.index, basis.index)]
+        mat.setflags(write=False)
+        return mat
+
+    def validate_full(self) -> "SymmetricOperator":
+        """Check positivity on the block, the dense spectrum's nonzero part; returns self."""
+        _check_psd(self.block)
+        return self
 
 
 @dataclass(frozen=True)
@@ -199,49 +244,15 @@ def collision_entropy(rho: DensityOperator) -> float:
     return float(-np.log2(rho.purity()))
 
 
-def _distinct_rows(mat: np.ndarray) -> np.ndarray:
-    """(G, G) matrix S^1/2 C S^1/2 with the nonzero spectrum of a square
-    complex matrix mat = Q C Q^T, where Q is the (dim, G) indicator of mat's
-    groups of bit-equal rows, S their sizes and C mat's entries between the
-    groups' first rows, in order of first occurrence.
-
-    Rows are grouped by an exact integer hash of their bits: the 32-bit words
-    times fixed odd 64-bit weights, summed with wraparound. Rows that differ
-    in one word never collide, nor do rows that differ in the signs of two
-    entries (with 64-bit words the sign bits' terms would cancel). The
-    grouping is kept only if mat[x, y] is bit-equal to mat[first(x),
-    first(y)] for every x and y, so that rows and columns both repeat, and C
-    is exactly Hermitian, so that the spectrum is the one eigvalsh finds for
-    mat from one triangle. Otherwise every row is its own group and mat
-    itself is returned.
-    """
-    words = mat.view(np.uint32)
-    weights = np.arange(1, 2 * words.shape[1], 2, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    hashes = np.einsum("ij,j->i", words, weights)
-    _, first, inverse, sizes = np.unique(hashes, return_index=True, return_inverse=True, return_counts=True)
-    rep = first[inverse]
-    order = np.argsort(first)
-    first, sizes = first[order], sizes[order]
-    reduced = mat[np.ix_(first, first)]
-    exact = np.array_equal(mat[np.ix_(rep, rep)].view(np.uint32), words)
-    if not (exact and np.array_equal(reduced, reduced.conj().T)):
-        return mat
-    root = np.sqrt(sizes)
-    return reduced * root[:, None] * root
-
-
-def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:
-    """Half the absolute eigenvalue sum of rho - sigma.
-
-    Only the distinct rows of rho - sigma reach the eigensolver
-    (``_distinct_rows``). A moment operator gathered from the symmetric
-    subspace repeats each row across its type, so the eigen-problem has the
-    symmetric dimension; with no repeated rows it is the dense one. A real
-    difference goes to the real symmetric solver.
-    """
+def trace_distance(rho: DensityOperator | SymmetricOperator, sigma: DensityOperator | SymmetricOperator) -> float:
+    """Half the absolute eigenvalue sum of rho - sigma. Two ``SymmetricOperator``s on one
+    subspace differ by an operator on it, whose nonzero spectrum is their block
+    difference's: a D x D eigen-problem. Any other pair takes the dense one. A real
+    difference goes to the real symmetric solver."""
     if rho.dim != sigma.dim:
         raise DimensionMismatch(f"dimensions {rho.dim} and {sigma.dim} differ")
-    w = np.linalg.eigvalsh(_distinct_rows(rho.mat - sigma.mat))
+    blocks = isinstance(rho, SymmetricOperator) and isinstance(sigma, SymmetricOperator) and rho.t == sigma.t
+    w = np.linalg.eigvalsh(rho.block - sigma.block if blocks else rho.mat - sigma.mat)
     return float(0.5 * np.sum(np.abs(w)))
 
 

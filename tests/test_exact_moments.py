@@ -1,6 +1,7 @@
 """Closed-form exact moments on the symmetric subspace against enumeration,
-and the trace distance's distinct-row reduction and real and complex routes
-against dense eigvalsh."""
+the type-basis SymmetricOperator against its dense gather, and the trace
+distance's block and dense routes against the nuclear norm and dense
+eigvalsh."""
 
 import math
 from contextlib import contextmanager
@@ -8,9 +9,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tprslab import linalg
 from tprslab.bounds import _exact_lhs, verify_distance_bound
 from tprslab.config import HERM_TOL
 from tprslab.ensembles import (
@@ -22,7 +24,14 @@ from tprslab.ensembles import (
     mc_ensemble_moment,
 )
 from tprslab.errors import DimensionCapExceeded, ValidationError
-from tprslab.linalg import DensityOperator, symmetric_basis, symmetric_dimension, symmetric_projector, trace_distance
+from tprslab.linalg import (
+    DensityOperator,
+    SymmetricOperator,
+    symmetric_basis,
+    symmetric_dimension,
+    symmetric_projector,
+    trace_distance,
+)
 from tprslab.randprims import RngSeed
 
 from .util import (
@@ -225,6 +234,16 @@ class TestTraceDistanceRoutes:
         want = 0.5 * np.linalg.norm(rho.mat - haar_moment(3, 2).mat, "nuc")
         assert trace_distance(rho, haar_moment(3, 2)) == pytest.approx(want, abs=TOL)
 
+    @pytest.mark.parametrize(
+        "kind,n,m,t", [("haar", 3, None, 3), ("subset-phase-true-random", 3, 4, 2), ("haar", 2, None, 2)]
+    )
+    def test_mc_moment_against_haar_moment(self, kind, n, m, t):
+        est = mc_ensemble_moment(EnsembleSpec(kind, n, m=m, t=t, seed=RngSeed(5)), 600)
+        with eig_shapes() as seen:
+            got = trace_distance(est.operator, haar_moment(n, t))
+        assert got == pytest.approx(trace_distance_oracle(est.operator, haar_moment(n, t)), abs=TOL)
+        assert seen == [(symmetric_dimension(n, t),) * 2]
+
 
 @contextmanager
 def eig_shapes():
@@ -240,93 +259,112 @@ def eig_shapes():
         yield seen
 
 
-def _grouped_pair(rng, n, groups, real):
-    """rho = Q A Q^T and sigma = Q B Q^T for random density matrices A, B on
-    ``groups`` groups and a random assignment of the 2^n rows to them (every
-    group nonempty), both exactly Hermitian; returns the pair and the
-    assignment."""
-    dim = 2**n
-    label = rng.permutation(np.concatenate([np.arange(groups), rng.integers(groups, size=dim - groups)]))
-    mats = []
-    for _ in range(2):
-        g = rng.standard_normal((groups, groups))
-        if not real:
-            g = g + 1j * rng.standard_normal((groups, groups))
-        a = g @ g.conj().T
-        dense = ((a + a.conj().T) / 2)[np.ix_(label, label)]
-        mats.append(DensityOperator(n, dense / np.trace(dense).real, validate=False))
-    return mats, label
+def _fresh_pairs():
+    """Symmetric pairs, none of whose dense matrices has been gathered."""
+    haar = haar_moment.__wrapped__  # uncached, so no earlier test gathered it
+    mc = mc_ensemble_moment(EnsembleSpec("subset-keyed", 2, m=3, t=3, seed=RngSeed(9)), 400).operator
+    mc_haar = mc_ensemble_moment(EnsembleSpec("haar", 3, t=2, seed=RngSeed(10)), 400).operator
+    return [
+        (exact_subset_phase_moment(3, 4, 2), haar(3, 2)),
+        (exact_subset_moment(2, 3, 3), exact_subset_phase_moment(2, 2, 3)),
+        (mc, haar(2, 3)),
+        (mc_haar, exact_subset_moment(3, 5, 2)),
+    ]
 
 
-class TestDistinctRowReduction:
-    @settings(max_examples=60, deadline=None)
-    @given(n=st.integers(1, 5), real=st.booleans(), seed=st.integers(0, 2**32 - 1), groups=st.integers(1, 32))
-    # the two groups' rows differ in the signs of two entries: a 64-bit-word hash collides
-    @example(n=2, real=False, seed=3858, groups=2)
-    def test_grouped_pairs_match_dense_eigvalsh(self, n, real, seed, groups):
-        groups = min(groups, 2**n)
-        (rho, sigma), _ = _grouped_pair(np.random.default_rng(seed), n, groups, real)
+class TestSymmetricOperator:
+    @pytest.mark.parametrize("n,t", [(1, 1), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3)])
+    def test_haar_mat_matches_permutation_sum(self, n, t):
+        # the exact and Monte-Carlo moments' .mat are checked against their
+        # enumeration oracles in _check_against_oracle and in
+        # test_ensembles.TestMonteCarloMomentAgainstDenseOracle
+        op = haar_moment(n, t)
+        want = symmetric_projector_oracle(n, t) / symmetric_dimension(n, t)
+        assert op.n == n * t and op.dim == 2 ** (n * t)
+        assert op.mat.dtype == np.float64
+        assert np.max(np.abs(op.mat - want)) <= TOL
+
+    def test_symmetric_pairs_match_nuclear_norm_without_gathering(self, monkeypatch):
+        pairs = _fresh_pairs()
+
+        def no_dense(self):
+            raise AssertionError("DensityOperator built on the block route")
+
+        monkeypatch.setattr(DensityOperator, "__post_init__", no_dense)
+        got = []
+        for rho, sigma in pairs:
+            with eig_shapes() as seen:
+                got.append(trace_distance(rho, sigma))
+            assert seen == [(len(rho.block),) * 2]
+            assert "mat" not in vars(rho) and "mat" not in vars(sigma)
+        monkeypatch.undo()
+        for (rho, sigma), value in zip(pairs, got):
+            assert value == pytest.approx(0.5 * np.linalg.norm(rho.mat - sigma.mat, "nuc"), abs=TOL)
+
+    def test_mixed_pairs_take_the_dense_route(self):
+        for rho, sigma in _fresh_pairs():
+            dense = DensityOperator(sigma.n, sigma.mat)
+            want = 0.5 * np.linalg.norm(rho.mat - sigma.mat, "nuc")
+            for pair in ((rho, dense), (dense, rho)):
+                with eig_shapes() as seen:
+                    assert trace_distance(*pair) == pytest.approx(want, abs=TOL)
+                assert seen == [(rho.dim, rho.dim)]
+
+    def test_different_subspaces_of_one_dimension_take_the_dense_route(self):
+        # 2 copies of 3 qubits and 3 copies of 2 qubits share 2^6 dense dimensions
+        rho, sigma = exact_subset_moment(3, 2, 2), exact_subset_phase_moment(2, 2, 3)
+        assert rho.dim == sigma.dim and len(rho.block) != len(sigma.block)
         with eig_shapes() as seen:
             got = trace_distance(rho, sigma)
-        assert got == pytest.approx(trace_distance_oracle(rho, sigma), abs=TOL)
-        assert seen == [(groups, groups)]
-
-    @pytest.mark.parametrize("real", [True, False])
-    def test_rows_one_ulp_apart_are_not_merged(self, real):
-        rng = np.random.default_rng(21)
-        (rho, sigma), label = _grouped_pair(rng, 4, 5, real)
-        x, y = np.flatnonzero(label == label[0])[:2]  # two rows of one group
-        mat = rho.mat.copy()
-        mat.real[x, y] = np.nextafter(mat.real[x, y], np.inf)  # a view of mat for either dtype
-        mat[y, x] = np.conj(mat[x, y])
-        rho = DensityOperator(4, mat, validate=False)
-        with eig_shapes() as seen:
-            got = trace_distance(rho, sigma)
-        assert got == pytest.approx(trace_distance_oracle(rho, sigma), abs=TOL)
-        assert seen == [(7, 7)]  # x and y leave their group; its other rows stay
-
-    def test_negative_zero_rows_are_not_merged(self):
-        rng = np.random.default_rng(22)
-        (rho, sigma), label = _grouped_pair(rng, 3, 3, True)
-        y = np.flatnonzero(label == label[0])[1]
-        z = int(np.flatnonzero(label != label[0])[0])
-        mats = []
-        for op in (rho, sigma):
-            mat = op.mat.copy()
-            mat[label == label[0], z] = mat[z, label == label[0]] = 0.0
-            mats.append(mat)
-        mats[0][y, z] = mats[0][z, y] = -0.0  # -0.0 - 0.0 = -0.0 in the difference
-        rho, sigma = (DensityOperator(3, m / np.trace(m).real, validate=False) for m in mats)
-        with eig_shapes() as seen:
-            got = trace_distance(rho, sigma)
-        assert got == pytest.approx(trace_distance_oracle(rho, sigma), abs=TOL)
-        assert seen[0][0] > 3  # the -0.0 rows and columns split their groups
-
-    @pytest.mark.parametrize("repeat", ["rows and columns", "rows", "none"])
-    def test_inputs_hermitian_only_within_tolerance(self, repeat):
-        rng = np.random.default_rng(23)
-        (rho, sigma), label = _grouped_pair(rng, 4, 5, False)
-        # a perturbation whose rows (and columns) repeat keeps the grouping
-        # of rho's rows, but not the Hermitian reduced matrix
-        e = {
-            "rows and columns": lambda: rng.uniform(-1, 1, (5, 5))[np.ix_(label, label)],
-            "rows": lambda: rng.uniform(-1, 1, (5, 16))[label],
-            "none": lambda: rng.uniform(-1, 1, (16, 16)),
-        }[repeat]()
-        mat = rho.mat + 0.4 * HERM_TOL * e
-        rho = DensityOperator(4, mat / np.trace(mat).real)
-        assert np.max(np.abs(rho.mat - rho.mat.conj().T)) > 0
-        with eig_shapes() as seen:
-            got = trace_distance(rho, sigma)
-        assert got == pytest.approx(trace_distance_oracle(rho, sigma), abs=TOL)
-        assert seen == [(16, 16)]  # every row is its own group
+        assert seen == [(64, 64)]
+        assert got == pytest.approx(0.5 * np.linalg.norm(rho.mat - sigma.mat, "nuc"), abs=TOL)
 
     @pytest.mark.parametrize(
-        "kind,n,m,t", [("haar", 3, None, 3), ("subset-phase-true-random", 3, 4, 2), ("haar", 2, None, 2)]
+        "n,t,block",
+        [
+            (2, 2, np.array([[0.5, 0.1, 0], [0, 0.25, 0], [0, 0, 0.25]])),  # not Hermitian
+            (2, 2, 2 * np.eye(3) / 3),  # trace 2
+            (2, 2, np.eye(4) / 4),  # D = 3
+            (4, 2, np.eye(16) / 16),  # the dense shape, not (10, 10)
+            (3, 2, np.eye(3) / 3),  # n not a multiple of t
+            (0, 2, np.eye(1)),
+            (2, 0, np.eye(1)),
+        ],
     )
-    def test_mc_moment_against_haar_moment(self, kind, n, m, t):
-        est = mc_ensemble_moment(EnsembleSpec(kind, n, m=m, t=t, seed=RngSeed(5)), 600)
-        with eig_shapes() as seen:
-            got = trace_distance(est.operator, haar_moment(n, t))
-        assert got == pytest.approx(trace_distance_oracle(est.operator, haar_moment(n, t)), abs=TOL)
-        assert seen == [(symmetric_dimension(n, t),) * 2]
+    def test_invalid_blocks(self, n, t, block):
+        with pytest.raises(ValidationError):
+            SymmetricOperator(n, t, block)
+
+    def test_hermitian_within_tolerance_is_accepted(self):
+        block = np.eye(3, dtype=complex) / 3
+        block[0, 1] = 0.4 * HERM_TOL * 1j
+        assert SymmetricOperator(2, 2, block).block.dtype == np.complex128
+
+    def test_validate_full_checks_positivity_on_the_block(self):
+        block = np.diag([0.75, 0.5, -0.25])
+        op = SymmetricOperator(2, 2, block)  # construction checks no spectrum
+        with pytest.raises(ValidationError, match="minimum eigenvalue"):
+            op.validate_full()
+        ok = exact_subset_moment(2, 3, 2)
+        assert ok.validate_full() is ok
+
+    def test_read_only_and_gathered_once(self, monkeypatch):
+        source = exact_moment_block("subset", 2, 2, 2)
+        op = SymmetricOperator(4, 2, source)
+        source[0, 0] = 7.0  # the operator holds its own copy
+        assert op.block[0, 0] != 7.0
+        with pytest.raises(ValueError):
+            op.block[0, 0] = 0.0
+        calls = []
+        basis = linalg.symmetric_basis
+        monkeypatch.setattr(linalg, "symmetric_basis", lambda *a, **k: calls.append(a) or basis(*a, **k))
+        mat = op.mat
+        assert op.mat is mat and len(calls) == 1
+        with pytest.raises(ValueError):
+            mat[0, 0] = 0.0
+
+    def test_gather_keeps_the_dimension_cap(self):
+        op = SymmetricOperator(8, 4, np.eye(35) / 35, cap=64)
+        with pytest.raises(DimensionCapExceeded):
+            op.mat
+        assert op.dim == 256 and "mat" not in vars(op)

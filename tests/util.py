@@ -10,7 +10,7 @@ import numpy as np
 from tprslab.bounds import BoundCheckReport
 from tprslab.config import check_dim
 from tprslab.ensembles import MomentEstimate, sample_block
-from tprslab.linalg import DensityOperator, PureState
+from tprslab.linalg import DensityOperator, PureState, SymmetricOperator
 from tprslab.resources import pauli_basis
 from tprslab.sampling import DEFAULT_CHUNK, chunk_layout, run_ordered
 
@@ -269,7 +269,7 @@ def coherence_projector_operator(n):
 
 def operator_to_json(op) -> list:
     """Nested [re, im] pairs."""
-    mat = op.mat if isinstance(op, DensityOperator) else np.asarray(op)
+    mat = op.mat if isinstance(op, (DensityOperator, SymmetricOperator)) else np.asarray(op)
     return [[[float(e.real), float(e.imag)] for e in row] for row in mat]
 
 
