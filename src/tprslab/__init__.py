@@ -14,10 +14,7 @@ from .linalg import (
     PartitionSpec,
     PureState,
     SymmetricOperator,
-    collision_entropy,
-    partial_trace,
     symmetric_projector,
-    tensor_power,
     trace_distance,
     von_neumann_entropy,
 )
@@ -27,7 +24,6 @@ from .ensembles import (
     SubsetSpec,
     advise_copies,
     advise_subset_size,
-    build_permuted_subset_phase_state,
     build_subset_phase_state,
     build_subset_state,
     exact_subset_moment,
@@ -40,7 +36,6 @@ from .distinguishers import (
     estimate_advantage,
     hadamard_test_prob,
     hybrid_experiment,
-    pauli_projector,
     swap_test_prob,
 )
 from .growth import GrowthClass, check_closure, check_repetition_consistency, is_negligible, table_lower_bound

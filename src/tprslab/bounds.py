@@ -40,7 +40,6 @@ __all__ = [
     "coherence_bound_check",
     "entanglement_bound_check",
     "magic_bound_check",
-    "gap_upper_bound",
     "empirical_prop_check",
     "PropCheckReport",
     "BoundCheckReport",
@@ -277,11 +276,6 @@ def magic_bound_check(tau: "Expr | float", eta: "Expr | float", alpha: int, n: i
     return float(-(np.log2(e) + 2.0 ** (-(alpha - 1) * tau_v) / e) / (alpha - 1))
 
 
-def gap_upper_bound(e_high_expected: float, low_bound: float) -> float:
-    """Resource-gap upper bound: high-ensemble expectation minus the low bound."""
-    return e_high_expected - low_bound
-
-
 # ---------------------------------------------------------------------------
 # Empirical pipeline checks
 
@@ -336,7 +330,6 @@ def empirical_prop_check(
     seed: RngSeed | int = 0,
     part: PartitionSpec | None = None,
     alpha: int = 3,
-    threads: int = 1,
 ) -> PropCheckReport:
     """Run the check's own distinguisher, plug the measured advantage into
     the bound evaluator, and verify the measured low-ensemble resource clears it.
@@ -359,7 +352,6 @@ def empirical_prop_check(
         as_seed(seed),
         samples,
         (accept, accept, measure.statistic),
-        threads=threads,
         sources=(e_high, e_low, e_low),
     )
     eta_hat = abs(acc_low.mean - acc_high.mean)

@@ -2,9 +2,10 @@
 
 Subcommands: build, distance, gap, sweep, hybrid, negl-check, advise,
 prop-check. Reports are CSV rows or a JSON document; identical config + seed
-gives byte-identical CSV regardless of --threads (JSON differs only in the
-wall_time_s field). Exit codes: 0 success, 2 validation, 3 resource
-limit, 4 bound-check failure.
+gives byte-identical CSV (JSON differs only in the wall_time_s field).
+--threads is accepted and ignored: Monte-Carlo chunks run in index order in
+one thread, and BLAS may use every core. Exit codes: 0 success, 2
+validation, 3 resource limit, 4 bound-check failure.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .config import DEFAULT_BUDGET_CONSTANT, DEFAULT_KAPPA, dim_cap
+from .config import DEFAULT_BUDGET_CONSTANT, DEFAULT_KAPPA, check_domain, dim_cap
 from .errors import DimensionCapExceeded, DomainCapExceeded, TprsError, ValidationError
 from .bounds import empirical_prop_check, verify_distance_bound
 from .distinguishers import hybrid_experiment
@@ -169,7 +170,7 @@ def _cmd_build(resolved: dict) -> tuple[list[str], list[dict], int]:
         if n < 1 or not 1 <= resolved["m"] <= 2**n:
             raise ValidationError("need n >= 1 and 1 <= m <= 2^n")
         rng = seed.generator(0)
-        members = rng.choice(2**n, size=resolved["m"], replace=False)
+        members = rng.choice(check_domain(n), size=resolved["m"], replace=False)
         spec = SubsetSpec(n, tuple(int(x) for x in members))
     if kind == "subset":
         state = build_subset_state(spec)
@@ -241,7 +242,7 @@ def _cmd_gap(resolved: dict) -> tuple[list[str], list[dict], int]:
     measure = _parse_measure(resolved["measure"], n, resolved.get("partition"), resolved["alpha"])
     e1 = _parse_ensemble(resolved["e1"], n, t, seed)
     e2 = _parse_ensemble(resolved["e2"], n, t, seed)
-    rep = estimate_gap(measure, e1, e2, resolved["samples"], seed=RngSeed(seed), threads=resolved["threads"])
+    rep = estimate_gap(measure, e1, e2, resolved["samples"], seed=RngSeed(seed))
     table_bound = None
     if resolved.get("T"):
         try:
@@ -285,7 +286,7 @@ _SWEEP_MEASURE_KEY = {
 MAX_MEASURED_N = 12
 
 
-def _sweep_measured(measure: ResourceMeasure, T: GrowthClass, n: int, seed: int, samples: int, threads: int):
+def _sweep_measured(measure: ResourceMeasure, T: GrowthClass, n: int, seed: int, samples: int):
     """Mean measured resource of the advised low ensemble, when computable."""
     if n > MAX_MEASURED_N:
         return None, None
@@ -295,7 +296,7 @@ def _sweep_measured(measure: ResourceMeasure, T: GrowthClass, n: int, seed: int,
     if advice.m < 1:
         return None, None
     spec = EnsembleSpec("subset-phase-true-random", n, m=advice.m, t=1, seed=RngSeed(seed))
-    (acc,) = paired_value_means(RngSeed(seed), samples, (measure.statistic,), threads=threads, sources=(spec,))
+    (acc,) = paired_value_means(RngSeed(seed), samples, (measure.statistic,), sources=(spec,))
     return aggregate_measure(measure, acc)
 
 
@@ -321,7 +322,7 @@ def _cmd_sweep(resolved: dict) -> tuple[list[str], list[dict], int]:
             measure_n_guard(measure, n)
             measured = se = None
             try:
-                measured, se = _sweep_measured(measure, T, n, resolved["seed"], samples, resolved["threads"])
+                measured, se = _sweep_measured(measure, T, n, resolved["seed"], samples)
             except TprsError:
                 measured = se = None
             ref = haar_expected(measure.name, n, part=measure.partition, alpha=measure.alpha)
@@ -364,7 +365,6 @@ def _cmd_hybrid(resolved: dict) -> tuple[list[str], list[dict], int]:
         seed=RngSeed(resolved["seed"]),
         samples=resolved["samples"],
         names=names,
-        threads=resolved["threads"],
     )
     rows = []
     for leg in rep.legs:
@@ -441,7 +441,7 @@ def _cmd_prop_check(resolved: dict) -> tuple[list[str], list[dict], int]:
     part = _parse_partition(resolved.get("partition"), n) if resolved.get("partition") else None
     rep = empirical_prop_check(
         resolved["prop"], e_high, e_low, T, resolved["samples"],
-        seed=RngSeed(seed), part=part, alpha=resolved["alpha"], threads=resolved["threads"],
+        seed=RngSeed(seed), part=part, alpha=resolved["alpha"],
     )
     row = {
         "prop": rep.prop,
@@ -471,7 +471,10 @@ def _build_parser() -> argparse.ArgumentParser:
     # before the subcommand name; flags are accepted in either position
     shared.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     shared.add_argument("--samples", type=int, default=argparse.SUPPRESS)
-    shared.add_argument("--threads", type=int, default=argparse.SUPPRESS)
+    shared.add_argument(
+        "--threads", type=int, default=argparse.SUPPRESS,
+        help="accepted and ignored: chunks run in index order in one thread",
+    )
     shared.add_argument("--out", default=argparse.SUPPRESS)
     shared.add_argument("--format", choices=("csv", "json"), default=argparse.SUPPRESS)
     shared.add_argument("--config", default=argparse.SUPPRESS, help="JSON config file; flags override")

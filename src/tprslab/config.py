@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import os
 
-from .errors import DimensionCapExceeded, ValidationError
+from .errors import DimensionCapExceeded, DomainCapExceeded, ValidationError
 
 ENV_DIM_CAP = "TPRS_DIM_CAP"
 
 DEFAULT_DIM_CAP = 4096          # largest dense operator dimension (2^(n t))
-DEFAULT_TABLE_CAP = 2**20       # explicit permutation table cap
+DEFAULT_TABLE_CAP = 2**20       # cap on 2^n: a permutation table or a state vector
 DEFAULT_BUDGET_CONSTANT = 10.0  # c in the runtime-budget test cost <= c * T(n)
 DEFAULT_KAPPA = 1.0             # rendering constant for asymptotic table entries
 
@@ -47,3 +47,12 @@ def check_dim(n: int, t: int, cap: int | None = None) -> int:
     if dim > limit:
         raise DimensionCapExceeded(f"2^({n}*{t}) exceeds dimension cap {limit}")
     return dim
+
+
+def check_domain(n: int, cap: int = DEFAULT_TABLE_CAP) -> int:
+    """Size 2^n of the n-bit domain that a permutation table or a state vector
+    spans; raises DomainCapExceeded above the cap. Call it before allocating."""
+    size = 2**n
+    if size > cap:
+        raise DomainCapExceeded(f"2^{n} exceeds table cap {cap}")
+    return size

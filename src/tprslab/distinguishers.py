@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
-from .config import DEFAULT_BUDGET_CONSTANT, check_dim
+from .config import DEFAULT_BUDGET_CONSTANT
 from .errors import CopyMismatch, ValidationError
 from .ensembles import EnsembleSpec
 from .growth import GrowthClass
@@ -26,7 +25,6 @@ from .resources import (
     ResourceMeasure,
     abs2,
     measure_pure_amps,
-    pauli_basis,
     pauli_power_sums,
     pauli_power_trace,
 )
@@ -36,11 +34,7 @@ __all__ = [
     "DistinguisherDescriptor",
     "AdvantageReport",
     "swap_test_prob",
-    "coherence_projector_prob",
-    "swap_on_a_operator",
-    "pauli_projector",
     "hadamard_test_prob",
-    "hadamard_test_prob_projector",
     "make_swap_distinguisher",
     "make_coherence_distinguisher",
     "make_hadamard_distinguisher",
@@ -55,50 +49,6 @@ def swap_test_prob(rho: DensityOperator) -> float:
     return 0.5 * (1.0 + rho.purity())
 
 
-def coherence_projector_prob(rho: DensityOperator) -> float:
-    """Acceptance of the basis-pairing projector on two copies: sum_x <x|rho|x>^2."""
-    diag = np.real(np.diag(rho.mat))
-    return float(np.sum(diag**2))
-
-
-def swap_on_a_operator(n: int, part: PartitionSpec) -> np.ndarray:
-    """Operator swapping the A factors of two n-qubit copies."""
-    part.check(n)
-    da, db = 2**part.n_a, 2**part.n_b
-    d = da * db
-    dim = d * d
-    op = np.zeros((dim, dim))
-    cols = np.arange(dim)
-    a1, b1 = (cols // d) // db, (cols // d) % db
-    a2, b2 = (cols % d) // db, (cols % d) % db
-    rows = ((a2 * db + b1) * d) + (a1 * db + b2)
-    op[rows, cols] = 1.0
-    return op
-
-
-@lru_cache(maxsize=16)
-def _pauli_projector_cached(n: int, alpha: int) -> np.ndarray:
-    d = 2**n
-    dim = d ** (2 * alpha)
-    acc = np.zeros((dim, dim), dtype=np.complex128)
-    for pauli in pauli_basis(n):
-        term = np.array([[1.0 + 0j]])
-        for _ in range(2 * alpha):
-            term = np.kron(term, pauli)
-        acc += term
-    acc /= d
-    acc.setflags(write=False)
-    return acc
-
-
-def pauli_projector(n: int, alpha: int, cap: int | None = None) -> np.ndarray:
-    """Pauli-replica operator: average of P^{x 2 alpha} over all 4^n Paulis."""
-    if alpha < 3 or alpha % 2 == 0:
-        raise ValidationError("alpha must be an odd integer >= 3")
-    check_dim(n, 2 * alpha, cap)
-    return _pauli_projector_cached(n, alpha)
-
-
 def hadamard_test_prob(rho, alpha: int) -> float:
     """Acceptance of the 2*alpha-copy replica test: (1 + power trace) / 2.
 
@@ -110,15 +60,6 @@ def hadamard_test_prob(rho, alpha: int) -> float:
     return 0.5 * (1.0 + pauli_power_trace(rho, alpha))
 
 
-def hadamard_test_prob_projector(rho: DensityOperator, alpha: int, cap: int | None = None) -> float:
-    """Cross-validation route via the dense replica operator."""
-    proj = pauli_projector(rho.n, alpha, cap=cap)
-    copies = rho.mat
-    for _ in range(2 * alpha - 1):
-        copies = np.kron(copies, rho.mat)
-    return 0.5 * (1.0 + float(np.einsum("ij,ji->", proj, copies).real))
-
-
 # ---------------------------------------------------------------------------
 # Distinguisher descriptors
 
@@ -127,27 +68,19 @@ def hadamard_test_prob_projector(rho: DensityOperator, alpha: int, cap: int | No
 class DistinguisherDescriptor:
     """A budgeted t-copy acceptance test.
 
-    ``accept_prob`` consumes the t-copy density operator (the contractual
-    surface); ``accept_prob_pure(amps, n)`` is the equivalent fast path on
-    single-copy amplitudes used by the estimators and cross-checked in tests:
-    a float for one (2^n,) vector, one value per row for a (rows, 2^n) block.
+    ``accept_prob_pure(amps, n)`` is its acceptance probability on t copies of
+    a pure state, read from single-copy amplitudes: a float for one (2^n,)
+    vector, one value per row for a (rows, 2^n) block.
     """
 
     name: str
     copies_required: int
     declared_cost: Callable[[int, int], float]
-    accept_prob: Callable[[DensityOperator], float]
     accept_prob_pure: Callable[[np.ndarray, int], float]
 
 
 def make_swap_distinguisher(part: PartitionSpec) -> DistinguisherDescriptor:
     """SWAP test on the A-side reductions of two copies."""
-
-    def accept(omega: DensityOperator) -> float:
-        n = omega.n // 2
-        op = swap_on_a_operator(n, part)
-        return 0.5 * (1.0 + float(np.einsum("ij,ji->", op, omega.mat).real))
-
     purity = ResourceMeasure(MEASURE_COLLISION_ENT, partition=part)
 
     def accept_pure(amps: np.ndarray, n: int):
@@ -157,20 +90,12 @@ def make_swap_distinguisher(part: PartitionSpec) -> DistinguisherDescriptor:
         name=f"swap[{part.n_a}:{part.n_b}]",
         copies_required=2,
         declared_cost=lambda n, t: float(n + 1),
-        accept_prob=accept,
         accept_prob_pure=accept_pure,
     )
 
 
 def make_coherence_distinguisher() -> DistinguisherDescriptor:
     """Basis-pairing projector test on two copies."""
-
-    def accept(omega: DensityOperator) -> float:
-        n = omega.n // 2
-        d = 2**n
-        diag = np.real(np.diag(omega.mat))
-        idx = np.arange(d)
-        return float(diag[idx * d + idx].sum())
 
     def accept_pure(amps: np.ndarray, n: int):
         p = abs2(np.asarray(amps))
@@ -180,7 +105,6 @@ def make_coherence_distinguisher() -> DistinguisherDescriptor:
         name="coherence-projector",
         copies_required=2,
         declared_cost=lambda n, t: float(2 * n + 1),
-        accept_prob=accept,
         accept_prob_pure=accept_pure,
     )
 
@@ -190,11 +114,6 @@ def make_hadamard_distinguisher(alpha: int) -> DistinguisherDescriptor:
     if alpha < 3 or alpha % 2 == 0:
         raise ValidationError("alpha must be an odd integer >= 3")
 
-    def accept(omega: DensityOperator) -> float:
-        n = omega.n // (2 * alpha)
-        proj = pauli_projector(n, alpha)
-        return 0.5 * (1.0 + float(np.einsum("ij,ji->", proj, omega.mat).real))
-
     def accept_pure(amps: np.ndarray, n: int):
         values = 0.5 * (1.0 + pauli_power_sums(amps, n, alpha))
         return float(values[0]) if np.ndim(amps) == 1 else values
@@ -203,7 +122,6 @@ def make_hadamard_distinguisher(alpha: int) -> DistinguisherDescriptor:
         name=f"hadamard(alpha={alpha})",
         copies_required=2 * alpha,
         declared_cost=lambda n, t: float(2 * alpha * (n + 1)),
-        accept_prob=accept,
         accept_prob_pure=accept_pure,
     )
 
@@ -215,26 +133,6 @@ def registry(n: int, alpha: int = 3) -> dict[str, DistinguisherDescriptor]:
         out["swap"] = make_swap_distinguisher(PartitionSpec(1, n - 1))
     out["hadamard"] = make_hadamard_distinguisher(alpha)
     return out
-
-
-def budget_ratio_sweep(
-    dist: DistinguisherDescriptor,
-    T: GrowthClass,
-    n_values,
-    budget_constant: float = DEFAULT_BUDGET_CONSTANT,
-) -> tuple[tuple[int, float, float, float], ...]:
-    """(n, declared cost, c * T(n), ratio) across sizes.
-
-    An asymptotic runtime condition cannot be decided at one size, so the
-    ratio trajectory is recorded instead of a single verdict; a bounded ratio
-    across the sweep is the finite-size evidence.
-    """
-    rows = []
-    for n in n_values:
-        cost = dist.declared_cost(n, dist.copies_required)
-        allowance = budget_constant * T.eval(n)
-        rows.append((int(n), float(cost), float(allowance), float(cost / allowance)))
-    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +187,6 @@ def estimate_advantage(
     samples: int,
     T: GrowthClass,
     seed: RngSeed | int = 0,
-    threads: int = 1,
     budget_constant: float = DEFAULT_BUDGET_CONSTANT,
 ) -> AdvantageReport:
     """Monte-Carlo advantage |E_1[accept] - E_2[accept]| with paired generators."""
@@ -300,7 +197,7 @@ def estimate_advantage(
             f"{dist.name} needs t={dist.copies_required}, got {e1.t} and {e2.t}"
         )
     accept = dist.accept_prob_pure
-    acc1, acc2 = paired_value_means(as_seed(seed), samples, (accept, accept), threads=threads, sources=(e1, e2))
+    acc1, acc2 = paired_value_means(as_seed(seed), samples, (accept, accept), sources=(e1, e2))
     return _advantage_report(dist, acc1, acc2, e1.n, T, budget_constant)
 
 
@@ -332,7 +229,6 @@ def hybrid_experiment(
     T: GrowthClass | None = None,
     distinguishers: tuple[DistinguisherDescriptor, ...] | None = None,
     names: "tuple[str, ...] | None" = None,
-    threads: int = 1,
 ) -> HybridReport:
     """Pairwise advantages along keyed -> true-random -> Haar.
 
@@ -369,7 +265,6 @@ def hybrid_experiment(
         as_seed(seed),
         samples,
         tuple(dist.accept_prob_pure for dist in distinguishers for _ in specs),
-        threads=threads,
         sources=tuple(specs.values()) * len(distinguishers),
     )
     pairs = (

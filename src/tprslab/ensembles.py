@@ -16,12 +16,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import check_dim, dim_cap
+from .config import check_dim, check_domain, dim_cap
 from .errors import BadSubsetExponent, EmptySubset, UnsupportedGrowthClass, ValidationError
 from .growth import GrowthClass
 from .linalg import PureState, SymmetricOperator, symmetric_basis, symmetric_dimension
 from .randprims import KeyedPermutation, PhaseFunction, RngSeed, draw_key_words, sample_haar_block
-from .sampling import DEFAULT_CHUNK, chunk_layout, run_ordered
+from .sampling import DEFAULT_CHUNK, chunk_layout
 
 __all__ = [
     "SubsetSpec",
@@ -29,7 +29,6 @@ __all__ = [
     "ENSEMBLE_KINDS",
     "build_subset_state",
     "build_subset_phase_state",
-    "build_permuted_subset_phase_state",
     "stabilizer_orbit",
     "sample_state",
     "sample_block",
@@ -76,6 +75,7 @@ class SubsetSpec:
     def __post_init__(self):
         if self.n < 1:
             raise ValidationError("qubit count must be >= 1")
+        check_domain(self.n)
         if len(self.members) == 0:
             raise EmptySubset("subset needs at least one member")
         members = tuple(int(x) for x in self.members)
@@ -118,6 +118,7 @@ class EnsembleSpec:
             raise ValidationError(f"unknown ensemble kind {self.kind!r}")
         if self.n < 1:
             raise ValidationError("qubit count must be >= 1")
+        check_domain(self.n)
         if self.t < 1:
             raise ValidationError("copy count must be >= 1")
         if self.kind in _SUBSET_KINDS:
@@ -179,33 +180,6 @@ def build_subset_phase_state(spec: SubsetSpec, f: PhaseFunction) -> PureState:
     signs = 1.0 - 2.0 * f.eval_many(spec.members).astype(float)
     amps[list(spec.members)] = signs / math.sqrt(spec.m)
     return PureState(spec.n, amps)
-
-
-def _perm_images(sigma, n: int, xs: np.ndarray) -> np.ndarray:
-    if isinstance(sigma, KeyedPermutation):
-        if sigma.n != n:
-            raise ValidationError("permutation width must match n")
-        return sigma.apply_many(xs)
-    table = np.asarray(sigma, dtype=np.int64)
-    if table.shape != (2**n,):
-        raise ValidationError("permutation table must have 2^n entries")
-    return table[xs]
-
-
-def build_permuted_subset_phase_state(n: int, m_exp: int, sigma, f: PhaseFunction) -> PureState:
-    """Phase state on the sigma-image of the 2^{m_exp} zero-padded prefixes.
-
-    sigma permutes whole n-bit strings; prefix x occupies the most significant
-    bits, so the preimage set is {x << (n - m_exp)}.
-    """
-    if not (0 <= m_exp <= n):
-        raise BadSubsetExponent(f"m_exp {m_exp} outside 0..{n}")
-    if f.n != n:
-        raise ValidationError("phase function domain width must match n")
-    images = _perm_images(sigma, n, np.arange(2**m_exp) << (n - m_exp))
-    amps = np.zeros(2**n)
-    np.add.at(amps, images, 1.0 / math.sqrt(2**m_exp) * (1.0 - 2.0 * f.eval_many(images)))
-    return PureState(n, amps)
 
 
 _CLIFFORD_KEY_DECIMALS = 8
@@ -382,38 +356,30 @@ class MomentEstimate:
     samples: int
 
 
-def mc_ensemble_moment(
-    spec: EnsembleSpec,
-    samples: int,
-    threads: int = 1,
-    cap: int | None = None,
-) -> MomentEstimate:
+def mc_ensemble_moment(spec: EnsembleSpec, samples: int, cap: int | None = None) -> MomentEstimate:
     """Monte-Carlo mean of the t-copy projector, a SymmetricOperator, with a max-entry standard error.
 
     Sums run over (D, D) pairs of types: in the basis of
     ``linalg.symmetric_basis``, |psi>^{x t} has coordinates
-    v[mu] = sqrt(N_mu) prod_i psi[mu_i]. Chunks are seeded by (spec.seed,
-    chunk index) and merged in chunk order, so the estimate is reproducible
-    for any thread count. The block is real for the subset kinds.
+    v[mu] = sqrt(N_mu) prod_i psi[mu_i]. Chunk c draws from a generator seeded
+    by (spec.seed, c); chunks run in index order and add their two D x D sums
+    into running totals, so the estimate depends only on (spec, samples). The
+    block is real for the subset kinds.
     """
     basis = symmetric_basis(spec.n, spec.t, cap=cap)
     block_cap = max(1, min(DEFAULT_CHUNK, (1 << 22) // len(basis.index)))
-    layout = chunk_layout(samples, block_cap)
     root = np.sqrt(basis.orbit)
-
-    def worker(i: int):
-        idx, _, size = layout[i]
+    total = total_sq = 0.0  # a zero start turns a -0.0 sum into 0.0
+    for idx, _, size in chunk_layout(samples, block_cap):
         block = sample_block(spec, size, spec.seed.generator(idx))
         prod = block[:, basis.types].prod(axis=2)
         # every dense entry of the pair (mu, nu) has squared modulus a2[mu] a2[nu]
         a2 = np.abs(prod) ** 2
         v = prod * root
-        return v.T @ v.conj(), a2.T @ a2
-
-    sums = run_ordered(worker, len(layout), threads)  # summed in chunk order
-    mean = sum(s1 for s1, _ in sums) / samples
-    mean_sq = sum(s2 for _, s2 in sums) / samples
-    var = np.maximum(mean_sq - np.abs(mean) ** 2 / np.outer(basis.orbit, basis.orbit), 0.0)
+        total += v.T @ v.conj()
+        total_sq += a2.T @ a2
+    mean = total / samples
+    var = np.maximum(total_sq / samples - np.abs(mean) ** 2 / np.outer(basis.orbit, basis.orbit), 0.0)
     stderr = float(np.sqrt(var.max() / samples))
     op = SymmetricOperator(spec.n * spec.t, spec.t, (mean + mean.conj().T) / 2, cap)
     return MomentEstimate(op, stderr, samples)

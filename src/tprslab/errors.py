@@ -26,7 +26,7 @@ class DomainOverflow(TprsError):
 
 
 class DomainCapExceeded(TprsError):
-    """An explicit permutation table would exceed the table-size cap."""
+    """An explicit permutation table or a 2^n state vector would exceed the table-size cap."""
 
 
 class EmptySubset(TprsError):

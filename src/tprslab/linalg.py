@@ -1,10 +1,10 @@
 """Dense linear algebra over qubit Hilbert spaces.
 
-States and density operators are immutable value objects; all operations are
-pure functions, so everything here is safe to call from concurrent tasks.
-Operators are stored as float64 when real and complex128 otherwise. Copy
-moments are ``SymmetricOperator`` blocks in the symmetric subspace's type basis
-(``symmetric_basis``), gathered dense only on request.
+States and density operators are immutable value objects, and every
+operation is a pure function. Operators are stored as float64 when real and
+complex128 otherwise. Copy moments are ``SymmetricOperator`` blocks in the
+symmetric subspace's type basis (``symmetric_basis``), gathered dense only on
+request.
 """
 
 from __future__ import annotations
@@ -24,10 +24,7 @@ __all__ = [
     "DensityOperator",
     "SymmetricOperator",
     "PartitionSpec",
-    "tensor_power",
-    "partial_trace",
     "von_neumann_entropy",
-    "collision_entropy",
     "trace_distance",
     "SymmetricBasis",
     "symmetric_basis",
@@ -102,7 +99,7 @@ class DensityOperator:
 
     A real matrix is stored as float64, a complex one as complex128.
     ``validate=False`` skips the eigenvalue check for operators produced by
-    invariant-preserving internal operations (tensor products, partial traces,
+    invariant-preserving operations (the outer product of a unit vector,
     convex averages of validated operators); ``validate_full`` re-asserts the
     complete invariant set on demand. Equality is identity.
     """
@@ -198,33 +195,6 @@ class PartitionSpec:
             raise PartitionMismatch(f"partition {self.n_a}:{self.n_b} does not cover {n} qubits")
 
 
-def tensor_power(rho: DensityOperator, t: int, cap: int | None = None) -> DensityOperator:
-    """t-fold tensor product of a density operator with itself."""
-    if t < 1:
-        raise ValidationError("t must be >= 1")
-    check_dim(rho.n, t, cap)
-    out = rho.mat
-    for _ in range(t - 1):
-        out = np.kron(out, rho.mat)
-    return DensityOperator(rho.n * t, out, validate=False)
-
-
-def partial_trace(rho: DensityOperator, part: PartitionSpec, keep: str) -> DensityOperator:
-    """Reduce onto subsystem ``keep`` ("A" first n_a qubits, "B" the rest)."""
-    part.check(rho.n)
-    if keep not in ("A", "B"):
-        raise ValidationError("keep must be 'A' or 'B'")
-    da, db = 2**part.n_a, 2**part.n_b
-    blocks = rho.mat.reshape(da, db, da, db)
-    if keep == "A":
-        red = np.einsum("ibjb->ij", blocks)
-        nk = part.n_a
-    else:
-        red = np.einsum("aiaj->ij", blocks)
-        nk = part.n_b
-    return DensityOperator(nk, red, validate=False)
-
-
 def shannon_bits(p: np.ndarray) -> np.ndarray:
     """Shannon entropy in bits along the last axis; entries at or below
     EIG_FLOOR contribute 0."""
@@ -237,11 +207,6 @@ def shannon_bits(p: np.ndarray) -> np.ndarray:
 def von_neumann_entropy(rho: DensityOperator) -> float:
     """H(rho) = -Tr(rho log2 rho) in bits; eigenvalues below 1e-12 contribute 0."""
     return float(shannon_bits(rho.eigenvalues()))
-
-
-def collision_entropy(rho: DensityOperator) -> float:
-    """Renyi-2 entropy -log2 Tr(rho^2) in bits."""
-    return float(-np.log2(rho.purity()))
 
 
 def trace_distance(rho: DensityOperator | SymmetricOperator, sigma: DensityOperator | SymmetricOperator) -> float:

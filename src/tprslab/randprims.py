@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT_TABLE_CAP
-from .errors import DomainCapExceeded, DomainOverflow, ValidationError
+from .config import DEFAULT_TABLE_CAP, check_domain
+from .errors import DomainOverflow, ValidationError
 from .linalg import PureState
 
 __all__ = [
@@ -251,9 +251,7 @@ def sample_true_permutation(
     n: int, seed: "RngSeed | int | np.random.Generator", cap: int = DEFAULT_TABLE_CAP
 ) -> np.ndarray:
     """Uniform (Fisher-Yates) permutation of {0,1}^n as an explicit table."""
-    if 2**n > cap:
-        raise DomainCapExceeded(f"2^{n} exceeds table cap {cap}")
-    return as_generator(seed).permutation(2**n)
+    return as_generator(seed).permutation(check_domain(n, cap))
 
 
 def sample_haar_state(n: int, seed: "RngSeed | int | np.random.Generator") -> PureState:

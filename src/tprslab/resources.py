@@ -439,7 +439,6 @@ def estimate_gap(
     e_low: EnsembleSpec,
     samples: int,
     seed: RngSeed | int = 0,
-    threads: int = 1,
 ) -> GapReport:
     """Monte-Carlo resource gap with paired generators.
 
@@ -452,7 +451,7 @@ def estimate_gap(
         raise ValidationError("ensembles must share the qubit count")
     measure.check(e_high.n)
     acc_high, acc_low = paired_value_means(
-        as_seed(seed), samples, (measure.statistic, measure.statistic), threads=threads, sources=(e_high, e_low)
+        as_seed(seed), samples, (measure.statistic, measure.statistic), sources=(e_high, e_low)
     )
     mean_h, se_h = aggregate_measure(measure, acc_high)
     mean_l, se_l = aggregate_measure(measure, acc_low)

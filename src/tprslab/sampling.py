@@ -8,14 +8,13 @@ sub-block. Sources sharing an ensemble seed get identically seeded
 generators, so identical specs draw identical rows (common random numbers: a
 same-spec, same-seed gap is exactly 0) while distinct ensemble seeds
 decorrelate.
-Per-chunk means and squared deviations merge in chunk order, so an estimate
-depends only on (seed, samples) and is byte-identical for any thread count.
+Chunks run one after another, in index order, in the calling thread; their
+means and squared deviations merge in that order, so an estimate depends only
+on (seed, samples). The batched kernels leave BLAS free to use every core.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,12 +22,11 @@ import numpy as np
 from .errors import ValidationError
 from .randprims import RngSeed
 
-__all__ = ["MeanAccumulator", "chunk_layout", "run_ordered", "paired_value_means"]
+__all__ = ["MeanAccumulator", "chunk_layout", "paired_value_means"]
 
 DEFAULT_CHUNK = 1024
 # Amplitudes per drawn sub-block (64 KiB of float64 for the subset kinds, 128 KiB
-# of complex128 for Haar and stabilizer rows). Each worker thread's
-# allocator keeps its sub-block working set: 1 MiB sub-blocks raised a
+# of complex128 for Haar and stabilizer rows). 1 MiB sub-blocks raised a
 # gap-and-sweep run's peak memory by ~10 MB and were no faster.
 SUB_BLOCK_AMPS = 1 << 13
 
@@ -38,18 +36,6 @@ def chunk_layout(samples: int, chunk: int = DEFAULT_CHUNK) -> list[tuple[int, in
     if samples < 1:
         raise ValidationError("samples must be >= 1")
     return [(idx, start, min(chunk, samples - start)) for idx, start in enumerate(range(0, samples, chunk))]
-
-
-def run_ordered(worker, count: int, threads: int = 1) -> list:
-    """Evaluate worker(0..count-1), merged in index order regardless of threads.
-
-    The pool never has more workers than tasks or usable cores.
-    """
-    workers = min(threads, count, os.cpu_count() or 1)
-    if workers <= 1:
-        return [worker(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, range(count)))
 
 
 @dataclass
@@ -90,7 +76,6 @@ def paired_value_means(
     seed: RngSeed,
     samples: int,
     value_fns,
-    threads: int = 1,
     chunk: int = DEFAULT_CHUNK,
     *,
     sources,
@@ -105,13 +90,11 @@ def paired_value_means(
     n_streams = len(value_fns)
     if len(sources) != n_streams:
         raise ValidationError("one source per value stream required")
-    layout = chunk_layout(samples, chunk)
     groups: dict[tuple, list[int]] = {}
     for k, spec in enumerate(sources):
         groups.setdefault(spec, []).append(k)
-
-    def worker(i: int) -> list[MeanAccumulator]:
-        idx, _, size = layout[i]
+    totals = [MeanAccumulator() for _ in range(n_streams)]
+    for idx, _, size in chunk_layout(samples, chunk):
         values = np.empty((n_streams, size))
         for spec, streams in groups.items():
             rng = seed.generator(idx, spec.seed.seed)
@@ -120,10 +103,6 @@ def paired_value_means(
                 block = sample_block(spec, min(rows, size - lo), rng)
                 for k in streams:
                     values[k, lo : lo + len(block)] = value_fns[k](block, spec.n)
-        return [MeanAccumulator.of(v) for v in values]
-
-    totals = [MeanAccumulator() for _ in range(n_streams)]
-    for accs in run_ordered(worker, len(layout), threads):
-        for total, acc in zip(totals, accs):
-            total.merge(acc)
+        for total, v in zip(totals, values):
+            total.merge(MeanAccumulator.of(v))
     return totals

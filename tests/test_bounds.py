@@ -7,7 +7,6 @@ from tprslab.bounds import (
     coherence_bound_check,
     empirical_prop_check,
     entanglement_bound_check,
-    gap_upper_bound,
     magic_bound_check,
     subset_distance_argmin,
     subset_distance_bound,
@@ -96,9 +95,6 @@ class TestBoundEvaluators:
         vals = [coherence_bound_check(Const(6.0), Const(e), 8) for e in etas]
         assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
         assert vals[0] == pytest.approx(6.0, abs=1e-3)
-
-    def test_gap_upper_bound(self):
-        assert gap_upper_bound(5.0, 3.2) == pytest.approx(1.8)
 
     def test_bound_check_report_consistency(self):
         from tprslab.bounds import BoundCheckReport

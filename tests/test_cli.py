@@ -281,6 +281,18 @@ class TestConfigHandling:
         assert code == 0
         assert out.splitlines()[1].startswith("log,16,16,")
 
+    def test_threads_config_is_accepted_and_changes_nothing(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"threads": 4}))
+        code, out, _ = run(["--config", str(cfg), "--print-config"], capsys)
+        assert code == 0 and json.loads(out)["threads"] == 4
+        argv = ["--samples", "600", "--seed", "4", "gap", "--measure", "coherence-re", "--n", "4",
+                "--e1", "haar", "--e2", "subset-phase-keyed:m=4"]
+        f1, f2 = tmp_path / "with.csv", tmp_path / "without.csv"
+        assert main(["--config", str(cfg), "--out", str(f1)] + argv) == 0
+        assert main(["--out", str(f2)] + argv) == 0
+        assert f1.read_bytes() == f2.read_bytes()
+
     def test_unknown_ensemble_kind(self, capsys):
         code, _, err = run(
             ["gap", "--measure", "coherence-re", "--n", "2", "--e1", "haar", "--e2", "nope"], capsys
@@ -411,6 +423,25 @@ def _distance_argv(draw):
     if draw(st.booleans()):
         values.append(values[0])  # a duplicate size
     return ["distance", "--kind", kind, "--n", str(n), "--t", str(t), flag, ",".join(map(str, values))]
+
+
+class TestStateVectorCap:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gap", "--measure", "coherence-re", "--n", "40", "--e1", "haar", "--e2", "haar"],
+            ["hybrid", "--n", "40", "--m", "4"],
+            ["prop-check", "--prop", "7", "--n", "40", "--T", "log", "--e1", "haar", "--e2", "haar"],
+            ["build", "--kind", "subset", "--n", "40", "--m", "2"],
+            ["build", "--kind", "subset", "--n", "63", "--m", "2"],
+            ["build", "--kind", "subset-phase", "--n", "64", "--m", "2"],
+            ["build", "--kind", "subset", "--members", "0" * 21],
+        ],
+    )
+    def test_beyond_the_table_cap_exits_3(self, argv, capsys):
+        code, _, err = run(["--samples", "4"] + argv, capsys)
+        assert code == 3
+        assert err.startswith("resource limit: 2^") and "Traceback" not in err
 
 
 class TestDistanceRobustness:

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -6,20 +7,16 @@ import pytest
 from tprslab.distinguishers import (
     estimate_advantage,
     hadamard_test_prob,
-    hadamard_test_prob_projector,
     hybrid_experiment,
-    coherence_projector_prob,
     make_coherence_distinguisher,
     make_hadamard_distinguisher,
     make_swap_distinguisher,
-    pauli_projector,
-    swap_on_a_operator,
     swap_test_prob,
 )
 from tprslab.ensembles import EnsembleSpec
-from tprslab.errors import CopyMismatch, DimensionCapExceeded, ValidationError
+from tprslab.errors import CopyMismatch
 from tprslab.growth import GrowthClass
-from tprslab.linalg import PartitionSpec, tensor_power
+from tprslab.linalg import PartitionSpec
 from tprslab.randprims import RngSeed
 from tprslab.resources import stabilizer_renyi_entropy
 from tprslab.bounds import verify_distance_bound
@@ -29,12 +26,16 @@ from .util import (
     PLUS,
     TKET,
     coherence_projector_operator,
+    coherence_projector_prob,
     dm,
     kron_all,
     pauli_power_sum,
+    pauli_replica_operator,
     pure,
     random_density,
     random_pure,
+    replica_test_prob_oracle,
+    swap_on_a_operator,
 )
 
 LOG = GrowthClass.parse("log")
@@ -60,23 +61,21 @@ class TestSwapTest:
         dist = make_swap_distinguisher(part)
         for _ in range(10):
             psi = random_pure(2, rng)
-            omega = tensor_power(psi.density(), 2)
-            via_op = dist.accept_prob(omega)
+            omega = np.kron(psi.density().mat, psi.density().mat)
+            via_op = 0.5 * (1.0 + float(np.einsum("ij,ji->", swap_on_a_operator(2, part), omega).real))
             via_pure = dist.accept_prob_pure(psi.amps, 2)
             assert via_op == pytest.approx(via_pure, abs=1e-10)
 
 
 class TestCoherenceProjector:
     def test_basis_state(self):
-        assert coherence_projector_prob(pure(kron_all(KET0, KET0)).density()) == pytest.approx(1.0)
+        accept = make_coherence_distinguisher().accept_prob_pure
+        assert accept(kron_all(KET0, KET0), 2) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_plus_state(self, n):
         amps = kron_all(*([PLUS] * n)) if n > 1 else PLUS
-        assert coherence_projector_prob(pure(amps).density()) == pytest.approx(2.0**-n)
-
-    def test_maximally_mixed(self):
-        assert coherence_projector_prob(dm(np.eye(4) / 4)) == pytest.approx(0.25)
+        assert make_coherence_distinguisher().accept_prob_pure(amps, n) == pytest.approx(2.0**-n)
 
     def test_complements_hs_distance(self):
         from tprslab.resources import coherence_hs_distance
@@ -94,47 +93,31 @@ class TestCoherenceProjector:
         op = coherence_projector_operator(2)
         for _ in range(10):
             rho = random_density(2, rng)
-            omega = tensor_power(rho, 2)
-            want = float(np.einsum("ij,ji->", op, omega.mat).real)
-            assert dist.accept_prob(omega) == pytest.approx(want, abs=1e-12)
+            want = float(np.einsum("ij,ji->", op, np.kron(rho.mat, rho.mat)).real)
             assert coherence_projector_prob(rho) == pytest.approx(want, abs=1e-12)
+            psi = random_pure(2, rng)
+            want = float(np.einsum("ij,ji->", op, np.kron(psi.density().mat, psi.density().mat)).real)
+            assert dist.accept_prob_pure(psi.amps, 2) == pytest.approx(want, abs=1e-12)
 
     def test_swap_operator_is_permutation(self):
         op = swap_on_a_operator(2, PartitionSpec(1, 1))
         assert np.allclose(op @ op, np.eye(16))
 
 
-class TestPauliProjector:
-    def test_hermitian(self):
-        proj = pauli_projector(1, 3)
-        assert np.max(np.abs(proj - proj.conj().T)) < 1e-12
-
+class TestPauliReplicaOperator:
     def test_stabilizer_state_trace_one(self):
-        proj = pauli_projector(1, 3)
-        omega = tensor_power(pure(KET0).density(), 6, cap=64)
-        assert np.einsum("ij,ji->", proj, omega.mat).real == pytest.approx(1.0, abs=1e-10)
-
-    def test_eigenvalue_range(self):
-        w = np.linalg.eigvalsh(pauli_projector(1, 3))
-        assert w.min() >= -2 - 1e-9 and w.max() <= 2 + 1e-9
+        omega = functools.reduce(np.kron, [pure(KET0).density().mat] * 6)
+        assert np.einsum("ij,ji->", pauli_replica_operator(1, 3), omega).real == pytest.approx(1.0, abs=1e-10)
 
     def test_consistent_with_magic(self):
         rng = np.random.default_rng(5)
-        proj = pauli_projector(1, 3)
+        proj = pauli_replica_operator(1, 3)
         for _ in range(10):
             psi = random_pure(1, rng)
-            omega = tensor_power(psi.density(), 6, cap=64)
-            tr = float(np.einsum("ij,ji->", proj, omega.mat).real)
+            omega = functools.reduce(np.kron, [psi.density().mat] * 6)
+            tr = float(np.einsum("ij,ji->", proj, omega).real)
             m3 = stabilizer_renyi_entropy(psi, 3)
             assert tr == pytest.approx(2.0 ** ((1 - 3) * m3), abs=1e-9)
-
-    def test_cap(self):
-        with pytest.raises(DimensionCapExceeded):
-            pauli_projector(2, 3, cap=64)
-
-    def test_alpha_validation(self):
-        with pytest.raises(ValidationError):
-            pauli_projector(1, 4)
 
 
 class TestHadamardTest:
@@ -159,7 +142,7 @@ class TestHadamardTest:
         for _ in range(5):
             psi = random_pure(1, rng)
             a = hadamard_test_prob(psi, 3)
-            b = hadamard_test_prob_projector(psi.density(), 3)
+            b = replica_test_prob_oracle(psi.density(), 3)
             assert a == pytest.approx(b, abs=1e-10)
 
     def test_identity_with_magic(self):
@@ -270,17 +253,3 @@ class TestDescriptorInvariants:
         costs = [dist.declared_cost(n, 6) for n in range(1, 8)]
         assert all(a < b for a, b in zip(costs, costs[1:]))
         assert all(c > 0 for c in costs)
-
-    def test_budget_ratio_sweep(self):
-        from tprslab.distinguishers import budget_ratio_sweep
-
-        dist = make_coherence_distinguisher()
-        rows = budget_ratio_sweep(dist, GrowthClass.parse("linear"), [4, 8, 16, 64])
-        # linear-cost test under a linear budget: the ratio stays bounded
-        ratios = [r[3] for r in rows]
-        assert all(r <= 1.0 for r in ratios)
-        assert rows[0][0] == 4 and rows[-1][0] == 64
-        # under a log budget the same test's ratio grows without bound
-        rows_log = budget_ratio_sweep(dist, GrowthClass.parse("log"), [4, 8, 16, 64])
-        log_ratios = [r[3] for r in rows_log]
-        assert all(a < b for a, b in zip(log_ratios, log_ratios[1:]))

@@ -12,7 +12,6 @@ from tprslab.ensembles import (
     SubsetSpec,
     advise_copies,
     advise_subset_size,
-    build_permuted_subset_phase_state,
     build_subset_phase_state,
     build_subset_state,
     exact_subset_moment,
@@ -23,7 +22,7 @@ from tprslab.ensembles import (
     sample_state,
     stabilizer_orbit,
 )
-from tprslab.errors import BadSubsetExponent, EmptySubset, ValidationError
+from tprslab.errors import BadSubsetExponent, DomainCapExceeded, EmptySubset, ValidationError
 from tprslab.growth import GrowthClass
 from tprslab.randprims import KEY_BYTES, KeyedPermutation, PhaseFunction, RngSeed
 
@@ -88,29 +87,15 @@ class TestBuilders:
         assert abs(np.linalg.norm(s.amps) - 1) < 1e-12
 
 
-class TestPermutedBuilder:
-    def test_identity_full_width(self):
-        s = build_permuted_subset_phase_state(2, 2, np.arange(4), PhaseFunction.zero(2))
-        assert np.allclose(s.amps, kron_all(PLUS, PLUS))
-
-    def test_identity_prefix(self):
-        s = build_permuted_subset_phase_state(2, 1, np.arange(4), PhaseFunction.zero(2))
-        # prefixes 0,1 pad to strings 00 and 10
-        assert np.allclose(s.amps, np.array([1, 0, 1, 0]) / np.sqrt(2))
-
-    def test_support_size(self):
-        rng = RngSeed(5).generator()
-        perm = KeyedPermutation.from_rng(4, rng)
-        f = PhaseFunction.keyed_from_rng(4, rng)
-        s = build_permuted_subset_phase_state(4, 2, perm, f)
-        assert np.count_nonzero(np.abs(s.amps) > 1e-12) == 4
-
-    def test_bad_exponent(self):
-        with pytest.raises(BadSubsetExponent):
-            build_permuted_subset_phase_state(2, 3, np.arange(4), PhaseFunction.zero(2))
-
-
 class TestEnsembleSpec:
+    def test_state_vector_cap(self):
+        assert EnsembleSpec("haar", 20).dim == 2**20  # at the cap
+        SubsetSpec(20, (2**20 - 1,))
+        with pytest.raises(DomainCapExceeded):
+            EnsembleSpec("haar", 21)
+        with pytest.raises(DomainCapExceeded):
+            SubsetSpec(21, (0,))
+
     def test_phase_kind_power_of_two(self):
         with pytest.raises(BadSubsetExponent):
             EnsembleSpec("subset-phase-true-random", 3, m=3)
@@ -246,12 +231,6 @@ class TestMonteCarloMoment:
         b = mc_ensemble_moment(spec, 3000)
         assert np.array_equal(a.operator.mat, b.operator.mat)
 
-    def test_determinism_across_threads(self):
-        spec = EnsembleSpec("haar", 2, t=2, seed=RngSeed(10))
-        a = mc_ensemble_moment(spec, 8000, threads=1)
-        b = mc_ensemble_moment(spec, 8000, threads=4)
-        assert np.array_equal(a.operator.mat, b.operator.mat)
-
     def test_stabilizer_orbit_moment_against_orbit_average(self):
         # the orbit is finite, so its exact two-copy moment is a direct average
         orbit = stabilizer_orbit(2)
@@ -343,12 +322,11 @@ class TestMonteCarloMomentAgainstDenseOracle:
             ("stabilizer-orbit", 2, None, 2),
         ],
     )
-    def test_byte_identical_across_threads(self, kind, n, m, t):
+    def test_byte_identical_on_repeat_calls(self, kind, n, m, t):
         spec = EnsembleSpec(kind, n, m=m, t=t, seed=RngSeed(77))
-        runs = [mc_ensemble_moment(spec, 3500, threads=k) for k in (1, 2, 4)]
-        for est in runs[1:]:
-            assert est.operator.mat.tobytes() == runs[0].operator.mat.tobytes()
-            assert est.stderr == runs[0].stderr
+        first, again = (mc_ensemble_moment(spec, 3500) for _ in range(2))
+        assert again.operator.block.tobytes() == first.operator.block.tobytes()
+        assert again.stderr == first.stderr
 
 
 class TestSampleBlock:

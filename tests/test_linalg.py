@@ -7,10 +7,7 @@ from tprslab.errors import DimensionCapExceeded, DimensionMismatch, PartitionMis
 from tprslab.linalg import (
     PartitionSpec,
     PureState,
-    collision_entropy,
-    partial_trace,
     symmetric_projector,
-    tensor_power,
     trace_distance,
     von_neumann_entropy,
 )
@@ -65,64 +62,28 @@ class TestConstructors:
         with pytest.raises(ValidationError):
             PartitionSpec(0, 2)
 
-
-class TestTensorPower:
-    def test_identity_case(self):
-        rho = dm(np.eye(2) / 2)
-        out = tensor_power(rho, 1)
-        assert np.allclose(out.mat, rho.mat)
-
-    def test_projector_square(self):
-        rho = pure(KET0).density()
-        out = tensor_power(rho, 2)
-        expected = np.zeros((4, 4))
-        expected[0, 0] = 1.0
-        assert np.allclose(out.mat, expected)
-
-    def test_maximally_mixed(self):
-        out = tensor_power(dm(np.eye(2) / 2), 2)
-        assert out.n == 2
-        assert np.allclose(out.mat, np.eye(4) / 4)
-        out.validate_full()
-
-    def test_cap(self):
-        with pytest.raises(DimensionCapExceeded):
-            tensor_power(dm(np.eye(4) / 4), 2, cap=8)
+    def test_partition_mismatch(self):
+        with pytest.raises(PartitionMismatch):
+            PartitionSpec(1, 1).check(1)
 
 
-class TestPartialTrace:
+class TestLoopPartialTrace:
     def test_bell_reduction(self):
         bell = pure([1, 0, 0, 1] / np.sqrt(2)).density()
-        red = partial_trace(bell, PartitionSpec(1, 1), "A")
-        assert np.allclose(red.mat, np.eye(2) / 2, atol=1e-12)
+        assert np.allclose(loop_partial_trace(bell.mat, 1, 1, "A"), np.eye(2) / 2, atol=1e-12)
 
     def test_product_keep_b(self):
         psi = pure(kron_all(KET0, PLUS))
-        red = partial_trace(psi.density(), PartitionSpec(1, 1), "B")
-        assert np.allclose(red.mat, np.outer(PLUS, PLUS.conj()), atol=1e-12)
+        red = loop_partial_trace(psi.density().mat, 1, 1, "B")
+        assert np.allclose(red, np.outer(PLUS, PLUS.conj()), atol=1e-12)
 
     def test_schmidt_symmetry(self):
         rng = np.random.default_rng(42)
         for _ in range(25):
-            psi = random_pure(3, rng)
-            rho = psi.density()
-            ha = von_neumann_entropy(partial_trace(rho, PartitionSpec(1, 2), "A"))
-            hb = von_neumann_entropy(partial_trace(rho, PartitionSpec(1, 2), "B"))
+            rho = random_pure(3, rng).density()
+            ha = von_neumann_entropy(dm(loop_partial_trace(rho.mat, 1, 2, "A")))
+            hb = von_neumann_entropy(dm(loop_partial_trace(rho.mat, 1, 2, "B")))
             assert abs(ha - hb) < 1e-9
-
-    @pytest.mark.parametrize("n_a,n_b,keep", [(1, 1, "A"), (1, 2, "B"), (2, 2, "A"), (1, 3, "B")])
-    def test_against_loop_oracle(self, n_a, n_b, keep):
-        rng = np.random.default_rng(n_a * 10 + n_b + ord(keep))
-        rho = random_density(n_a + n_b, rng)
-        got = partial_trace(rho, PartitionSpec(n_a, n_b), keep)
-        want = loop_partial_trace(rho.mat, n_a, n_b, keep)
-        assert np.allclose(got.mat, want, atol=1e-12)
-        assert abs(np.trace(got.mat) - 1) < 1e-10
-        got.validate_full()
-
-    def test_mismatch(self):
-        with pytest.raises(PartitionMismatch):
-            partial_trace(dm(np.eye(2) / 2), PartitionSpec(1, 1), "A")
 
 
 class TestEntropies:
@@ -133,22 +94,12 @@ class TestEntropies:
         assert von_neumann_entropy(dm(np.eye(2) / 2)) == pytest.approx(1.0, abs=1e-12)
         assert von_neumann_entropy(dm(np.eye(4) / 4)) == pytest.approx(2.0, abs=1e-12)
 
-    def test_collision_pure(self):
-        assert collision_entropy(pure(PLUS).density()) == pytest.approx(0.0, abs=1e-12)
-
-    def test_collision_mixed(self):
-        assert collision_entropy(dm(np.eye(2) / 2)) == pytest.approx(1.0, abs=1e-12)
-        p = np.array([0.75, 0.25])
-        want = -np.log2(float(p @ p))
-        assert collision_entropy(dm(np.diag(p))) == pytest.approx(want, abs=1e-12)
-        assert want == pytest.approx(0.678, abs=5e-4)
-
     def test_renyi_below_von_neumann(self):
         rng = np.random.default_rng(7)
         for i in range(1000):
             n = 1 + i % 3
             rho = random_density(n, rng, rank=1 + i % (2**n))
-            assert von_neumann_entropy(rho) - collision_entropy(rho) >= -1e-9
+            assert von_neumann_entropy(rho) + np.log2(rho.purity()) >= -1e-9
 
 
 class TestTraceDistance:

@@ -9,7 +9,7 @@ from tprslab.errors import ValidationError
 from tprslab.growth import GrowthClass
 from tprslab.randprims import RngSeed
 from tprslab.resources import ResourceMeasure, estimate_gap
-from tprslab.sampling import MeanAccumulator, chunk_layout, paired_value_means, run_ordered
+from tprslab.sampling import MeanAccumulator, chunk_layout, paired_value_means
 
 
 class TestMeanAccumulator:
@@ -36,16 +36,13 @@ class TestMeanAccumulator:
         assert acc.count == 0 and acc.stderr == 0.0
 
 
-class TestLayoutAndPool:
+class TestLayout:
     def test_chunk_layout_rejects_no_samples(self):
         with pytest.raises(ValidationError):
             chunk_layout(0)
 
     def test_chunk_layout_covers_samples(self):
         assert chunk_layout(2500, 1024) == [(0, 0, 1024), (1, 1024, 1024), (2, 2048, 452)]
-
-    def test_run_ordered_keeps_index_order_with_more_threads_than_tasks(self):
-        assert run_ordered(lambda i: i * i, 3, threads=64) == [0, 1, 4]
 
 
 class TestPairedValueMeans:
@@ -56,13 +53,6 @@ class TestPairedValueMeans:
         spec = EnsembleSpec("haar", 3)
         with pytest.raises(ValidationError):
             paired_value_means(RngSeed(1), 10, (self._stat(), self._stat()), sources=(spec,))
-
-    def test_thread_count_never_changes_a_result(self):
-        specs = (EnsembleSpec("haar", 5, seed=RngSeed(1)), EnsembleSpec("subset-phase-keyed", 5, m=4, seed=RngSeed(2)))
-        stat = ResourceMeasure("coherence-re").statistic
-        runs = [paired_value_means(RngSeed(3), 2500, (stat, stat), threads=t, sources=specs) for t in (1, 2, 4)]
-        for other in runs[1:]:
-            assert other == runs[0]
 
     def test_shared_source_is_drawn_once(self, monkeypatch):
         calls = []

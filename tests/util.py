@@ -12,7 +12,7 @@ from tprslab.config import check_dim
 from tprslab.ensembles import MomentEstimate, sample_block
 from tprslab.linalg import DensityOperator, PureState, SymmetricOperator
 from tprslab.resources import pauli_basis
-from tprslab.sampling import DEFAULT_CHUNK, chunk_layout, run_ordered
+from tprslab.sampling import DEFAULT_CHUNK, chunk_layout
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -205,23 +205,17 @@ def exact_subset_phase_moment_oracle(n, m, t) -> DensityOperator:
     return DensityOperator(n * t, (acc + acc.conj().T) / 2, validate=False)
 
 
-def mc_ensemble_moment_oracle(spec, samples, threads=1, cap=None) -> MomentEstimate:
+def mc_ensemble_moment_oracle(spec, samples, cap=None) -> MomentEstimate:
     """Monte-Carlo moment accumulated over dense (d^t, d^t) entries, with the
     same chunks and generators as ``mc_ensemble_moment``."""
     dim = check_dim(spec.n, spec.t, cap)
-    layout = chunk_layout(samples, max(1, min(DEFAULT_CHUNK, (1 << 22) // dim)))
-
-    def worker(i):
-        idx, _, size = layout[i]
-        rows = _tfold_rows(sample_block(spec, size, spec.seed.generator(idx)), spec.t)
-        a2 = np.abs(rows) ** 2
-        return rows.T @ rows.conj(), a2.T @ a2
-
     sum1 = np.zeros((dim, dim), dtype=complex)
     sum2 = np.zeros((dim, dim))
-    for s1, s2 in run_ordered(worker, len(layout), threads):
-        sum1 += s1
-        sum2 += s2
+    for idx, _, size in chunk_layout(samples, max(1, min(DEFAULT_CHUNK, (1 << 22) // dim))):
+        rows = _tfold_rows(sample_block(spec, size, spec.seed.generator(idx)), spec.t)
+        a2 = np.abs(rows) ** 2
+        sum1 += rows.T @ rows.conj()
+        sum2 += a2.T @ a2
     mean = sum1 / samples
     var = np.maximum(sum2 / samples - np.abs(mean) ** 2, 0.0)
     op = DensityOperator(spec.n * spec.t, (mean + mean.conj().T) / 2, validate=False)
@@ -265,6 +259,34 @@ def coherence_projector_operator(n):
     diag = np.zeros(d * d)
     diag[np.arange(d) * (d + 1)] = 1.0
     return np.diag(diag)
+
+
+def coherence_projector_prob(rho) -> float:
+    """Basis-pairing acceptance on two copies of rho: sum_x <x|rho|x>^2."""
+    return float(np.sum(np.real(np.diag(rho.mat)) ** 2))
+
+
+def swap_on_a_operator(n, part):
+    """Operator swapping the A factors of two n-qubit copies."""
+    da, db = 2**part.n_a, 2**part.n_b
+    d = da * db
+    cols = np.arange(d * d)
+    a1, b1 = (cols // d) // db, (cols // d) % db
+    a2, b2 = (cols % d) // db, (cols % d) % db
+    op = np.zeros((d * d, d * d))
+    op[((a2 * db + b1) * d) + (a1 * db + b2), cols] = 1.0
+    return op
+
+
+def pauli_replica_operator(n, alpha):
+    """Average of P^{x 2 alpha} over all 4^n Pauli strings, by enumeration."""
+    return sum(functools.reduce(np.kron, [p] * (2 * alpha)) for p in pauli_strings(n)) / 2**n
+
+
+def replica_test_prob_oracle(rho, alpha) -> float:
+    """Pauli-replica acceptance (1 + Tr(Q rho^{x 2 alpha})) / 2 with the dense replica operator Q."""
+    copies = functools.reduce(np.kron, [rho.mat] * (2 * alpha))
+    return 0.5 * (1.0 + float(np.einsum("ij,ji->", pauli_replica_operator(rho.n, alpha), copies).real))
 
 
 def operator_to_json(op) -> list:
