@@ -14,11 +14,11 @@ from tprslab.distinguishers import (
     swap_test_prob,
 )
 from tprslab.ensembles import EnsembleSpec
-from tprslab.errors import CopyMismatch
+from tprslab.errors import CopyMismatch, DimensionCapExceeded, ValidationError
 from tprslab.growth import GrowthClass
 from tprslab.linalg import PartitionSpec
 from tprslab.randprims import RngSeed
-from tprslab.resources import stabilizer_renyi_entropy
+from tprslab.resources import MAGIC_MAX_QUBITS, stabilizer_renyi_entropy
 from tprslab.bounds import verify_distance_bound
 
 from .util import (
@@ -77,6 +77,12 @@ class TestCoherenceProjector:
         amps = kron_all(*([PLUS] * n)) if n > 1 else PLUS
         assert make_coherence_distinguisher().accept_prob_pure(amps, n) == pytest.approx(2.0**-n)
 
+    def test_maximally_mixed(self):
+        rho = dm(np.eye(4) / 4)
+        assert coherence_projector_prob(rho) == pytest.approx(0.25, abs=1e-12)
+        via_op = float(np.einsum("ij,ji->", coherence_projector_operator(2), np.kron(rho.mat, rho.mat)).real)
+        assert via_op == pytest.approx(0.25, abs=1e-12)
+
     def test_complements_hs_distance(self):
         from tprslab.resources import coherence_hs_distance
 
@@ -105,6 +111,17 @@ class TestCoherenceProjector:
 
 
 class TestPauliReplicaOperator:
+    def test_hermitian(self):
+        op = pauli_replica_operator(1, 3)
+        assert np.max(np.abs(op - op.conj().T)) < 1e-12
+
+    def test_eigenvalue_range(self):
+        op = pauli_replica_operator(1, 3)
+        w = np.linalg.eigvalsh(op)
+        assert w.min() >= -2 - 1e-9 and w.max() <= 2 + 1e-9
+        # only the identity string has a nonzero trace: Tr Q = 2^(2 alpha n) / 2^n
+        assert np.trace(op).real == pytest.approx(2.0**6 / 2, abs=1e-12)
+
     def test_stabilizer_state_trace_one(self):
         omega = functools.reduce(np.kron, [pure(KET0).density().mat] * 6)
         assert np.einsum("ij,ji->", pauli_replica_operator(1, 3), omega).real == pytest.approx(1.0, abs=1e-10)
@@ -144,6 +161,23 @@ class TestHadamardTest:
             a = hadamard_test_prob(psi, 3)
             b = replica_test_prob_oracle(psi.density(), 3)
             assert a == pytest.approx(b, abs=1e-10)
+
+    def test_alpha_validation(self):
+        psi = pure(TKET)
+        for alpha in (1, 2, 4):
+            with pytest.raises(ValidationError):
+                hadamard_test_prob(psi, alpha)
+            with pytest.raises(ValidationError):
+                make_hadamard_distinguisher(alpha)
+
+    def test_cap(self):
+        n = MAGIC_MAX_QUBITS + 1
+        amps = np.zeros(2**n, dtype=complex)
+        amps[0] = 1.0
+        with pytest.raises(DimensionCapExceeded):
+            hadamard_test_prob(pure(amps), 3)
+        with pytest.raises(DimensionCapExceeded):
+            make_hadamard_distinguisher(3).accept_prob_pure(amps, n)
 
     def test_identity_with_magic(self):
         # 200 random pure states at n in {1, 2}: the replica-test acceptance

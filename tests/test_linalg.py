@@ -11,6 +11,7 @@ from tprslab.linalg import (
     trace_distance,
     von_neumann_entropy,
 )
+from tprslab.resources import collision_entanglement, entanglement_entropy, reduced_purity
 
 from .util import (
     KET0,
@@ -86,6 +87,26 @@ class TestLoopPartialTrace:
             assert abs(ha - hb) < 1e-9
 
 
+class TestPartialTrace:
+    """The library's smaller-side Gram reductions against the loop partial trace."""
+
+    @pytest.mark.parametrize("n_a,n_b,keep", [(1, 1, "A"), (1, 2, "B"), (2, 2, "A"), (1, 3, "B")])
+    def test_against_loop_oracle(self, n_a, n_b, keep):
+        rng = np.random.default_rng(n_a * 10 + n_b + ord(keep))
+        part = PartitionSpec(n_a, n_b)
+        for _ in range(5):
+            psi = random_pure(n_a + n_b, rng)
+            red = dm(loop_partial_trace(psi.density().mat, n_a, n_b, keep)).validate_full()
+            # either reduction of a pure state has the same nonzero spectrum
+            assert entanglement_entropy(psi, part) == pytest.approx(von_neumann_entropy(red), abs=1e-10)
+            assert reduced_purity(psi, part) == pytest.approx(red.purity(), abs=1e-12)
+
+    def test_mismatch(self):
+        psi = random_pure(3, np.random.default_rng(0))
+        with pytest.raises(PartitionMismatch):
+            entanglement_entropy(psi, PartitionSpec(1, 1))
+
+
 class TestEntropies:
     def test_pure_zero(self):
         assert von_neumann_entropy(pure(KET0).density()) == pytest.approx(0.0, abs=1e-12)
@@ -93,6 +114,21 @@ class TestEntropies:
     def test_maximally_mixed(self):
         assert von_neumann_entropy(dm(np.eye(2) / 2)) == pytest.approx(1.0, abs=1e-12)
         assert von_neumann_entropy(dm(np.eye(4) / 4)) == pytest.approx(2.0, abs=1e-12)
+
+    def test_collision_pure(self):
+        part = PartitionSpec(1, 1)
+        assert collision_entanglement(pure(kron_all(KET0, PLUS)), part) == pytest.approx(0.0, abs=1e-12)
+        bell = pure(np.array([1, 0, 0, 1]) / np.sqrt(2))
+        assert collision_entanglement(bell, part) == pytest.approx(1.0, abs=1e-12)
+
+    def test_collision_mixed(self):
+        # Schmidt probabilities (3/4, 1/4): either reduction is diag(p)
+        p = np.array([0.75, 0.25])
+        want = -np.log2(float(p @ p))
+        psi = pure(np.array([np.sqrt(p[0]), 0, 0, np.sqrt(p[1])]))
+        assert collision_entanglement(psi, PartitionSpec(1, 1)) == pytest.approx(want, abs=1e-12)
+        assert -np.log2(dm(np.diag(p)).purity()) == pytest.approx(want, abs=1e-12)
+        assert want == pytest.approx(0.678, abs=5e-4)
 
     def test_renyi_below_von_neumann(self):
         rng = np.random.default_rng(7)

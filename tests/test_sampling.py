@@ -54,6 +54,13 @@ class TestPairedValueMeans:
         with pytest.raises(ValidationError):
             paired_value_means(RngSeed(1), 10, (self._stat(), self._stat()), sources=(spec,))
 
+    def test_repeat_calls_give_identical_results(self):
+        # the result depends only on (seed, samples, sources): chunks run in index order
+        specs = (EnsembleSpec("haar", 5, seed=RngSeed(1)), EnsembleSpec("subset-phase-keyed", 5, m=4, seed=RngSeed(2)))
+        stat = ResourceMeasure("coherence-re").statistic
+        first, again = (paired_value_means(RngSeed(3), 2500, (stat, stat), sources=specs) for _ in range(2))
+        assert again == first
+
     def test_shared_source_is_drawn_once(self, monkeypatch):
         calls = []
         original = ensembles.sample_block
