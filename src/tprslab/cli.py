@@ -2,10 +2,13 @@
 
 Subcommands: build, distance, gap, sweep, hybrid, negl-check, advise,
 prop-check. Reports are CSV rows or a JSON document; identical config + seed
-gives byte-identical CSV (JSON differs only in the wall_time_s field).
---threads is accepted and ignored: Monte-Carlo chunks run in index order in
-one thread, and BLAS may use every core. Exit codes: 0 success, 2
-validation, 3 resource limit, 4 bound-check failure.
+gives byte-identical CSV (JSON differs only in the wall_time_s field and, across
+machines, in "workers", the usable-core count Monte-Carlo calls may fork to).
+--threads is accepted and ignored: large Monte-Carlo chunks run in forked
+processes, one per core of the CPU affinity mask (taskset -c 0 runs them
+serially), and merge in index order, so results are the same bits for any
+core count. Exit codes: 0 success, 2 validation, 3 resource limit, 4
+bound-check failure.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from .resources import (
     estimate_gap,
     haar_expected,
 )
-from .sampling import paired_value_means
+from .sampling import paired_value_means, usable_cores
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -83,6 +86,7 @@ def _write_report(resolved: dict, columns: list[str], rows: list[dict], wall_tim
             "version": __version__,
             "rows": rows,
             "wall_time_s": wall_time,
+            "workers": usable_cores(),
         }
         return json.dumps(doc, sort_keys=True, indent=2, default=str) + "\n"
     buf = io.StringIO()
@@ -473,7 +477,7 @@ def _build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--samples", type=int, default=argparse.SUPPRESS)
     shared.add_argument(
         "--threads", type=int, default=argparse.SUPPRESS,
-        help="accepted and ignored: chunks run in index order in one thread",
+        help="accepted and ignored: chunks fork to every core of the CPU affinity mask",
     )
     shared.add_argument("--out", default=argparse.SUPPRESS)
     shared.add_argument("--format", choices=("csv", "json"), default=argparse.SUPPRESS)

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -318,6 +319,47 @@ class TestThreadIdentity:
             assert main(["--samples", "2500", "--seed", "13", "--threads", threads, "--out", str(path)] + argv) in (0, 4)
             outputs.append(path.read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
+
+
+class TestWorkerIdentity:
+    """Forked chunk shares write the same CSV bytes as a serial run."""
+
+    @pytest.fixture(autouse=True)
+    def fork_every_chunk(self, monkeypatch):
+        from tprslab import sampling
+
+        monkeypatch.setattr(sampling, "FORK_MIN_READS", 0)
+        self.monkeypatch = monkeypatch
+        self.sampling = sampling
+
+    def _csv(self, argv, workers, tmp_path):
+        self.monkeypatch.setattr(self.sampling, "usable_cores", lambda: workers)
+        path = tmp_path / f"w{workers}.csv"
+        assert main(["--samples", "2500", "--seed", "17", "--out", str(path)] + argv) in (0, 4)
+        return path.read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gap", "--measure", "coherence-re", "--n", "4", "--e1", "haar", "--e2", "subset-phase-keyed:m=4"],
+            ["gap", "--measure", "entanglement-entropy", "--n", "4", "--e1", "haar", "--e2", "subset-keyed:m=4"],
+            ["sweep", "--measure", "entanglement-entropy", "--n", "4..5", "--classes", "log,linear"],
+            ["hybrid", "--n", "3", "--m", "4", "--distinguishers", "coherence,swap"],
+            ["prop-check", "--prop", "7", "--n", "4", "--T", "log", "--e1", "haar", "--e2", "subset-phase-keyed:m=4"],
+        ],
+        ids=["gap-coherence", "gap-entanglement", "sweep", "hybrid", "prop-check-7"],
+    )
+    def test_csv_byte_identical_for_1_and_2_workers(self, argv, tmp_path):
+        assert self._csv(argv, 1, tmp_path) == self._csv(argv, 2, tmp_path)
+
+    def test_json_reports_workers_and_csv_does_not(self, tmp_path, capsys):
+        argv = ["gap", "--measure", "coherence-re", "--n", "3", "--e1", "haar", "--e2", "subset-phase-keyed:m=4"]
+        csv_text = self._csv(argv, 3, tmp_path).decode()
+        code, out, _ = run(["--samples", "2500", "--seed", "17", "--format", "json"] + argv, capsys)
+        doc = json.loads(out)
+        assert code == 0 and doc["workers"] == len(os.sched_getaffinity(0))
+        assert "workers" not in csv_text.splitlines()[0].split(",")
+        assert csv_text == self._csv(argv, 1, tmp_path).decode()
 
 
 class TestErrorMapping:

@@ -1,9 +1,16 @@
+import os
+import signal
+import threading
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tprslab import ensembles
+from tprslab import ensembles, forkmap, sampling
 from tprslab.bounds import empirical_prop_check
-from tprslab.distinguishers import hybrid_experiment
+from tprslab.distinguishers import TRIANGLE_ALPHA, hybrid_experiment
 from tprslab.ensembles import EnsembleSpec
 from tprslab.errors import ValidationError
 from tprslab.growth import GrowthClass
@@ -125,6 +132,25 @@ class TestDrawOnce:
         monkeypatch.setattr(ensembles, "sample_block", broken)
         assert not hybrid_experiment(3, 4, 2, seed=1, samples=400, names=("coherence",)).triangle_ok
 
+    @pytest.mark.parametrize("excess, caught", [(6.0, True), (4.0, False)])
+    def test_triangle_slack_is_set_by_alpha(self, excess, caught, monkeypatch):
+        # legs keyed-vs-true 0, true-vs-haar 0.1 and keyed-vs-haar 0.1 + excess
+        # summed stderrs; the slack is z_(1 - alpha) = 4.75 summed stderrs
+        from tprslab import distinguishers
+
+        assert TRIANGLE_ALPHA == 1e-6
+        count, se = 1000, 0.002
+        total_se = 3 * np.hypot(se, se)
+        means = (0.5, 0.5, 0.4, 0.5 + excess * total_se, 0.4)  # keyed, true, haar, then the direct draws
+
+        def stub(seed, samples, value_fns, chunk=sampling.DEFAULT_CHUNK, *, sources):
+            return [MeanAccumulator(count, means[k % 5], se * se * count * (count - 1)) for k in range(len(sources))]
+
+        monkeypatch.setattr(distinguishers, "paired_value_means", stub)
+        rep = hybrid_experiment(3, 4, 2, samples=count, names=("coherence",))
+        assert [leg.report.stderr for leg in rep.legs] == pytest.approx([np.hypot(se, se)] * 3)
+        assert rep.triangle_ok is not caught
+
     def test_prop_check_draws_the_low_ensemble_once(self, monkeypatch):
         calls = self._count_draws(monkeypatch)
         empirical_prop_check(
@@ -146,3 +172,127 @@ class TestDrawOnce:
             seed=RngSeed(11),
         )
         assert rep.e_low == (4.0, 0.0)
+
+
+def _bits(accs):
+    return [(a.count, a.mean.hex(), a.m2.hex()) for a in accs]
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _pid_values(block, n):
+    return np.full(len(block), float(os.getpid()))
+
+
+class TestForkedChunks:
+    """Chunk shares in forked workers: the same bits for any worker count."""
+
+    @pytest.fixture(autouse=True)
+    def fork_every_chunk(self, monkeypatch):
+        monkeypatch.setattr(sampling, "FORK_MIN_READS", 0)
+        self.monkeypatch = monkeypatch
+
+    def _means(self, workers, samples, sources, chunk=sampling.DEFAULT_CHUNK, fns=None):
+        self.monkeypatch.setattr(sampling, "usable_cores", lambda: workers)
+        stat = ResourceMeasure("coherence-re").statistic
+        fns = fns or (stat,) * len(sources)
+        return paired_value_means(RngSeed(4), samples, fns, chunk, sources=sources)
+
+    @pytest.mark.parametrize(
+        "samples, chunk",
+        [(700, 1024), (2500, 1024), (1500, 1024), (333, 40)],
+        ids=["one-chunk", "partial-last-chunk", "more-workers-than-chunks", "many-chunks"],
+    )
+    def test_worker_count_never_changes_a_result(self, samples, chunk):
+        haar = EnsembleSpec("haar", 4, seed=RngSeed(1))
+        keyed = EnsembleSpec("subset-phase-keyed", 4, m=4, seed=RngSeed(2))
+        sources = (haar, keyed, haar)  # streams 0 and 2 share a source
+        serial = _bits(self._means(1, samples, sources, chunk))
+        for workers in (2, 3):
+            assert _bits(self._means(workers, samples, sources, chunk)) == serial
+        _assert_no_child_left()
+
+    @settings(max_examples=12, deadline=None)
+    @given(samples=st.integers(1, 400), chunk=st.integers(1, 160), workers=st.integers(2, 3))
+    def test_property_forked_equals_serial(self, samples, chunk, workers):
+        sources = (EnsembleSpec("subset-phase-true-random", 3, m=2), EnsembleSpec("haar", 3))
+        assert _bits(self._means(workers, samples, sources, chunk)) == _bits(self._means(1, samples, sources, chunk))
+
+    def test_chunks_run_in_children(self):
+        parent = os.getpid()
+        pids = forkmap.forked_map(lambda i: os.getpid(), 3, 2)
+        assert pids[0] == pids[2] == parent != pids[1]
+        _assert_no_child_left()
+
+    def test_small_chunks_run_inline(self):
+        self.monkeypatch.setattr(sampling, "FORK_MIN_READS", 1 << 18)
+        parent = float(os.getpid())
+        small = (EnsembleSpec("haar", 3),)  # 1024 rows x 8 amplitudes per chunk
+        large = (EnsembleSpec("haar", 8),)  # 1024 rows x 256 amplitudes per chunk
+        assert self._means(2, 2048, small, fns=(_pid_values,))[0].mean == parent
+        assert self._means(2, 2048, large, fns=(_pid_values,))[0].mean != parent
+
+    def test_another_thread_keeps_chunks_inline(self):
+        release = threading.Event()
+        helper = threading.Thread(target=release.wait, args=(30,))
+        helper.start()
+        try:
+            (acc,) = self._means(2, 2048, (EnsembleSpec("haar", 3),), fns=(_pid_values,))
+        finally:
+            release.set()
+            helper.join(timeout=30)
+        assert not helper.is_alive()
+        assert acc.mean == float(os.getpid())
+
+    def test_error_raised_only_in_a_child_is_raised(self):
+        parent = os.getpid()
+
+        def fails_in_child(block, n):
+            if os.getpid() != parent:
+                raise ValidationError("child-only failure")
+            return np.zeros(len(block))
+
+        with pytest.raises(ValidationError, match="child-only") as info:
+            self._means(2, 2048, (EnsembleSpec("haar", 3),), fns=(fails_in_child,))
+        assert "fails_in_child" in str(info.value.__cause__)  # the child's traceback
+        _assert_no_child_left()
+
+    def test_child_killed_by_a_signal_gives_the_serial_result(self):
+        parent = os.getpid()
+        stat = ResourceMeasure("coherence-re").statistic
+
+        def dies_in_child(block, n):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return stat(block, n)
+
+        sources = (EnsembleSpec("haar", 3),)
+        serial = _bits(self._means(1, 2500, sources))
+        assert _bits(self._means(3, 2500, sources, fns=(dies_in_child,))) == serial
+        _assert_no_child_left()
+
+    def test_failed_fork_runs_the_share_inline(self):
+        def no_fork():
+            raise OSError("fork refused")
+
+        sources = (EnsembleSpec("haar", 3),)
+        serial = _bits(self._means(1, 2500, sources))
+        self.monkeypatch.setattr(forkmap.os, "fork", no_fork)
+        assert _bits(self._means(2, 2500, sources)) == serial
+
+    def test_failure_in_the_callers_share_kills_the_children(self):
+        parent = os.getpid()
+
+        def fails_here_children_hang(block, n):
+            if os.getpid() == parent:
+                raise ValueError("caller's share failed")
+            time.sleep(60)
+
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="caller's share"):
+            self._means(3, 2500, (EnsembleSpec("haar", 3),), fns=(fails_here_children_hang,))
+        assert time.perf_counter() - start < 30
+        _assert_no_child_left()
