@@ -21,9 +21,8 @@ __all__ = ["forked_map"]
 
 @functools.cache
 def _openblas():
-    """(get, set, stop) for the loaded OpenBLAS: its thread count's getter and
-    setter and its thread-pool shutdown (None where not exported), or None
-    where no OpenBLAS is found in the process's memory map."""
+    """(get, set) for the loaded OpenBLAS's thread count, or None where no
+    OpenBLAS is found in the process's memory map."""
     try:
         with open("/proc/self/maps") as maps:
             paths = sorted({line.split(None, 5)[-1].strip() for line in maps if "openblas" in line})
@@ -39,10 +38,7 @@ def _openblas():
             if get is not None and put is not None:
                 get.argtypes, get.restype = [], ctypes.c_int
                 put.argtypes, put.restype = [ctypes.c_int], None
-                stop = getattr(lib, "blas_thread_shutdown_", None)
-                if stop is not None:
-                    stop.argtypes, stop.restype = [], ctypes.c_int
-                return get, put, stop
+                return get, put
     return None
 
 
@@ -79,7 +75,10 @@ def forked_map(fn, count: int, workers: int) -> list:
     share run again here.
     Every child is killed and reaped on every exit path. Forking waits for a
     process with one Python thread, since another thread could hold a lock
-    the child needs.
+    the child needs. Threads started outside Python are not seen (OpenBLAS
+    stops its own pool at a fork; other native pools are not guarded), and a
+    child that hangs holds up the caller, which reads its pipe without a
+    timeout.
     """
     workers = min(workers, count) if threading.active_count() == 1 else 1
     shares = [list(range(j, count, workers)) for j in range(workers)]
@@ -91,11 +90,13 @@ def forked_map(fn, count: int, workers: int) -> list:
     inline = [shares[0]]
     children = []  # (pid, read end, share), until reaped
     # Workers split the BLAS threads: a worker's threaded BLAS call waits on
-    # threads that another worker holds off the cores (a 3-chunk magic
-    # prop-check ran 16x slower at 2 workers x 2 BLAS threads on 2 cores).
+    # threads that another worker holds off the cores. On a 2-core VM with 2
+    # BLAS threads, 2-chunk magic gaps at n = 7 and 8 took 1.1-1.9 and 6-9 s
+    # forked with the split, 2.1-2.3 and 12.6 s in one process, and 4-15 and
+    # 12-17 s forked without it.
     blas = _openblas() if workers > 1 else None
     if blas:
-        get_threads, set_threads, stop_pool = blas
+        get_threads, set_threads = blas
         blas_threads = get_threads()
     try:
         if blas:
@@ -131,13 +132,7 @@ def forked_map(fn, count: int, workers: int) -> list:
             results.update(zip(share, value))
     finally:
         if blas:
-            # Forking stopped the pool (OpenBLAS's atfork handler); raising the
-            # count restarts it at once, and its idle threads would spin for
-            # ~0.13 CPU-s against whatever runs next. Stopped again, it
-            # restarts at the next threaded call, as after any fork.
             set_threads(blas_threads)
-            if stop_pool is not None:
-                stop_pool()
         for pid, pipe, _ in children:
             pipe.close()
             try:
