@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -41,7 +42,6 @@ from .growth import GrowthClass, check_closure, check_repetition_consistency, is
 from .linalg import PartitionSpec
 from .randprims import PhaseFunction, RngSeed
 from .resources import (
-    MAGIC_MAX_QUBITS,
     MEASURE_NAMES,
     ResourceMeasure,
     aggregate_measure,
@@ -290,18 +290,18 @@ _SWEEP_MEASURE_KEY = {
 MAX_MEASURED_N = 12
 
 
-def _sweep_measured(measure: ResourceMeasure, T: GrowthClass, n: int, seed: int, samples: int):
-    """Mean measured resource of the advised low ensemble, when computable."""
+def _sweep_source(measure: ResourceMeasure, T: GrowthClass, n: int, seed: int) -> EnsembleSpec | None:
+    """The advised low ensemble of a sweep row, or None where the row is not measured."""
     if n > MAX_MEASURED_N:
-        return None, None
-    if measure.name == "stabilizer-renyi" and n > MAGIC_MAX_QUBITS:
-        return None, None
-    advice = advise_subset_size(T, n)
-    if advice.m < 1:
-        return None, None
-    spec = EnsembleSpec("subset-phase-true-random", n, m=advice.m, t=1, seed=RngSeed(seed))
-    (acc,) = paired_value_means(RngSeed(seed), samples, (measure.statistic,), sources=(spec,))
-    return aggregate_measure(measure, acc)
+        return None
+    try:
+        measure.check(n)
+        advice = advise_subset_size(T, n)
+        if advice.m < 1:
+            return None
+        return EnsembleSpec("subset-phase-true-random", n, m=advice.m, t=1, seed=RngSeed(seed))
+    except TprsError:
+        return None
 
 
 def _cmd_sweep(resolved: dict) -> tuple[list[str], list[dict], int]:
@@ -310,6 +310,7 @@ def _cmd_sweep(resolved: dict) -> tuple[list[str], list[dict], int]:
     kappa, alpha = resolved["kappa"], resolved["alpha"]
     samples = min(resolved["samples"], 2000)
     rows = []
+    measured = []  # (row index, measure, source) of the rows measured below
     chain_ok = True
     for n in ns:
         measure = _parse_measure(resolved["measure"], n, resolved.get("partition"), alpha)
@@ -324,29 +325,36 @@ def _cmd_sweep(resolved: dict) -> tuple[list[str], list[dict], int]:
             if cname in _SWEEP_CLASS_ORDER:
                 prev = bound
             measure_n_guard(measure, n)
-            measured = se = None
-            try:
-                measured, se = _sweep_measured(measure, T, n, resolved["seed"], samples)
-            except TprsError:
-                measured = se = None
+            spec = _sweep_source(measure, T, n, resolved["seed"])
+            if spec is not None:
+                measured.append((len(rows), measure, spec))
             ref = haar_expected(measure.name, n, part=measure.partition, alpha=measure.alpha)
             ref_value = ref.value / math.log(2) if ref.units.startswith("harmonic") else ref.value
-            delta = None if measured is None else abs(ref_value - measured)
             rows.append(
                 {
                     "measure": measure.label(),
                     "T": cname,
                     "n": n,
                     "bound": bound,
-                    "measured": measured,
-                    "measured_se": se,
+                    "measured": None,
+                    "measured_se": None,
                     "haar_ref": ref_value,
                     "haar_ref_units": "bits" if ref.units.startswith("harmonic") else ref.units,
-                    "delta": delta,
+                    "delta": None,
                     "kappa": kappa,
                     "alpha": alpha if table_key == "magic" else None,
                 }
             )
+    if measured:
+        # one call for every measured row: each source draws from its own
+        # per-chunk generators, so a row reads what a call of its own would
+        _, measures, sources = zip(*measured)
+        accs = paired_value_means(
+            RngSeed(resolved["seed"]), samples, tuple(m.statistic for m in measures), sources=sources
+        )
+        for (i, measure, _), acc in zip(measured, accs):
+            mean, se = aggregate_measure(measure, acc)
+            rows[i].update(measured=mean, measured_se=se, delta=abs(rows[i]["haar_ref"] - mean))
     columns = ["measure", "T", "n", "bound", "measured", "measured_se", "haar_ref", "haar_ref_units", "delta", "kappa", "alpha"]
     return columns, rows, EXIT_OK if chain_ok else EXIT_BOUND_FAIL
 
@@ -469,7 +477,9 @@ def _cmd_prop_check(resolved: dict) -> tuple[list[str], list[dict], int]:
 # Argument parsing
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process (parsing leaves it unchanged)."""
     shared = argparse.ArgumentParser(add_help=False)
     # SUPPRESS keeps a subcommand's re-parse from clobbering values given
     # before the subcommand name; flags are accepted in either position

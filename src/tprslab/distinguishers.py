@@ -52,7 +52,7 @@ def swap_test_prob(rho: DensityOperator) -> float:
 def hadamard_test_prob(rho, alpha: int) -> float:
     """Acceptance of the 2*alpha-copy replica test: (1 + power trace) / 2.
 
-    Reads the Walsh-Hadamard Pauli spectrum, so it reaches n <= MAGIC_MAX_QUBITS
+    Reads the X-part Walsh-Hadamard power sums, so it reaches n <= MAGIC_MAX_QUBITS
     without the dense Pauli stack or the 2^{2 alpha n} operator.
     """
     if alpha < 3 or alpha % 2 == 0:

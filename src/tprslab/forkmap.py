@@ -12,9 +12,7 @@ import ctypes
 import functools
 import os
 import pickle
-import signal
 import threading
-import traceback
 
 __all__ = ["forked_map"]
 
@@ -57,6 +55,8 @@ def _run_in_child(read_fd: int, write_fd: int, run, share: list[int]) -> None:
         try:
             payload = (True, run(share))
         except Exception as exc:
+            import traceback  # only a failing child needs it; ~2 ms of every start
+
             payload = (False, (exc, traceback.format_exc()))
         with os.fdopen(write_fd, "wb") as pipe:
             pickle.dump(payload, pipe, pickle.HIGHEST_PROTOCOL)
@@ -133,6 +133,8 @@ def forked_map(fn, count: int, workers: int) -> list:
     finally:
         if blas:
             set_threads(blas_threads)
+        if children:
+            import signal  # only an early exit leaves children; ~3 ms of every start
         for pid, pipe, _ in children:
             pipe.close()
             try:

@@ -20,7 +20,7 @@ from .errors import DimensionCapExceeded, NoAnalyticForm, ValidationError
 from .ensembles import EnsembleSpec
 from .linalg import DensityOperator, PartitionSpec, PureState, shannon_bits, von_neumann_entropy
 from .randprims import RngSeed, as_seed
-from .sampling import SUB_BLOCK_AMPS, MeanAccumulator, paired_value_means
+from .sampling import MeanAccumulator, paired_value_means
 
 __all__ = [
     "ResourceMeasure",
@@ -31,7 +31,6 @@ __all__ = [
     "collision_entanglement",
     "stabilizer_renyi_entropy",
     "pauli_basis",
-    "pauli_expectations_pure",
     "haar_expected",
     "HaarExpectation",
     "estimate_gap",
@@ -41,7 +40,11 @@ __all__ = [
     "pauli_power_trace",
 ]
 
-MAGIC_MAX_QUBITS = 10  # Pauli-spectrum route: a (2^n, 2^n) complex buffer per state, 16 MiB at n = 10
+MAGIC_MAX_QUBITS = 12  # X-part power sums: n 4^n work per state, about 0.2 s at n = 12
+# (row, X-part, x) entries per slice of the power-sum kernel, so memory does
+# not grow with n. Of 2^12..2^15 on a 2-core VM, 2^14 was the fastest or
+# within noise at n = 3..12, and up to 1.3x faster than 2^13 at n = 5..12.
+PAULI_SLICE_ENTRIES = 1 << 14
 PAULI_BASIS_MAX_QUBITS = 4  # dense (4^n, 2^n, 2^n) Pauli stack
 
 MEASURE_COHERENCE_RE = "coherence-re"
@@ -170,40 +173,19 @@ def pauli_basis(n: int) -> np.ndarray:
 
 
 def _check_magic_qubits(n: int) -> None:
-    """Reject qubit counts outside the Pauli-spectrum route, before it allocates."""
+    """Reject qubit counts outside the X-part power-sum route, before it allocates."""
     if n < 1:
         raise ValidationError("n must be >= 1")
     if n > MAGIC_MAX_QUBITS:
-        raise DimensionCapExceeded(f"Pauli spectrum capped at n <= {MAGIC_MAX_QUBITS}")
-
-
-@lru_cache(maxsize=4)
-def _spectrum_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(xor, phase, order) for the Walsh-Hadamard route at n qubits.
-
-    xor[a, x] = a ^ x; phase[a, b] = i^popcount(a & b), since the Pauli string
-    with X-part a and Z-part b is i^popcount(a & b) X^a Z^b; order[p] is the
-    flat (a, b) index of ``pauli_basis(n)[p]`` (I, X, Y, Z have X-bit 0, 1, 1, 0
-    and Z-bit 0, 0, 1, 1, and the first qubit is the most significant bit).
-    """
-    idx = np.arange(2**n)
-    both = idx[:, None] & idx[None, :]
-    ones = np.zeros_like(both)
-    for j in range(n):
-        ones += (both >> j) & 1
-    a = b = np.zeros(1, dtype=np.intp)
-    for _ in range(n):
-        a = (2 * a[:, None] + np.array([0, 1, 1, 0])).ravel()
-        b = (2 * b[:, None] + np.array([0, 0, 1, 1])).ravel()
-    return idx[:, None] ^ idx[None, :], np.array([1, 1j, -1, -1j])[ones % 4], a * 2**n + b
+        raise DimensionCapExceeded(f"Pauli power sums capped at n <= {MAGIC_MAX_QUBITS}")
 
 
 @lru_cache(maxsize=8)
 def _hadamard(bits: int) -> np.ndarray:
-    """Unnormalised 2^bits Walsh-Hadamard matrix (complex, for BLAS)."""
-    h = np.ones((1, 1), dtype=np.complex128)
+    """Unnormalised 2^bits Walsh-Hadamard matrix, bits <= _WHT_GROUP_BITS."""
+    h = np.ones((1, 1))
     for _ in range(bits):
-        h = np.kron(h, [[1, 1], [1, -1]])
+        h = np.kron(h, [[1.0, 1.0], [1.0, -1.0]])
     return h
 
 
@@ -212,62 +194,68 @@ def _hadamard(bits: int) -> np.ndarray:
 _WHT_GROUP_BITS = 5
 
 
-def _pauli_spectrum(f: np.ndarray, n: int) -> np.ndarray:
-    """Signed Pauli expectations, in ``pauli_basis`` order, from f[..., a, x] = rho[x, x ^ a].
-
-    Tr(X^a Z^b rho) = sum_x (-1)^(b.x) rho[x, x ^ a] is the Walsh-Hadamard
-    transform of f over x, taken a few bits at a time: O(n 4^n) work per
-    state against O(8^n) for a contraction with the dense Pauli stack.
-    """
-    _, phase, order = _spectrum_tables(n)
-    lead, d = f.shape[:-2], 2**n
+def _walsh_hadamard(g: np.ndarray, n: int) -> np.ndarray:
+    """Unnormalised Walsh-Hadamard transform over the last axis (2^n) of a real
+    array, in balanced groups of at most _WHT_GROUP_BITS bits; flat leading axes."""
+    groups = -(-n // _WHT_GROUP_BITS)
     low = 1  # x-bits below ``low`` are transformed
-    while low < d:
-        bits = min(_WHT_GROUP_BITS, n - low.bit_length() + 1)
+    for j in range(groups):
+        bits = (n + j) // groups
         h = _hadamard(bits)
-        f = f.reshape(-1, 2**bits) @ h if low == 1 else h @ f.reshape(-1, 2**bits, low)
+        g = g.reshape(-1, 2**bits) @ h if low == 1 else h @ g.reshape(-1, 2**bits, low)
         low <<= bits
-    signed = (f.reshape(lead + (d, d)) * phase).real
-    return signed.reshape(lead + (d * d,))[..., order]
-
-
-def pauli_expectations_pure(amps: np.ndarray, n: int) -> np.ndarray:
-    """<psi|P|psi> for every Pauli string P, in ``pauli_basis`` order (real
-    for valid states): shape (4^n,) for one (2^n,) vector, (rows, 4^n) for a
-    (rows, 2^n) block. Reaches n <= MAGIC_MAX_QUBITS; no dense basis is built.
-    """
-    _check_magic_qubits(n)
-    block = np.reshape(amps, (-1, 2**n))
-    f = np.take(block, _spectrum_tables(n)[0], axis=1)  # psi[x ^ a] at [row, a, x]
-    np.conjugate(f, out=f)
-    f *= block[:, None, :]
-    ev = _pauli_spectrum(f, n)
-    return ev[0] if np.ndim(amps) == 1 else ev
+    return g
 
 
 def _power_sum(ev: np.ndarray, alpha: int) -> np.ndarray:
-    """sum_P ev^(2 alpha) along the last axis, by products (``**`` takes pow's slow path)."""
-    sq = ev * ev
+    """sum ev^(2 alpha) along the last axis of a 2-d array, by products
+    (``**`` takes pow's slow path) and one row-wise dot; squares ``ev`` in place."""
+    sq = np.multiply(ev, ev, out=ev)
     acc = sq
-    for _ in range(alpha - 1):
+    for _ in range(alpha - 2):
         acc = acc * sq
-    return acc.sum(axis=-1)
+    return np.einsum("ij,ij->i", acc, sq)
+
+
+def _xpart_power_sums(f_slice, count: int, n: int, alpha: int) -> np.ndarray:
+    """sum over X-parts a and Z-parts b of <X^a Z^b>^(2 alpha), for ``count`` states.
+
+    ``f_slice(rows, idx)`` gives f_a(x) at [row, a, x] for a slice of the
+    states and idx[a, x] = x ^ a, where <X^a Z^b> = sum_x (-1)^(b.x) f_a(x):
+    f_a(x) = conj(psi[x ^ a]) psi[x] for a pure state, rho[x, x ^ a] for a
+    density operator. Since f_a(x ^ a) = conj f_a(x), the transform of Re f_a
+    vanishes where popcount(a & b) is odd and that of Im f_a where it is even,
+    and the Hermitian Pauli string i^popcount(a & b) X^a Z^b has the square
+    <X^a Z^b>^2 = (Re or Im part)^2. So one real Walsh-Hadamard transform of
+    g_a = Re f_a + Im f_a gives every squared expectation: O(n 4^n) work per
+    state, with slices of at most PAULI_SLICE_ENTRIES (row, a, x) entries.
+    """
+    d = 2**n
+    rows = max(1, PAULI_SLICE_ENTRIES // (d * d))
+    width = min(d, PAULI_SLICE_ENTRIES // d)
+    x = np.arange(d)
+    out = np.zeros(count)
+    for a0 in range(0, d, width):
+        idx = x[a0 : a0 + width, None] ^ x
+        for lo in range(0, count, rows):
+            f = f_slice(slice(lo, lo + rows), idx)
+            g = f.real + f.imag if np.iscomplexobj(f) else f
+            out[lo : lo + rows] += _power_sum(_walsh_hadamard(g, n).reshape(len(g), -1), alpha)
+    return out
 
 
 def pauli_power_sums(amps: np.ndarray, n: int, alpha: int) -> np.ndarray:
-    """(1/2^n) sum_P <psi|P|psi>^{2 alpha} for each row of a (rows, 2^n) block.
-
-    One ``pauli_expectations_pure`` call per slice of rows: a slice holds at
-    most SUB_BLOCK_AMPS spectrum entries (one state above that), so the
-    (rows, 2^n, 2^n) transform buffer and the (rows, 4^n) expectations stay
-    bounded whatever the block size.
-    """
+    """(1/2^n) sum_P <psi|P|psi>^{2 alpha} for each row of a (rows, 2^n) block."""
+    _check_magic_qubits(n)
     block = np.reshape(amps, (-1, 2**n))
-    step = max(1, SUB_BLOCK_AMPS // 4**n)
-    out = np.empty(len(block))
-    for lo in range(0, len(block), step):
-        out[lo : lo + step] = _power_sum(pauli_expectations_pure(block[lo : lo + step], n), alpha)
-    return out / 2**n
+    conj = np.conj(block) if np.iscomplexobj(block) else block
+
+    def f_slice(rows: slice, idx: np.ndarray) -> np.ndarray:
+        f = np.take(conj[rows], idx, axis=1)  # conj(psi[x ^ a]) at [row, a, x]
+        f *= block[rows, None, :]
+        return f
+
+    return _xpart_power_sums(f_slice, len(block), n, alpha) / 2**n
 
 
 def pauli_power_trace(state, alpha: int) -> float:
@@ -275,8 +263,13 @@ def pauli_power_trace(state, alpha: int) -> float:
     if isinstance(state, PureState):
         return float(pauli_power_sums(state.amps, state.n, alpha)[0])
     _check_magic_qubits(state.n)
-    f = state.mat[np.arange(2**state.n), _spectrum_tables(state.n)[0]]  # rho[x, x ^ a] at [a, x]
-    return float(_power_sum(_pauli_spectrum(f, state.n), alpha)) / 2**state.n
+    d = 2**state.n
+    flat, row_start = state.mat.reshape(-1), np.arange(d) * d
+
+    def f_slice(rows: slice, idx: np.ndarray) -> np.ndarray:
+        return np.take(flat, row_start + idx)[None]  # rho[x, x ^ a] at [0, a, x]
+
+    return float(_xpart_power_sums(f_slice, 1, state.n, alpha)[0]) / d
 
 
 def stabilizer_renyi_entropy(state, alpha: int) -> float:

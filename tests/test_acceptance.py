@@ -239,14 +239,15 @@ def test_criterion_09_haar_magic_band():
 
 
 def test_criterion_09_haar_magic_band_beyond_dense_stack():
-    # criterion 09's band check at n = 5..8, through the Walsh-Hadamard
-    # spectrum route that sampling runs (the dense Pauli stack stops at n = 4);
-    # M2 concentrates as n grows, so fewer states suffice at larger n
-    ns = (5, 6, 7, 8)
+    # criterion 09's band check at n = 5..8 and at the cap (n = 11, 12),
+    # through the X-part Walsh-Hadamard route that sampling runs (the dense
+    # Pauli stack stops at n = 4); M2 concentrates as n grows, so fewer
+    # states suffice at larger n
+    ns = (5, 6, 7, 8, 11, 12)
     m2 = ResourceMeasure("stabilizer-renyi", alpha=2)
     raw = []
     adjusted = []
-    for n, count in zip(ns, (2000, 500, 200, 100)):
+    for n, count in zip(ns, (2000, 500, 200, 100, 3, 2)):
         block = sample_haar_block(n, count, RngSeed(109 + n).generator())
         mean_m2 = float(np.mean(measure_pure_amps(m2, block, n)))
         raw.append(mean_m2)
@@ -256,7 +257,7 @@ def test_criterion_09_haar_magic_band_beyond_dense_stack():
     ok = abs(slope - 1.0) <= 0.05 and abs(intercept + 2.0) <= 0.3 and worst <= 0.02
     report(
         9,
-        "haar-magic-band-n5-8",
+        "haar-magic-band-n5-12",
         ok,
         f"raw E[M2] {[f'{v:.3f}' for v in raw]}; band-adjusted {[f'{v:.3f}' for v in adjusted]}; "
         f"fit slope {slope:.3f} (1 +/- 0.05), intercept {intercept:.3f} (-2 +/- 0.3), "

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 
 import pytest
@@ -434,22 +435,117 @@ class TestMagicReach:
         assert out.splitlines()[1].split(",")[6] != ""
 
     def test_sweep_measures_magic_up_to_the_cap(self, capsys):
-        code, out, _ = run(["--samples", "2", "sweep", "--measure", "magic", "--n", "10..11", "--classes", "log"], capsys)
+        code, out, _ = run(["--samples", "2", "sweep", "--measure", "magic", "--n", "12..13", "--classes", "log"], capsys)
         assert code == 0
         measured = {line.split(",")[2]: line.split(",")[4] for line in out.splitlines()[1:]}
-        assert measured["10"] != "" and measured["11"] == ""
+        assert measured["12"] != "" and measured["13"] == ""
+
+    def test_gap_magic_at_the_cap(self, capsys):
+        code, out, _ = run(["--samples", "2", "gap", "--measure", "magic", "--n", "12", "--e1", "haar",
+                            "--e2", "subset-phase-keyed:m=16"], capsys)
+        assert code == 0
+        row = out.splitlines()[1].split(",")
+        assert float(row[5]) > float(row[7]) > 0.0
 
     @pytest.mark.parametrize(
         "argv",
         [
-            ["gap", "--measure", "magic", "--n", "11", "--e1", "haar", "--e2", "haar"],
-            ["prop-check", "--prop", "9", "--n", "11", "--T", "log", "--e1", "haar", "--e2", "haar"],
+            ["gap", "--measure", "magic", "--n", "13", "--e1", "haar", "--e2", "haar"],
+            ["prop-check", "--prop", "9", "--n", "13", "--T", "log", "--e1", "haar", "--e2", "haar"],
         ],
     )
-    def test_magic_beyond_the_cap_exits_3(self, argv, capsys):
+    def test_magic_beyond_the_cap_exits_3(self, argv, monkeypatch, capsys):
+        from tprslab import ensembles
+
+        def fail(*args):
+            raise AssertionError("states drawn beyond the cap")
+
+        monkeypatch.setattr(ensembles, "sample_block", fail)
         code, _, err = run(["--samples", "4"] + argv, capsys)
         assert code == 3
         assert "resource limit" in err
+
+
+class TestSweepOneCall:
+    """A sweep measures all its rows in one Monte-Carlo call, with the bits of one call per row."""
+
+    @pytest.mark.parametrize(
+        "measure,ns,classes",
+        [
+            ("magic", "4,5,13", "log,linear"),
+            ("entanglement-entropy", "4..6", "log,linear,poly"),
+            ("coherence-re", "4,6", "log,polylog,linear"),
+        ],
+    )
+    def test_rows_match_one_call_per_row(self, measure, ns, classes, capsys):
+        from tprslab import cli
+        from tprslab.ensembles import EnsembleSpec, advise_subset_size
+        from tprslab.growth import GrowthClass
+        from tprslab.randprims import RngSeed
+        from tprslab.resources import aggregate_measure, haar_expected
+        from tprslab.sampling import paired_value_means
+
+        seed, samples = 11, 300
+        code, out, _ = run(["--samples", str(samples), "--seed", str(seed), "sweep", "--measure", measure,
+                            "--n", ns, "--classes", classes], capsys)
+        assert code in (0, 4)
+        rows = [dict(zip(out.splitlines()[0].split(","), line.split(","))) for line in out.splitlines()[1:]]
+        assert len(rows) == len(cli._int_list(ns)) * len(classes.split(","))
+        for row in rows:
+            n = int(row["n"])
+            if n > cli.MAX_MEASURED_N:
+                assert row["measured"] == row["measured_se"] == row["delta"] == ""
+                continue
+            resource = cli._parse_measure(measure, n, None, 3)
+            spec = EnsembleSpec("subset-phase-true-random", n, m=advise_subset_size(GrowthClass.parse(row["T"]), n).m,
+                                seed=RngSeed(seed))
+            (acc,) = paired_value_means(RngSeed(seed), samples, (resource.statistic,), sources=(spec,))
+            mean, se = aggregate_measure(resource, acc)
+            assert (row["measured"], row["measured_se"]) == (cli._fmt(mean), cli._fmt(se))
+            ref = haar_expected(resource.name, n, part=resource.partition, alpha=resource.alpha)
+            ref_bits = ref.value / math.log(2) if ref.units.startswith("harmonic") else ref.value
+            assert row["delta"] == cli._fmt(abs(ref_bits - mean))
+
+
+class TestParserBuiltOnce:
+    """main() builds its parser once per process; a reused parser carries
+    nothing from one call to the next."""
+
+    def test_interleaved_calls_match_fresh_calls(self, tmp_path, capsys):
+        from tprslab import cli
+
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"samples": 300, "seed": 9, "kappa": 1.5}))
+        gap = ["gap", "--measure", "coherence-re", "--n", "3", "--e1", "haar", "--e2", "subset-phase-keyed:m=4"]
+        sweep = ["sweep", "--measure", "entanglement-entropy", "--n", "4..5", "--classes", "log,linear"]
+        calls = [
+            ["--format", "json", "--samples", "200"] + gap,
+            ["--samples", "200"] + gap,
+            ["--config", str(cfg)] + sweep,
+            ["--samples", "300"] + sweep,
+            ["advise", "--T", "log", "--n", "16", "--format", "json"],
+            ["advise", "--T", "log", "--n", "16"],
+            ["--config", str(cfg)] + gap,
+            gap + ["--samples", "300"],
+            ["distance", "--kind", "subset", "--n", "3", "--t", "2", "--m", "2,4"],
+            ["build", "--kind", "subset-phase", "--n", "3", "--m", "4", "--phase", "keyed"],
+        ]
+        cli._build_parser.cache_clear()
+        parser = cli._build_parser()
+        interleaved = [run(argv, capsys) for argv in calls]
+        assert cli._build_parser() is parser
+        for argv, got in zip(calls, interleaved):
+            cli._build_parser.cache_clear()
+            want = run(argv, capsys)
+            if "json" in argv:
+                docs = [json.loads(out) for _, out, _ in (got, want)]
+                for doc in docs:
+                    doc.pop("wall_time_s")
+                assert docs[0] == docs[1] and got[0] == want[0]
+            else:
+                assert got == want and got[1].count("\n") > 1
+        # the config file's values reach only the calls that name it
+        assert interleaved[2][1] != interleaved[3][1] and interleaved[6][1] != interleaved[7][1]
 
 
 @st.composite

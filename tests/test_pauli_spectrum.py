@@ -1,9 +1,13 @@
-"""The Walsh-Hadamard Pauli spectrum against the dense-stack and enumeration oracles.
+"""The X-part Walsh-Hadamard power sums against the signed-spectrum and enumeration oracles.
 
-``pauli_expectations_pure`` is the one library route to Pauli expectations;
-magic, the Pauli-replica test and the mixed-state power trace all read it.
-Every comparison here is against tests/util.py at 1e-12.
+``pauli_power_sums`` and ``pauli_power_trace`` are the library's route to
+Pauli power sums; magic, the Pauli-replica test and the mixed-state power
+trace all read them. The signed spectrum in tests/util.py (phase and
+``pauli_basis`` order applied) is checked against the dense Pauli stack and
+enumeration, and the library against it at 1e-12 relative up to n = 10.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,20 +16,21 @@ from hypothesis import strategies as st
 
 from tprslab.ensembles import ENSEMBLE_KINDS, EnsembleSpec, sample_block
 from tprslab.errors import DimensionCapExceeded
-from tprslab.linalg import PureState
+from tprslab.linalg import DensityOperator, PureState
 from tprslab.randprims import RngSeed
 from tprslab.resources import (
     MAGIC_MAX_QUBITS,
+    PAULI_SLICE_ENTRIES,
     pauli_basis,
-    pauli_expectations_pure,
     pauli_power_sums,
     pauli_power_trace,
 )
-from tprslab.sampling import SUB_BLOCK_AMPS
 
 from .util import (
     pauli_basis_expectations,
     pauli_expectation_values,
+    pauli_expectations_mixed,
+    pauli_expectations_pure,
     pauli_power_sum,
     pauli_trace_power_sum,
     random_density,
@@ -45,6 +50,10 @@ def _kind_rows(kind, n, rows, rng):
     return sample_block(EnsembleSpec(kind, n, m=m), rows, rng)
 
 
+def _oracle_power_sums(ev, n, alpha):
+    return np.sum(ev ** (2 * alpha), axis=-1) / 2**n
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_signed_vector_matches_dense_stack(n):
     rng = np.random.default_rng(300 + n)
@@ -59,14 +68,43 @@ def test_signed_vector_matches_dense_stack(n):
     assert rows.shape == (len(states), 4**n)
     for psi, row in zip(states, rows):
         assert np.max(np.abs(row - pauli_basis_expectations(psi, n))) <= TOL
+    rho = random_density(n, rng)
+    want = np.einsum("pij,ji->p", pauli_basis(n), rho.mat).real
+    assert np.max(np.abs(pauli_expectations_mixed(rho.mat, n) - want)) <= TOL
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_power_sums_match_signed_oracle(n):
+    # complex (Haar) and real (subset-phase) rows, several per block at n <= 8
+    count = 3 if n <= 8 else 1
+    rng = RngSeed(340 + n).generator()
+    blocks = [sample_block(EnsembleSpec("haar", n), count, rng)]
+    if n >= 2:
+        blocks.append(sample_block(EnsembleSpec("subset-phase-true-random", n, m=2 ** (n // 2)), count, rng))
+    for block in blocks:
+        ev = pauli_expectations_pure(block, n)
+        for alpha in (2, 3):
+            want = _oracle_power_sums(ev, n, alpha)
+            assert np.max(np.abs(pauli_power_sums(block, n, alpha) / want - 1.0)) <= TOL
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_mixed_power_trace_matches_signed_oracle(n):
+    rng = np.random.default_rng(350 + n)
+    rho = random_density(n, rng, rank=min(2**n, 4))
+    real = DensityOperator(n, rho.mat.real.astype(complex), validate=False)
+    for state in (rho, real):
+        ev = pauli_expectations_mixed(state.mat, n)
+        for alpha in (2, 3):
+            assert abs(pauli_power_trace(state, alpha) / _oracle_power_sums(ev, n, alpha) - 1.0) <= TOL
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_block_power_sums_match_enumeration(n):
     rng = RngSeed(310 + n).generator()
-    block = np.concatenate([_kind_rows(kind, n, 2, rng) for kind in ENSEMBLE_KINDS])
+    block = np.concatenate([_kind_rows(kind, n, 2 if n < 5 else 4, rng) for kind in ENSEMBLE_KINDS])
     if n >= 5:
-        assert len(block) > SUB_BLOCK_AMPS // 4**n  # the block spans several row slices
+        assert len(block) > PAULI_SLICE_ENTRIES // 4**n  # the block spans several row slices
     for alpha in (2, 3):
         want = pauli_power_sum(block, n, alpha) / 2**n
         assert np.max(np.abs(pauli_power_sums(block, n, alpha) - want)) <= TOL
@@ -104,8 +142,22 @@ def test_spectrum_property(n, support, seed):
         assert abs(pauli_power_trace(PureState(n, psi), alpha) - np.sum(want ** (2 * alpha)) / d) <= TOL
 
 
+def test_one_state_at_n10_stays_within_2_mib():
+    psi = random_pure(10, np.random.default_rng(360)).amps
+    pauli_power_sums(psi, 10, 2)  # warm the Hadamard-block cache
+    tracemalloc.start()
+    try:
+        pauli_power_sums(psi, 10, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20
+
+
 def test_caps():
+    n = MAGIC_MAX_QUBITS + 1
+    assert n == 13
     with pytest.raises(DimensionCapExceeded):
-        pauli_expectations_pure(np.zeros(2 ** (MAGIC_MAX_QUBITS + 1), dtype=complex), MAGIC_MAX_QUBITS + 1)
+        pauli_power_sums(np.zeros(2**n, dtype=complex), n, 2)
     with pytest.raises(DimensionCapExceeded):
         pauli_basis(5)

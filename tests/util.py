@@ -111,6 +111,45 @@ def pauli_trace_power_sum(mat, n, alpha):
     return sum(np.trace(p @ mat).real ** (2 * alpha) for p in pauli_strings(n))
 
 
+def signed_pauli_spectrum(f, n):
+    """Signed expectations in ``pauli_basis`` order from f[..., a, x], where
+    Tr(X^a Z^b rho) = sum_x (-1)^(b.x) f[a, x] (f[a, x] = rho[x, x ^ a]).
+
+    The Pauli string with X-part a and Z-part b is i^popcount(a & b) X^a Z^b;
+    I, X, Y, Z have X-bit 0, 1, 1, 0 and Z-bit 0, 0, 1, 1, and the first qubit
+    is the most significant bit. One dense Sylvester-Hadamard product per
+    state: memory grows as 4^n, so this oracle serves n <= 10.
+    """
+    d = 2**n
+    idx = np.arange(d)
+    ones = np.zeros((d, d), dtype=np.int64)
+    for j in range(n):
+        ones += ((idx[:, None] & idx[None, :]) >> j) & 1
+    hadamard = functools.reduce(np.kron, [np.array([[1.0, 1.0], [1.0, -1.0]])] * n, np.ones((1, 1)))
+    signed = ((f @ hadamard) * np.array([1, 1j, -1, -1j])[ones % 4]).real
+    a = b = np.zeros(1, dtype=np.int64)
+    for _ in range(n):
+        a = (2 * a[:, None] + np.array([0, 1, 1, 0])).ravel()
+        b = (2 * b[:, None] + np.array([0, 0, 1, 1])).ravel()
+    return signed.reshape(f.shape[:-2] + (d * d,))[..., a * d + b]
+
+
+def pauli_expectations_pure(amps, n):
+    """<psi|P|psi> for every Pauli string, in ``pauli_basis`` order: shape
+    (4^n,) for one (2^n,) vector, (rows, 4^n) for a (rows, 2^n) block."""
+    block = np.reshape(np.asarray(amps, dtype=complex), (-1, 2**n))
+    idx = np.arange(2**n)
+    f = np.conj(block[:, idx[:, None] ^ idx]) * block[:, None, :]  # conj(psi[x ^ a]) psi[x] at [row, a, x]
+    ev = signed_pauli_spectrum(f, n)
+    return ev[0] if np.ndim(amps) == 1 else ev
+
+
+def pauli_expectations_mixed(mat, n):
+    """Tr(P rho) for every Pauli string, in ``pauli_basis`` order."""
+    idx = np.arange(2**n)
+    return signed_pauli_spectrum(np.asarray(mat)[idx, idx[:, None] ^ idx], n)  # rho[x, x ^ a] at [a, x]
+
+
 def pauli_basis_expectations(amps, n):
     """<psi|P|psi> in ``pauli_basis`` order by contraction with the dense stack."""
     return np.einsum("i,pij,j->p", np.conj(amps), pauli_basis(n), amps).real
