@@ -377,6 +377,7 @@ class TestErrorMapping:
             ["build", "--kind", "subset", "--n", "2", "--members", "0x,11"],
             ["build", "--kind", "subset", "--n", "2", "--m", "5"],
             ["--samples", "0", "gap", "--measure", "coherence-re", "--n", "3", "--e1", "haar", "--e2", "haar"],
+            ["--samples", "0", "sweep", "--measure", "coherence-re", "--n", "4"],
         ],
     )
     def test_bad_input_exits_2(self, argv, capsys):
