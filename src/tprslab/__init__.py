@@ -9,16 +9,8 @@ desk scale.
 
 __version__ = "0.1.0"
 
-from .linalg import (
-    DensityOperator,
-    PartitionSpec,
-    PureState,
-    SymmetricOperator,
-    symmetric_projector,
-    trace_distance,
-    von_neumann_entropy,
-)
-from .randprims import KeyedPermutation, PhaseFunction, RngSeed, sample_haar_state, sample_true_permutation
+from .linalg import PartitionSpec, PureState, SymmetricOperator, symmetric_projector, trace_distance
+from .randprims import KeyedPermutation, PhaseFunction, RngSeed
 from .ensembles import (
     EnsembleSpec,
     SubsetSpec,
@@ -32,12 +24,7 @@ from .ensembles import (
     mc_ensemble_moment,
 )
 from .resources import ResourceMeasure, estimate_gap, haar_expected, stabilizer_renyi_entropy
-from .distinguishers import (
-    estimate_advantage,
-    hadamard_test_prob,
-    hybrid_experiment,
-    swap_test_prob,
-)
+from .distinguishers import estimate_advantage, hybrid_experiment
 from .growth import GrowthClass, check_closure, check_repetition_consistency, is_negligible, table_lower_bound
 from .bounds import (
     coherence_bound_check,

@@ -117,9 +117,9 @@ class DistanceBoundReport:
         return tuple(r.lhs for r in self.rows)
 
 
-def _exact_lhs(kind: str, n: int, size: int, t: int, cap) -> float:
-    moment = SymmetricOperator(n * t, t, exact_moment_block(kind, n, size, t, cap=cap), cap)
-    return trace_distance(moment, haar_moment(n, t, cap))
+def _exact_lhs(kind: str, n: int, size: int, t: int) -> float:
+    moment = SymmetricOperator(n * t, t, exact_moment_block(kind, n, size, t))
+    return trace_distance(moment, haar_moment(n, t))
 
 
 def _ls_slope(xs, ys) -> float | None:
@@ -135,9 +135,7 @@ def verify_distance_bound(
     n: int,
     sizes,
     t: int,
-    fit_constants: bool = True,
     constants: dict | None = None,
-    cap: int | None = None,
 ) -> DistanceBoundReport:
     """Exact moment-to-Haar trace distances checked against the fitted bound.
 
@@ -146,7 +144,7 @@ def verify_distance_bound(
     a single size cannot determine both, so they are fitted jointly by
     equality at the two smallest sizes (clamped at zero and refitted on one
     size if the joint solution goes negative). Fitted constants are then held
-    fixed for every remaining size.
+    fixed for every remaining size; given ``constants`` are held at every size.
 
     The log-log slope is reported for the segment where the fitted c2 t^2 / m
     term dominates; the slope is only meaningful there, and at sizes where the
@@ -159,13 +157,11 @@ def verify_distance_bound(
         raise ValidationError("sizes must be distinct")
     if kind == "subset-phase" and any(s & (s - 1) for s in sizes):
         raise ValidationError("phase kind sizes must be powers of two")
-    lhs = {s: _exact_lhs(kind, n, s, t, cap) for s in sizes}
+    lhs = {s: _exact_lhs(kind, n, s, t) for s in sizes}
 
     fitted_sizes: set[int] = set()
     if kind == "subset-phase":
         if constants is None:
-            if not fit_constants:
-                raise ValidationError("provide constants or enable fitting")
             s0 = sizes[0]
             c = lhs[s0] * s0 / (t * t)
             constants = {"c": c}
@@ -176,8 +172,6 @@ def verify_distance_bound(
         dominated = tuple(sizes)  # single-term bound: every size is in the t^2/m regime
     else:
         if constants is None:
-            if not fit_constants:
-                raise ValidationError("provide constants or enable fitting")
             if len(sizes) >= 2:
                 s0, s1 = sizes[0], sizes[1]
                 a = np.array(

@@ -7,8 +7,9 @@ machines, in "workers", the usable-core count Monte-Carlo calls may fork to).
 --threads is accepted and ignored: large Monte-Carlo chunks run in forked
 processes, one per core of the CPU affinity mask (taskset -c 0 runs them
 serially), and merge in index order, so results are the same bits for any
-core count. Exit codes: 0 success, 2 validation, 3 resource limit, 4
-bound-check failure.
+core count. The dense-dimension cap of exact and Monte-Carlo moments is the
+TPRS_DIM_CAP environment variable (default 4096). Exit codes: 0 success, 2
+validation, 3 resource limit, 4 bound-check failure.
 """
 
 from __future__ import annotations
@@ -314,6 +315,8 @@ def _cmd_sweep(resolved: dict) -> tuple[list[str], list[dict], int]:
     chain_ok = True
     for n in ns:
         measure = _parse_measure(resolved["measure"], n, resolved.get("partition"), alpha)
+        if measure.partition is not None:
+            measure.partition.check(n)
         table_key = _SWEEP_MEASURE_KEY[measure.name]
         prev = None
         ordered = [c for c in _SWEEP_CLASS_ORDER if c in classes] + [c for c in classes if c not in _SWEEP_CLASS_ORDER]
@@ -324,7 +327,6 @@ def _cmd_sweep(resolved: dict) -> tuple[list[str], list[dict], int]:
                 chain_ok = False
             if cname in _SWEEP_CLASS_ORDER:
                 prev = bound
-            measure_n_guard(measure, n)
             spec = _sweep_source(measure, T, n, resolved["seed"])
             if spec is not None:
                 measured.append((len(rows), measure, spec))
@@ -357,13 +359,6 @@ def _cmd_sweep(resolved: dict) -> tuple[list[str], list[dict], int]:
             rows[i].update(measured=mean, measured_se=se, delta=abs(rows[i]["haar_ref"] - mean))
     columns = ["measure", "T", "n", "bound", "measured", "measured_se", "haar_ref", "haar_ref_units", "delta", "kappa", "alpha"]
     return columns, rows, EXIT_OK if chain_ok else EXIT_BOUND_FAIL
-
-
-def measure_n_guard(measure: ResourceMeasure, n: int) -> int:
-    # partition-carrying measures need a partition matching each sweep n
-    if measure.partition is not None and measure.partition.n != n:
-        raise ValidationError(f"partition {measure.partition.n_a}:{measure.partition.n_b} does not match n={n}")
-    return n
 
 
 def _cmd_hybrid(resolved: dict) -> tuple[list[str], list[dict], int]:

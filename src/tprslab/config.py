@@ -1,8 +1,8 @@
 """Global numeric knobs and caps.
 
-Every cap is overridable per call; the dimension cap additionally honors the
-TPRS_DIM_CAP environment variable so whole experiment runs can be resized
-without touching call sites.
+The dense-dimension cap has one knob, the TPRS_DIM_CAP environment variable,
+read at every check, so whole experiment runs can be resized without touching
+call sites. The table cap on 2^n is fixed.
 """
 
 from __future__ import annotations
@@ -26,10 +26,8 @@ PSD_TOL = 1e-9
 EIG_FLOOR = 1e-12
 
 
-def dim_cap(override: int | None = None) -> int:
-    """Resolve the dense-dimension cap: explicit arg > env var > default."""
-    if override is not None:
-        return int(override)
+def dim_cap() -> int:
+    """The dense-dimension cap: TPRS_DIM_CAP if set, else DEFAULT_DIM_CAP."""
     env = os.environ.get(ENV_DIM_CAP)
     if env is not None:
         try:
@@ -39,20 +37,20 @@ def dim_cap(override: int | None = None) -> int:
     return DEFAULT_DIM_CAP
 
 
-def check_dim(n: int, t: int, cap: int | None = None) -> int:
+def check_dim(n: int, t: int) -> int:
     """Dense dimension 2^(n t) of t copies of n qubits; raises
     DimensionCapExceeded above the cap. Call it before allocating."""
-    limit = dim_cap(cap)
+    limit = dim_cap()
     dim = (2**n) ** t
     if dim > limit:
         raise DimensionCapExceeded(f"2^({n}*{t}) exceeds dimension cap {limit}")
     return dim
 
 
-def check_domain(n: int, cap: int = DEFAULT_TABLE_CAP) -> int:
+def check_domain(n: int) -> int:
     """Size 2^n of the n-bit domain that a permutation table or a state vector
-    spans; raises DomainCapExceeded above the cap. Call it before allocating."""
+    spans; raises DomainCapExceeded above DEFAULT_TABLE_CAP. Call it before allocating."""
     size = 2**n
-    if size > cap:
-        raise DomainCapExceeded(f"2^{n} exceeds table cap {cap}")
+    if size > DEFAULT_TABLE_CAP:
+        raise DomainCapExceeded(f"2^{n} exceeds table cap {DEFAULT_TABLE_CAP}")
     return size

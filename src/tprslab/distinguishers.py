@@ -18,7 +18,7 @@ from .config import DEFAULT_BUDGET_CONSTANT
 from .errors import CopyMismatch, ValidationError
 from .ensembles import EnsembleSpec
 from .growth import GrowthClass
-from .linalg import DensityOperator, PartitionSpec
+from .linalg import PartitionSpec
 from .randprims import RngSeed, as_seed
 from .resources import (
     MEASURE_COLLISION_ENT,
@@ -26,15 +26,12 @@ from .resources import (
     abs2,
     measure_pure_amps,
     pauli_power_sums,
-    pauli_power_trace,
 )
 from .sampling import MeanAccumulator, paired_value_means
 
 __all__ = [
     "DistinguisherDescriptor",
     "AdvantageReport",
-    "swap_test_prob",
-    "hadamard_test_prob",
     "make_swap_distinguisher",
     "make_coherence_distinguisher",
     "make_hadamard_distinguisher",
@@ -42,22 +39,6 @@ __all__ = [
     "hybrid_experiment",
     "HybridReport",
 ]
-
-
-def swap_test_prob(rho: DensityOperator) -> float:
-    """Two copies of rho accept with probability (1 + Tr rho^2) / 2."""
-    return 0.5 * (1.0 + rho.purity())
-
-
-def hadamard_test_prob(rho, alpha: int) -> float:
-    """Acceptance of the 2*alpha-copy replica test: (1 + power trace) / 2.
-
-    Reads the X-part Walsh-Hadamard power sums, so it reaches n <= MAGIC_MAX_QUBITS
-    without the dense Pauli stack or the 2^{2 alpha n} operator.
-    """
-    if alpha < 3 or alpha % 2 == 0:
-        raise ValidationError("alpha must be an odd integer >= 3")
-    return 0.5 * (1.0 + pauli_power_trace(rho, alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +91,10 @@ def make_coherence_distinguisher() -> DistinguisherDescriptor:
 
 
 def make_hadamard_distinguisher(alpha: int) -> DistinguisherDescriptor:
-    """Pauli-replica test on 2*alpha copies."""
+    """Pauli-replica test on 2*alpha copies: accepts with probability
+    (1 + (1/2^n) sum_P <psi|P|psi>^{2 alpha}) / 2, read from the X-part
+    Walsh-Hadamard power sums, so it reaches n <= MAGIC_MAX_QUBITS without the
+    dense Pauli stack or the 2^{2 alpha n} operator."""
     if alpha < 3 or alpha % 2 == 0:
         raise ValidationError("alpha must be an odd integer >= 3")
 

@@ -30,7 +30,6 @@ __all__ = [
     "build_subset_state",
     "build_subset_phase_state",
     "stabilizer_orbit",
-    "sample_state",
     "sample_block",
     "haar_moment",
     "exact_moment_block",
@@ -285,25 +284,25 @@ def sample_block(spec: EnsembleSpec, count: int, rng: np.random.Generator) -> np
     return amps
 
 
-def sample_state(spec: EnsembleSpec, rng: np.random.Generator) -> np.ndarray:
-    """One amplitude vector drawn from the ensemble using ``rng``."""
-    return sample_block(spec, 1, rng)[0]
-
-
 # ---------------------------------------------------------------------------
 # Moment operators
 
 
-@lru_cache(maxsize=16)  # one per shape the basis cache holds; each is a D x D block
-def haar_moment(n: int, t: int, cap: int | None = None) -> SymmetricOperator:
+def haar_moment(n: int, t: int) -> SymmetricOperator:
     """Average t-copy projector of the Haar ensemble, P_sym / binom(2^n+t-1, t): the
-    SymmetricOperator with block I/D. Cached per (n, t, cap); it is read-only, so callers share it."""
-    check_dim(n, t, cap)
+    SymmetricOperator with block I/D. Cached per (n, t) behind the dimension cap's
+    check; it is read-only, so callers share it."""
+    check_dim(n, t)
+    return _haar_moment(n, t)
+
+
+@lru_cache(maxsize=16)  # one per shape the basis cache holds; each is a D x D block
+def _haar_moment(n: int, t: int) -> SymmetricOperator:
     size = symmetric_dimension(n, t)
-    return SymmetricOperator(n * t, t, np.eye(size) / size, cap)
+    return SymmetricOperator(n * t, t, np.eye(size) / size)
 
 
-def exact_moment_block(kind: str, n: int, m: int, t: int, cap: int | None = None) -> np.ndarray:
+def exact_moment_block(kind: str, n: int, m: int, t: int) -> np.ndarray:
     """Exact t-copy moment of the size-m subset ("subset") or subset-phase
     ("subset-phase") ensemble, averaged over every subset (and sign pattern),
     as the real (D, D) block in the type basis of ``linalg.symmetric_basis``.
@@ -318,7 +317,7 @@ def exact_moment_block(kind: str, n: int, m: int, t: int, cap: int | None = None
         raise ValidationError("kind must be 'subset' or 'subset-phase'")
     if not (1 <= m <= 2**n):
         raise ValidationError("need 1 <= m <= 2^n")
-    basis = symmetric_basis(n, t, cap=cap)
+    basis = symmetric_basis(n, t)
     d = 2**n
     # C(d-k, m-k) / C(d, m) = prod_{j<k} (m-j) / (d-j), indexed by k
     j = np.arange(min(2 * t, d))
@@ -339,14 +338,14 @@ def exact_moment_block(kind: str, n: int, m: int, t: int, cap: int | None = None
     return out
 
 
-def exact_subset_moment(n: int, m: int, t: int, cap: int | None = None) -> SymmetricOperator:
+def exact_subset_moment(n: int, m: int, t: int) -> SymmetricOperator:
     """Exact average of |S><S|^{x t} over all size-m subsets, as a real SymmetricOperator."""
-    return SymmetricOperator(n * t, t, exact_moment_block("subset", n, m, t, cap=cap), cap)
+    return SymmetricOperator(n * t, t, exact_moment_block("subset", n, m, t))
 
 
-def exact_subset_phase_moment(n: int, m: int, t: int, cap: int | None = None) -> SymmetricOperator:
+def exact_subset_phase_moment(n: int, m: int, t: int) -> SymmetricOperator:
     """Exact average over all size-m subsets and 2^m sign patterns, as a real SymmetricOperator."""
-    return SymmetricOperator(n * t, t, exact_moment_block("subset-phase", n, m, t, cap=cap), cap)
+    return SymmetricOperator(n * t, t, exact_moment_block("subset-phase", n, m, t))
 
 
 @dataclass(frozen=True)
@@ -356,7 +355,7 @@ class MomentEstimate:
     samples: int
 
 
-def mc_ensemble_moment(spec: EnsembleSpec, samples: int, cap: int | None = None) -> MomentEstimate:
+def mc_ensemble_moment(spec: EnsembleSpec, samples: int) -> MomentEstimate:
     """Monte-Carlo mean of the t-copy projector, a SymmetricOperator, with a max-entry standard error.
 
     Sums run over (D, D) pairs of types: in the basis of
@@ -366,7 +365,7 @@ def mc_ensemble_moment(spec: EnsembleSpec, samples: int, cap: int | None = None)
     into running totals, so the estimate depends only on (spec, samples). The
     block is real for the subset kinds.
     """
-    basis = symmetric_basis(spec.n, spec.t, cap=cap)
+    basis = symmetric_basis(spec.n, spec.t)
     block_cap = max(1, min(DEFAULT_CHUNK, (1 << 22) // len(basis.index)))
     root = np.sqrt(basis.orbit)
     total = total_sq = 0.0  # a zero start turns a -0.0 sum into 0.0
@@ -381,7 +380,7 @@ def mc_ensemble_moment(spec: EnsembleSpec, samples: int, cap: int | None = None)
     mean = total / samples
     var = np.maximum(total_sq / samples - np.abs(mean) ** 2 / np.outer(basis.orbit, basis.orbit), 0.0)
     stderr = float(np.sqrt(var.max() / samples))
-    op = SymmetricOperator(spec.n * spec.t, spec.t, (mean + mean.conj().T) / 2, cap)
+    op = SymmetricOperator(spec.n * spec.t, spec.t, (mean + mean.conj().T) / 2)
     return MomentEstimate(op, stderr, samples)
 
 
@@ -412,7 +411,7 @@ def advise_subset_size(T: GrowthClass, n: int) -> SubsetAdvice:
     return SubsetAdvice(m=m, m_exp=m.bit_length() - 1)
 
 
-def advise_copies(T: GrowthClass, n: int, cap: int | None = None) -> int:
+def advise_copies(T: GrowthClass, n: int) -> int:
     """Copy count: the two-copy minimum for plain classes, ceil(f(n)) for
     poly-of-f classes, clipped so 2^{n t} fits the dimension cap."""
     if n < 2:
@@ -423,5 +422,5 @@ def advise_copies(T: GrowthClass, n: int, cap: int | None = None) -> int:
         raw = max(2, math.ceil(T.base_class().eval(n)))
     else:
         raw = 2
-    bits = int(math.log2(dim_cap(cap)))
+    bits = int(math.log2(dim_cap()))
     return max(1, min(raw, bits // n))

@@ -1,16 +1,16 @@
-"""Dense linear algebra over qubit Hilbert spaces.
+"""Pure states, copy moments and the symmetric subspace.
 
-States and density operators are immutable value objects, and every
-operation is a pure function. Operators are stored as float64 when real and
-complex128 otherwise. Copy moments are ``SymmetricOperator`` blocks in the
-symmetric subspace's type basis (``symmetric_basis``), gathered dense only on
-request.
+States and moments are immutable value objects, and every operation is a pure
+function. Arrays are stored as float64 when real and complex128 otherwise.
+Copy moments are ``SymmetricOperator`` blocks in the symmetric subspace's type
+basis (``symmetric_basis``), gathered dense only on request; their trace
+distance is a block eigen-problem.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
@@ -21,10 +21,8 @@ from .errors import DimensionMismatch, PartitionMismatch, ValidationError
 
 __all__ = [
     "PureState",
-    "DensityOperator",
     "SymmetricOperator",
     "PartitionSpec",
-    "von_neumann_entropy",
     "trace_distance",
     "SymmetricBasis",
     "symmetric_basis",
@@ -37,26 +35,6 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=np.complex128 if np.iscomplexobj(a) else np.float64, copy=True)
     out.setflags(write=False)
     return out
-
-
-def _hermitian_unit_trace(a: np.ndarray, size: int) -> np.ndarray:
-    """Read-only copy of a, checked to be a (size, size) Hermitian matrix of trace 1."""
-    mat = _readonly(np.asarray(a))
-    if mat.shape != (size, size):
-        raise ValidationError(f"matrix shape {mat.shape}, expected ({size}, {size})")
-    herm = float(np.max(np.abs(mat - mat.conj().T)))
-    if herm > HERM_TOL:
-        raise ValidationError(f"Hermiticity violation {herm} beyond {HERM_TOL}")
-    tr = complex(np.trace(mat))
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise ValidationError(f"trace {tr} deviates from 1 beyond {TRACE_TOL}")
-    return mat
-
-
-def _check_psd(mat: np.ndarray) -> None:
-    lo = float(np.linalg.eigvalsh(mat)[0])
-    if lo < -PSD_TOL:
-        raise ValidationError(f"minimum eigenvalue {lo} below -{PSD_TOL}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,69 +67,32 @@ class PureState:
     def dim(self) -> int:
         return 2**self.n
 
-    def density(self) -> "DensityOperator":
-        return DensityOperator(self.n, np.outer(self.amps, self.amps.conj()), validate=False)
-
-
-@dataclass(frozen=True, eq=False)
-class DensityOperator:
-    """Hermitian, unit-trace, positive-semidefinite matrix on n qubits.
-
-    A real matrix is stored as float64, a complex one as complex128.
-    ``validate=False`` skips the eigenvalue check for operators produced by
-    invariant-preserving operations (the outer product of a unit vector,
-    convex averages of validated operators); ``validate_full`` re-asserts the
-    complete invariant set on demand. Equality is identity.
-    """
-
-    n: int
-    mat: np.ndarray
-    validate: bool = field(default=True, compare=False)
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValidationError("qubit count must be >= 1")
-        mat = _hermitian_unit_trace(self.mat, 2**self.n)
-        object.__setattr__(self, "mat", mat)
-        if self.validate:
-            _check_psd(mat)
-
-    @property
-    def dim(self) -> int:
-        return 2**self.n
-
-    def validate_full(self) -> "DensityOperator":
-        """Re-run the complete invariant set; returns self for chaining."""
-        DensityOperator(self.n, self.mat, validate=True)
-        return self
-
-    def purity(self) -> float:
-        # Tr(rho^2) equals the squared Frobenius norm for Hermitian rho.
-        return float(np.vdot(self.mat, self.mat).real)
-
-    def diagonal(self) -> np.ndarray:
-        return np.real(np.diag(self.mat)).copy()
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.mat)
-
 
 @dataclass(frozen=True, eq=False)
 class SymmetricOperator:
     """Hermitian, unit-trace operator on the symmetric subspace of t copies of n / t
     qubits, held as its (D, D) ``block`` in the basis of ``symmetric_basis(n // t, t)``,
-    float64 when real. ``n`` and ``dim`` = 2^n are the dense space's, as for
-    ``DensityOperator``; ``mat``, the dense gather, is built under ``cap`` when first read, then cached read-only."""
+    float64 when real. ``n`` and ``dim`` = 2^n are the dense space's; ``mat``, the dense
+    gather, is built under the dimension cap when first read, then cached read-only."""
 
     n: int
     t: int
     block: np.ndarray
-    cap: int | None = None
 
     def __post_init__(self):
         if self.t < 1 or self.n < self.t or self.n % self.t:
             raise ValidationError("n must be a positive multiple of t")
-        object.__setattr__(self, "block", _hermitian_unit_trace(self.block, symmetric_dimension(self.n // self.t, self.t)))
+        size = symmetric_dimension(self.n // self.t, self.t)
+        block = _readonly(np.asarray(self.block))
+        if block.shape != (size, size):
+            raise ValidationError(f"block shape {block.shape}, expected ({size}, {size})")
+        herm = float(np.max(np.abs(block - block.conj().T)))
+        if herm > HERM_TOL:
+            raise ValidationError(f"Hermiticity violation {herm} beyond {HERM_TOL}")
+        tr = complex(np.trace(block))
+        if abs(tr - 1.0) > TRACE_TOL:
+            raise ValidationError(f"trace {tr} deviates from 1 beyond {TRACE_TOL}")
+        object.__setattr__(self, "block", block)
 
     @property
     def dim(self) -> int:
@@ -160,7 +101,7 @@ class SymmetricOperator:
     @cached_property
     def mat(self) -> np.ndarray:
         """Entry (x, y) is block[mu, nu] / sqrt(N_mu N_nu), mu and nu the types of x and y."""
-        basis = symmetric_basis(self.n // self.t, self.t, cap=self.cap)
+        basis = symmetric_basis(self.n // self.t, self.t)
         root = np.sqrt(basis.orbit)
         # one symmetric divisor keeps an exactly Hermitian block exactly Hermitian
         mat = (self.block / np.outer(root, root))[np.ix_(basis.index, basis.index)]
@@ -169,7 +110,9 @@ class SymmetricOperator:
 
     def validate_full(self) -> "SymmetricOperator":
         """Check positivity on the block, the dense spectrum's nonzero part; returns self."""
-        _check_psd(self.block)
+        lo = float(np.linalg.eigvalsh(self.block)[0])
+        if lo < -PSD_TOL:
+            raise ValidationError(f"minimum eigenvalue {lo} below -{PSD_TOL}")
         return self
 
 
@@ -204,20 +147,14 @@ def shannon_bits(p: np.ndarray) -> np.ndarray:
     return -np.sum(terms, axis=-1)
 
 
-def von_neumann_entropy(rho: DensityOperator) -> float:
-    """H(rho) = -Tr(rho log2 rho) in bits; eigenvalues below 1e-12 contribute 0."""
-    return float(shannon_bits(rho.eigenvalues()))
-
-
-def trace_distance(rho: DensityOperator | SymmetricOperator, sigma: DensityOperator | SymmetricOperator) -> float:
-    """Half the absolute eigenvalue sum of rho - sigma. Two ``SymmetricOperator``s on one
+def trace_distance(rho: SymmetricOperator, sigma: SymmetricOperator) -> float:
+    """Half the absolute eigenvalue sum of rho - sigma. Two moments on one symmetric
     subspace differ by an operator on it, whose nonzero spectrum is their block
-    difference's: a D x D eigen-problem. Any other pair takes the dense one. A real
-    difference goes to the real symmetric solver."""
-    if rho.dim != sigma.dim:
-        raise DimensionMismatch(f"dimensions {rho.dim} and {sigma.dim} differ")
-    blocks = isinstance(rho, SymmetricOperator) and isinstance(sigma, SymmetricOperator) and rho.t == sigma.t
-    w = np.linalg.eigvalsh(rho.block - sigma.block if blocks else rho.mat - sigma.mat)
+    difference's: a D x D eigen-problem. A real difference goes to the real symmetric
+    solver. Moments of different qubit or copy counts raise DimensionMismatch."""
+    if (rho.n, rho.t) != (sigma.n, sigma.t):
+        raise DimensionMismatch(f"moments on (n, t) = {(rho.n, rho.t)} and {(sigma.n, sigma.t)} differ")
+    w = np.linalg.eigvalsh(rho.block - sigma.block)
     return float(0.5 * np.sum(np.abs(w)))
 
 
@@ -251,20 +188,20 @@ def _symmetric_basis(n: int, t: int) -> SymmetricBasis:
     return basis
 
 
-def symmetric_basis(n: int, t: int, cap: int | None = None) -> SymmetricBasis:
+def symmetric_basis(n: int, t: int) -> SymmetricBasis:
     """Cached type basis of the symmetric subspace; D = symmetric_dimension(n, t)."""
     if n < 1 or t < 1:
         raise ValidationError("n and t must be >= 1")
-    check_dim(n, t, cap)
+    check_dim(n, t)
     return _symmetric_basis(n, t)
 
 
-def symmetric_projector(n: int, t: int, cap: int | None = None) -> np.ndarray:
+def symmetric_projector(n: int, t: int) -> np.ndarray:
     """Orthogonal projector onto the symmetric subspace of (C^{2^n})^{x t}.
 
     Returned as a raw ndarray: it is idempotent with trace binom(2^n+t-1, t),
     not a unit-trace operator. Entry (x, y) is 1/N_mu when x and y share the
     type mu, else 0.
     """
-    basis = symmetric_basis(n, t, cap=cap)
+    basis = symmetric_basis(n, t)
     return (basis.index[:, None] == basis.index) / basis.orbit[basis.index][:, None]

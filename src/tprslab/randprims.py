@@ -15,9 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT_TABLE_CAP, check_domain
 from .errors import DomainOverflow, ValidationError
-from .linalg import PureState
 
 __all__ = [
     "RngSeed",
@@ -25,10 +23,8 @@ __all__ = [
     "PhaseFunction",
     "key_words",
     "draw_key_words",
-    "sample_true_permutation",
-    "sample_haar_state",
+    "sample_haar_block",
     "as_seed",
-    "as_generator",
 ]
 
 PHASE_KEYED = "keyed"
@@ -57,12 +53,6 @@ class RngSeed:
 def as_seed(seed: "RngSeed | int") -> RngSeed:
     """Coerce a plain integer seed; an RngSeed passes through."""
     return seed if isinstance(seed, RngSeed) else RngSeed(int(seed))
-
-
-def as_generator(seed: "RngSeed | int | np.random.Generator") -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return as_seed(seed).generator()
 
 
 # ---------------------------------------------------------------------------
@@ -247,20 +237,8 @@ class PhaseFunction:
         return self.keyed_bits(self._words, xs)
 
 
-def sample_true_permutation(
-    n: int, seed: "RngSeed | int | np.random.Generator", cap: int = DEFAULT_TABLE_CAP
-) -> np.ndarray:
-    """Uniform (Fisher-Yates) permutation of {0,1}^n as an explicit table."""
-    return as_generator(seed).permutation(check_domain(n, cap))
-
-
-def sample_haar_state(n: int, seed: "RngSeed | int | np.random.Generator") -> PureState:
-    """Haar-random pure state via a normalized complex Gaussian vector."""
-    return PureState(n, sample_haar_block(n, 1, as_generator(seed))[0])
-
-
 def sample_haar_block(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """(count, 2^n) array of Haar state amplitudes; fast path for estimators."""
+    """(count, 2^n) array of Haar state amplitudes: normalised complex Gaussian rows."""
     z = np.empty((count, 2**n), dtype=np.complex128)
     z.real = rng.standard_normal((count, 2**n))
     z.imag = rng.standard_normal((count, 2**n))

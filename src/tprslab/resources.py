@@ -10,7 +10,6 @@ comparisons convert to matching units instead of asserting a base.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -18,15 +17,13 @@ import numpy as np
 
 from .errors import DimensionCapExceeded, NoAnalyticForm, ValidationError
 from .ensembles import EnsembleSpec
-from .linalg import DensityOperator, PartitionSpec, PureState, shannon_bits, von_neumann_entropy
+from .linalg import PartitionSpec, PureState, shannon_bits
 from .randprims import RngSeed, as_seed
 from .sampling import MeanAccumulator, paired_value_means
 
 __all__ = [
     "ResourceMeasure",
     "MEASURE_NAMES",
-    "coherence_relative_entropy",
-    "coherence_hs_distance",
     "entanglement_entropy",
     "collision_entanglement",
     "stabilizer_renyi_entropy",
@@ -37,7 +34,6 @@ __all__ = [
     "GapReport",
     "measure_pure_amps",
     "pauli_power_sums",
-    "pauli_power_trace",
 ]
 
 MAGIC_MAX_QUBITS = 12  # X-part power sums: n 4^n work per state, about 0.2 s at n = 12
@@ -100,21 +96,6 @@ class ResourceMeasure:
 
 # ---------------------------------------------------------------------------
 # Pointwise measures
-
-
-def _diag_probs(rho: DensityOperator) -> np.ndarray:
-    return np.clip(rho.diagonal(), 0.0, None)
-
-
-def coherence_relative_entropy(rho: DensityOperator) -> float:
-    """C(rho) = H(diag rho) - H(rho), in bits, in [0, n]."""
-    return float(shannon_bits(_diag_probs(rho))) - von_neumann_entropy(rho)
-
-
-def coherence_hs_distance(rho: DensityOperator) -> float:
-    """1 - sum_x <x|rho|x>^2, in [0, 1 - 2^-n]."""
-    diag = _diag_probs(rho)
-    return float(1.0 - np.sum(diag**2))
 
 
 def abs2(a: np.ndarray) -> np.ndarray:
@@ -222,9 +203,9 @@ def _xpart_power_sums(f_slice, count: int, n: int, alpha: int) -> np.ndarray:
 
     ``f_slice(rows, idx)`` gives f_a(x) at [row, a, x] for a slice of the
     states and idx[a, x] = x ^ a, where <X^a Z^b> = sum_x (-1)^(b.x) f_a(x):
-    f_a(x) = conj(psi[x ^ a]) psi[x] for a pure state, rho[x, x ^ a] for a
-    density operator. Since f_a(x ^ a) = conj f_a(x), the transform of Re f_a
-    vanishes where popcount(a & b) is odd and that of Im f_a where it is even,
+    f_a(x) = conj(psi[x ^ a]) psi[x]. Since f_a(x ^ a) = conj f_a(x), the
+    transform of Re f_a vanishes where popcount(a & b) is odd and that of
+    Im f_a where it is even,
     and the Hermitian Pauli string i^popcount(a & b) X^a Z^b has the square
     <X^a Z^b>^2 = (Re or Im part)^2. So one real Walsh-Hadamard transform of
     g_a = Re f_a + Im f_a gives every squared expectation: O(n 4^n) work per
@@ -258,31 +239,11 @@ def pauli_power_sums(amps: np.ndarray, n: int, alpha: int) -> np.ndarray:
     return _xpart_power_sums(f_slice, len(block), n, alpha) / 2**n
 
 
-def pauli_power_trace(state, alpha: int) -> float:
-    """(1/2^n) sum_P Tr(P rho)^{2 alpha} of a PureState or DensityOperator."""
-    if isinstance(state, PureState):
-        return float(pauli_power_sums(state.amps, state.n, alpha)[0])
-    _check_magic_qubits(state.n)
-    d = 2**state.n
-    flat, row_start = state.mat.reshape(-1), np.arange(d) * d
-
-    def f_slice(rows: slice, idx: np.ndarray) -> np.ndarray:
-        return np.take(flat, row_start + idx)[None]  # rho[x, x ^ a] at [0, a, x]
-
-    return float(_xpart_power_sums(f_slice, 1, state.n, alpha)[0]) / d
-
-
-def stabilizer_renyi_entropy(state, alpha: int) -> float:
-    """Magic monotone from 2*alpha-th powers of Pauli expectations, in bits.
-
-    Accepts a PureState or a DensityOperator; mixed inputs are allowed but
-    flagged, since the measure's standard semantics are for pure states.
-    """
+def stabilizer_renyi_entropy(psi: PureState, alpha: int) -> float:
+    """Magic monotone of a pure state from 2*alpha-th powers of its Pauli expectations, in bits."""
     if alpha < 2:
         raise ValidationError("alpha must be >= 2")
-    if not isinstance(state, PureState) and state.purity() < 1.0 - 1e-9:
-        warnings.warn("stabilizer Renyi entropy of a mixed state is non-standard", stacklevel=2)
-    return float(np.log2(pauli_power_trace(state, alpha)) / (1 - alpha))
+    return float(np.log2(pauli_power_sums(psi.amps, psi.n, alpha)[0]) / (1 - alpha))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import numpy as np
 
 from tprslab.bounds import empirical_prop_check, verify_distance_bound
 from tprslab.cli import main as cli_main
-from tprslab.distinguishers import hadamard_test_prob
+from tprslab.distinguishers import make_hadamard_distinguisher
 from tprslab.ensembles import (
     EnsembleSpec,
     advise_subset_size,
@@ -23,8 +23,6 @@ from tprslab.linalg import PartitionSpec, symmetric_projector
 from tprslab.randprims import RngSeed, sample_haar_block
 from tprslab.resources import (
     ResourceMeasure,
-    coherence_hs_distance,
-    coherence_relative_entropy,
     estimate_gap,
     haar_magic_proxy,
     measure_pure_amps,
@@ -32,7 +30,7 @@ from tprslab.resources import (
     stabilizer_renyi_entropy,
 )
 
-from .util import TKET, pauli_power_sum, pure, random_pure
+from .util import TKET, coherence_hs, coherence_re, pauli_power_sum, pure, random_pure
 
 LOG = GrowthClass.parse("log")
 
@@ -141,41 +139,42 @@ def test_criterion_05_haar_collision_entanglement():
 
 
 def test_criterion_06_coherence_relation():
-    # The relation C >= -log2(1 - C2) is exact on pure-state density
-    # operators, where it is Shannon >= collision entropy of the measurement
-    # distribution; on genuinely mixed inputs it is false (the maximally
-    # mixed state violates it by n bits), so the zero-violation check runs on
-    # 1000 random pure-state density operators at n <= 3.
+    # The relation C >= -log2(1 - C2) is exact on pure states, where it is
+    # Shannon >= collision entropy of the measurement distribution; on
+    # genuinely mixed inputs it is false (the maximally mixed state violates
+    # it by n bits), so the zero-violation check runs the library's kernels on
+    # 1000 random pure states at n <= 3, and the counterexample the
+    # density-matrix oracles.
     rng = np.random.default_rng(106)
+    coherence, hs = ResourceMeasure("coherence-re"), ResourceMeasure("coherence-hs")
     violations = 0
     worst = np.inf
     for i in range(1000):
         n = 1 + i % 3
-        rho = random_pure(n, rng).density()
-        margin = coherence_relative_entropy(rho) + math.log2(1 - coherence_hs_distance(rho))
+        amps = random_pure(n, rng).amps
+        margin = measure_pure_amps(coherence, amps, n) + math.log2(1 - measure_pure_amps(hs, amps, n))
         worst = min(worst, margin)
         if margin < -1e-9:
             violations += 1
-    from .util import dm
-
-    mixed = dm(np.eye(4) / 4)
-    mixed_margin = coherence_relative_entropy(mixed) + math.log2(1 - coherence_hs_distance(mixed))
+    mixed = np.eye(4) / 4
+    mixed_margin = coherence_re(mixed) + math.log2(1 - coherence_hs(mixed))
     report(
         6,
         "coherence-relation",
         violations == 0 and mixed_margin < -1.9,
-        f"0 violations in 1000 pure-state operators (worst margin {worst:.2e}); "
+        f"0 violations in 1000 pure states (worst margin {worst:.2e}); "
         f"mixed counterexample I/4 margin {mixed_margin:.2f} pins the pure-state domain",
     )
 
 
 def test_criterion_07_replica_identity():
     rng = np.random.default_rng(107)
+    replica = make_hadamard_distinguisher(3).accept_prob_pure
     worst = 0.0
     for i in range(200):
         n = 1 + i % 2
         psi = random_pure(n, rng)
-        p = hadamard_test_prob(psi, 3)
+        p = replica(psi.amps, n)
         via_test = math.log2(2 * p - 1) / (1 - 3)
         direct = stabilizer_renyi_entropy(psi, 3)
         worst = max(worst, abs(via_test - direct))

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tprslab.distinguishers import (
-    hadamard_test_prob,
     make_coherence_distinguisher,
     make_hadamard_distinguisher,
     make_swap_distinguisher,
@@ -26,19 +25,26 @@ from tprslab.ensembles import (
     mc_ensemble_moment,
     sample_block,
 )
-from tprslab.linalg import DensityOperator, PartitionSpec, PureState
+from tprslab.linalg import PartitionSpec, PureState, SymmetricOperator
 from tprslab.randprims import RngSeed
 from tprslab.resources import (
     ResourceMeasure,
-    coherence_hs_distance,
-    coherence_relative_entropy,
     entanglement_entropy,
     measure_pure_amps,
     reduced_purity,
     stabilizer_renyi_entropy,
 )
 
-from .util import coherence_projector_prob, entropy_bits, loop_partial_trace, pauli_power_sum, schmidt_probs_oracle
+from .util import (
+    coherence_hs,
+    coherence_projector_prob,
+    coherence_re,
+    density,
+    entropy_bits,
+    loop_partial_trace,
+    pauli_power_sum,
+    schmidt_probs_oracle,
+)
 
 TOL = 1e-12
 ROWS = 6
@@ -76,9 +82,9 @@ class TestBlockKernels:
             assert abs(re[i] - entropy_bits(p)) <= TOL
             assert abs(hs[i] - (1 - np.sum(p**2))) <= TOL
             if n <= 6:
-                rho = PureState(n, row).density()
-                assert abs(re[i] - coherence_relative_entropy(rho)) <= TOL
-                assert abs(hs[i] - coherence_hs_distance(rho)) <= TOL
+                rho = density(row)
+                assert abs(re[i] - coherence_re(rho)) <= TOL
+                assert abs(hs[i] - coherence_hs(rho)) <= TOL
 
     def test_entanglement(self, kind, n):
         block = _block(kind, n)
@@ -98,7 +104,7 @@ class TestBlockKernels:
         block = _block(kind, n)
         coh = make_coherence_distinguisher().accept_prob_pure(block, n)
         for i, row in enumerate(block):
-            assert abs(coh[i] - coherence_projector_prob(PureState(n, row).density())) <= TOL
+            assert abs(coh[i] - coherence_projector_prob(density(row))) <= TOL
         for part in _partitions(n):
             swap = make_swap_distinguisher(part).accept_prob_pure(block, n)
             for i, row in enumerate(block):
@@ -109,7 +115,7 @@ class TestBlockKernels:
         if n <= 4:
             had = make_hadamard_distinguisher(3).accept_prob_pure(block, n)
             for i, row in enumerate(block):
-                assert abs(had[i] - hadamard_test_prob(PureState(n, row), 3)) <= TOL
+                assert abs(had[i] - 0.5 * (1 + pauli_power_sum(row, n, 3) / 2**n)) <= TOL
 
 
 @pytest.mark.parametrize("kind,n", [(kind, n) for kind, n in _cases() if n <= 4])  # per-row enumeration oracle; n = 5, 6 in test_pauli_spectrum.py
@@ -150,10 +156,10 @@ def test_sample_block_dtype(kind):
 
 def test_state_and_operator_keep_the_input_dtype():
     real = np.full(4, 0.5)
-    assert PureState(2, real).amps.dtype == PureState(2, real).density().mat.dtype == REAL
+    assert PureState(2, real).amps.dtype == REAL
     assert PureState(2, real.astype(complex)).amps.dtype == COMPLEX
-    assert DensityOperator(1, np.eye(2, dtype=np.float32) / 2).mat.dtype == REAL
-    assert DensityOperator(1, np.array([[0.5, 0.5j], [-0.5j, 0.5]])).mat.dtype == COMPLEX
+    assert SymmetricOperator(1, 1, np.eye(2, dtype=np.float32) / 2).mat.dtype == REAL
+    assert SymmetricOperator(1, 1, np.array([[0.5, 0.5j], [-0.5j, 0.5]])).mat.dtype == COMPLEX
 
 
 def test_moment_operator_dtype():

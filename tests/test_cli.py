@@ -385,6 +385,13 @@ class TestErrorMapping:
         assert code == 2
         assert "validation error" in err
 
+    def test_sweep_partition_that_misses_an_n_exits_2(self, capsys):
+        code, out, err = run(["sweep", "--measure", "entanglement", "--n", "4..5", "--partition", "2:2"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "validation error: partition 2:2 does not cover 5 qubits" in err
+        assert "Traceback" not in err
+
     def test_bad_dim_cap_environment_exits_2(self, monkeypatch, capsys):
         monkeypatch.setenv("TPRS_DIM_CAP", "lots")
         code, _, err = run(["advise", "--T", "log", "--n", "16"], capsys)

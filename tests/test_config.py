@@ -2,10 +2,12 @@
 
 Both are checked before anything is allocated, so a request far beyond a cap
 raises the package's own error instead of a MemoryError or an OverflowError.
+The dimension cap's one knob is the TPRS_DIM_CAP environment variable.
 """
 
 import pytest
 
+from tprslab import config
 from tprslab.config import DEFAULT_TABLE_CAP, check_dim, check_domain
 from tprslab.errors import DimensionCapExceeded, DomainCapExceeded
 
@@ -21,14 +23,16 @@ class TestCheckDomain:
         with pytest.raises(DomainCapExceeded, match=rf"^2\^{n} exceeds table cap 1048576$"):
             check_domain(n)
 
-    def test_explicit_cap(self):
-        assert check_domain(4, cap=16) == 16
+    def test_explicit_cap(self, monkeypatch):
+        monkeypatch.setattr(config, "DEFAULT_TABLE_CAP", 16)
+        assert check_domain(4) == 16
         with pytest.raises(DomainCapExceeded):
-            check_domain(5, cap=16)
+            check_domain(5)
 
 
 class TestCheckDim:
-    def test_at_and_beyond_the_cap(self):
-        assert check_dim(3, 2, cap=64) == 64
+    def test_at_and_beyond_the_cap(self, monkeypatch):
+        monkeypatch.setenv("TPRS_DIM_CAP", "64")
+        assert check_dim(3, 2) == 64
         with pytest.raises(DimensionCapExceeded):
-            check_dim(3, 3, cap=64)
+            check_dim(3, 3)

@@ -6,12 +6,10 @@ import pytest
 
 from tprslab.distinguishers import (
     estimate_advantage,
-    hadamard_test_prob,
     hybrid_experiment,
     make_coherence_distinguisher,
     make_hadamard_distinguisher,
     make_swap_distinguisher,
-    swap_test_prob,
 )
 from tprslab.ensembles import EnsembleSpec
 from tprslab.errors import CopyMismatch, DimensionCapExceeded, ValidationError
@@ -25,12 +23,14 @@ from .util import (
     KET0,
     PLUS,
     TKET,
+    coherence_hs,
     coherence_projector_operator,
     coherence_projector_prob,
-    dm,
+    density,
     kron_all,
     pauli_power_sum,
     pauli_replica_operator,
+    pauli_trace_power_sum,
     pure,
     random_density,
     random_pure,
@@ -41,27 +41,19 @@ from .util import (
 LOG = GrowthClass.parse("log")
 
 
+def hadamard_accept(psi, alpha=3):
+    """The Pauli-replica descriptor's acceptance of one pure state."""
+    return make_hadamard_distinguisher(alpha).accept_prob_pure(psi.amps, psi.n)
+
+
 class TestSwapTest:
-    def test_pure(self):
-        assert swap_test_prob(pure(PLUS).density()) == pytest.approx(1.0)
-
-    def test_maximally_mixed(self):
-        assert swap_test_prob(dm(np.eye(2) / 2)) == pytest.approx(0.75)
-        assert swap_test_prob(dm(np.eye(4) / 4)) == pytest.approx(0.625)
-
-    def test_range(self):
-        rng = np.random.default_rng(1)
-        for _ in range(100):
-            p = swap_test_prob(random_density(2, rng))
-            assert 0.5 - 1e-9 <= p <= 1.0 + 1e-9
-
     def test_two_copy_operator_route(self):
         rng = np.random.default_rng(2)
         part = PartitionSpec(1, 1)
         dist = make_swap_distinguisher(part)
         for _ in range(10):
             psi = random_pure(2, rng)
-            omega = np.kron(psi.density().mat, psi.density().mat)
+            omega = np.kron(density(psi.amps), density(psi.amps))
             via_op = 0.5 * (1.0 + float(np.einsum("ij,ji->", swap_on_a_operator(2, part), omega).real))
             via_pure = dist.accept_prob_pure(psi.amps, 2)
             assert via_op == pytest.approx(via_pure, abs=1e-10)
@@ -78,18 +70,16 @@ class TestCoherenceProjector:
         assert make_coherence_distinguisher().accept_prob_pure(amps, n) == pytest.approx(2.0**-n)
 
     def test_maximally_mixed(self):
-        rho = dm(np.eye(4) / 4)
+        rho = np.eye(4) / 4
         assert coherence_projector_prob(rho) == pytest.approx(0.25, abs=1e-12)
-        via_op = float(np.einsum("ij,ji->", coherence_projector_operator(2), np.kron(rho.mat, rho.mat)).real)
+        via_op = float(np.einsum("ij,ji->", coherence_projector_operator(2), np.kron(rho, rho)).real)
         assert via_op == pytest.approx(0.25, abs=1e-12)
 
     def test_complements_hs_distance(self):
-        from tprslab.resources import coherence_hs_distance
-
         rng = np.random.default_rng(3)
         for _ in range(50):
             rho = random_density(2, rng)
-            assert coherence_projector_prob(rho) + coherence_hs_distance(rho) == pytest.approx(
+            assert coherence_projector_prob(rho) + coherence_hs(rho) == pytest.approx(
                 1.0, abs=1e-12
             )
 
@@ -99,10 +89,10 @@ class TestCoherenceProjector:
         op = coherence_projector_operator(2)
         for _ in range(10):
             rho = random_density(2, rng)
-            want = float(np.einsum("ij,ji->", op, np.kron(rho.mat, rho.mat)).real)
+            want = float(np.einsum("ij,ji->", op, np.kron(rho, rho)).real)
             assert coherence_projector_prob(rho) == pytest.approx(want, abs=1e-12)
             psi = random_pure(2, rng)
-            want = float(np.einsum("ij,ji->", op, np.kron(psi.density().mat, psi.density().mat)).real)
+            want = float(np.einsum("ij,ji->", op, np.kron(density(psi.amps), density(psi.amps))).real)
             assert dist.accept_prob_pure(psi.amps, 2) == pytest.approx(want, abs=1e-12)
 
     def test_swap_operator_is_permutation(self):
@@ -123,7 +113,7 @@ class TestPauliReplicaOperator:
         assert np.trace(op).real == pytest.approx(2.0**6 / 2, abs=1e-12)
 
     def test_stabilizer_state_trace_one(self):
-        omega = functools.reduce(np.kron, [pure(KET0).density().mat] * 6)
+        omega = functools.reduce(np.kron, [density(KET0)] * 6)
         assert np.einsum("ij,ji->", pauli_replica_operator(1, 3), omega).real == pytest.approx(1.0, abs=1e-10)
 
     def test_consistent_with_magic(self):
@@ -131,42 +121,41 @@ class TestPauliReplicaOperator:
         proj = pauli_replica_operator(1, 3)
         for _ in range(10):
             psi = random_pure(1, rng)
-            omega = functools.reduce(np.kron, [psi.density().mat] * 6)
+            omega = functools.reduce(np.kron, [density(psi.amps)] * 6)
             tr = float(np.einsum("ij,ji->", proj, omega).real)
             m3 = stabilizer_renyi_entropy(psi, 3)
             assert tr == pytest.approx(2.0 ** ((1 - 3) * m3), abs=1e-9)
+            # the phased-permutation oracle against the dense replica operator
+            assert replica_test_prob_oracle(density(psi.amps), 3) == pytest.approx(0.5 * (1.0 + tr), abs=1e-12)
 
 
 class TestHadamardTest:
     def test_stabilizer_state(self):
-        assert hadamard_test_prob(pure(KET0), 3) == pytest.approx(1.0, abs=1e-12)
+        assert hadamard_accept(pure(KET0)) == pytest.approx(1.0, abs=1e-12)
 
     def test_t_state(self):
-        assert hadamard_test_prob(pure(TKET), 3) == pytest.approx(0.8125, abs=1e-12)
+        assert hadamard_accept(pure(TKET)) == pytest.approx(0.8125, abs=1e-12)
 
     def test_maximally_mixed_by_enumeration(self):
-        rho = dm(np.eye(2) / 2)
+        rho = np.eye(2) / 2
         # enumeration oracle: only the identity Pauli contributes
         want = 0.5 * (1.0 + pauli_power_sum(np.array([0.0, 0.0]), 1, 3))
-        got = hadamard_test_prob(rho, 3)
+        got = replica_test_prob_oracle(rho, 3)
         direct = 0.5 * (1.0 + (1.0) / 2)
         assert got == pytest.approx(direct, abs=1e-12)
+        assert got == pytest.approx(0.5 * (1.0 + pauli_trace_power_sum(rho, 1, 3) / 2), abs=1e-12)
         assert got == pytest.approx(0.75, abs=1e-12)
         assert want == pytest.approx(0.5)  # zero operator has no Pauli weight
 
     def test_projector_route_cross_validation(self):
         rng = np.random.default_rng(6)
-        for _ in range(5):
-            psi = random_pure(1, rng)
-            a = hadamard_test_prob(psi, 3)
-            b = replica_test_prob_oracle(psi.density(), 3)
-            assert a == pytest.approx(b, abs=1e-10)
+        for n in (1, 2):
+            for _ in range(5):
+                psi = random_pure(n, rng)
+                assert abs(hadamard_accept(psi) - replica_test_prob_oracle(density(psi.amps), 3)) <= 1e-12
 
     def test_alpha_validation(self):
-        psi = pure(TKET)
         for alpha in (1, 2, 4):
-            with pytest.raises(ValidationError):
-                hadamard_test_prob(psi, alpha)
             with pytest.raises(ValidationError):
                 make_hadamard_distinguisher(alpha)
 
@@ -174,8 +163,6 @@ class TestHadamardTest:
         n = MAGIC_MAX_QUBITS + 1
         amps = np.zeros(2**n, dtype=complex)
         amps[0] = 1.0
-        with pytest.raises(DimensionCapExceeded):
-            hadamard_test_prob(pure(amps), 3)
         with pytest.raises(DimensionCapExceeded):
             make_hadamard_distinguisher(3).accept_prob_pure(amps, n)
 
@@ -186,7 +173,7 @@ class TestHadamardTest:
         for i in range(200):
             n = 1 + i % 2
             psi = random_pure(n, rng)
-            p = hadamard_test_prob(psi, 3)
+            p = hadamard_accept(psi)
             m_from_p = math.log2(2 * p - 1) / (1 - 3)
             assert m_from_p == pytest.approx(stabilizer_renyi_entropy(psi, 3), abs=1e-8)
 

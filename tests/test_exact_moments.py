@@ -1,7 +1,6 @@
 """Closed-form exact moments on the symmetric subspace against enumeration,
 the type-basis SymmetricOperator against its dense gather, and the trace
-distance's block and dense routes against the nuclear norm and dense
-eigvalsh."""
+distance's block route against the nuclear norm and dense eigvalsh."""
 
 import math
 from contextlib import contextmanager
@@ -12,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tprslab import linalg
+from tprslab import ensembles, linalg
 from tprslab.bounds import _exact_lhs, verify_distance_bound
 from tprslab.config import HERM_TOL
 from tprslab.ensembles import (
@@ -23,9 +22,8 @@ from tprslab.ensembles import (
     haar_moment,
     mc_ensemble_moment,
 )
-from tprslab.errors import DimensionCapExceeded, ValidationError
+from tprslab.errors import DimensionCapExceeded, DimensionMismatch, ValidationError
 from tprslab.linalg import (
-    DensityOperator,
     SymmetricOperator,
     symmetric_basis,
     symmetric_dimension,
@@ -37,6 +35,7 @@ from tprslab.randprims import RngSeed
 from .util import (
     exact_subset_moment_oracle,
     exact_subset_phase_moment_oracle,
+    one_copy,
     random_density,
     symmetric_projector_oracle,
     trace_distance_oracle,
@@ -75,7 +74,7 @@ def _basis_matrix(n, t):
 
 
 def _check_against_oracle(kind, n, m, t):
-    oracle = ORACLE[kind](n, m, t).mat
+    oracle = ORACLE[kind](n, m, t)
     dense = DENSE[kind](n, m, t).mat
     assert np.max(np.abs(dense - oracle)) <= TOL
     v = _basis_matrix(n, t)
@@ -116,8 +115,8 @@ class TestBlockAgainstEnumeration:
     )
     def test_block_distance_matches_dense_trace_distance(self, kind, n, t, sizes):
         for m in sizes:
-            lhs = _exact_lhs(kind, n, m, t, None)
-            want = trace_distance(ORACLE[kind](n, m, t), haar_moment(n, t))
+            lhs = _exact_lhs(kind, n, m, t)
+            want = trace_distance_oracle(ORACLE[kind](n, m, t), haar_moment(n, t).mat)
             assert lhs == pytest.approx(want, abs=TOL)
 
     def test_block_is_a_density_operator_on_the_subspace(self):
@@ -151,21 +150,29 @@ class TestValidation:
             exact_moment_block(*args)
 
     def test_cap_checked_before_the_basis_is_built(self, monkeypatch):
-        from tprslab import linalg
-
         def fail(*args):
             raise AssertionError("basis built before the cap check")
 
         monkeypatch.setattr(linalg, "_symmetric_basis", fail)
+        monkeypatch.setattr(ensembles, "_haar_moment", fail)
+        monkeypatch.setenv("TPRS_DIM_CAP", "64")
         for call in (
             lambda: exact_moment_block("subset-phase", 7, 16, 2),
-            lambda: exact_subset_moment(2, 2, 4, cap=64),
-            lambda: symmetric_projector(2, 4, cap=64),
-            lambda: haar_moment(2, 4, cap=64),
-            lambda: mc_ensemble_moment(EnsembleSpec("haar", 2, t=4), 10, cap=64),
+            lambda: exact_subset_moment(2, 2, 4),
+            lambda: symmetric_projector(2, 4),
+            lambda: haar_moment(2, 4),
+            lambda: mc_ensemble_moment(EnsembleSpec("haar", 2, t=4), 10),
         ):
             with pytest.raises(DimensionCapExceeded, match=r"exceeds dimension cap"):
                 call()
+
+    def test_lowered_cap_applies_to_a_cached_haar_moment(self, monkeypatch):
+        haar_moment(3, 2)  # cached at the default cap
+        monkeypatch.setenv("TPRS_DIM_CAP", "16")
+        with pytest.raises(DimensionCapExceeded, match=r"exceeds dimension cap 16"):
+            haar_moment(3, 2)
+        monkeypatch.delenv("TPRS_DIM_CAP")
+        assert haar_moment(3, 2) is haar_moment(3, 2)
 
 
 class TestSymmetricBasis:
@@ -197,14 +204,15 @@ class TestSymmetricBasis:
 
 
 def _hermitian_pair(rng, n, real):
+    """Two one-copy moments: at t = 1 the block is the dense density matrix."""
     if real:
         mats = []
         for _ in range(2):
             g = rng.standard_normal((2**n, 2**n))
             mat = g @ g.T
-            mats.append(DensityOperator(n, mat / np.trace(mat)))
+            mats.append(one_copy(mat / np.trace(mat)))
         return mats
-    return [random_density(n, rng), random_density(n, rng)]
+    return [one_copy(random_density(n, rng)), one_copy(random_density(n, rng))]
 
 
 class TestTraceDistanceRoutes:
@@ -226,7 +234,7 @@ class TestTraceDistanceRoutes:
             want = 0.5 * np.linalg.norm(rho.mat - sigma.mat, "nuc")
             assert trace_distance(rho, sigma) == pytest.approx(want, abs=TOL)
         assert set(seen) == {np.dtype(np.float64 if real else np.complex128)}
-        # all rows distinct: the dense eigen-problem
+        # one copy: the block is the whole space
         assert shapes == [(rho.dim, rho.dim) for rho, _ in pairs]
 
     def test_real_route_on_the_moment_pair(self):
@@ -241,7 +249,7 @@ class TestTraceDistanceRoutes:
         est = mc_ensemble_moment(EnsembleSpec(kind, n, m=m, t=t, seed=RngSeed(5)), 600)
         with eig_shapes() as seen:
             got = trace_distance(est.operator, haar_moment(n, t))
-        assert got == pytest.approx(trace_distance_oracle(est.operator, haar_moment(n, t)), abs=TOL)
+        assert got == pytest.approx(trace_distance_oracle(est.operator.mat, haar_moment(n, t).mat), abs=TOL)
         assert seen == [(symmetric_dimension(n, t),) * 2]
 
 
@@ -261,7 +269,7 @@ def eig_shapes():
 
 def _fresh_pairs():
     """Symmetric pairs, none of whose dense matrices has been gathered."""
-    haar = haar_moment.__wrapped__  # uncached, so no earlier test gathered it
+    haar = ensembles._haar_moment.__wrapped__  # uncached, so no earlier test gathered it
     mc = mc_ensemble_moment(EnsembleSpec("subset-keyed", 2, m=3, t=3, seed=RngSeed(9)), 400).operator
     mc_haar = mc_ensemble_moment(EnsembleSpec("haar", 3, t=2, seed=RngSeed(10)), 400).operator
     return [
@@ -284,40 +292,24 @@ class TestSymmetricOperator:
         assert op.mat.dtype == np.float64
         assert np.max(np.abs(op.mat - want)) <= TOL
 
-    def test_symmetric_pairs_match_nuclear_norm_without_gathering(self, monkeypatch):
+    def test_symmetric_pairs_match_nuclear_norm_without_gathering(self):
         pairs = _fresh_pairs()
-
-        def no_dense(self):
-            raise AssertionError("DensityOperator built on the block route")
-
-        monkeypatch.setattr(DensityOperator, "__post_init__", no_dense)
         got = []
         for rho, sigma in pairs:
             with eig_shapes() as seen:
                 got.append(trace_distance(rho, sigma))
             assert seen == [(len(rho.block),) * 2]
             assert "mat" not in vars(rho) and "mat" not in vars(sigma)
-        monkeypatch.undo()
         for (rho, sigma), value in zip(pairs, got):
             assert value == pytest.approx(0.5 * np.linalg.norm(rho.mat - sigma.mat, "nuc"), abs=TOL)
 
-    def test_mixed_pairs_take_the_dense_route(self):
-        for rho, sigma in _fresh_pairs():
-            dense = DensityOperator(sigma.n, sigma.mat)
-            want = 0.5 * np.linalg.norm(rho.mat - sigma.mat, "nuc")
-            for pair in ((rho, dense), (dense, rho)):
-                with eig_shapes() as seen:
-                    assert trace_distance(*pair) == pytest.approx(want, abs=TOL)
-                assert seen == [(rho.dim, rho.dim)]
-
-    def test_different_subspaces_of_one_dimension_take_the_dense_route(self):
+    def test_pairs_on_different_subspaces_solve_nothing(self):
         # 2 copies of 3 qubits and 3 copies of 2 qubits share 2^6 dense dimensions
         rho, sigma = exact_subset_moment(3, 2, 2), exact_subset_phase_moment(2, 2, 3)
-        assert rho.dim == sigma.dim and len(rho.block) != len(sigma.block)
-        with eig_shapes() as seen:
-            got = trace_distance(rho, sigma)
-        assert seen == [(64, 64)]
-        assert got == pytest.approx(0.5 * np.linalg.norm(rho.mat - sigma.mat, "nuc"), abs=TOL)
+        for pair in ((rho, sigma), (sigma, rho), (rho, haar_moment(2, 2))):
+            with eig_shapes() as seen, pytest.raises(DimensionMismatch):
+                trace_distance(*pair)
+            assert seen == []
 
     @pytest.mark.parametrize(
         "n,t,block",
@@ -363,8 +355,9 @@ class TestSymmetricOperator:
         with pytest.raises(ValueError):
             mat[0, 0] = 0.0
 
-    def test_gather_keeps_the_dimension_cap(self):
-        op = SymmetricOperator(8, 4, np.eye(35) / 35, cap=64)
+    def test_gather_keeps_the_dimension_cap(self, monkeypatch):
+        op = SymmetricOperator(8, 4, np.eye(35) / 35)
+        monkeypatch.setenv("TPRS_DIM_CAP", "64")
         with pytest.raises(DimensionCapExceeded):
             op.mat
         assert op.dim == 256 and "mat" not in vars(op)

@@ -3,14 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from tprslab.ensembles import haar_moment
 from tprslab.errors import DimensionCapExceeded, DimensionMismatch, PartitionMismatch, ValidationError
-from tprslab.linalg import (
-    PartitionSpec,
-    PureState,
-    symmetric_projector,
-    trace_distance,
-    von_neumann_entropy,
-)
+from tprslab.linalg import PartitionSpec, PureState, symmetric_projector, trace_distance
 from tprslab.resources import collision_entanglement, entanglement_entropy, reduced_purity
 
 from .util import (
@@ -18,13 +13,16 @@ from .util import (
     KET1,
     PLUS,
     copy_transposition_operator,
-    dm,
+    density,
     kron_all,
     loop_partial_trace,
+    one_copy,
     pure,
     pure_trace_distance,
+    purity,
     random_density,
     random_pure,
+    von_neumann_entropy,
 )
 
 
@@ -42,21 +40,6 @@ class TestConstructors:
         with pytest.raises(ValidationError):
             PureState(1, np.array([1.0, 1.0]))
 
-    def test_density_valid(self):
-        dm(np.eye(2) / 2)
-
-    def test_density_not_hermitian(self):
-        with pytest.raises(ValidationError):
-            dm(np.array([[0.5, 0.5], [0.0, 0.5]]))
-
-    def test_density_bad_trace(self):
-        with pytest.raises(ValidationError):
-            dm(np.eye(2))
-
-    def test_density_not_psd(self):
-        with pytest.raises(ValidationError):
-            dm(np.diag([1.5, -0.5]))
-
     def test_partition_convention(self):
         with pytest.raises(ValidationError):
             PartitionSpec(2, 1)
@@ -70,20 +53,20 @@ class TestConstructors:
 
 class TestLoopPartialTrace:
     def test_bell_reduction(self):
-        bell = pure([1, 0, 0, 1] / np.sqrt(2)).density()
-        assert np.allclose(loop_partial_trace(bell.mat, 1, 1, "A"), np.eye(2) / 2, atol=1e-12)
+        bell = density(np.array([1, 0, 0, 1]) / np.sqrt(2))
+        assert np.allclose(loop_partial_trace(bell, 1, 1, "A"), np.eye(2) / 2, atol=1e-12)
 
     def test_product_keep_b(self):
         psi = pure(kron_all(KET0, PLUS))
-        red = loop_partial_trace(psi.density().mat, 1, 1, "B")
+        red = loop_partial_trace(density(psi.amps), 1, 1, "B")
         assert np.allclose(red, np.outer(PLUS, PLUS.conj()), atol=1e-12)
 
     def test_schmidt_symmetry(self):
         rng = np.random.default_rng(42)
         for _ in range(25):
-            rho = random_pure(3, rng).density()
-            ha = von_neumann_entropy(dm(loop_partial_trace(rho.mat, 1, 2, "A")))
-            hb = von_neumann_entropy(dm(loop_partial_trace(rho.mat, 1, 2, "B")))
+            rho = density(random_pure(3, rng).amps)
+            ha = von_neumann_entropy(loop_partial_trace(rho, 1, 2, "A"))
+            hb = von_neumann_entropy(loop_partial_trace(rho, 1, 2, "B"))
             assert abs(ha - hb) < 1e-9
 
 
@@ -96,10 +79,11 @@ class TestPartialTrace:
         part = PartitionSpec(n_a, n_b)
         for _ in range(5):
             psi = random_pure(n_a + n_b, rng)
-            red = dm(loop_partial_trace(psi.density().mat, n_a, n_b, keep)).validate_full()
+            red = loop_partial_trace(density(psi.amps), n_a, n_b, keep)
+            assert np.trace(red).real == pytest.approx(1.0, abs=1e-12)
             # either reduction of a pure state has the same nonzero spectrum
             assert entanglement_entropy(psi, part) == pytest.approx(von_neumann_entropy(red), abs=1e-10)
-            assert reduced_purity(psi, part) == pytest.approx(red.purity(), abs=1e-12)
+            assert reduced_purity(psi, part) == pytest.approx(purity(red), abs=1e-12)
 
     def test_mismatch(self):
         psi = random_pure(3, np.random.default_rng(0))
@@ -109,11 +93,11 @@ class TestPartialTrace:
 
 class TestEntropies:
     def test_pure_zero(self):
-        assert von_neumann_entropy(pure(KET0).density()) == pytest.approx(0.0, abs=1e-12)
+        assert von_neumann_entropy(density(KET0)) == pytest.approx(0.0, abs=1e-12)
 
     def test_maximally_mixed(self):
-        assert von_neumann_entropy(dm(np.eye(2) / 2)) == pytest.approx(1.0, abs=1e-12)
-        assert von_neumann_entropy(dm(np.eye(4) / 4)) == pytest.approx(2.0, abs=1e-12)
+        assert von_neumann_entropy(np.eye(2) / 2) == pytest.approx(1.0, abs=1e-12)
+        assert von_neumann_entropy(np.eye(4) / 4) == pytest.approx(2.0, abs=1e-12)
 
     def test_collision_pure(self):
         part = PartitionSpec(1, 1)
@@ -127,7 +111,7 @@ class TestEntropies:
         want = -np.log2(float(p @ p))
         psi = pure(np.array([np.sqrt(p[0]), 0, 0, np.sqrt(p[1])]))
         assert collision_entanglement(psi, PartitionSpec(1, 1)) == pytest.approx(want, abs=1e-12)
-        assert -np.log2(dm(np.diag(p)).purity()) == pytest.approx(want, abs=1e-12)
+        assert -np.log2(purity(np.diag(p))) == pytest.approx(want, abs=1e-12)
         assert want == pytest.approx(0.678, abs=5e-4)
 
     def test_renyi_below_von_neumann(self):
@@ -135,33 +119,37 @@ class TestEntropies:
         for i in range(1000):
             n = 1 + i % 3
             rho = random_density(n, rng, rank=1 + i % (2**n))
-            assert von_neumann_entropy(rho) + np.log2(rho.purity()) >= -1e-9
+            assert von_neumann_entropy(rho) + np.log2(purity(rho)) >= -1e-9
 
 
 class TestTraceDistance:
+    """On one-copy moments, whose blocks are the density matrices themselves."""
+
     def test_self_zero(self):
-        rho = random_density(2, np.random.default_rng(0))
+        rho = one_copy(random_density(2, np.random.default_rng(0)))
         assert trace_distance(rho, rho) == pytest.approx(0.0, abs=1e-12)
 
     def test_orthogonal(self):
-        assert trace_distance(pure(KET0).density(), pure(KET1).density()) == pytest.approx(1.0)
+        assert trace_distance(one_copy(density(KET0)), one_copy(density(KET1))) == pytest.approx(1.0)
 
     def test_pure_formula_oracle(self):
-        got = trace_distance(pure(KET0).density(), pure(PLUS).density())
+        got = trace_distance(one_copy(density(KET0)), one_copy(density(PLUS)))
         assert got == pytest.approx(pure_trace_distance(KET0, PLUS), abs=1e-12)
         assert got == pytest.approx(math.sqrt(0.5), abs=1e-9)
 
     def test_symmetry_and_triangle(self):
         rng = np.random.default_rng(11)
         for _ in range(200):
-            a, b, c = (random_density(2, rng) for _ in range(3))
+            a, b, c = (one_copy(random_density(2, rng)) for _ in range(3))
             dab, dba = trace_distance(a, b), trace_distance(b, a)
             assert dab == pytest.approx(dba, abs=1e-12)
             assert trace_distance(a, c) <= dab + trace_distance(b, c) + 1e-9
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            trace_distance(dm(np.eye(2) / 2), dm(np.eye(4) / 4))
+            trace_distance(one_copy(np.eye(2) / 2), one_copy(np.eye(4) / 4))
+        with pytest.raises(DimensionMismatch):
+            trace_distance(haar_moment(2, 2), haar_moment(3, 2))
 
 
 class TestSymmetricProjector:
@@ -191,6 +179,7 @@ class TestSymmetricProjector:
                 w = copy_transposition_operator(1, 3, i, j)
                 assert np.max(np.abs(w @ p - p @ w)) < 1e-9
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        monkeypatch.setenv("TPRS_DIM_CAP", "64")
         with pytest.raises(DimensionCapExceeded):
-            symmetric_projector(2, 4, cap=64)
+            symmetric_projector(2, 4)

@@ -1,10 +1,10 @@
 """The X-part Walsh-Hadamard power sums against the signed-spectrum and enumeration oracles.
 
-``pauli_power_sums`` and ``pauli_power_trace`` are the library's route to
-Pauli power sums; magic, the Pauli-replica test and the mixed-state power
-trace all read them. The signed spectrum in tests/util.py (phase and
-``pauli_basis`` order applied) is checked against the dense Pauli stack and
-enumeration, and the library against it at 1e-12 relative up to n = 10.
+``pauli_power_sums`` is the library's route to Pauli power sums; magic and the
+Pauli-replica test read it. The signed spectra in tests/util.py (phase and
+``pauli_basis`` order applied), of pure states and of density matrices, are
+checked against the dense Pauli stack and enumeration, and the library against
+them at 1e-12 relative up to n = 10.
 """
 
 import tracemalloc
@@ -16,17 +16,11 @@ from hypothesis import strategies as st
 
 from tprslab.ensembles import ENSEMBLE_KINDS, EnsembleSpec, sample_block
 from tprslab.errors import DimensionCapExceeded
-from tprslab.linalg import DensityOperator, PureState
 from tprslab.randprims import RngSeed
-from tprslab.resources import (
-    MAGIC_MAX_QUBITS,
-    PAULI_SLICE_ENTRIES,
-    pauli_basis,
-    pauli_power_sums,
-    pauli_power_trace,
-)
+from tprslab.resources import MAGIC_MAX_QUBITS, PAULI_SLICE_ENTRIES, pauli_basis, pauli_power_sums
 
 from .util import (
+    density,
     pauli_basis_expectations,
     pauli_expectation_values,
     pauli_expectations_mixed,
@@ -69,8 +63,8 @@ def test_signed_vector_matches_dense_stack(n):
     for psi, row in zip(states, rows):
         assert np.max(np.abs(row - pauli_basis_expectations(psi, n))) <= TOL
     rho = random_density(n, rng)
-    want = np.einsum("pij,ji->p", pauli_basis(n), rho.mat).real
-    assert np.max(np.abs(pauli_expectations_mixed(rho.mat, n) - want)) <= TOL
+    want = np.einsum("pij,ji->p", pauli_basis(n), rho).real
+    assert np.max(np.abs(pauli_expectations_mixed(rho, n) - want)) <= TOL
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -88,17 +82,6 @@ def test_power_sums_match_signed_oracle(n):
             assert np.max(np.abs(pauli_power_sums(block, n, alpha) / want - 1.0)) <= TOL
 
 
-@pytest.mark.parametrize("n", range(1, 11))
-def test_mixed_power_trace_matches_signed_oracle(n):
-    rng = np.random.default_rng(350 + n)
-    rho = random_density(n, rng, rank=min(2**n, 4))
-    real = DensityOperator(n, rho.mat.real.astype(complex), validate=False)
-    for state in (rho, real):
-        ev = pauli_expectations_mixed(state.mat, n)
-        for alpha in (2, 3):
-            assert abs(pauli_power_trace(state, alpha) / _oracle_power_sums(ev, n, alpha) - 1.0) <= TOL
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_block_power_sums_match_enumeration(n):
     rng = RngSeed(310 + n).generator()
@@ -111,19 +94,22 @@ def test_block_power_sums_match_enumeration(n):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_mixed_power_trace_matches_enumeration(n):
+def test_mixed_signed_oracle_matches_enumeration(n):
+    # the two oracles that cover the power trace of a density matrix
     rng = np.random.default_rng(320 + n)
     for rank in (1, 2, 2**n):
         rho = random_density(n, rng, rank=rank)
         for alpha in (2, 3):
-            want = pauli_trace_power_sum(rho.mat, n, alpha) / 2**n
-            assert abs(pauli_power_trace(rho, alpha) - want) <= TOL
+            want = pauli_trace_power_sum(rho, n, alpha) / 2**n
+            assert abs(_oracle_power_sums(pauli_expectations_mixed(rho, n), n, alpha) - want) <= TOL
 
 
 def test_pure_and_mixed_routes_agree_at_n6():
+    # the library's pure-state route against the signed oracle of |psi><psi|
     psi = random_pure(6, np.random.default_rng(330))
+    ev = pauli_expectations_mixed(density(psi.amps), 6)
     for alpha in (2, 3):
-        assert abs(pauli_power_trace(psi, alpha) - pauli_power_trace(psi.density(), alpha)) <= TOL
+        assert abs(pauli_power_sums(psi.amps, 6, alpha)[0] - _oracle_power_sums(ev, 6, alpha)) <= TOL
 
 
 @settings(max_examples=25, deadline=None)
@@ -139,7 +125,7 @@ def test_spectrum_property(n, support, seed):
     want = pauli_expectation_values(psi, n)
     assert np.max(np.abs(np.sort(pauli_expectations_pure(psi, n)) - np.sort(want))) <= TOL
     for alpha in (2, 3):
-        assert abs(pauli_power_trace(PureState(n, psi), alpha) - np.sum(want ** (2 * alpha)) / d) <= TOL
+        assert abs(pauli_power_sums(psi, n, alpha)[0] - np.sum(want ** (2 * alpha)) / d) <= TOL
 
 
 def test_one_state_at_n10_stays_within_2_mib():

@@ -1,11 +1,9 @@
-from collections import Counter
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tprslab.errors import DomainCapExceeded, DomainOverflow, ValidationError
+from tprslab.errors import DomainOverflow, ValidationError
 from tprslab.linalg import symmetric_projector
 from tprslab.randprims import (
     KEY_BYTES,
@@ -16,8 +14,6 @@ from tprslab.randprims import (
     draw_key_words,
     key_words,
     sample_haar_block,
-    sample_haar_state,
-    sample_true_permutation,
 )
 
 from .util import feistel_apply_oracle, key_word_oracle, phase_bit_oracle
@@ -154,30 +150,11 @@ class TestPhaseFunction:
             PhaseFunction.zero(3).eval(8)
 
 
-class TestTruePermutation:
-    def test_single_bit_frequencies(self):
-        hits = sum(sample_true_permutation(1, seed)[0] == 0 for seed in range(10000))
-        assert abs(hits / 10000 - 0.5) <= 0.02
-
-    def test_two_bit_coverage(self):
-        seen = Counter()
-        for seed in range(100000):
-            seen[tuple(sample_true_permutation(2, seed))] += 1
-        assert len(seen) == 24
-
-    def test_same_seed_identical(self):
-        assert np.array_equal(sample_true_permutation(4, 123), sample_true_permutation(4, 123))
-
-    def test_cap(self):
-        with pytest.raises(DomainCapExceeded):
-            sample_true_permutation(8, 0, cap=16)
-
-
 class TestHaarSampler:
     def test_norm(self):
         for seed in range(100):
-            psi = sample_haar_state(3, seed)
-            assert abs(np.linalg.norm(psi.amps) - 1) <= 1e-12
+            (amps,) = sample_haar_block(3, 1, RngSeed(seed).generator())
+            assert abs(np.linalg.norm(amps) - 1) <= 1e-12
 
     def test_first_amplitude_moment(self):
         block = sample_haar_block(1, 10000, RngSeed(3).generator())
@@ -201,6 +178,6 @@ class TestHaarSampler:
         assert np.max(np.abs(moment - symmetric_projector(1, 2) / 3)) <= 0.02
 
     def test_seed_reproducibility(self):
-        a = sample_haar_state(2, RngSeed(44))
-        b = sample_haar_state(2, RngSeed(44))
-        assert np.array_equal(a.amps, b.amps)
+        a = sample_haar_block(2, 3, RngSeed(44).generator())
+        b = sample_haar_block(2, 3, RngSeed(44).generator())
+        assert np.array_equal(a, b)

@@ -9,8 +9,8 @@ import numpy as np
 
 from tprslab.bounds import BoundCheckReport
 from tprslab.config import check_dim
-from tprslab.ensembles import MomentEstimate, sample_block
-from tprslab.linalg import DensityOperator, PureState, SymmetricOperator
+from tprslab.ensembles import sample_block
+from tprslab.linalg import PureState, SymmetricOperator
 from tprslab.resources import pauli_basis
 from tprslab.sampling import DEFAULT_CHUNK, chunk_layout
 
@@ -40,11 +40,16 @@ def pure(amps) -> PureState:
     return PureState(n, amps)
 
 
-def dm(mat, n=None) -> DensityOperator:
-    mat = np.asarray(mat, dtype=complex)
-    if n is None:
-        n = int(np.log2(mat.shape[0]))
-    return DensityOperator(n, mat)
+def density(amps) -> np.ndarray:
+    """|psi><psi| of an amplitude vector, as a (2^n, 2^n) array."""
+    amps = np.asarray(amps)
+    return np.outer(amps, amps.conj())
+
+
+def one_copy(mat) -> SymmetricOperator:
+    """A density matrix as a one-copy moment: at t = 1 the type basis is the
+    computational basis, so the matrix is its own block."""
+    return SymmetricOperator(int(np.log2(len(mat))), 1, mat)
 
 
 def random_pure(n, rng) -> PureState:
@@ -52,14 +57,13 @@ def random_pure(n, rng) -> PureState:
     return PureState(n, z / np.linalg.norm(z))
 
 
-def random_density(n, rng, rank=None) -> DensityOperator:
-    """Ginibre-style random mixed state."""
+def random_density(n, rng, rank=None) -> np.ndarray:
+    """Ginibre-style random mixed state, as a (2^n, 2^n) array."""
     d = 2**n
     rank = rank or d
     g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
     mat = g @ g.conj().T
-    mat /= np.trace(mat).real
-    return DensityOperator(n, mat)
+    return mat / np.trace(mat).real
 
 
 def loop_partial_trace(mat, n_a, n_b, keep):
@@ -161,6 +165,26 @@ def entropy_bits(probs):
     return float(-(p * np.log2(p)).sum())
 
 
+def von_neumann_entropy(mat) -> float:
+    """-Tr(rho log2 rho) of a density matrix, from its spectrum."""
+    return entropy_bits(np.linalg.eigvalsh(mat))
+
+
+def purity(mat) -> float:
+    """Tr(rho^2) of a density matrix: its squared Frobenius norm."""
+    return float(np.vdot(mat, mat).real)
+
+
+def coherence_re(mat) -> float:
+    """Relative entropy of coherence H(diag rho) - H(rho) of a density matrix, in bits."""
+    return entropy_bits(np.diag(mat).real) - von_neumann_entropy(mat)
+
+
+def coherence_hs(mat) -> float:
+    """Hilbert-Schmidt coherence 1 - sum_x <x|rho|x>^2 of a density matrix."""
+    return float(1.0 - np.sum(np.diag(mat).real ** 2))
+
+
 def schmidt_probs_oracle(amps, n_a, n_b):
     """Reduced spectrum via the index-loop partial trace of |psi><psi|."""
     amps = np.asarray(amps, dtype=complex)
@@ -215,7 +239,7 @@ def _tfold_rows(block, t):
     return out
 
 
-def exact_subset_moment_oracle(n, m, t) -> DensityOperator:
+def exact_subset_moment_oracle(n, m, t) -> np.ndarray:
     """Average of |S><S|^{x t} by enumerating all C(2^n, m) subsets."""
     d = 2**n
     acc = np.zeros((d**t, d**t), dtype=complex)
@@ -226,10 +250,10 @@ def exact_subset_moment_oracle(n, m, t) -> DensityOperator:
         rows = _tfold_rows(block, t)
         acc += rows.T @ rows.conj()
     acc /= math.comb(d, m)
-    return DensityOperator(n * t, (acc + acc.conj().T) / 2, validate=False)
+    return (acc + acc.conj().T) / 2
 
 
-def exact_subset_phase_moment_oracle(n, m, t) -> DensityOperator:
+def exact_subset_phase_moment_oracle(n, m, t) -> np.ndarray:
     """Average over all C(2^n, m) subsets and all 2^m sign patterns."""
     d = 2**n
     patterns = np.arange(2**m)
@@ -241,13 +265,13 @@ def exact_subset_phase_moment_oracle(n, m, t) -> DensityOperator:
         rows = _tfold_rows(block, t)
         acc += rows.T @ rows.conj()
     acc /= math.comb(d, m) * 2**m
-    return DensityOperator(n * t, (acc + acc.conj().T) / 2, validate=False)
+    return (acc + acc.conj().T) / 2
 
 
-def mc_ensemble_moment_oracle(spec, samples, cap=None) -> MomentEstimate:
+def mc_ensemble_moment_oracle(spec, samples) -> tuple[np.ndarray, float]:
     """Monte-Carlo moment accumulated over dense (d^t, d^t) entries, with the
-    same chunks and generators as ``mc_ensemble_moment``."""
-    dim = check_dim(spec.n, spec.t, cap)
+    same chunks and generators as ``mc_ensemble_moment``: (mean, max-entry stderr)."""
+    dim = check_dim(spec.n, spec.t)
     sum1 = np.zeros((dim, dim), dtype=complex)
     sum2 = np.zeros((dim, dim))
     for idx, _, size in chunk_layout(samples, max(1, min(DEFAULT_CHUNK, (1 << 22) // dim))):
@@ -257,13 +281,12 @@ def mc_ensemble_moment_oracle(spec, samples, cap=None) -> MomentEstimate:
         sum2 += a2.T @ a2
     mean = sum1 / samples
     var = np.maximum(sum2 / samples - np.abs(mean) ** 2, 0.0)
-    op = DensityOperator(spec.n * spec.t, (mean + mean.conj().T) / 2, validate=False)
-    return MomentEstimate(op, float(np.sqrt(var.max() / samples)), samples)
+    return (mean + mean.conj().T) / 2, float(np.sqrt(var.max() / samples))
 
 
 def trace_distance_oracle(rho, sigma) -> float:
-    """Half the absolute eigenvalue sum of the dense difference."""
-    return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(rho.mat - sigma.mat))))
+    """Half the absolute eigenvalue sum of the dense difference of two matrices."""
+    return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(rho - sigma))))
 
 
 def _copy_indices(n, t):
@@ -300,9 +323,9 @@ def coherence_projector_operator(n):
     return np.diag(diag)
 
 
-def coherence_projector_prob(rho) -> float:
-    """Basis-pairing acceptance on two copies of rho: sum_x <x|rho|x>^2."""
-    return float(np.sum(np.real(np.diag(rho.mat)) ** 2))
+def coherence_projector_prob(mat) -> float:
+    """Basis-pairing acceptance on two copies of a density matrix: sum_x <x|rho|x>^2."""
+    return float(np.sum(np.real(np.diag(mat)) ** 2))
 
 
 def swap_on_a_operator(n, part):
@@ -322,15 +345,29 @@ def pauli_replica_operator(n, alpha):
     return sum(functools.reduce(np.kron, [p] * (2 * alpha)) for p in pauli_strings(n)) / 2**n
 
 
-def replica_test_prob_oracle(rho, alpha) -> float:
-    """Pauli-replica acceptance (1 + Tr(Q rho^{x 2 alpha})) / 2 with the dense replica operator Q."""
-    copies = functools.reduce(np.kron, [rho.mat] * (2 * alpha))
-    return 0.5 * (1.0 + float(np.einsum("ij,ji->", pauli_replica_operator(rho.n, alpha), copies).real))
+def replica_test_prob_oracle(mat, alpha) -> float:
+    """Pauli-replica acceptance (1 + Tr(Q rho^{x 2 alpha})) / 2 of a density matrix,
+    Q = (1/2^n) sum_P P^{x 2 alpha}, summed over the (2^n)^{2 alpha} copy-space basis.
+
+    Each dense Pauli string maps |r> to phase[r] |perm[r]>, so P^{x 2 alpha} is a
+    phased permutation and Tr(P^{x 2 alpha} omega) = sum_r phase(r) omega[r, perm(r)],
+    with each entry of omega = rho^{x 2 alpha} a product over the copies' digits. No
+    (2^n)^{2 alpha}-square matrix is formed, so n = 2 at alpha = 3 holds 4096 rows.
+    """
+    mat = np.asarray(mat)
+    n = int(np.log2(len(mat)))
+    idx, _ = _copy_indices(n, 2 * alpha)
+    total = 0.0
+    for p in pauli_strings(n):
+        perm = np.argmax(np.abs(p), axis=0)
+        phase = p[perm, np.arange(len(p))]
+        total += np.sum(np.prod(phase[idx] * mat[idx, perm[idx]], axis=1)).real
+    return 0.5 * (1.0 + total / 2**n)
 
 
 def operator_to_json(op) -> list:
     """Nested [re, im] pairs."""
-    mat = op.mat if isinstance(op, (DensityOperator, SymmetricOperator)) else np.asarray(op)
+    mat = op.mat if isinstance(op, SymmetricOperator) else np.asarray(op)
     return [[[float(e.real), float(e.imag)] for e in row] for row in mat]
 
 
