@@ -14,7 +14,7 @@ from tprslab.bounds import (
     verify_distance_bound,
 )
 from tprslab.ensembles import EnsembleSpec, advise_subset_size
-from tprslab.errors import BoundDegenerate, ParameterOrderViolated, ValidationError
+from tprslab.errors import BoundDegenerate, DimensionCapExceeded, ParameterOrderViolated, ValidationError
 from tprslab.growth import Const, Growth, GrowthClass, Mul, recip
 from tprslab.randprims import RngSeed
 
@@ -163,6 +163,14 @@ class TestVerifyDistanceBound:
         monkeypatch.setattr(bounds, "exact_moment_block", fail)
         with pytest.raises(ValidationError, match="powers of two"):
             verify_distance_bound("subset-phase", 6, [16, 3], 2)
+
+    def test_dimension_cap_is_the_env_knob(self, monkeypatch):
+        # 2^(3*2) = 64 dense dimensions: allowed at 64, refused below
+        monkeypatch.setenv("TPRS_DIM_CAP", "64")
+        assert verify_distance_bound("subset-phase", 3, [2], 2).rows[0].lhs == pytest.approx(PHASE_LHS[2], abs=1e-6)
+        monkeypatch.setenv("TPRS_DIM_CAP", "32")
+        with pytest.raises(DimensionCapExceeded, match="exceeds dimension cap 32"):
+            verify_distance_bound("subset-phase", 3, [2], 2)
 
     def test_cross_size_drift_is_real(self):
         # Constants held across sizes only work at fixed n: the exact distance

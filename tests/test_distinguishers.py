@@ -28,10 +28,12 @@ from .util import (
     coherence_projector_prob,
     density,
     kron_all,
+    loop_partial_trace,
     pauli_power_sum,
     pauli_replica_operator,
     pauli_trace_power_sum,
     pure,
+    purity,
     random_density,
     random_pure,
     replica_test_prob_oracle,
@@ -47,6 +49,34 @@ def hadamard_accept(psi, alpha=3):
 
 
 class TestSwapTest:
+    """The partition SWAP test accepts with (1 + Tr rho_A^2) / 2."""
+
+    def test_pure(self):
+        # a product state across the cut has a pure reduction
+        dist = make_swap_distinguisher(PartitionSpec(1, 1))
+        assert dist.accept_prob_pure(kron_all(PLUS, KET0), 2) == pytest.approx(1.0, abs=1e-12)
+        dist = make_swap_distinguisher(PartitionSpec(1, 2))
+        assert dist.accept_prob_pure(kron_all(KET0, PLUS, TKET), 3) == pytest.approx(1.0, abs=1e-12)
+
+    def test_maximally_mixed(self):
+        # one and two Bell pairs across the cut reduce to I/2 and I/4
+        for n_a, want in ((1, 0.75), (2, 0.625)):
+            d = 2**n_a
+            amps = np.zeros(d * d)
+            amps[np.arange(d) * (d + 1)] = 1 / math.sqrt(d)
+            got = make_swap_distinguisher(PartitionSpec(n_a, n_a)).accept_prob_pure(amps, 2 * n_a)
+            assert got == pytest.approx(want, abs=1e-12)
+
+    def test_range(self):
+        rng = np.random.default_rng(1)
+        for i in range(100):
+            n_a, n_b = ((1, 1), (1, 2), (2, 2), (1, 3))[i % 4]
+            psi = random_pure(n_a + n_b, rng)
+            p = make_swap_distinguisher(PartitionSpec(n_a, n_b)).accept_prob_pure(psi.amps, n_a + n_b)
+            assert 0.5 - 1e-9 <= p <= 1.0 + 1e-9
+            red = loop_partial_trace(density(psi.amps), n_a, n_b, "A")
+            assert p == pytest.approx(0.5 * (1.0 + purity(red)), abs=1e-12)
+
     def test_two_copy_operator_route(self):
         rng = np.random.default_rng(2)
         part = PartitionSpec(1, 1)

@@ -7,6 +7,7 @@ import pytest
 
 from tprslab.config import dim_cap
 from tprslab.ensembles import (
+    ENSEMBLE_KINDS,
     EnsembleSpec,
     SubsetSpec,
     advise_copies,
@@ -367,6 +368,43 @@ class TestSampleBlock:
                     want[y] = 1 / math.sqrt(m) * (1.0 - 2.0 * f.eval(y))
             assert np.array_equal(row, want)
 
+    def test_one_row_block_is_one_state(self):
+        # callers read a single state as sample_block(spec, 1, rng)[0]
+        for kind in ENSEMBLE_KINDS:
+            spec = EnsembleSpec(kind, 3, m=4 if kind in SUBSET_KINDS else None)
+            (one,) = sample_block(spec, 1, RngSeed(3).generator())
+            assert one.shape == (8,) and abs(np.linalg.norm(one) - 1) <= 1e-12
+            assert one.dtype == (np.float64 if kind in SUBSET_KINDS else np.complex128)
+            assert np.array_equal(one, sample_block(spec, 1, RngSeed(3).generator())[0])
+
+
+class TestTrueSubsetSampling:
+    """The true-random kinds draw a uniform m-subset, and uniform signs, per row."""
+
+    def test_single_member_frequencies(self):
+        block = sample_block(EnsembleSpec("subset-true-random", 1, m=1), 10000, RngSeed(8).generator())
+        assert abs(np.mean(block[:, 0] != 0) - 0.5) <= 0.02
+
+    def test_two_member_coverage(self):
+        block = sample_block(EnsembleSpec("subset-true-random", 2, m=2), 12000, RngSeed(9).generator())
+        support = [tuple(np.flatnonzero(row)) for row in block]
+        counts = {pair: support.count(pair) for pair in combinations(range(4), 2)}
+        assert sum(counts.values()) == len(block)
+        for pair, count in counts.items():
+            assert abs(count / len(block) - 1 / 6) <= 0.02, pair
+
+    def test_phase_signs_unbiased(self):
+        block = sample_block(EnsembleSpec("subset-phase-true-random", 2, m=4), 10000, RngSeed(10).generator())
+        assert np.all(block != 0)
+        assert np.max(np.abs(np.mean(block < 0, axis=0) - 0.5)) <= 0.02
+
+    def test_same_seed_identical(self):
+        for kind, m in (("subset-true-random", 3), ("subset-phase-true-random", 4)):
+            spec = EnsembleSpec(kind, 4, m=m)
+            a = sample_block(spec, 20, RngSeed(11).generator())
+            assert np.array_equal(a, sample_block(spec, 20, RngSeed(11).generator()))
+            assert not np.array_equal(a, sample_block(spec, 20, RngSeed(12).generator()))
+
 
 class TestAdvisors:
     def test_log_at_16(self):
@@ -394,6 +432,12 @@ class TestAdvisors:
     def test_copies_polylog(self, monkeypatch):
         monkeypatch.setenv("TPRS_DIM_CAP", str(2**80))
         assert advise_copies(GrowthClass.parse("polylog"), 16) == 4
+
+    def test_copies_follow_the_env_cap(self, monkeypatch):
+        polylog = GrowthClass.parse("polylog")
+        for cap_bits, want in ((80, 3), (24, 3), (16, 2), (8, 1)):
+            monkeypatch.setenv("TPRS_DIM_CAP", str(2**cap_bits))
+            assert advise_copies(polylog, 8) == want
 
     def test_copy_clipping(self):
         for n in range(2, 13):

@@ -40,6 +40,25 @@ class TestConstructors:
         with pytest.raises(ValidationError):
             PureState(1, np.array([1.0, 1.0]))
 
+    # a density matrix enters the library as a one-copy moment (tests/util.one_copy)
+
+    def test_density_valid(self):
+        rho = one_copy(np.eye(2) / 2)
+        assert rho.n == 1 and rho.t == 1 and rho.validate_full() is rho
+        assert np.array_equal(rho.mat, np.eye(2) / 2)
+
+    def test_density_not_hermitian(self):
+        with pytest.raises(ValidationError, match="Hermiticity"):
+            one_copy(np.array([[0.5, 0.5], [0.0, 0.5]]))
+
+    def test_density_bad_trace(self):
+        with pytest.raises(ValidationError, match="trace"):
+            one_copy(np.eye(2))
+
+    def test_density_not_psd(self):
+        with pytest.raises(ValidationError, match="minimum eigenvalue"):
+            one_copy(np.diag([1.5, -0.5])).validate_full()
+
     def test_partition_convention(self):
         with pytest.raises(ValidationError):
             PartitionSpec(2, 1)

@@ -16,8 +16,15 @@ from hypothesis import strategies as st
 
 from tprslab.ensembles import ENSEMBLE_KINDS, EnsembleSpec, sample_block
 from tprslab.errors import DimensionCapExceeded
+from tprslab.linalg import PureState
 from tprslab.randprims import RngSeed
-from tprslab.resources import MAGIC_MAX_QUBITS, PAULI_SLICE_ENTRIES, pauli_basis, pauli_power_sums
+from tprslab.resources import (
+    MAGIC_MAX_QUBITS,
+    PAULI_SLICE_ENTRIES,
+    pauli_basis,
+    pauli_power_sums,
+    stabilizer_renyi_entropy,
+)
 
 from .util import (
     density,
@@ -104,12 +111,19 @@ def test_mixed_signed_oracle_matches_enumeration(n):
             assert abs(_oracle_power_sums(pauli_expectations_mixed(rho, n), n, alpha) - want) <= TOL
 
 
-def test_pure_and_mixed_routes_agree_at_n6():
-    # the library's pure-state route against the signed oracle of |psi><psi|
-    psi = random_pure(6, np.random.default_rng(330))
-    ev = pauli_expectations_mixed(density(psi.amps), 6)
-    for alpha in (2, 3):
-        assert abs(pauli_power_sums(psi.amps, 6, alpha)[0] - _oracle_power_sums(ev, 6, alpha)) <= TOL
+@pytest.mark.parametrize("n", range(1, 11))
+def test_pure_route_matches_the_mixed_oracle(n):
+    # the library's pure-state route, and the magic read from it, against the
+    # signed oracle of |psi><psi|, for complex and for real amplitudes
+    psi = random_pure(n, np.random.default_rng(330 + n))
+    real = PureState(n, psi.amps.real / np.linalg.norm(psi.amps.real))
+    for state in (psi, real):
+        ev = pauli_expectations_mixed(density(state.amps), n)
+        for alpha in (2, 3):
+            want = _oracle_power_sums(ev, n, alpha)
+            assert abs(pauli_power_sums(state.amps, n, alpha)[0] / want - 1.0) <= TOL
+            magic = np.log2(want) / (1 - alpha)
+            assert abs(stabilizer_renyi_entropy(state, alpha) - magic) <= TOL * max(1.0, magic)
 
 
 @settings(max_examples=25, deadline=None)
