@@ -15,10 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import check_domain, check_reduced_dim
 from .errors import BoundDegenerate, ParameterOrderViolated, ValidationError
-from .ensembles import EnsembleSpec, exact_moment_block, haar_moment
+from .ensembles import EnsembleSpec
 from .growth import Expr, GrowthClass
-from .linalg import PartitionSpec, SymmetricOperator, trace_distance
+from .linalg import PartitionSpec
 from .randprims import RngSeed, as_seed
 from .resources import (
     MEASURE_COHERENCE_RE,
@@ -118,8 +119,10 @@ class DistanceBoundReport:
 
 
 def _exact_lhs(kind: str, n: int, size: int, t: int) -> float:
-    moment = SymmetricOperator(n * t, t, exact_moment_block(kind, n, size, t))
-    return trace_distance(moment, haar_moment(n, t))
+    # imported on first use: `import tprslab` does not compile the route
+    from .symmetry import exact_distance
+
+    return exact_distance(kind, n, size, t)
 
 
 def _ls_slope(xs, ys) -> float | None:
@@ -137,7 +140,7 @@ def verify_distance_bound(
     t: int,
     constants: dict | None = None,
 ) -> DistanceBoundReport:
-    """Exact moment-to-Haar trace distances checked against the fitted bound.
+    """Exact moment-to-Haar trace distances (``_exact_lhs``) checked against the fitted bound.
 
     For the phase kind a single constant c is fitted by equality at the
     smallest size. The subset kind has two structural constants (c1, c2);
@@ -149,6 +152,10 @@ def verify_distance_bound(
     The log-log slope is reported for the segment where the fitted c2 t^2 / m
     term dominates; the slope is only meaningful there, and at sizes where the
     drift term c1 t m / 2^n rules, the segment may be empty.
+
+    Every input is checked before any distance: the sizes, n against the
+    2^n table cap (``config.check_domain``) and the reduced problem against
+    TPRS_DIM_CAP (``config.check_reduced_dim``).
     """
     sizes = sorted(int(s) for s in sizes)
     if not sizes:
@@ -157,6 +164,14 @@ def verify_distance_bound(
         raise ValidationError("sizes must be distinct")
     if kind == "subset-phase" and any(s & (s - 1) for s in sizes):
         raise ValidationError("phase kind sizes must be powers of two")
+    if kind not in ("subset", "subset-phase"):
+        raise ValidationError("kind must be 'subset' or 'subset-phase'")
+    if n < 1 or t < 1:
+        raise ValidationError("n and t must be >= 1")
+    check_domain(n)
+    if not (1 <= sizes[0] and sizes[-1] <= 2**n):
+        raise ValidationError("need 1 <= m <= 2^n")
+    check_reduced_dim(n, t)
     lhs = {s: _exact_lhs(kind, n, s, t) for s in sizes}
 
     fitted_sizes: set[int] = set()

@@ -47,6 +47,20 @@ def check_dim(n: int, t: int) -> int:
     return dim
 
 
+def check_reduced_dim(n: int, t: int) -> int:
+    """Dense dimension min(2^n, 2t)^t of the problem that the relabelling
+    symmetry reduces the exact t-copy moments of n qubits to: every pair of
+    types spans at most 2t values, so its orbits and patterns are those of
+    min(2^n, 2t) values. Raises DimensionCapExceeded above the cap; call it
+    before enumerating."""
+    limit = dim_cap()
+    values = min(2**n, 2 * t)
+    dim = values**t
+    if dim > limit:
+        raise DimensionCapExceeded(f"reduced problem {values}^{t} exceeds dimension cap {limit}")
+    return dim
+
+
 def check_domain(n: int) -> int:
     """Size 2^n of the n-bit domain that a permutation table or a state vector
     spans; raises DomainCapExceeded above DEFAULT_TABLE_CAP. Call it before allocating."""

@@ -302,6 +302,13 @@ def _haar_moment(n: int, t: int) -> SymmetricOperator:
     return SymmetricOperator(n * t, t, np.eye(size) / size)
 
 
+def _moment_coefficients(d: int, m: int, t: int) -> np.ndarray:
+    """C(d-k, m-k) / C(d, m) / m^t = prod_{j<k} (m-j) / (d-j) / m^t, indexed by
+    k = 0..min(2t, d): the moment entry of a pair of types with k distinct values."""
+    j = np.arange(min(2 * t, d))
+    return np.concatenate(([1.0], np.cumprod(np.maximum(m - j, 0) / (d - j)))) / float(m) ** t
+
+
 def exact_moment_block(kind: str, n: int, m: int, t: int) -> np.ndarray:
     """Exact t-copy moment of the size-m subset ("subset") or subset-phase
     ("subset-phase") ensemble, averaged over every subset (and sign pattern),
@@ -319,9 +326,7 @@ def exact_moment_block(kind: str, n: int, m: int, t: int) -> np.ndarray:
         raise ValidationError("need 1 <= m <= 2^n")
     basis = symmetric_basis(n, t)
     d = 2**n
-    # C(d-k, m-k) / C(d, m) = prod_{j<k} (m-j) / (d-j), indexed by k
-    j = np.arange(min(2 * t, d))
-    coef = np.concatenate(([1.0], np.cumprod(np.maximum(m - j, 0) / (d - j)))) / float(m) ** t
+    coef = _moment_coefficients(d, m, t)
     types = basis.types.astype(np.min_scalar_type(d))
     root = np.sqrt(basis.orbit)
     size = len(types)

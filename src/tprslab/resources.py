@@ -198,45 +198,34 @@ def _power_sum(ev: np.ndarray, alpha: int) -> np.ndarray:
     return np.einsum("ij,ij->i", acc, sq)
 
 
-def _xpart_power_sums(f_slice, count: int, n: int, alpha: int) -> np.ndarray:
-    """sum over X-parts a and Z-parts b of <X^a Z^b>^(2 alpha), for ``count`` states.
+def pauli_power_sums(amps: np.ndarray, n: int, alpha: int) -> np.ndarray:
+    """(1/2^n) sum_P <psi|P|psi>^{2 alpha} for each row of a (rows, 2^n) block.
 
-    ``f_slice(rows, idx)`` gives f_a(x) at [row, a, x] for a slice of the
-    states and idx[a, x] = x ^ a, where <X^a Z^b> = sum_x (-1)^(b.x) f_a(x):
-    f_a(x) = conj(psi[x ^ a]) psi[x]. Since f_a(x ^ a) = conj f_a(x), the
-    transform of Re f_a vanishes where popcount(a & b) is odd and that of
-    Im f_a where it is even,
+    The sum runs over X-parts a and Z-parts b of <X^a Z^b>^(2 alpha), where
+    <X^a Z^b> = sum_x (-1)^(b.x) f_a(x) with f_a(x) = conj(psi[x ^ a]) psi[x].
+    Since f_a(x ^ a) = conj f_a(x), the transform of Re f_a vanishes where
+    popcount(a & b) is odd and that of Im f_a where it is even,
     and the Hermitian Pauli string i^popcount(a & b) X^a Z^b has the square
     <X^a Z^b>^2 = (Re or Im part)^2. So one real Walsh-Hadamard transform of
     g_a = Re f_a + Im f_a gives every squared expectation: O(n 4^n) work per
     state, with slices of at most PAULI_SLICE_ENTRIES (row, a, x) entries.
     """
+    _check_magic_qubits(n)
+    block = np.reshape(amps, (-1, 2**n))
+    conj = np.conj(block) if np.iscomplexobj(block) else block
     d = 2**n
     rows = max(1, PAULI_SLICE_ENTRIES // (d * d))
     width = min(d, PAULI_SLICE_ENTRIES // d)
     x = np.arange(d)
-    out = np.zeros(count)
+    out = np.zeros(len(block))
     for a0 in range(0, d, width):
         idx = x[a0 : a0 + width, None] ^ x
-        for lo in range(0, count, rows):
-            f = f_slice(slice(lo, lo + rows), idx)
+        for lo in range(0, len(block), rows):
+            f = np.take(conj[lo : lo + rows], idx, axis=1)  # conj(psi[x ^ a]) at [row, a, x]
+            f *= block[lo : lo + rows, None, :]
             g = f.real + f.imag if np.iscomplexobj(f) else f
             out[lo : lo + rows] += _power_sum(_walsh_hadamard(g, n).reshape(len(g), -1), alpha)
-    return out
-
-
-def pauli_power_sums(amps: np.ndarray, n: int, alpha: int) -> np.ndarray:
-    """(1/2^n) sum_P <psi|P|psi>^{2 alpha} for each row of a (rows, 2^n) block."""
-    _check_magic_qubits(n)
-    block = np.reshape(amps, (-1, 2**n))
-    conj = np.conj(block) if np.iscomplexobj(block) else block
-
-    def f_slice(rows: slice, idx: np.ndarray) -> np.ndarray:
-        f = np.take(conj[rows], idx, axis=1)  # conj(psi[x ^ a]) at [row, a, x]
-        f *= block[rows, None, :]
-        return f
-
-    return _xpart_power_sums(f_slice, len(block), n, alpha) / 2**n
+    return out / 2**n
 
 
 def stabilizer_renyi_entropy(psi: PureState, alpha: int) -> float:

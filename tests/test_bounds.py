@@ -160,16 +160,18 @@ class TestVerifyDistanceBound:
         def fail(*args, **kwargs):
             raise AssertionError("distance computed before the size check")
 
-        monkeypatch.setattr(bounds, "exact_moment_block", fail)
+        monkeypatch.setattr(bounds, "_exact_lhs", fail)
         with pytest.raises(ValidationError, match="powers of two"):
             verify_distance_bound("subset-phase", 6, [16, 3], 2)
+        with pytest.raises(ValidationError, match="need 1 <= m <= 2"):
+            verify_distance_bound("subset-phase", 6, [16, 128], 2)
 
     def test_dimension_cap_is_the_env_knob(self, monkeypatch):
-        # 2^(3*2) = 64 dense dimensions: allowed at 64, refused below
-        monkeypatch.setenv("TPRS_DIM_CAP", "64")
+        # n = 3, t = 2 reduces to min(8, 2 t)^t = 16 dense dimensions: allowed at 16, refused below
+        monkeypatch.setenv("TPRS_DIM_CAP", "16")
         assert verify_distance_bound("subset-phase", 3, [2], 2).rows[0].lhs == pytest.approx(PHASE_LHS[2], abs=1e-6)
-        monkeypatch.setenv("TPRS_DIM_CAP", "32")
-        with pytest.raises(DimensionCapExceeded, match="exceeds dimension cap 32"):
+        monkeypatch.setenv("TPRS_DIM_CAP", "15")
+        with pytest.raises(DimensionCapExceeded, match="reduced problem 4\\^2 exceeds dimension cap 15"):
             verify_distance_bound("subset-phase", 3, [2], 2)
 
     def test_cross_size_drift_is_real(self):

@@ -62,7 +62,8 @@ class TestDistance:
         assert lhs[0] > lhs[1]
 
     def test_infeasible_exact_is_resource_error(self, capsys):
-        code, _, err = run(["distance", "--kind", "subset", "--n", "8", "--t", "2", "--m", "4"], capsys)
+        # t = 5 reduces to 10^5 dense dimensions, past the default cap
+        code, _, err = run(["distance", "--kind", "subset", "--n", "8", "--t", "5", "--m", "4"], capsys)
         assert code == 3
         assert "cap" in err
 
@@ -607,19 +608,25 @@ class TestDistanceRobustness:
             assert err.getvalue().startswith(("validation error:", "resource limit:"))
 
     @pytest.mark.parametrize("flag,value", [("--m", "4"), ("--mexp", "2")])
-    def test_n7_t2_exits_3_before_allocating(self, flag, value, monkeypatch, capsys):
-        from tprslab import linalg
+    def test_past_the_reduced_cap_exits_3_before_enumerating(self, flag, value, monkeypatch, capsys):
+        from tprslab import linalg, symmetry
 
         def fail(*args):
-            raise AssertionError("symmetric basis built beyond the cap")
+            raise AssertionError("enumerated beyond the cap")
 
+        monkeypatch.setattr(symmetry, "_level", fail)
         monkeypatch.setattr(linalg, "_symmetric_basis", fail)
-        code, _, err = run(["distance", "--kind", "subset-phase", "--n", "7", "--t", "2", flag, value], capsys)
+        code, _, err = run(["distance", "--kind", "subset-phase", "--n", "7", "--t", "5", flag, value], capsys)
         assert code == 3
-        assert "resource limit: 2^(7*2) exceeds dimension cap 4096" in err
+        assert "resource limit: reduced problem 10^5 exceeds dimension cap 4096" in err
 
-    def test_n6_t2_reaches_the_cap(self, capsys):
-        # about 10^19 subset and sign terms to enumerate; the block has D = 2080
+    def test_n21_exits_3(self, capsys):
+        code, _, err = run(["distance", "--kind", "subset", "--n", "21", "--t", "2", "--m", "4"], capsys)
+        assert code == 3
+        assert err.startswith("resource limit: 2^21 exceeds table cap")
+
+    def test_n6_t2_phase_pin(self, capsys):
+        # about 10^19 subset and sign terms to enumerate, and a D = 2080 block
         code, out, _ = run(["distance", "--kind", "subset-phase", "--n", "6", "--t", "2", "--mexp", "4"], capsys)
         assert code == 0
         row = dict(zip(*[line.split(",") for line in out.strip().splitlines()]))

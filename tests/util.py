@@ -9,8 +9,8 @@ import numpy as np
 
 from tprslab.bounds import BoundCheckReport
 from tprslab.config import check_dim
-from tprslab.ensembles import sample_block
-from tprslab.linalg import PureState, SymmetricOperator
+from tprslab.ensembles import exact_moment_block, haar_moment, sample_block
+from tprslab.linalg import PureState, SymmetricOperator, trace_distance
 from tprslab.resources import pauli_basis
 from tprslab.sampling import DEFAULT_CHUNK, chunk_layout
 
@@ -282,6 +282,12 @@ def mc_ensemble_moment_oracle(spec, samples) -> tuple[np.ndarray, float]:
     mean = sum1 / samples
     var = np.maximum(sum2 / samples - np.abs(mean) ** 2, 0.0)
     return (mean + mean.conj().T) / 2, float(np.sqrt(var.max() / samples))
+
+
+def block_distance_oracle(kind, n, m, t) -> float:
+    """Exact moment-to-Haar trace distance as one D x D eigen-problem on the
+    type-basis block of ``exact_moment_block``."""
+    return trace_distance(SymmetricOperator(n * t, t, exact_moment_block(kind, n, m, t)), haar_moment(n, t))
 
 
 def trace_distance_oracle(rho, sigma) -> float:
