@@ -34,7 +34,6 @@ from .sampling import paired_value_means
 __all__ = [
     "subset_phase_distance_bound",
     "subset_distance_bound",
-    "subset_distance_argmin",
     "verify_distance_bound",
     "DistanceBoundReport",
     "DistanceBoundRow",
@@ -59,13 +58,6 @@ def subset_distance_bound(n: int, m: int, t: int, c1: float = 1.0, c2: float = 1
     if not (1 <= m <= 2**n):
         raise ValidationError("need 1 <= m <= 2^n")
     return c1 * t * m / 2**n + c2 * t * t / m
-
-
-def subset_distance_argmin(n: int, t: int, c1: float = 1.0, c2: float = 1.0) -> float:
-    """Continuous minimizer of the two-term bound: sqrt((c2/c1) t 2^n)."""
-    if c1 <= 0 or c2 <= 0:
-        raise ValidationError("constants must be positive")
-    return math.sqrt(c2 / c1 * t * 2**n)
 
 
 @dataclass(frozen=True)
@@ -370,28 +362,22 @@ def empirical_prop_check(
 
     # acceptance is anti-monotone in the resource: high resource -> low accept
     premise_ok = acc_high.mean <= acc_low.mean + 3.0 * eta_se
-    if prop in (7, 8):
-        low_accept = max(acc_low.mean if prop == 7 else 2.0 * acc_low.mean - 1.0, 1e-300)
-        sandwich = float(-np.log2(low_accept))
-        arg = low_accept + eta_hat
-        if arg >= 1.0:
-            verdict = "non-binding"
-            bound = 0.0
+    # the low side's acceptance (7) or swap/replica power (8, 9) fixes the sandwich
+    power = max(acc_low.mean if prop == 7 else 2.0 * acc_low.mean - 1.0, 1e-300)
+    try:
+        if prop == 9:
+            sandwich = float(-np.log2(power) / (alpha - 1))
+            bound = magic_bound_check(sandwich, eta_hat, alpha, n)
         else:
-            bound = float(-np.log2(arg))
-            verdict = "passed" if measured >= bound - 3.0 * measured_se else "failed"
+            sandwich = float(-np.log2(power))
+            evaluate = coherence_bound_check if prop == 7 else entanglement_bound_check
+            bound = evaluate(sandwich, eta_hat, n)
+    except BoundDegenerate:
+        bound = 0.0
+    if bound <= 0.0:
+        verdict = "non-binding"
     else:
-        power = max(2.0 * acc_low.mean - 1.0, 1e-300)
-        sandwich = float(-np.log2(power) / (alpha - 1))
-        if eta_hat <= 0.0:
-            verdict = "non-binding"
-            bound = 0.0
-        else:
-            bound = float(-(np.log2(eta_hat) + power / eta_hat) / (alpha - 1))
-            if bound <= 0.0:
-                verdict = "non-binding"
-            else:
-                verdict = "passed" if measured >= bound - 3.0 * measured_se else "failed"
+        verdict = "passed" if measured >= bound - 3.0 * measured_se else "failed"
     if not premise_ok:
         verdict = "premise-violated"
     return PropCheckReport(

@@ -213,8 +213,6 @@ def hybrid_experiment(
     t: int,
     seed: RngSeed | int = 0,
     samples: int = 4000,
-    T: GrowthClass | None = None,
-    distinguishers: tuple[DistinguisherDescriptor, ...] | None = None,
     names: "tuple[str, ...] | None" = None,
 ) -> HybridReport:
     """Pairwise advantages along keyed -> true-random -> Haar.
@@ -231,7 +229,7 @@ def hybrid_experiment(
 
     if t != 2:
         raise CopyMismatch("the registered hybrid distinguishers are two-copy tests")
-    T = T or GrowthClass("log")
+    T = GrowthClass("log")
     keyed = EnsembleSpec("subset-phase-keyed", n, m=m, t=t)
     haar = EnsembleSpec("haar", n, t=t)
     specs = {
@@ -241,17 +239,16 @@ def hybrid_experiment(
         "keyed-direct": keyed.with_seed(1),
         "haar-direct": haar.with_seed(1),
     }
-    if distinguishers is None:
-        table = registry(n)
-        if names is None:
-            names = tuple(k for k, d in table.items() if d.copies_required == t)
-        missing = [nm for nm in names if nm not in table]
-        if missing:
-            raise ValidationError(f"unknown distinguisher names {missing}; registry has {sorted(table)}")
-        wrong_t = [nm for nm in names if table[nm].copies_required != t]
-        if wrong_t:
-            raise CopyMismatch(f"distinguishers {wrong_t} need t != {t}")
-        distinguishers = tuple(table[nm] for nm in names)
+    table = registry(n)
+    if names is None:
+        names = tuple(k for k, d in table.items() if d.copies_required == t)
+    missing = [nm for nm in names if nm not in table]
+    if missing:
+        raise ValidationError(f"unknown distinguisher names {missing}; registry has {sorted(table)}")
+    wrong_t = [nm for nm in names if table[nm].copies_required != t]
+    if wrong_t:
+        raise CopyMismatch(f"distinguishers {wrong_t} need t != {t}")
+    distinguishers = tuple(table[nm] for nm in names)
     accs = paired_value_means(
         as_seed(seed),
         samples,

@@ -140,22 +140,6 @@ class EnsembleSpec:
             raise ValidationError("m_exp only defined for phase kinds")
         return self.m.bit_length() - 1
 
-    def to_config(self) -> dict:
-        out = {"kind": self.kind, "n": self.n, "t": self.t, "seed": self.seed.seed}
-        if self.m is not None:
-            out["m"] = self.m
-        return out
-
-    @classmethod
-    def from_config(cls, data: dict) -> "EnsembleSpec":
-        return cls(
-            kind=data["kind"],
-            n=int(data["n"]),
-            m=int(data["m"]) if "m" in data and data["m"] is not None else None,
-            t=int(data.get("t", 1)),
-            seed=RngSeed(int(data.get("seed", 0))),
-        )
-
     def with_seed(self, seed: int) -> "EnsembleSpec":
         return replace(self, seed=RngSeed(seed))
 

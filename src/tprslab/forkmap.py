@@ -8,36 +8,11 @@ reaped before it returns or raises.
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import os
 import pickle
 import threading
 
 __all__ = ["forked_map"]
-
-
-@functools.cache
-def _openblas():
-    """(get, set) for the loaded OpenBLAS's thread count, or None where no
-    OpenBLAS is found in the process's memory map."""
-    try:
-        with open("/proc/self/maps") as maps:
-            paths = sorted({line.split(None, 5)[-1].strip() for line in maps if "openblas" in line})
-    except OSError:
-        return None
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
-            get, put = (getattr(lib, name.format(verb), None) for verb in ("get", "set"))
-            if get is not None and put is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                return get, put
-    return None
 
 
 class _ChildTraceback(Exception):
@@ -75,8 +50,8 @@ def forked_map(fn, count: int, workers: int) -> list:
     share run again here.
     Every child is killed and reaped on every exit path. Forking waits for a
     process with one Python thread, since another thread could hold a lock
-    the child needs. Threads started outside Python are not seen (OpenBLAS
-    stops its own pool at a fork; other native pools are not guarded), and a
+    the child needs. Threads started outside Python are not seen (a BLAS pool
+    stops its threads at a fork; other native pools are not guarded), and a
     child that hangs holds up the caller, which reads its pipe without a
     timeout.
     """
@@ -89,18 +64,7 @@ def forked_map(fn, count: int, workers: int) -> list:
 
     inline = [shares[0]]
     children = []  # (pid, read end, share), until reaped
-    # Workers split the BLAS threads: a worker's threaded BLAS call waits on
-    # threads that another worker holds off the cores. On a 2-core VM with 2
-    # BLAS threads, 2-chunk magic gaps at n = 7 and 8 took 1.1-1.9 and 6-9 s
-    # forked with the split, 2.1-2.3 and 12.6 s in one process, and 4-15 and
-    # 12-17 s forked without it.
-    blas = _openblas() if workers > 1 else None
-    if blas:
-        get_threads, set_threads = blas
-        blas_threads = get_threads()
     try:
-        if blas:
-            set_threads(max(1, blas_threads // workers))
         for share in shares[1:]:
             read_fd, write_fd = os.pipe()
             try:
@@ -131,8 +95,6 @@ def forked_map(fn, count: int, workers: int) -> list:
                     raise exc from _ChildTraceback(text)
             results.update(zip(share, value))
     finally:
-        if blas:
-            set_threads(blas_threads)
         if children:
             import signal  # only an early exit leaves children; ~3 ms of every start
         for pid, pipe, _ in children:

@@ -37,17 +37,17 @@ FAMILY_FORMS = ("polylog", "poly", "poly-of")
 ALL_FORMS = PLAIN_FORMS + FAMILY_FORMS + ("exp",)
 
 _PARSE_ALIASES = {
-    "const": ("const", None),
-    "log": ("log", None),
-    "logn": ("log", None),
-    "loglog": ("loglog", None),
-    "polylog": ("polylog", None),
-    "linear": ("linear", None),
-    "n": ("linear", None),
-    "nlogn": ("linearithmic", None),
-    "linearithmic": ("linearithmic", None),
-    "poly": ("poly", None),
-    "exp": ("exp", None),
+    "const": "const",
+    "log": "log",
+    "logn": "log",
+    "loglog": "loglog",
+    "polylog": "polylog",
+    "linear": "linear",
+    "n": "linear",
+    "nlogn": "linearithmic",
+    "linearithmic": "linearithmic",
+    "poly": "poly",
+    "exp": "exp",
 }
 
 
@@ -86,8 +86,7 @@ class GrowthClass:
         if t.startswith("polyf:"):
             return cls("poly-of", base=cls.parse(t.split(":", 1)[1]))
         if t in _PARSE_ALIASES:
-            form, _ = _PARSE_ALIASES[t]
-            return cls(form)
+            return cls(_PARSE_ALIASES[t])
         raise UnsupportedGrowthClass(f"cannot parse growth class {text!r}")
 
     @property
@@ -175,27 +174,6 @@ class Expr:
 
     def eval(self, n: float) -> float:
         raise NotImplementedError
-
-    def __add__(self, other):
-        return Add(self, _lift(other))
-
-    def __mul__(self, other):
-        return Mul(self, _lift(other))
-
-    def __truediv__(self, other):
-        return Div(self, _lift(other))
-
-    def __rtruediv__(self, other):
-        return Div(_lift(other), self)
-
-    def __neg__(self):
-        return Neg(self)
-
-
-def _lift(x) -> Expr:
-    if isinstance(x, Expr):
-        return x
-    return Const(float(x))
 
 
 @dataclass(frozen=True)
@@ -293,7 +271,7 @@ class Log2(Expr):
 
 
 def recip(e) -> Expr:
-    return Div(Const(1.0), _lift(e))
+    return Div(Const(1.0), e if isinstance(e, Expr) else Const(float(e)))
 
 
 @dataclass(frozen=True)

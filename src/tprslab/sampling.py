@@ -35,10 +35,10 @@ DEFAULT_CHUNK = 1024
 # gap-and-sweep run's peak memory by ~10 MB and were no faster.
 SUB_BLOCK_AMPS = 1 << 13
 # Chunks run in forked workers only from this many amplitude reads per chunk
-# (chunk rows x the summed dimension of the streams' sources). A fork, its
-# wait and the BLAS thread restart cost 5-10 ms on a 2-core VM, where 2-chunk
-# calls ran 1.4-5x slower forked for an n = 4..6 coherence sweep and an n = 6
-# prop-check (at most 2^17 reads), and 1.1-1.3x faster for n = 7, 8 gaps.
+# (chunk rows x the summed dimension of the streams' sources). A fork and its
+# wait cost 5-10 ms on a 2-core VM, where 2-chunk calls ran 1.4-5x slower
+# forked for an n = 4..6 coherence sweep and an n = 6 prop-check (at most 2^17
+# reads), and 1.1-1.3x faster for n = 7, 8 gaps.
 FORK_MIN_READS = 1 << 18
 
 

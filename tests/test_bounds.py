@@ -8,7 +8,6 @@ from tprslab.bounds import (
     empirical_prop_check,
     entanglement_bound_check,
     magic_bound_check,
-    subset_distance_argmin,
     subset_distance_bound,
     subset_phase_distance_bound,
     verify_distance_bound,
@@ -39,13 +38,6 @@ class TestBoundEvaluators:
     def test_subset_bound_values(self):
         assert subset_distance_bound(4, 4, 2, 1.0, 1.0) == pytest.approx(1.5)
         assert subset_distance_bound(4, 16, 1, 1.0, 1.0) == pytest.approx(1.0 + 1 / 16)
-
-    def test_subset_argmin_matches_grid(self):
-        n, t, c1, c2 = 6, 2, 0.7, 1.3
-        m_star = subset_distance_argmin(n, t, c1, c2)
-        grid = np.linspace(1, 2**n, 4000)
-        vals = [subset_distance_bound(n, m, t, c1, c2) for m in grid]
-        assert grid[int(np.argmin(vals))] == pytest.approx(m_star, rel=0.02)
 
     def test_coherence_bound_example(self):
         gamma = Growth(GrowthClass.parse("linear"))
@@ -196,11 +188,13 @@ class TestEmpiricalPropChecks:
         rep = empirical_prop_check(7, self.e_high, self.e_low, LOG, 4000, seed=11)
         assert rep.verdict == "passed"
         assert rep.measured == pytest.approx(2.0, abs=1e-9)  # log2 m for phase states
+        assert rep.bound == coherence_bound_check(rep.sandwich, rep.eta_hat, 3)
         assert rep.bound < rep.measured
 
     def test_prop8_pipeline_passes(self):
         rep = empirical_prop_check(8, self.e_high, self.e_low, LOG, 4000, seed=12)
         assert rep.verdict == "passed"
+        assert rep.bound == entanglement_bound_check(rep.sandwich, rep.eta_hat, 3)
         assert rep.measured >= rep.bound - 3 * rep.measured_stderr
 
     def test_prop8_haar_vs_haar_trivially_passes(self):
@@ -214,8 +208,27 @@ class TestEmpiricalPropChecks:
             9, EnsembleSpec("haar", 2), EnsembleSpec("stabilizer-orbit", 2), LOG, 2000, seed=14
         )
         assert rep.verdict == "non-binding"
+        # a bound <= 0 is reported as evaluated
+        assert rep.bound == magic_bound_check(rep.sandwich, rep.eta_hat, 3, 2) < 0
         assert rep.eta_hat > 0.1  # far from negligible: the expected failure mode
         assert rep.measured == pytest.approx(0.0, abs=1e-9)
+
+    def test_prop9_pipeline_passes(self):
+        rep = empirical_prop_check(
+            9, EnsembleSpec("haar", 5), EnsembleSpec("subset-phase-keyed", 5, m=4), LOG, 500, seed=3
+        )
+        assert rep.verdict == "passed"
+        assert rep.bound == magic_bound_check(rep.sandwich, rep.eta_hat, 3, 5) > 0
+        assert rep.margin == rep.measured - rep.bound
+
+    def test_degenerate_bound_is_non_binding(self):
+        # a basis state accepts with probability 1, so 2^-gamma + eta >= 1
+        basis = EnsembleSpec("subset-phase-true-random", 3, m=1)
+        rep = empirical_prop_check(7, self.e_high, basis, LOG, 1000, seed=17)
+        with pytest.raises(BoundDegenerate):
+            coherence_bound_check(rep.sandwich, rep.eta_hat, 3)
+        assert rep.verdict == "non-binding"
+        assert rep.bound == 0.0 and rep.margin == rep.measured
 
     def test_premise_violation_reported(self):
         # swap the roles: the "high" ensemble has higher acceptance, breaking

@@ -106,11 +106,6 @@ class TestEnsembleSpec:
         with pytest.raises(ValidationError):
             EnsembleSpec("haar", 2, m=2)
 
-    def test_config_round_trip(self):
-        spec = EnsembleSpec("subset-phase-keyed", 4, m=8, t=2, seed=RngSeed(77))
-        data = json.loads(json.dumps(spec.to_config()))
-        assert EnsembleSpec.from_config(data) == spec
-
 
 class TestStabilizerOrbit:
     def test_counts(self):

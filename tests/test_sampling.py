@@ -221,6 +221,15 @@ class TestForkedChunks:
         sources = (EnsembleSpec("subset-phase-true-random", 3, m=2), EnsembleSpec("haar", 3))
         assert _bits(self._means(workers, samples, sources, chunk)) == _bits(self._means(1, samples, sources, chunk))
 
+    def test_magic_stream_in_children_gives_the_serial_bits(self):
+        # a magic stream's Pauli transforms are BLAS matmuls, here run in forked children
+        magic = ResourceMeasure("stabilizer-renyi", alpha=3).statistic
+        sources = (EnsembleSpec("haar", 7),)
+        assert len(chunk_layout(256, 128)) == 2
+        serial = _bits(self._means(1, 256, sources, 128, fns=(magic,)))
+        assert _bits(self._means(2, 256, sources, 128, fns=(magic,))) == serial
+        _assert_no_child_left()
+
     def test_chunks_run_in_children(self):
         parent = os.getpid()
         pids = forkmap.forked_map(lambda i: os.getpid(), 3, 2)
