@@ -39,7 +39,10 @@ from .ensembles import (
     build_subset_phase_state,
     build_subset_state,
 )
-from .growth import GrowthClass, check_closure, check_repetition_consistency, is_negligible, parse_bound_expr, table_lower_bound
+from .growth import (
+    TABLE_CLASSES, TABLE_MEASURES, GrowthClass, check_closure, check_repetition_consistency, is_negligible,
+    parse_bound_expr, table_lower_bound,
+)
 from .linalg import PartitionSpec
 from .randprims import PhaseFunction, RngSeed
 from .resources import (
@@ -280,13 +283,13 @@ def _cmd_gap(resolved: dict) -> tuple[list[str], list[dict], int]:
     return columns, [row], EXIT_OK
 
 
-_SWEEP_CLASS_ORDER = ("log", "polylog", "linear", "linearithmic", "poly")
+_COHERENCE, _ENTANGLEMENT, _MAGIC = TABLE_MEASURES
 _SWEEP_MEASURE_KEY = {
-    "coherence-re": "coherence",
-    "coherence-hs": "coherence",
-    "entanglement-entropy": "entanglement",
-    "collision-entanglement": "entanglement",
-    "stabilizer-renyi": "magic",
+    "coherence-re": _COHERENCE,
+    "coherence-hs": _COHERENCE,
+    "entanglement-entropy": _ENTANGLEMENT,
+    "collision-entanglement": _ENTANGLEMENT,
+    "stabilizer-renyi": _MAGIC,
 }
 MAX_MEASURED_N = 12
 
@@ -319,13 +322,13 @@ def _cmd_sweep(resolved: dict) -> tuple[list[str], list[dict], int]:
             measure.partition.check(n)
         table_key = _SWEEP_MEASURE_KEY[measure.name]
         prev = None
-        ordered = [c for c in _SWEEP_CLASS_ORDER if c in classes] + [c for c in classes if c not in _SWEEP_CLASS_ORDER]
+        ordered = [c for c in TABLE_CLASSES if c in classes] + [c for c in classes if c not in TABLE_CLASSES]
         for cname in ordered:
             T = GrowthClass.parse(cname)
             bound = table_lower_bound(T, table_key, n, kappa=kappa, alpha=alpha)
-            if prev is not None and cname in _SWEEP_CLASS_ORDER and bound < prev - 1e-12:
+            if prev is not None and cname in TABLE_CLASSES and bound < prev - 1e-12:
                 chain_ok = False
-            if cname in _SWEEP_CLASS_ORDER:
+            if cname in TABLE_CLASSES:
                 prev = bound
             spec = _sweep_source(measure, T, n, resolved["seed"])
             if spec is not None:
@@ -344,7 +347,7 @@ def _cmd_sweep(resolved: dict) -> tuple[list[str], list[dict], int]:
                     "haar_ref_units": "bits" if ref.units.startswith("harmonic") else ref.units,
                     "delta": None,
                     "kappa": kappa,
-                    "alpha": alpha if table_key == "magic" else None,
+                    "alpha": alpha if table_key == _MAGIC else None,
                 }
             )
     if measured:
@@ -525,7 +528,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add_sub("sweep", "table of bounds across runtime classes")
     p.add_argument("--measure", required=True)
-    p.add_argument("--classes", default=",".join(_SWEEP_CLASS_ORDER))
+    p.add_argument("--classes", default=",".join(TABLE_CLASSES))
     p.add_argument("--n", required=True, help="comma list or lo..hi")
     p.add_argument("--partition", default=None)
 

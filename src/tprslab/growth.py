@@ -7,6 +7,7 @@ back "undecided" with evidence: numeric evaluation cannot prove asymptotics.
 
 from __future__ import annotations
 
+import ast
 import math
 from dataclasses import dataclass
 
@@ -29,26 +30,32 @@ __all__ = [
     "check_closure",
     "check_repetition_consistency",
     "table_lower_bound",
+    "TABLE_CLASSES",
+    "TABLE_MEASURES",
     "parse_bound_expr",
 ]
 
-PLAIN_FORMS = ("const", "log", "loglog", "linear", "linearithmic")
-FAMILY_FORMS = ("polylog", "poly", "poly-of")
-ALL_FORMS = PLAIN_FORMS + FAMILY_FORMS + ("exp",)
-
+# form: (label, degree vector, family base). The degree vector holds the
+# (n, log n, loglog n) powers of the representative; a family's vector is its
+# base's, scaled by the exponent. poly-of takes its base per instance.
+_FORMS = {
+    "const": ("O(1)", (0.0, 0.0, 0.0), None),
+    "log": ("log n", (0.0, 1.0, 0.0), None),
+    "loglog": ("loglog n", (0.0, 0.0, 1.0), None),
+    "linear": ("n", (1.0, 0.0, 0.0), None),
+    "linearithmic": ("n log n", (1.0, 1.0, 0.0), None),
+    "polylog": ("polylog n", (0.0, 1.0, 0.0), "log"),
+    "poly": ("poly n", (1.0, 0.0, 0.0), "linear"),
+    "poly-of": ("poly({base})", None, None),
+    "exp": ("2^n", None, None),
+}
 _PARSE_ALIASES = {
-    "const": "const",
-    "log": "log",
+    **{form: form for form in _FORMS if form != "poly-of"},
     "logn": "log",
-    "loglog": "loglog",
-    "polylog": "polylog",
-    "linear": "linear",
     "n": "linear",
     "nlogn": "linearithmic",
-    "linearithmic": "linearithmic",
-    "poly": "poly",
-    "exp": "exp",
 }
+MAX_POLYF_NESTING = 16  # polyf: prefixes one class name may carry
 
 
 def _log2(x: float) -> float:
@@ -70,7 +77,7 @@ class GrowthClass:
     base: "GrowthClass | None" = None
 
     def __post_init__(self):
-        if self.form not in ALL_FORMS:
+        if self.form not in _FORMS:
             raise ValidationError(f"unknown growth form {self.form!r}")
         if self.exponent <= 0:
             raise ValidationError("exponent must be positive")
@@ -82,87 +89,60 @@ class GrowthClass:
     @classmethod
     def parse(cls, text: str) -> "GrowthClass":
         """Parse compact notation: log, loglog, polylog, linear, nlogn, poly, polyf:log."""
-        t = text.strip().lower()
-        if t.startswith("polyf:"):
-            return cls("poly-of", base=cls.parse(t.split(":", 1)[1]))
-        if t in _PARSE_ALIASES:
-            return cls(_PARSE_ALIASES[t])
-        raise UnsupportedGrowthClass(f"cannot parse growth class {text!r}")
+        t, nesting = text.strip().lower(), 0
+        while t.startswith("polyf:"):
+            t, nesting = t[len("polyf:") :].strip(), nesting + 1
+        if nesting > MAX_POLYF_NESTING:
+            raise UnsupportedGrowthClass(f"more than {MAX_POLYF_NESTING} nested polyf: prefixes")
+        if t not in _PARSE_ALIASES:
+            raise UnsupportedGrowthClass(f"cannot parse growth class {text!r}")
+        gc = cls(_PARSE_ALIASES[t])
+        for _ in range(nesting):
+            gc = cls("poly-of", base=gc)
+        return gc
 
     @property
     def is_family(self) -> bool:
-        return self.form in FAMILY_FORMS
+        return self.form == "poly-of" or _FORMS[self.form][2] is not None
 
     def eval(self, n: float) -> float:
         """Canonical representative value at n (n >= 2)."""
         if n < 2:
             raise NonEvaluable("growth classes are evaluated at n >= 2")
-        if self.form == "const":
-            return 1.0
-        if self.form == "log":
-            return _log2(n)
-        if self.form == "loglog":
-            return _log2(_log2(n))
-        if self.form == "linear":
-            return float(n)
-        if self.form == "linearithmic":
-            return n * _log2(n)
-        if self.form == "polylog":
-            return _log2(n) ** self.exponent
-        if self.form == "poly":
-            return float(n) ** self.exponent
-        if self.form == "poly-of":
-            return self.base.eval(n) ** self.exponent
         if self.form == "exp":
             return 2.0**n
-        raise UnsupportedGrowthClass(self.form)
+        if self.form == "poly-of":
+            return self.base.eval(n) ** self.exponent
+        _, vec, family_base = _FORMS[self.form]
+        a, b, e = vec if family_base is None else self.degree_vector()
+        value = float(n) ** a if a else 1.0
+        if b:
+            value *= _log2(n) ** b
+        if e:
+            value *= _log2(_log2(n)) ** e
+        return value
 
     def base_class(self) -> "GrowthClass":
         """Underlying single function: poly -> linear, polylog -> log, poly-of -> base."""
-        if self.form == "poly":
-            return GrowthClass("linear")
-        if self.form == "polylog":
-            return GrowthClass("log")
         if self.form == "poly-of":
             return self.base
-        return self
+        family_base = _FORMS[self.form][2]
+        return GrowthClass(family_base) if family_base else self
 
     def degree_vector(self) -> "tuple[float, float, float] | None":
         """(n-power, log-power, loglog-power) of the representative, None for exp."""
-        if self.form == "const":
-            return (0.0, 0.0, 0.0)
-        if self.form == "log":
-            return (0.0, 1.0, 0.0)
-        if self.form == "loglog":
-            return (0.0, 0.0, 1.0)
-        if self.form == "linear":
-            return (1.0, 0.0, 0.0)
-        if self.form == "linearithmic":
-            return (1.0, 1.0, 0.0)
-        if self.form == "polylog":
-            return (0.0, self.exponent, 0.0)
-        if self.form == "poly":
-            return (self.exponent, 0.0, 0.0)
+        _, vec, family_base = _FORMS[self.form]
         if self.form == "poly-of":
-            inner = self.base.degree_vector()
-            if inner is None:
-                return None
-            return tuple(self.exponent * v for v in inner)
-        return None
+            vec = self.base.degree_vector()
+        elif family_base is None:
+            return vec
+        if vec is None:
+            return None
+        a, b, e = vec
+        return (self.exponent * a, self.exponent * b, self.exponent * e)
 
     def __str__(self) -> str:
-        if self.form == "poly-of":
-            return f"poly({self.base})"
-        return {
-            "const": "O(1)",
-            "log": "log n",
-            "loglog": "loglog n",
-            "polylog": "polylog n",
-            "linear": "n",
-            "linearithmic": "n log n",
-            "poly": "poly n",
-            "exp": "2^n",
-        }[self.form]
+        return _FORMS[self.form][0].format(base=self.base)
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +250,8 @@ class Log2(Expr):
         return f"log2({self.a})"
 
 
-def recip(e) -> Expr:
-    return Div(Const(1.0), e if isinstance(e, Expr) else Const(float(e)))
+def recip(e: Expr) -> Expr:
+    return Div(Const(1.0), e)
 
 
 @dataclass(frozen=True)
@@ -283,9 +263,6 @@ class _Monomial:
     b: float
     e: float
     x: float
-
-    def decay(self) -> tuple[float, float, float]:
-        return (-self.a, -self.b, -self.e)
 
 
 def _monomial_of(expr: Expr) -> _Monomial | None:
@@ -325,28 +302,19 @@ def _monomial_of(expr: Expr) -> _Monomial | None:
     if isinstance(expr, Log2):
         # log2 of a pure power of n folds to b exponent only for exact n^k
         inner = _monomial_of(expr.a)
-        if inner is not None and inner.coeff == 1.0 and inner.b == 0 and inner.e == 0 and inner.x == 0:
-            if inner.a > 0:
-                return _Monomial(inner.a, 0, 1, 0, 0)
-        return None
+        if inner is not None and inner.coeff == 1.0 and inner.a > 0 and inner.b == inner.e == inner.x == 0:
+            return _Monomial(inner.a, 0, 1, 0, 0)
     return None
 
 
 def _lex_positive(v: tuple[float, float, float]) -> bool:
-    for c in v:
-        if c > 0:
-            return True
-        if c < 0:
-            return False
-    return False
+    """Is the first entry that is positive or negative a positive one?"""
+    return next((c > 0 for c in v if c > 0 or c < 0), False)
 
 
 def _lead_level(v: tuple[float, float, float]) -> int:
     """0 for n-order, 1 for log-order, 2 for loglog-order, 3 for constant."""
-    for i, c in enumerate(v):
-        if c != 0:
-            return i
-    return 3
+    return next((i for i, c in enumerate(v) if c != 0), 3)
 
 
 @dataclass(frozen=True)
@@ -365,19 +333,13 @@ _GRID_CONSTANTS = (1.0, 10.0, 100.0)
 
 def _numeric_witness(eta: Expr, T: GrowthClass) -> NegligibilityReport:
     rows = []
-    ok = True
     for c in _GRID_CONSTANTS:
         for n in _GRID:
             try:
-                val = eta.eval(n) * c * T.eval(n)
-            except NonEvaluable:
-                raise
+                rows.append((c, n, eta.eval(n) * c * T.eval(n)))
             except (OverflowError, ValueError) as exc:
                 raise NonEvaluable(str(exc)) from exc
-            if not val < 1.0:
-                ok = False
-            rows.append((c, n, val))
-    note = "grid satisfied eta*c*T < 1" if ok else "grid violated eta*c*T < 1"
+    note = "grid satisfied eta*c*T < 1" if all(val < 1.0 for _, _, val in rows) else "grid violated eta*c*T < 1"
     return NegligibilityReport("undecided", f"outside rule table; {note}", tuple(rows))
 
 
@@ -415,7 +377,7 @@ def is_negligible(eta: Expr, T: GrowthClass) -> NegligibilityReport:
             return _numeric_witness(eta, T)
         return NegligibilityReport("yes", "exponential decay beats any sub-exponential class")
 
-    decay = m.decay()
+    decay = (-m.a, -m.b, -m.e)
     if T.is_family:
         beta = T.base_class().degree_vector()
         if beta is None or not _lex_positive(beta):
@@ -459,16 +421,21 @@ def _counterexample_for(T: GrowthClass, R: GrowthClass) -> tuple[str, tuple]:
     exactly 1: the repeated bound does not vanish against the class, so the
     closure property fails for this (T, R) combination.
     """
-    rows = []
-    for n in (2**6, 2**10, 2**14, 2**18):
-        eta = 1.0 / (R.eval(n) * T.eval(n))
-        rows.append((n, R.eval(n) * eta * T.eval(n)))
+    rows = tuple((n, R.eval(n) * (1.0 / (R.eval(n) * T.eval(n))) * T.eval(n)) for n in (2**6, 2**10, 2**14, 2**18))
     desc = (
         f"eta(n) = 1/({R} * {T}) is negligible for {T} (the 1/({R}) factor keeps "
         f"vanishing against the class), but r(n) * eta(n) = 1/({T}), which the "
         f"class matches instead of dominating"
     )
-    return desc, tuple(rows)
+    return desc, rows
+
+
+def _repeats_within_poly_base(T: GrowthClass, R: GrowthClass) -> bool:
+    """The proved non-constant case: T is a family and R lies in O(poly base of T)."""
+    if not T.is_family:
+        return False
+    base, rvec = T.base_class().degree_vector(), R.base_class().degree_vector()
+    return base is not None and rvec is not None and _lead_level(rvec) >= _lead_level(base)
 
 
 def check_closure(negl_class: GrowthClass, repeats: GrowthClass) -> RuleReport:
@@ -485,14 +452,11 @@ def check_closure(negl_class: GrowthClass, repeats: GrowthClass) -> RuleReport:
         if negl_class.is_family:
             return RuleReport(True, f"constant repeats lie in O(poly {negl_class.base_class()}); {additivity}")
         return RuleReport(True, f"constant repeats preserve negligibility for {negl_class}; {additivity}")
-    if negl_class.is_family:
-        base = negl_class.base_class().degree_vector()
-        rvec = repeats.base_class().degree_vector() if repeats.is_family else repeats.degree_vector()
-        if base is not None and rvec is not None and _lead_level(rvec) >= _lead_level(base):
-            return RuleReport(
-                True,
-                f"repeats in O(poly {negl_class.base_class()}) shift the exponent only; {additivity}",
-            )
+    if _repeats_within_poly_base(negl_class, repeats):
+        return RuleReport(
+            True,
+            f"repeats in O(poly {negl_class.base_class()}) shift the exponent only; {additivity}",
+        )
     desc, rows = _counterexample_for(negl_class, repeats)
     return RuleReport(False, "combination not covered by the proved closure cases", desc, rows)
 
@@ -503,11 +467,8 @@ def check_repetition_consistency(T: GrowthClass, R: GrowthClass) -> RuleReport:
         raise UnrecognizedForm("exponential classes are outside the consistency rule table")
     if R.form == "const":
         return RuleReport(True, "constant repeat factors never leave O(T)")
-    if T.is_family:
-        base = T.base_class().degree_vector()
-        rvec = R.base_class().degree_vector() if R.is_family else R.degree_vector()
-        if base is not None and rvec is not None and _lead_level(rvec) >= _lead_level(base):
-            return RuleReport(True, f"products of poly {T.base_class()} factors stay poly {T.base_class()}")
+    if _repeats_within_poly_base(T, R):
+        return RuleReport(True, f"products of poly {T.base_class()} factors stay poly {T.base_class()}")
     rows = tuple((n, R.eval(n) * T.eval(n) / T.eval(n) if T.eval(n) else 0.0) for n in (16, 256, 4096))
     desc = f"r(n) * s(n) with r = {R}, s = {T} grows like {R} * {T}, leaving O({T})"
     return RuleReport(False, "product leaves the class", desc, rows)
@@ -517,8 +478,8 @@ def check_repetition_consistency(T: GrowthClass, R: GrowthClass) -> RuleReport:
 # Resource lower-bound table
 
 
-_TABLE_MEASURES = ("coherence", "entanglement", "magic")
-_TABLE_CLASSES = ("log", "polylog", "linear", "linearithmic", "poly")
+TABLE_MEASURES = ("coherence", "entanglement", "magic")
+TABLE_CLASSES = ("log", "polylog", "linear", "linearithmic", "poly")
 
 
 def _omega_margin(g: float) -> float:
@@ -540,24 +501,17 @@ def table_lower_bound(
     log <= polylog <= linear <= linearithmic <= poly holds at every n >= 16.
     The magic table divides by alpha - 1.
     """
-    if measure not in _TABLE_MEASURES:
-        raise ValidationError(f"measure must be one of {_TABLE_MEASURES}")
-    if T.form not in _TABLE_CLASSES:
+    if measure not in TABLE_MEASURES:
+        raise ValidationError(f"measure must be one of {TABLE_MEASURES}")
+    if T.form not in TABLE_CLASSES:
         raise UnsupportedGrowthClass(f"table has no row for {T.form}")
     if n < 4:
         raise ValidationError("table evaluation requires n >= 4")
     ln = math.log2(n)
     lln = math.log2(ln)
-    if T.form == "log":
-        value = kappa + lln
-    elif T.form == "polylog":
-        value = kappa + _omega_margin(lln)
-    elif T.form == "linear":
-        value = kappa + ln
-    elif T.form == "linearithmic":
-        value = kappa + math.log2(n * ln)
-    else:  # poly
-        value = kappa + _omega_margin(ln)
+    value = kappa + {
+        "log": lln, "polylog": _omega_margin(lln), "linear": ln, "linearithmic": math.log2(n * ln), "poly": _omega_margin(ln)
+    }[T.form]
     if measure == "magic":
         if alpha < 2:
             raise ValidationError("alpha must be >= 2")
@@ -566,132 +520,77 @@ def table_lower_bound(
 
 
 # ---------------------------------------------------------------------------
-# Tiny parser for CLI bound expressions
+# Bound expressions from text
+
+MAX_EXPR_DEPTH = 600  # levels of a parsed expression; eval and is_negligible recurse once per level
+_BINARY = {ast.Add: Add, ast.Mult: Mul, ast.Div: Div}
 
 
 def parse_bound_expr(text: str) -> Expr:
-    """Parse a compact bound expression.
+    """Parse a bound expression written as Python arithmetic with ``^`` as the power.
 
-    Grammar: + - * / with parentheses; atoms are numbers, n, log2(expr),
-    2^(expr); integer powers expand to repeated products (the expression
-    language has no general power operator).
+    Accepted: numbers, n, unary minus, + - * /, powers and log2(x). Only base 2
+    takes a non-integer exponent (a Pow2 node); any other base needs an integer
+    literal, which expands to a repeated product. Precedence is Python's, so
+    -n^2 is -(n^2) and powers associate to the right.
     """
-    tokens = _tokenize(text)
-    expr, pos = _parse_sum(tokens, 0)
-    if pos != len(tokens):
-        raise UnrecognizedForm(f"trailing input in expression {text!r}")
-    return expr
-
-
-def _tokenize(text: str) -> list[str]:
-    out, i = [], 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-*/()^":
-            out.append(ch)
-            i += 1
-            continue
-        if ch.isdigit() or ch == ".":
-            j = i
-            while j < len(text) and (text[j].isdigit() or text[j] == "."):
-                j += 1
-            out.append(text[i:j])
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            out.append(text[i:j])
-            i = j
-            continue
-        raise UnrecognizedForm(f"unexpected character {ch!r} in expression")
-    return out
-
-
-def _parse_sum(tokens, pos):
-    expr, pos = _parse_term(tokens, pos)
-    while pos < len(tokens) and tokens[pos] in "+-":
-        op = tokens[pos]
-        rhs, pos = _parse_term(tokens, pos + 1)
-        expr = Add(expr, rhs if op == "+" else Neg(rhs))
-    return expr, pos
-
-
-def _parse_term(tokens, pos):
-    expr, pos = _parse_factor(tokens, pos)
-    while pos < len(tokens) and tokens[pos] in "*/":
-        op = tokens[pos]
-        rhs, pos = _parse_factor(tokens, pos + 1)
-        expr = Mul(expr, rhs) if op == "*" else Div(expr, rhs)
-    return expr, pos
-
-
-def _parse_factor(tokens, pos):
-    atom, pos = _parse_atom(tokens, pos)
-    if pos < len(tokens) and tokens[pos] == "^":
-        pos += 1
-        if pos < len(tokens) and tokens[pos] == "(":
-            inner, pos = _parse_sum(tokens, pos + 1)
-            if pos >= len(tokens) or tokens[pos] != ")":
-                raise UnrecognizedForm("unbalanced parentheses in exponent")
-            pos += 1
-            if isinstance(atom, Const) and atom.value == 2.0:
-                return Pow2(inner), pos
-            raise UnrecognizedForm("parenthesized exponents only allowed on base 2")
-        neg = False
-        if pos < len(tokens) and tokens[pos] == "-":
-            neg = True
-            pos += 1
-        if pos >= len(tokens):
-            raise UnrecognizedForm("dangling exponent")
-        tok = tokens[pos]
-        pos += 1
-        if tok == "n" and isinstance(atom, Const) and atom.value == 2.0:
-            inner = Growth(GrowthClass("linear"))
-            return Pow2(Neg(inner) if neg else inner), pos
-        try:
-            power = int(tok)
-        except ValueError as exc:
-            raise UnrecognizedForm(f"unsupported exponent {tok!r}") from exc
-        if neg:
-            power = -power
-        if power == 0:
-            return Const(1.0), pos
-        out = atom
-        for _ in range(abs(power) - 1):
-            out = Mul(out, atom)
-        return (recip(out) if power < 0 else out), pos
-    return atom, pos
-
-
-def _parse_atom(tokens, pos):
-    if pos >= len(tokens):
-        raise UnrecognizedForm("unexpected end of expression")
-    tok = tokens[pos]
-    if tok == "(":
-        inner, pos = _parse_sum(tokens, pos + 1)
-        if pos >= len(tokens) or tokens[pos] != ")":
-            raise UnrecognizedForm("unbalanced parentheses")
-        return inner, pos + 1
-    if tok == "-":
-        inner, pos = _parse_atom(tokens, pos + 1)
-        return Neg(inner), pos
-    if tok == "n":
-        return Growth(GrowthClass("linear")), pos + 1
-    if tok == "log2":
-        if pos + 1 >= len(tokens) or tokens[pos + 1] != "(":
-            raise UnrecognizedForm("log2 requires parentheses")
-        inner, pos = _parse_sum(tokens, pos + 2)
-        if pos >= len(tokens) or tokens[pos] != ")":
-            raise UnrecognizedForm("unbalanced parentheses after log2")
-        if isinstance(inner, Growth) and inner.gc.form == "linear":
-            return Growth(GrowthClass("log")), pos + 1
-        return Log2(inner), pos + 1
     try:
-        return Const(float(tok)), pos + 1
-    except ValueError as exc:
-        raise UnrecognizedForm(f"unknown token {tok!r}") from exc
+        tree = ast.parse(" ".join(text.split()).replace("^", "**"), mode="eval")
+    except (SyntaxError, ValueError, RecursionError, MemoryError) as exc:
+        raise UnrecognizedForm(f"malformed bound expression ({type(exc).__name__}: {exc})") from None
+    return _expr_of(tree.body, 1)
+
+
+def _number(node: ast.AST) -> float | None:
+    if not (isinstance(node, ast.Constant) and type(node.value) in (int, float)):
+        return None
+    try:
+        return float(node.value)
+    except OverflowError:  # an integer literal past the float range is inf, as float() of its text is
+        return math.inf
+
+
+def _int_power(node: ast.AST) -> int | None:
+    """The value of an integer-literal exponent such as 3 or -3, else None."""
+    sign = 1
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        node, sign = node.operand, -1
+    return sign * node.value if isinstance(node, ast.Constant) and type(node.value) is int else None
+
+
+def _expr_of(node: ast.AST, depth: int) -> Expr:
+    """The expression of one parsed node that sits ``depth`` levels below the root."""
+    if depth > MAX_EXPR_DEPTH:
+        raise UnrecognizedForm(f"bound expression nests deeper than {MAX_EXPR_DEPTH} levels")
+    value = _number(node)
+    if value is not None:
+        return Const(value)
+    if isinstance(node, ast.Name) and node.id == "n":
+        return Growth(GrowthClass("linear"))
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return Neg(_expr_of(node.operand, depth + 1))
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "log2":
+        if len(node.args) != 1 or node.keywords:
+            raise UnrecognizedForm("log2 takes exactly one argument")
+        inner = _expr_of(node.args[0], depth + 1)
+        if isinstance(inner, Growth) and inner.gc.form == "linear":
+            return Growth(GrowthClass("log"))
+        return Log2(inner)
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub):
+        return Add(_expr_of(node.left, depth + 1), Neg(_expr_of(node.right, depth + 2)))
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        return _BINARY[type(node.op)](_expr_of(node.left, depth + 1), _expr_of(node.right, depth + 1))
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        if _number(node.left) == 2.0:
+            return Pow2(_expr_of(node.right, depth + 1))
+        k = _int_power(node.right)
+        if k is None:
+            raise UnrecognizedForm("only base 2 takes a non-integer exponent")
+        atom = _expr_of(node.left, depth + abs(k) - (k > 0))  # the deepest copy of the base
+        if k == 0:
+            return Const(1.0)
+        out = atom
+        for _ in range(abs(k) - 1):
+            out = Mul(out, atom)
+        return recip(out) if k < 0 else out
+    raise UnrecognizedForm(f"unsupported term {getattr(node, 'id', type(node).__name__)!r} in bound expression")

@@ -230,9 +230,7 @@ def pauli_power_sums(amps: np.ndarray, n: int, alpha: int) -> np.ndarray:
 
 def stabilizer_renyi_entropy(psi: PureState, alpha: int) -> float:
     """Magic monotone of a pure state from 2*alpha-th powers of its Pauli expectations, in bits."""
-    if alpha < 2:
-        raise ValidationError("alpha must be >= 2")
-    return float(np.log2(pauli_power_sums(psi.amps, psi.n, alpha)[0]) / (1 - alpha))
+    return measure_pure_amps(ResourceMeasure(MEASURE_MAGIC, alpha=alpha), psi.amps, psi.n)
 
 
 # ---------------------------------------------------------------------------

@@ -208,6 +208,31 @@ class TestOtherCommands:
         assert code == 0
         assert "undecided" in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["negl-check", "--eta", "(" * 3000 + "n" + ")" * 3000, "--T", "linear"],
+            ["negl-check", "--eta", "+".join(["1/n"] * 1000), "--T", "linear"],
+            ["negl-check", "--eta", "1/n", "--T", "polyf:" * 2000 + "log"],
+        ],
+        ids=["3000-nested-parentheses", "1000-term-sum", "2000-nested-polyf"],
+    )
+    def test_negl_check_over_deep_input_exits_2(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("validation error:") and "Traceback" not in err
+
+    def test_negl_check_500_term_sum(self, capsys):
+        eta = "+".join(["1/n"] * 500)
+        code, out, _ = run(["negl-check", "--eta", eta, "--T", "polylog"], capsys)
+        assert code == 0
+        leaf = "decay order strictly dominates every power of log n"
+        rule = leaf
+        for _ in range(499):
+            rule = f"additivity: [{rule}] + [{leaf}]"
+        assert out == f"check,subject,verdict,rule\nnegligible,eta={eta} vs T=polylog,yes,{rule}\n"
+
     def test_advise(self, capsys):
         code, out, _ = run(["advise", "--T", "log", "--n", "16"], capsys)
         assert code == 0

@@ -1,9 +1,14 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tprslab.errors import UnsupportedGrowthClass
+from tprslab.errors import UnrecognizedForm, UnsupportedGrowthClass
 from tprslab.growth import (
+    MAX_EXPR_DEPTH,
+    MAX_POLYF_NESTING,
     Add,
     Const,
+    Div,
     Growth,
     GrowthClass,
     Log2,
@@ -41,6 +46,12 @@ class TestGrowthClass:
     def test_family_flags(self):
         assert POLY.is_family and POLYLOG.is_family
         assert not LINEAR.is_family and not NLOGN.is_family
+
+    def test_polyf_nesting_is_bounded(self):
+        nested = GrowthClass.parse("polyf:" * MAX_POLYF_NESTING + "log")
+        assert nested.degree_vector() == (0.0, 2.0**MAX_POLYF_NESTING, 0.0)
+        with pytest.raises(UnsupportedGrowthClass):
+            GrowthClass.parse("polyf:" * (MAX_POLYF_NESTING + 1) + "log")
 
 
 class TestIsNegligible:
@@ -176,3 +187,135 @@ class TestTableLowerBound:
 
     def test_kappa_knob(self):
         assert table_lower_bound(LINEAR, "coherence", 16, kappa=2.0) == pytest.approx(6.0)
+
+
+CLASSES = ("const", "log", "loglog", "polylog", "linear", "nlogn", "poly", "exp")
+GROWS = ("no", "eta does not even tend to zero")
+VIOLATED = ("undecided", "outside rule table; grid violated eta*c*T < 1")
+SATISFIED = ("undecided", "outside rule table; grid satisfied eta*c*T < 1")
+SUM_GROWS = ("no", "a non-negligible nonnegative term dominates the sum")
+EXP_DECAY = ("yes", "exponential decay beats any sub-exponential class")
+CONSTANT = (
+    ("no", "eta * O(1) does not tend to zero (order gap (0.0, 0.0, 0.0))"),
+    ("no", "eta * log n does not tend to zero (order gap (0.0, -1.0, 0.0))"),
+    ("no", "eta * loglog n does not tend to zero (order gap (0.0, 0.0, -1.0))"),
+    ("no", "a fixed power cannot beat all exponents of log n"),
+    ("no", "eta * n does not tend to zero (order gap (-1.0, 0.0, 0.0))"),
+    ("no", "eta * n log n does not tend to zero (order gap (-1.0, -1.0, 0.0))"),
+    ("no", "a fixed power cannot beat all exponents of n"),
+    "UnrecognizedForm",
+)
+
+# One expression per production of the --eta grammar: eval at n = 4, 16 and
+# 1024, then the is_negligible (verdict, rule), or the name of the raised
+# error, for each of CLASSES. Recorded from the hand-written recursive-descent
+# parser that the ast walk replaced.
+PRODUCTIONS = [
+    ("3", (3.0, 3.0, 3.0), CONSTANT),
+    ("0.5", (0.5, 0.5, 0.5), CONSTANT),
+    ("n", (4.0, 16.0, 1024.0), (GROWS,) * 8),
+    ("-n", (-4.0, -16.0, -1024.0), (SATISFIED,) * 7 + ("NonEvaluable",)),
+    ("n + 1", (5.0, 17.0, 1025.0), (SUM_GROWS,) * 7 + ("UnrecognizedForm",)),
+    ("n - 1", (3.0, 15.0, 1023.0), (VIOLATED,) * 7 + ("NonEvaluable",)),
+    ("2 * n", (8.0, 32.0, 2048.0), (GROWS,) * 8),
+    ("1 / n", (0.25, 0.0625, 0.0009765625), (
+        ("yes", "eta * O(1) tends to zero (order gap (1.0, -0.0, -0.0))"),
+        ("yes", "eta * log n tends to zero (order gap (1.0, -1.0, -0.0))"),
+        ("yes", "eta * loglog n tends to zero (order gap (1.0, -0.0, -1.0))"),
+        ("yes", "decay order strictly dominates every power of log n"),
+        ("no", "eta * n does not tend to zero (order gap (0.0, -0.0, -0.0))"),
+        ("no", "eta * n log n does not tend to zero (order gap (0.0, -1.0, -0.0))"),
+        ("no", "a fixed power cannot beat all exponents of n"),
+        "UnrecognizedForm",
+    )),
+    ("(n + 1) * n", (20.0, 272.0, 1049600.0), (VIOLATED,) * 7 + ("NonEvaluable",)),
+    ("n^3", (64.0, 4096.0, 1073741824.0), (GROWS,) * 8),
+    ("n^-2", (0.0625, 0.00390625, 9.5367431640625e-07), (
+        ("yes", "eta * O(1) tends to zero (order gap (2.0, -0.0, -0.0))"),
+        ("yes", "eta * log n tends to zero (order gap (2.0, -1.0, -0.0))"),
+        ("yes", "eta * loglog n tends to zero (order gap (2.0, -0.0, -1.0))"),
+        ("yes", "decay order strictly dominates every power of log n"),
+        ("yes", "eta * n tends to zero (order gap (1.0, -0.0, -0.0))"),
+        ("yes", "eta * n log n tends to zero (order gap (1.0, -1.0, -0.0))"),
+        ("no", "a fixed power cannot beat all exponents of n"),
+        "UnrecognizedForm",
+    )),
+    ("n^0", (1.0, 1.0, 1.0), CONSTANT),
+    ("2^n", (16.0, 65536.0, "OverflowError"), (GROWS,) * 8),
+    ("2^-n", (0.0625, 1.52587890625e-05, 5.562684646268003e-309), (EXP_DECAY,) * 7 + ("NonEvaluable",)),
+    ("2^(n / 2)", (4.0, 256.0, 1.3407807929942597e154), (GROWS,) * 8),
+    ("log2(n)", (2.0, 4.0, 10.0), (GROWS,) * 8),
+    ("log2(n + 1)", (2.321928094887362, 4.087462841250339, 10.001408194392809), (VIOLATED,) * 7 + ("NonEvaluable",)),
+]
+
+
+def _outcome(fn):
+    """fn()'s value, (verdict, rule) for a negligibility report, or the name of the error it raises."""
+    try:
+        got = fn()
+    except Exception as exc:
+        return type(exc).__name__
+    return (got.verdict, got.rule) if hasattr(got, "verdict") else got
+
+
+class TestBoundGrammar:
+    @pytest.mark.parametrize("text,values,reports", PRODUCTIONS, ids=[p[0] for p in PRODUCTIONS])
+    def test_production(self, text, values, reports):
+        eta = parse_bound_expr(text)
+        assert tuple(_outcome(lambda: eta.eval(n)) for n in (4, 16, 1024)) == values
+        assert tuple(_outcome(lambda: is_negligible(eta, GrowthClass.parse(c))) for c in CLASSES) == reports
+
+    @pytest.mark.parametrize(
+        "text,value",
+        [("-n^2", -16.0), ("-log2(n)^2", -4.0), ("1/-n^2", -0.0625), ("(-n)^2", 16.0), ("--n^2", 16.0), ("-2^n", -16.0)],
+    )
+    def test_unary_minus_binds_looser_than_power(self, text, value):
+        assert parse_bound_expr(text).eval(4) == value
+
+    @pytest.mark.parametrize(
+        "text,value",
+        [("1e-3", 0.001), ("2^-(n)", 0.0625), ("n^(2)", 16.0), ("n^(-2)", 0.0625), ("2^2^n", 65536.0), ("n**2", 16.0)],
+    )
+    def test_python_arithmetic_is_accepted(self, text, value):
+        assert parse_bound_expr(text).eval(4) == value
+
+    @pytest.mark.parametrize(
+        "text", ["n^2.5", "3^n", "n^n", "x", "+n", "n % 2", "n // 2", "log2(n, 2)", "log2()", "True", "1j", "(n, n)", "2n", ""]
+    )
+    def test_outside_the_grammar_is_rejected(self, text):
+        with pytest.raises(UnrecognizedForm):
+            parse_bound_expr(text)
+
+    def test_depth_is_bounded(self):
+        deepest = parse_bound_expr("*".join(["n"] * MAX_EXPR_DEPTH))
+        assert deepest.eval(2) == 2.0**MAX_EXPR_DEPTH
+        assert is_negligible(deepest, LINEAR).verdict == "no"
+        assert parse_bound_expr(f"n^{MAX_EXPR_DEPTH}").eval(2) == 2.0**MAX_EXPR_DEPTH
+        for text in ("*".join(["n"] * (MAX_EXPR_DEPTH + 1)), f"n^{MAX_EXPR_DEPTH + 1}", "n^-10000000000", "(" * 3000 + "n" + ")" * 3000):
+            with pytest.raises(UnrecognizedForm):
+                parse_bound_expr(text)
+
+
+# constants that print exactly with Const's "%g"
+_NUMBERS = st.one_of(st.integers(0, 20).map(float), st.sampled_from([0.5, 0.25, 1.5]))
+_LEAVES = _NUMBERS.map(Const) | st.just(Growth(LINEAR))
+_EXPRS = st.recursive(
+    _LEAVES,
+    lambda sub: st.one_of(
+        st.builds(Add, sub, sub),
+        st.builds(Mul, sub, sub),
+        st.builds(Div, sub, sub),
+        st.builds(Neg, sub),
+        st.builds(Pow2, sub),
+        st.builds(Log2, sub),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_EXPRS)
+def test_printed_expression_parses_back_to_the_same_values(expr):
+    back = parse_bound_expr(str(expr))
+    for n in (2, 3, 16, 1024):
+        assert repr(_outcome(lambda: back.eval(n))) == repr(_outcome(lambda: expr.eval(n)))

@@ -15,6 +15,7 @@ from tprslab.resources import (
     haar_expected,
     haar_magic_proxy,
     measure_pure_amps,
+    pauli_power_sums,
     stabilizer_renyi_entropy,
 )
 
@@ -106,6 +107,16 @@ class TestStabilizerRenyi:
                 psi = random_pure(n, rng)
                 want = math.log2(pauli_power_sum(psi.amps, n, alpha) / 2**n) / (1 - alpha)
                 assert stabilizer_renyi_entropy(psi, alpha) == pytest.approx(want, abs=1e-10)
+
+    def test_same_bits_as_the_power_sum_formula(self):
+        # the pure-state route through measure_pure_amps keeps the bits of
+        # log2(power sum) / (1 - alpha) evaluated on the one state
+        rng = np.random.default_rng(11)
+        for n in range(1, 7):
+            psi = random_pure(n, rng)
+            for alpha in (2, 3):
+                want = float(np.log2(pauli_power_sums(psi.amps, n, alpha)[0]) / (1 - alpha))
+                assert stabilizer_renyi_entropy(psi, alpha) == want
 
     def test_all_two_qubit_stabilizer_states_zero(self):
         for v in stabilizer_orbit(2):
