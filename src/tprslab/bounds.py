@@ -12,15 +12,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .config import check_domain, check_reduced_dim
 from .errors import BoundDegenerate, ParameterOrderViolated, ValidationError
-from .ensembles import EnsembleSpec
-from .growth import Expr, GrowthClass
+from .growth import Expr
 from .linalg import PartitionSpec
-from .randprims import RngSeed, as_seed
+from .randprims import as_seed
 from .resources import (
     MEASURE_COHERENCE_RE,
     MEASURE_ENTANGLEMENT,
@@ -30,6 +30,11 @@ from .resources import (
 )
 from .distinguishers import make_coherence_distinguisher, make_hadamard_distinguisher, make_swap_distinguisher
 from .sampling import paired_value_means
+
+if TYPE_CHECKING:
+    from .ensembles import EnsembleSpec
+    from .growth import GrowthClass
+    from .randprims import RngSeed
 
 __all__ = [
     "subset_phase_distance_bound",

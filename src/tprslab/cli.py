@@ -22,37 +22,22 @@ import json
 import math
 import sys
 import time
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .config import DEFAULT_BUDGET_CONSTANT, DEFAULT_KAPPA, check_domain, dim_cap
 from .errors import DimensionCapExceeded, DomainCapExceeded, TprsError, ValidationError
-from .bounds import empirical_prop_check, verify_distance_bound
-from .distinguishers import hybrid_experiment
-from .ensembles import (
-    ENSEMBLE_KINDS,
-    EnsembleSpec,
-    SubsetSpec,
-    advise_copies,
-    advise_subset_size,
-    build_subset_phase_state,
-    build_subset_state,
-)
 from .growth import (
     TABLE_CLASSES, TABLE_MEASURES, GrowthClass, check_closure, check_repetition_consistency, is_negligible,
     parse_bound_expr, table_lower_bound,
 )
-from .linalg import PartitionSpec
-from .randprims import PhaseFunction, RngSeed
-from .resources import (
-    MEASURE_NAMES,
-    ResourceMeasure,
-    aggregate_measure,
-    estimate_gap,
-    haar_expected,
-)
-from .sampling import paired_value_means, usable_cores
+
+# Every other module is imported by the subcommand that runs it, so a start-up
+# loads only what its subcommand uses (a CSV negl-check never loads numpy).
+if TYPE_CHECKING:
+    from .ensembles import EnsembleSpec
+    from .linalg import PartitionSpec
+    from .resources import ResourceMeasure
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -85,6 +70,8 @@ def _fmt(v) -> str:
 
 def _write_report(resolved: dict, columns: list[str], rows: list[dict], wall_time: float) -> str:
     if resolved["format"] == "json":
+        from .sampling import usable_cores
+
         doc = {
             "config": {k: v for k, v in resolved.items() if k != "out"},
             "version": __version__,
@@ -121,12 +108,16 @@ def _ints(text: str, sep: str, what: str, count: int | None = None) -> list[int]
 
 
 def _parse_partition(text: str | None, n: int) -> PartitionSpec:
+    from .linalg import PartitionSpec
+
     if text is None:
         return PartitionSpec(n // 2, n - n // 2) if n >= 2 else PartitionSpec(1, 1)
     return PartitionSpec(*_ints(text, ":", "partition must be A:B", 2))
 
 
 def _parse_measure(name: str, n: int, partition: str | None, alpha: int) -> ResourceMeasure:
+    from .resources import MEASURE_NAMES, ResourceMeasure
+
     name = _MEASURE_ALIASES.get(name, name)
     if name not in MEASURE_NAMES:
         raise ValidationError(f"unknown measure {name!r}; choose from {MEASURE_NAMES}")
@@ -139,6 +130,9 @@ def _parse_measure(name: str, n: int, partition: str | None, alpha: int) -> Reso
 
 def _parse_ensemble(text: str, n: int, t: int, seed: int) -> EnsembleSpec:
     """kind[:m=VALUE], e.g. 'haar' or 'subset-phase-true-random:m=4'."""
+    from .ensembles import ENSEMBLE_KINDS, EnsembleSpec
+    from .randprims import RngSeed
+
     kind, _, rest = text.partition(":")
     m = None
     if rest:
@@ -165,6 +159,11 @@ def _int_list(text: str) -> list[int]:
 
 
 def _cmd_build(resolved: dict) -> tuple[list[str], list[dict], int]:
+    import numpy as np
+
+    from .ensembles import SubsetSpec, build_subset_phase_state, build_subset_state
+    from .randprims import PhaseFunction, RngSeed
+
     n = resolved.get("n")
     kind = resolved["kind"]
     seed = RngSeed(resolved["seed"])
@@ -212,6 +211,8 @@ def _cmd_build(resolved: dict) -> tuple[list[str], list[dict], int]:
 
 
 def _cmd_distance(resolved: dict) -> tuple[list[str], list[dict], int]:
+    from .bounds import verify_distance_bound
+
     kind = resolved["kind"]
     n, t = resolved["n"], resolved["t"]
     if kind == "subset-phase" and resolved.get("mexp"):
@@ -246,6 +247,9 @@ def _cmd_distance(resolved: dict) -> tuple[list[str], list[dict], int]:
 
 
 def _cmd_gap(resolved: dict) -> tuple[list[str], list[dict], int]:
+    from .randprims import RngSeed
+    from .resources import estimate_gap
+
     n, t, seed = resolved["n"], 1, resolved["seed"]
     measure = _parse_measure(resolved["measure"], n, resolved.get("partition"), resolved["alpha"])
     e1 = _parse_ensemble(resolved["e1"], n, t, seed)
@@ -296,6 +300,9 @@ MAX_MEASURED_N = 12
 
 def _sweep_source(measure: ResourceMeasure, T: GrowthClass, n: int, seed: int) -> EnsembleSpec | None:
     """The advised low ensemble of a sweep row, or None where the row is not measured."""
+    from .ensembles import EnsembleSpec, advise_subset_size
+    from .randprims import RngSeed
+
     if n > MAX_MEASURED_N:
         return None
     try:
@@ -309,6 +316,10 @@ def _sweep_source(measure: ResourceMeasure, T: GrowthClass, n: int, seed: int) -
 
 
 def _cmd_sweep(resolved: dict) -> tuple[list[str], list[dict], int]:
+    from .randprims import RngSeed
+    from .resources import aggregate_measure, haar_expected
+    from .sampling import paired_value_means
+
     classes = [c.strip() for c in resolved["classes"].split(",")]
     ns = _int_list(resolved["n"])
     kappa, alpha = resolved["kappa"], resolved["alpha"]
@@ -365,6 +376,9 @@ def _cmd_sweep(resolved: dict) -> tuple[list[str], list[dict], int]:
 
 
 def _cmd_hybrid(resolved: dict) -> tuple[list[str], list[dict], int]:
+    from .distinguishers import hybrid_experiment
+    from .randprims import RngSeed
+
     names = None
     if resolved.get("distinguishers"):
         names = tuple(s.strip() for s in resolved["distinguishers"].split(","))
@@ -435,6 +449,8 @@ def _cmd_negl_check(resolved: dict) -> tuple[list[str], list[dict], int]:
 
 
 def _cmd_advise(resolved: dict) -> tuple[list[str], list[dict], int]:
+    from .ensembles import advise_copies, advise_subset_size
+
     T = GrowthClass.parse(resolved["T"])
     n = resolved["n"]
     advice = advise_subset_size(T, n)
@@ -444,6 +460,9 @@ def _cmd_advise(resolved: dict) -> tuple[list[str], list[dict], int]:
 
 
 def _cmd_prop_check(resolved: dict) -> tuple[list[str], list[dict], int]:
+    from .bounds import empirical_prop_check
+    from .randprims import RngSeed
+
     n, seed = resolved["n"], resolved["seed"]
     T = GrowthClass.parse(resolved["T"])
     e_high = _parse_ensemble(resolved["e1"], n, 1, seed)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .errors import CopyMismatch, ValidationError
 from .ensembles import EnsembleSpec
 from .growth import GrowthClass
 from .linalg import PartitionSpec
-from .randprims import RngSeed, as_seed
+from .randprims import as_seed
 from .resources import (
     MEASURE_COLLISION_ENT,
     ResourceMeasure,
@@ -27,7 +27,11 @@ from .resources import (
     measure_pure_amps,
     pauli_power_sums,
 )
-from .sampling import MeanAccumulator, paired_value_means
+from .sampling import paired_value_means
+
+if TYPE_CHECKING:
+    from .randprims import RngSeed
+    from .sampling import MeanAccumulator
 
 __all__ = [
     "DistinguisherDescriptor",

@@ -13,15 +13,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .config import check_dim, check_domain, dim_cap
-from .errors import BadSubsetExponent, EmptySubset, UnsupportedGrowthClass, ValidationError
-from .growth import GrowthClass
+from .config import check_dim, check_domain, check_reduced_dim
+from .errors import BadSubsetExponent, DimensionCapExceeded, EmptySubset, UnsupportedGrowthClass, ValidationError
 from .linalg import PureState, SymmetricOperator, symmetric_basis, symmetric_dimension
 from .randprims import KeyedPermutation, PhaseFunction, RngSeed, draw_key_words, sample_haar_block
 from .sampling import DEFAULT_CHUNK, chunk_layout
+
+if TYPE_CHECKING:
+    from .growth import GrowthClass
 
 __all__ = [
     "SubsetSpec",
@@ -402,14 +405,20 @@ def advise_subset_size(T: GrowthClass, n: int) -> SubsetAdvice:
 
 def advise_copies(T: GrowthClass, n: int) -> int:
     """Copy count: the two-copy minimum for plain classes, ceil(f(n)) for
-    poly-of-f classes, clipped so 2^{n t} fits the dimension cap."""
+    poly-of-f classes, clipped to the largest count whose exact moments fit
+    the dimension cap once reduced (``check_reduced_dim``, the gate of
+    ``distance``). Raises DimensionCapExceeded where two copies do not fit."""
     if n < 2:
         raise ValidationError("advisors require n >= 2")
     if T.form == "exp":
         raise UnsupportedGrowthClass("no valid copy count for exponential runtime")
-    if T.is_family:
-        raw = max(2, math.ceil(T.base_class().eval(n)))
-    else:
-        raw = 2
-    bits = int(math.log2(dim_cap()))
-    return max(1, min(raw, bits // n))
+    raw = max(2, math.ceil(T.base_class().eval(n))) if T.is_family else 2
+    t = 2
+    check_reduced_dim(n, t)
+    while t < raw:
+        try:
+            check_reduced_dim(n, t + 1)
+        except DimensionCapExceeded:
+            break
+        t += 1
+    return t

@@ -12,14 +12,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DimensionCapExceeded, NoAnalyticForm, ValidationError
-from .ensembles import EnsembleSpec
-from .linalg import PartitionSpec, PureState, shannon_bits
-from .randprims import RngSeed, as_seed
-from .sampling import MeanAccumulator, paired_value_means
+from .linalg import shannon_bits
+from .randprims import as_seed
+from .sampling import paired_value_means
+
+if TYPE_CHECKING:
+    from .ensembles import EnsembleSpec
+    from .linalg import PartitionSpec, PureState
+    from .randprims import RngSeed
+    from .sampling import MeanAccumulator
 
 __all__ = [
     "ResourceMeasure",

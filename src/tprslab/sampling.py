@@ -20,12 +20,15 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ValidationError
 from .forkmap import forked_map
-from .randprims import RngSeed
+
+if TYPE_CHECKING:
+    from .randprims import RngSeed
 
 __all__ = ["MeanAccumulator", "chunk_layout", "paired_value_means", "usable_cores"]
 

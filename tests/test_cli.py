@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -239,6 +240,14 @@ class TestOtherCommands:
         row = out.strip().splitlines()[1].split(",")
         assert row[2] == "16" and row[3] == "4"
 
+    def test_readme_advise_line_advises_two_copies_at_least(self, capsys):
+        from .test_imports import readme_cli_line
+
+        code, out, _ = run(readme_cli_line("advise"), capsys)
+        assert code == 0
+        (row,) = csv.DictReader(io.StringIO(out))
+        assert int(row["t"]) >= 2
+
     def test_prop_check(self, capsys):
         code, out, _ = run(
             [
@@ -381,10 +390,11 @@ class TestWorkerIdentity:
 
     def test_json_reports_workers_and_csv_does_not(self, tmp_path, capsys):
         argv = ["gap", "--measure", "coherence-re", "--n", "3", "--e1", "haar", "--e2", "subset-phase-keyed:m=4"]
-        csv_text = self._csv(argv, 3, tmp_path).decode()
+        # the JSON run comes first: the report reads sampling.usable_cores, which _csv replaces
         code, out, _ = run(["--samples", "2500", "--seed", "17", "--format", "json"] + argv, capsys)
         doc = json.loads(out)
         assert code == 0 and doc["workers"] == len(os.sched_getaffinity(0))
+        csv_text = self._csv(argv, 3, tmp_path).decode()
         assert "workers" not in csv_text.splitlines()[0].split(",")
         assert csv_text == self._csv(argv, 1, tmp_path).decode()
 
@@ -426,12 +436,12 @@ class TestErrorMapping:
 
     @pytest.mark.parametrize("exc", [ValueError, KeyError])
     def test_program_errors_are_not_relabelled(self, exc, monkeypatch):
-        from tprslab import cli
+        from tprslab import resources
 
         def broken(*args, **kwargs):
             raise exc("engine bug")
 
-        monkeypatch.setattr(cli, "estimate_gap", broken)
+        monkeypatch.setattr(resources, "estimate_gap", broken)
         with pytest.raises(exc):
             main(["gap", "--measure", "coherence-re", "--n", "3", "--e1", "haar", "--e2", "haar"])
 

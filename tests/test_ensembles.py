@@ -5,7 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from tprslab.config import dim_cap
+from tprslab.config import check_reduced_dim, dim_cap
 from tprslab.ensembles import (
     ENSEMBLE_KINDS,
     EnsembleSpec,
@@ -21,7 +21,7 @@ from tprslab.ensembles import (
     sample_block,
     stabilizer_orbit,
 )
-from tprslab.errors import BadSubsetExponent, DomainCapExceeded, EmptySubset, ValidationError
+from tprslab.errors import BadSubsetExponent, DimensionCapExceeded, DomainCapExceeded, EmptySubset, ValidationError
 from tprslab.growth import GrowthClass
 from tprslab.randprims import KEY_BYTES, KeyedPermutation, PhaseFunction, RngSeed
 
@@ -421,23 +421,36 @@ class TestAdvisors:
                 assert m & (m - 1) == 0
 
     def test_copies_plain(self):
-        assert advise_copies(GrowthClass.parse("log"), 8) == 1  # clipped by the cap
-        assert advise_copies(GrowthClass.parse("log"), 4) == 2
+        # the two-copy minimum: its reduced problem, 4^2, fits the default cap at every n
+        for n in (4, 8, 16, 64):
+            assert advise_copies(GrowthClass.parse("log"), n) == 2
 
     def test_copies_polylog(self, monkeypatch):
         monkeypatch.setenv("TPRS_DIM_CAP", str(2**80))
         assert advise_copies(GrowthClass.parse("polylog"), 16) == 4
 
     def test_copies_follow_the_env_cap(self, monkeypatch):
+        # polylog at n = 16 asks for ceil(log2 16) = 4 copies; t copies reduce to (2t)^t
         polylog = GrowthClass.parse("polylog")
-        for cap_bits, want in ((80, 3), (24, 3), (16, 2), (8, 1)):
-            monkeypatch.setenv("TPRS_DIM_CAP", str(2**cap_bits))
-            assert advise_copies(polylog, 8) == want
+        for cap, want in ((2**80, 4), (4096, 4), (4095, 3), (216, 3), (215, 2), (16, 2)):
+            monkeypatch.setenv("TPRS_DIM_CAP", str(cap))
+            assert advise_copies(polylog, 16) == want
+        monkeypatch.setenv("TPRS_DIM_CAP", "15")
+        for cls in ("log", "polylog"):
+            with pytest.raises(DimensionCapExceeded):
+                advise_copies(GrowthClass.parse(cls), 16)
 
     def test_copy_clipping(self):
-        for n in range(2, 13):
-            t = advise_copies(GrowthClass.parse("polylog"), n)
-            assert (2**n) ** t <= dim_cap()
+        # the largest count up to ceil(f(n)) that the distance gate admits, never below two
+        polylog = GrowthClass.parse("polylog")
+        for n in range(2, 21):
+            t = advise_copies(polylog, n)
+            want = max(2, math.ceil(math.log2(n)))
+            assert 2 <= t <= want
+            check_reduced_dim(n, t)
+            if t < want:
+                with pytest.raises(DimensionCapExceeded):
+                    check_reduced_dim(n, t + 1)
 
 
 class TestJsonExport:
