@@ -5,7 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from tprslab.config import check_reduced_dim, dim_cap
+from tprslab.config import check_reduced_dim
 from tprslab.ensembles import (
     ENSEMBLE_KINDS,
     EnsembleSpec,
