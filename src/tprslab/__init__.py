@@ -24,8 +24,6 @@ _EXPORTS = {
     "ensembles": (
         "EnsembleSpec",
         "SubsetSpec",
-        "advise_copies",
-        "advise_subset_size",
         "build_subset_phase_state",
         "build_subset_state",
         "exact_subset_moment",
@@ -35,7 +33,15 @@ _EXPORTS = {
     ),
     "resources": ("ResourceMeasure", "estimate_gap", "haar_expected", "stabilizer_renyi_entropy"),
     "distinguishers": ("estimate_advantage", "hybrid_experiment"),
-    "growth": ("GrowthClass", "check_closure", "check_repetition_consistency", "is_negligible", "table_lower_bound"),
+    "growth": (
+        "GrowthClass",
+        "advise_copies",
+        "advise_subset_size",
+        "check_closure",
+        "check_repetition_consistency",
+        "is_negligible",
+        "table_lower_bound",
+    ),
     "bounds": (
         "coherence_bound_check",
         "empirical_prop_check",

@@ -28,8 +28,8 @@ from . import __version__
 from .config import DEFAULT_BUDGET_CONSTANT, DEFAULT_KAPPA, check_domain, dim_cap
 from .errors import DimensionCapExceeded, DomainCapExceeded, TprsError, ValidationError
 from .growth import (
-    TABLE_CLASSES, TABLE_MEASURES, GrowthClass, check_closure, check_repetition_consistency, is_negligible,
-    parse_bound_expr, table_lower_bound,
+    TABLE_CLASSES, TABLE_MEASURES, GrowthClass, advise_copies, advise_subset_size, check_closure,
+    check_repetition_consistency, is_negligible, parse_bound_expr, table_lower_bound,
 )
 
 # Every other module is imported by the subcommand that runs it, so a start-up
@@ -300,7 +300,7 @@ MAX_MEASURED_N = 12
 
 def _sweep_source(measure: ResourceMeasure, T: GrowthClass, n: int, seed: int) -> EnsembleSpec | None:
     """The advised low ensemble of a sweep row, or None where the row is not measured."""
-    from .ensembles import EnsembleSpec, advise_subset_size
+    from .ensembles import EnsembleSpec
     from .randprims import RngSeed
 
     if n > MAX_MEASURED_N:
@@ -449,8 +449,6 @@ def _cmd_negl_check(resolved: dict) -> tuple[list[str], list[dict], int]:
 
 
 def _cmd_advise(resolved: dict) -> tuple[list[str], list[dict], int]:
-    from .ensembles import advise_copies, advise_subset_size
-
     T = GrowthClass.parse(resolved["T"])
     n = resolved["n"]
     advice = advise_subset_size(T, n)

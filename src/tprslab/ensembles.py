@@ -1,5 +1,4 @@
-"""State ensembles, their exact and Monte-Carlo copy-moment operators, and
-parameter advisors for the runtime-bounded constructions.
+"""State ensembles and their exact and Monte-Carlo copy-moment operators.
 
 Subset states superpose computational basis strings from a subset S; the
 phase variants attach (-1)^{f(x)} signs. The keyed kinds draw a fresh
@@ -13,18 +12,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .config import check_dim, check_domain, check_reduced_dim
-from .errors import BadSubsetExponent, DimensionCapExceeded, EmptySubset, UnsupportedGrowthClass, ValidationError
+from .config import check_dim, check_domain
+from .errors import BadSubsetExponent, EmptySubset, ValidationError
 from .linalg import PureState, SymmetricOperator, symmetric_basis, symmetric_dimension
 from .randprims import KeyedPermutation, PhaseFunction, RngSeed, draw_key_words, sample_haar_block
 from .sampling import DEFAULT_CHUNK, chunk_layout
-
-if TYPE_CHECKING:
-    from .growth import GrowthClass
 
 __all__ = [
     "SubsetSpec",
@@ -40,9 +35,6 @@ __all__ = [
     "exact_subset_phase_moment",
     "mc_ensemble_moment",
     "MomentEstimate",
-    "advise_subset_size",
-    "advise_copies",
-    "SubsetAdvice",
 ]
 
 KIND_SUBSET_PHASE_KEYED = "subset-phase-keyed"
@@ -237,11 +229,13 @@ def sample_block(spec: EnsembleSpec, count: int, rng: np.random.Generator) -> np
 
     The four subset kinds have real amplitudes and return float64 rows; Haar
     and stabilizer-orbit rows are complex128.
-    True-random subsets take the m smallest of 2^n uniforms per row, then m
-    sign bits per row for the phase kind. Keyed kinds draw every row's
-    KEY_BYTES permutation key, then every row's phase key, as one
-    ``rng.bytes`` call each, and evaluate Feistel images and phase bits on
-    uint64 arrays.
+    Every kind makes one row-major generator call, so rows i..j of a stream
+    are the same bits whether drawn in one block or several.
+    True-random subsets draw 2^n uniforms per row, plus m for the phase
+    kind's signs (u < 0.5 gives a minus), and take the m smallest of the
+    first 2^n as members. Keyed kinds draw one KEY_BYTES permutation key per
+    row, followed for the phase kind by that row's phase key, and evaluate
+    Feistel images and phase bits on uint64 arrays.
     """
     d = spec.dim
     if spec.kind == KIND_HAAR:
@@ -251,17 +245,20 @@ def sample_block(spec: EnsembleSpec, count: int, rng: np.random.Generator) -> np
         return orbit[rng.integers(len(orbit), size=count)]
     signs = None
     if spec.kind in (KIND_SUBSET_TRUE, KIND_SUBSET_PHASE_TRUE):
-        members = np.argpartition(rng.random((count, d)), spec.m - 1, axis=1)[:, : spec.m]
-        if spec.kind == KIND_SUBSET_PHASE_TRUE:
-            signs = rng.integers(0, 2, size=(count, spec.m))
+        phase = spec.kind == KIND_SUBSET_PHASE_TRUE
+        u = rng.random((count, d + spec.m if phase else d))
+        members = np.argpartition(u[:, :d], spec.m - 1, axis=1)[:, : spec.m]
+        if phase:
+            signs = u[:, d:] < 0.5
     else:
         # subset-keyed permutes 0..m-1; the phase kind the zero-padded prefixes
-        shift = spec.n - spec.m_exp if spec.kind == KIND_SUBSET_PHASE_KEYED else 0
+        phase = spec.kind == KIND_SUBSET_PHASE_KEYED
+        shift = spec.n - spec.m_exp if phase else 0
         prefixes = np.arange(spec.m, dtype=np.uint64) << shift
-        words = draw_key_words(rng, count)[:, None]
-        members = KeyedPermutation.apply_block(words, prefixes, spec.n, KeyedPermutation.default_rounds(spec.n))
-        if spec.kind == KIND_SUBSET_PHASE_KEYED:
-            signs = PhaseFunction.keyed_bits(draw_key_words(rng, count)[:, None], members)
+        words = draw_key_words(rng, 2 * count if phase else count).reshape(count, -1)
+        members = KeyedPermutation.apply_block(words[:, :1], prefixes, spec.n, KeyedPermutation.default_rounds(spec.n))
+        if phase:
+            signs = PhaseFunction.keyed_bits(words[:, 1:], members)
         members = members.astype(np.intp)
     values = np.full(members.shape, 1.0 / math.sqrt(spec.m))
     if signs is not None:
@@ -374,51 +371,3 @@ def mc_ensemble_moment(spec: EnsembleSpec, samples: int) -> MomentEstimate:
     stderr = float(np.sqrt(var.max() / samples))
     op = SymmetricOperator(spec.n * spec.t, spec.t, (mean + mean.conj().T) / 2)
     return MomentEstimate(op, stderr, samples)
-
-
-# ---------------------------------------------------------------------------
-# Parameter advisors
-
-
-@dataclass(frozen=True)
-class SubsetAdvice:
-    m: int
-    m_exp: int
-
-
-def advise_subset_size(T: GrowthClass, n: int) -> SubsetAdvice:
-    """Concrete subset size inside the validity window for runtime class T.
-
-    m is the smallest power of two at or above f(n) * ceil(log2 n), where f is
-    T's base function; the slowly growing log factor realizes the required
-    strict dominance of f while keeping desk-scale sizes small. The cap
-    m <= 2^{n-1} keeps m well below the full domain.
-    """
-    if n < 2:
-        raise ValidationError("advisors require n >= 2")
-    if T.form == "exp":
-        raise UnsupportedGrowthClass("no valid subset-size window for exponential runtime")
-    target = max(T.base_class().eval(n) * math.ceil(math.log2(n)), 1.0)
-    m = min(2 ** (n - 1), 1 << max(0, math.ceil(math.log2(target))))
-    return SubsetAdvice(m=m, m_exp=m.bit_length() - 1)
-
-
-def advise_copies(T: GrowthClass, n: int) -> int:
-    """Copy count: the two-copy minimum for plain classes, ceil(f(n)) for
-    poly-of-f classes, clipped to the largest count whose exact moments fit
-    the dimension cap once reduced (``check_reduced_dim``, the gate of
-    ``distance``). Raises DimensionCapExceeded where two copies do not fit."""
-    if n < 2:
-        raise ValidationError("advisors require n >= 2")
-    if T.form == "exp":
-        raise UnsupportedGrowthClass("no valid copy count for exponential runtime")
-    raw = max(2, math.ceil(T.base_class().eval(n))) if T.is_family else 2
-    t = 2
-    check_reduced_dim(n, t)
-    while t < raw:
-        try:
-            check_reduced_dim(n, t + 1)
-        except DimensionCapExceeded:
-            break
-        t += 1
-    return t

@@ -11,8 +11,8 @@ import ast
 import math
 from dataclasses import dataclass
 
-from .config import DEFAULT_KAPPA
-from .errors import NonEvaluable, UnrecognizedForm, UnsupportedGrowthClass, ValidationError
+from .config import DEFAULT_KAPPA, check_reduced_dim
+from .errors import DimensionCapExceeded, NonEvaluable, UnrecognizedForm, UnsupportedGrowthClass, ValidationError
 
 __all__ = [
     "GrowthClass",
@@ -33,6 +33,9 @@ __all__ = [
     "TABLE_CLASSES",
     "TABLE_MEASURES",
     "parse_bound_expr",
+    "SubsetAdvice",
+    "advise_subset_size",
+    "advise_copies",
 ]
 
 # form: (label, degree vector, family base). The degree vector holds the
@@ -393,7 +396,7 @@ def is_negligible(eta: Expr, T: GrowthClass) -> NegligibilityReport:
     tvec = T.degree_vector()
     if tvec is None:
         raise UnrecognizedForm(f"class {T} outside the rule table")
-    diff = tuple(d - t for d, t in zip(decay, tvec))
+    diff = tuple(d - t + 0.0 for d, t in zip(decay, tvec))  # + 0.0 turns -0.0 into 0.0
     if _lex_positive(diff):
         return NegligibilityReport("yes", f"eta * {T} tends to zero (order gap {diff})")
     return NegligibilityReport("no", f"eta * {T} does not tend to zero (order gap {diff})")
@@ -517,6 +520,54 @@ def table_lower_bound(
             raise ValidationError("alpha must be >= 2")
         value /= alpha - 1
     return value
+
+
+# ---------------------------------------------------------------------------
+# Parameter advisors for the runtime-bounded constructions
+
+
+@dataclass(frozen=True)
+class SubsetAdvice:
+    m: int
+    m_exp: int
+
+
+def advise_subset_size(T: GrowthClass, n: int) -> SubsetAdvice:
+    """Concrete subset size inside the validity window for runtime class T.
+
+    m is the smallest power of two at or above f(n) * ceil(log2 n), where f is
+    T's base function; the slowly growing log factor realizes the required
+    strict dominance of f while keeping desk-scale sizes small. The cap
+    m <= 2^{n-1} keeps m well below the full domain.
+    """
+    if n < 2:
+        raise ValidationError("advisors require n >= 2")
+    if T.form == "exp":
+        raise UnsupportedGrowthClass("no valid subset-size window for exponential runtime")
+    target = max(T.base_class().eval(n) * math.ceil(math.log2(n)), 1.0)
+    m = min(2 ** (n - 1), 1 << max(0, math.ceil(math.log2(target))))
+    return SubsetAdvice(m=m, m_exp=m.bit_length() - 1)
+
+
+def advise_copies(T: GrowthClass, n: int) -> int:
+    """Copy count: the two-copy minimum for plain classes, ceil(f(n)) for
+    poly-of-f classes, clipped to the largest count whose exact moments fit
+    the dimension cap once reduced (``check_reduced_dim``, the gate of
+    ``distance``). Raises DimensionCapExceeded where two copies do not fit."""
+    if n < 2:
+        raise ValidationError("advisors require n >= 2")
+    if T.form == "exp":
+        raise UnsupportedGrowthClass("no valid copy count for exponential runtime")
+    raw = max(2, math.ceil(T.base_class().eval(n))) if T.is_family else 2
+    t = 2
+    check_reduced_dim(n, t)
+    while t < raw:
+        try:
+            check_reduced_dim(n, t + 1)
+        except DimensionCapExceeded:
+            break
+        t += 1
+    return t
 
 
 # ---------------------------------------------------------------------------

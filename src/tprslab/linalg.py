@@ -141,10 +141,9 @@ class PartitionSpec:
 def shannon_bits(p: np.ndarray) -> np.ndarray:
     """Shannon entropy in bits along the last axis; entries at or below
     EIG_FLOOR contribute 0."""
-    terms = np.zeros_like(p)
-    np.log2(p, out=terms, where=p > EIG_FLOOR)
+    terms = np.log2(np.where(p > EIG_FLOOR, p, 1.0))
     terms *= p
-    return -np.sum(terms, axis=-1)
+    return -terms.sum(-1)
 
 
 def trace_distance(rho: SymmetricOperator, sigma: SymmetricOperator) -> float:

@@ -238,10 +238,10 @@ class PhaseFunction:
 
 
 def sample_haar_block(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """(count, 2^n) array of Haar state amplitudes: normalised complex Gaussian rows."""
-    z = np.empty((count, 2**n), dtype=np.complex128)
-    z.real = rng.standard_normal((count, 2**n))
-    z.imag = rng.standard_normal((count, 2**n))
-    z /= np.linalg.norm(z.view(np.float64), axis=1, keepdims=True)
-    return z
+    """(count, 2^n) array of Haar state amplitudes: normalised complex Gaussian rows.
 
+    One row-major ``standard_normal`` call fills (re, im) pairs, so rows i..j
+    are the same bits however a caller splits its draws into blocks."""
+    z = rng.standard_normal((count, 2 ** (n + 1)))
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    return z.view(np.complex128)

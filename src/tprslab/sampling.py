@@ -4,16 +4,18 @@ Work is split into fixed-size chunks addressed by index. In chunk c, every
 source (an ensemble spec) draws its rows from a generator seeded by
 (seed, c, ensemble seed), as consecutive sub-blocks of at most SUB_BLOCK_AMPS
 amplitudes, and every statistic of that source is read from the same
-sub-block. Sources sharing an ensemble seed get identically seeded
-generators, so identical specs draw identical rows (common random numbers: a
-same-spec, same-seed gap is exactly 0) while distinct ensemble seeds
-decorrelate.
+sub-block. Each sub-block is one row-major generator call, so a chunk's rows
+are the same bits however it is cut into sub-blocks. Sources sharing an
+ensemble seed get identically seeded generators, so identical specs draw
+identical rows (common random numbers: a same-spec, same-seed gap is exactly
+0) while distinct ensemble seeds decorrelate.
 Chunks are dealt round-robin to one worker per usable core (the CPU affinity
 mask, read at each call): the calling process runs the first share and forked
 children run the others, each returning only its chunks' accumulators.
 Those merge in chunk index order, so an estimate depends only on
-(seed, samples), bit for bit, whatever the worker count; ``taskset -c 0``
-gives a serial run. Chunks under FORK_MIN_READS amplitude reads run inline.
+(seed, samples), bit for bit, whatever the worker count and the sub-block
+size; ``taskset -c 0`` gives a serial run. Chunks under FORK_MIN_READS
+amplitude reads run inline.
 """
 
 from __future__ import annotations
@@ -33,10 +35,14 @@ if TYPE_CHECKING:
 __all__ = ["MeanAccumulator", "chunk_layout", "paired_value_means", "usable_cores"]
 
 DEFAULT_CHUNK = 1024
-# Amplitudes per drawn sub-block (64 KiB of float64 for the subset kinds, 128 KiB
-# of complex128 for Haar and stabilizer rows). 1 MiB sub-blocks raised a
-# gap-and-sweep run's peak memory by ~10 MB and were no faster.
-SUB_BLOCK_AMPS = 1 << 13
+# Amplitudes per drawn sub-block (256 KiB of float64 for the subset kinds, 512 KiB
+# of complex128 for Haar and stabilizer rows). Each sub-block pays a fixed cost
+# per draw and per measure call (tens of microseconds, hundreds for keyed
+# rows), which 2^13 sub-blocks (8 rows at n = 10) left dominant on mc-resource;
+# see BENCH_17.json. On a 2-core VM, 2^17 was at most 7% faster there than 2^15
+# (0.450 and 0.433 s against 0.453 and 0.464 s, 15 s runs) and used 4.5 MB
+# (+10%) more peak memory, the benchmark's bound on memory growth.
+SUB_BLOCK_AMPS = 1 << 15
 # Chunks run in forked workers only from this many amplitude reads per chunk
 # (chunk rows x the summed dimension of the streams' sources). A fork and its
 # wait cost 5-10 ms on a 2-core VM, where 2-chunk calls ran 1.4-5x slower

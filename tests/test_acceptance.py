@@ -12,13 +12,14 @@ import numpy as np
 from tprslab.bounds import empirical_prop_check, verify_distance_bound
 from tprslab.cli import main as cli_main
 from tprslab.distinguishers import make_hadamard_distinguisher
-from tprslab.ensembles import (
-    EnsembleSpec,
+from tprslab.ensembles import EnsembleSpec, mc_ensemble_moment, stabilizer_orbit
+from tprslab.growth import (
+    GrowthClass,
     advise_subset_size,
-    mc_ensemble_moment,
-    stabilizer_orbit,
+    check_closure,
+    check_repetition_consistency,
+    table_lower_bound,
 )
-from tprslab.growth import GrowthClass, check_closure, check_repetition_consistency, table_lower_bound
 from tprslab.linalg import PartitionSpec, symmetric_projector
 from tprslab.randprims import RngSeed, sample_haar_block
 from tprslab.resources import (

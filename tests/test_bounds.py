@@ -12,9 +12,9 @@ from tprslab.bounds import (
     subset_phase_distance_bound,
     verify_distance_bound,
 )
-from tprslab.ensembles import EnsembleSpec, advise_subset_size
+from tprslab.ensembles import EnsembleSpec
 from tprslab.errors import BoundDegenerate, DimensionCapExceeded, ParameterOrderViolated, ValidationError
-from tprslab.growth import Const, Growth, GrowthClass, Mul, recip
+from tprslab.growth import Const, Growth, GrowthClass, Mul, advise_subset_size, recip
 from tprslab.randprims import RngSeed
 
 from .util import distance_row_check

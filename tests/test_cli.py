@@ -199,6 +199,17 @@ class TestOtherCommands:
         assert "yes" in out
         assert "holds" in out
 
+    def test_readme_negl_check_line_writes_no_negative_zero(self, capsys):
+        from .test_imports import readme_cli_line
+
+        code, out, _ = run(readme_cli_line("negl-check"), capsys)
+        assert code == 0
+        (row, *_) = csv.DictReader(io.StringIO(out))
+        assert row["rule"] == "eta * n tends to zero (order gap (0.0, 1.0, 0.0))"
+        code, out, _ = run(["negl-check", "--eta", "1/n", "--T", "log"], capsys)
+        assert code == 0 and "(order gap (1.0, -1.0, 0.0))" in out
+        assert "-0.0" not in out
+
     def test_negl_check_fails_and_undecided_paths(self, capsys):
         code, out, _ = run(
             ["negl-check", "--eta", "1/(n*n)", "--T", "linear", "--repeats", "linear"], capsys
@@ -523,8 +534,8 @@ class TestSweepOneCall:
     )
     def test_rows_match_one_call_per_row(self, measure, ns, classes, capsys):
         from tprslab import cli
-        from tprslab.ensembles import EnsembleSpec, advise_subset_size
-        from tprslab.growth import GrowthClass
+        from tprslab.ensembles import EnsembleSpec
+        from tprslab.growth import GrowthClass, advise_subset_size
         from tprslab.randprims import RngSeed
         from tprslab.resources import aggregate_measure, haar_expected
         from tprslab.sampling import paired_value_means

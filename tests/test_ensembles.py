@@ -10,8 +10,6 @@ from tprslab.ensembles import (
     ENSEMBLE_KINDS,
     EnsembleSpec,
     SubsetSpec,
-    advise_copies,
-    advise_subset_size,
     build_subset_phase_state,
     build_subset_state,
     exact_subset_moment,
@@ -22,7 +20,7 @@ from tprslab.ensembles import (
     stabilizer_orbit,
 )
 from tprslab.errors import BadSubsetExponent, DimensionCapExceeded, DomainCapExceeded, EmptySubset, ValidationError
-from tprslab.growth import GrowthClass
+from tprslab.growth import GrowthClass, advise_copies, advise_subset_size
 from tprslab.randprims import KEY_BYTES, KeyedPermutation, PhaseFunction, RngSeed
 
 from .util import (
@@ -342,26 +340,66 @@ class TestSampleBlock:
     @pytest.mark.parametrize("n", [3, 5, 8, 10])
     @pytest.mark.parametrize("kind", ("subset-phase-keyed", "subset-keyed"))
     def test_keyed_rows_equal_scalar_primitives(self, kind, n):
-        """Row i uses the i-th KEY_BYTES slice of one rng.bytes call as its
-        permutation key and, for the phase kind, of a second call as its phase key."""
+        """One rng.bytes call holds every row's keys in row order: row i's
+        permutation key, then, for the phase kind, row i's phase key."""
         count, m = 12, _subset_m(kind, n)
         spec = EnsembleSpec(kind, n, m=m)
         block = sample_block(spec, count, RngSeed(50 + n).generator())
-        rng = RngSeed(50 + n).generator()
-        perm_raw = rng.bytes(KEY_BYTES * count)
-        phase_raw = rng.bytes(KEY_BYTES * count) if kind == "subset-phase-keyed" else None
+        per_row = 2 if kind == "subset-phase-keyed" else 1
+        raw = RngSeed(50 + n).generator().bytes(KEY_BYTES * per_row * count)
+        keys = [raw[j * KEY_BYTES : (j + 1) * KEY_BYTES] for j in range(per_row * count)]
         rounds = KeyedPermutation.default_rounds(n)
         for i, row in enumerate(block):
-            perm = KeyedPermutation(n, perm_raw[i * KEY_BYTES : (i + 1) * KEY_BYTES], rounds)
+            perm = KeyedPermutation(n, keys[per_row * i], rounds)
             want = np.zeros(2**n, dtype=complex)
-            if phase_raw is None:
+            if per_row == 1:
                 want[[perm.apply(x) for x in range(m)]] = 1 / math.sqrt(m)
             else:
-                f = PhaseFunction.keyed(n, phase_raw[i * KEY_BYTES : (i + 1) * KEY_BYTES])
+                f = PhaseFunction.keyed(n, keys[per_row * i + 1])
                 for x in range(m):
                     y = perm.apply(x << (n - spec.m_exp))
                     want[y] = 1 / math.sqrt(m) * (1.0 - 2.0 * f.eval(y))
             assert np.array_equal(row, want)
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_haar_rows_are_interleaved_gaussian_pairs(self, n):
+        """Row i is the i-th 2^(n+1) slice of one standard_normal call, read as
+        (real, imaginary) pairs and normalised."""
+        count, d = 12, 2**n
+        block = sample_block(EnsembleSpec("haar", n), count, RngSeed(60 + n).generator())
+        gauss = RngSeed(60 + n).generator().standard_normal(count * 2 * d)
+        for i, row in enumerate(block):
+            x = gauss[i * 2 * d : (i + 1) * 2 * d]
+            x = x / np.sqrt(np.add.reduce(x * x))
+            assert np.array_equal(row, x[0::2] + 1j * x[1::2])
+
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    @pytest.mark.parametrize("kind", ("subset-phase-true-random", "subset-true-random"))
+    def test_true_random_rows_read_their_own_uniforms(self, kind, n):
+        """Row i is the i-th slice of one rng.random call: its first 2^n
+        uniforms choose the m members (the m smallest) and, for the phase
+        kind, the last m give the members' signs, minus where u < 0.5."""
+        count, d, m = 12, 2**n, _subset_m(kind, n)
+        width = d + m if kind == "subset-phase-true-random" else d
+        block = sample_block(EnsembleSpec(kind, n, m=m), count, RngSeed(70 + n).generator())
+        uniforms = RngSeed(70 + n).generator().random(count * width)
+        for i, row in enumerate(block):
+            u = uniforms[i * width : (i + 1) * width]
+            members = np.argpartition(u[:d], m - 1)[:m]
+            assert sorted(members) == sorted(np.argsort(u[:d])[:m])
+            want = np.zeros(d)
+            want[members] = (np.where(u[d:] < 0.5, -1.0, 1.0) if width > d else 1.0) / math.sqrt(m)
+            assert np.array_equal(row, want)
+
+    @pytest.mark.parametrize("kind", ENSEMBLE_KINDS)
+    def test_rows_do_not_depend_on_the_block_cut(self, kind):
+        """Rows drawn as one block equal the same rows drawn as several."""
+        n = 3 if kind == "stabilizer-orbit" else 6
+        spec = EnsembleSpec(kind, n, m=_subset_m(kind, n) if kind in SUBSET_KINDS else None)
+        whole = sample_block(spec, 40, RngSeed(80).generator())
+        rng = RngSeed(80).generator()
+        parts = [sample_block(spec, size, rng) for size in (1, 3, 7, 29)]
+        assert np.concatenate(parts).tobytes() == whole.tobytes()
 
     def test_one_row_block_is_one_state(self):
         # callers read a single state as sample_block(spec, 1, rng)[0]

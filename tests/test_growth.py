@@ -219,24 +219,24 @@ PRODUCTIONS = [
     ("n - 1", (3.0, 15.0, 1023.0), (VIOLATED,) * 7 + ("NonEvaluable",)),
     ("2 * n", (8.0, 32.0, 2048.0), (GROWS,) * 8),
     ("1 / n", (0.25, 0.0625, 0.0009765625), (
-        ("yes", "eta * O(1) tends to zero (order gap (1.0, -0.0, -0.0))"),
-        ("yes", "eta * log n tends to zero (order gap (1.0, -1.0, -0.0))"),
-        ("yes", "eta * loglog n tends to zero (order gap (1.0, -0.0, -1.0))"),
+        ("yes", "eta * O(1) tends to zero (order gap (1.0, 0.0, 0.0))"),
+        ("yes", "eta * log n tends to zero (order gap (1.0, -1.0, 0.0))"),
+        ("yes", "eta * loglog n tends to zero (order gap (1.0, 0.0, -1.0))"),
         ("yes", "decay order strictly dominates every power of log n"),
-        ("no", "eta * n does not tend to zero (order gap (0.0, -0.0, -0.0))"),
-        ("no", "eta * n log n does not tend to zero (order gap (0.0, -1.0, -0.0))"),
+        ("no", "eta * n does not tend to zero (order gap (0.0, 0.0, 0.0))"),
+        ("no", "eta * n log n does not tend to zero (order gap (0.0, -1.0, 0.0))"),
         ("no", "a fixed power cannot beat all exponents of n"),
         "UnrecognizedForm",
     )),
     ("(n + 1) * n", (20.0, 272.0, 1049600.0), (VIOLATED,) * 7 + ("NonEvaluable",)),
     ("n^3", (64.0, 4096.0, 1073741824.0), (GROWS,) * 8),
     ("n^-2", (0.0625, 0.00390625, 9.5367431640625e-07), (
-        ("yes", "eta * O(1) tends to zero (order gap (2.0, -0.0, -0.0))"),
-        ("yes", "eta * log n tends to zero (order gap (2.0, -1.0, -0.0))"),
-        ("yes", "eta * loglog n tends to zero (order gap (2.0, -0.0, -1.0))"),
+        ("yes", "eta * O(1) tends to zero (order gap (2.0, 0.0, 0.0))"),
+        ("yes", "eta * log n tends to zero (order gap (2.0, -1.0, 0.0))"),
+        ("yes", "eta * loglog n tends to zero (order gap (2.0, 0.0, -1.0))"),
         ("yes", "decay order strictly dominates every power of log n"),
-        ("yes", "eta * n tends to zero (order gap (1.0, -0.0, -0.0))"),
-        ("yes", "eta * n log n tends to zero (order gap (1.0, -1.0, -0.0))"),
+        ("yes", "eta * n tends to zero (order gap (1.0, 0.0, 0.0))"),
+        ("yes", "eta * n log n tends to zero (order gap (1.0, -1.0, 0.0))"),
         ("no", "a fixed power cannot beat all exponents of n"),
         "UnrecognizedForm",
     )),

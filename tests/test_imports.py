@@ -54,6 +54,19 @@ def readme_cli_line(command: str) -> list[str]:
     raise AssertionError(f"README has no tprslab {command} line")
 
 
+def readme_line_imports(command: str) -> tuple[str, set[str]]:
+    """Standard output of the README CLI example of ``command``, run as
+    ``python -X importtime -m tprslab.cli``, and the modules it imported."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "tprslab.cli", *readme_cli_line(command)],
+        capture_output=True, text=True, env=_env(), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # -X importtime writes "import time: self | cumulative | name" for each module
+    imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    return proc.stdout, imported
+
+
 class TestImportClosures:
     def test_package_loads_no_submodule_and_no_numpy(self):
         loaded = loaded_after("import tprslab")
@@ -70,17 +83,17 @@ class TestImportClosures:
             assert f"tprslab.{name}" not in loaded
 
     def test_readme_negl_check_loads_no_numpy(self):
-        argv = readme_cli_line("negl-check")
-        proc = subprocess.run(
-            [sys.executable, "-X", "importtime", "-m", "tprslab.cli", *argv],
-            capture_output=True, text=True, env=_env(), timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.startswith("check,subject,verdict,rule\n")
-        # -X importtime writes "import time: self | cumulative | name" for each module
-        imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+        out, imported = readme_line_imports("negl-check")
+        assert out.startswith("check,subject,verdict,rule\n")
         assert "tprslab.growth" in imported  # the CLI itself runs as __main__
         assert not {m for m in imported if m == "numpy" or m.startswith("numpy.")}
+
+    def test_readme_advise_loads_no_numpy(self):
+        out, imported = readme_line_imports("advise")
+        assert out.startswith("T,n,m,m_exp,t,dim_cap\n")
+        assert "tprslab.growth" in imported
+        assert not {m for m in imported if m == "numpy" or m.startswith("numpy.")}
+        assert not {"tprslab.ensembles", "tprslab.linalg", "tprslab.randprims", "tprslab.sampling"} & imported
 
 
 class TestLazyExports:

@@ -5,7 +5,8 @@ import pytest
 
 from tprslab.ensembles import haar_moment
 from tprslab.errors import DimensionCapExceeded, DimensionMismatch, PartitionMismatch, ValidationError
-from tprslab.linalg import PartitionSpec, PureState, symmetric_projector, trace_distance
+from tprslab.config import EIG_FLOOR
+from tprslab.linalg import PartitionSpec, PureState, shannon_bits, symmetric_projector, trace_distance
 from tprslab.resources import collision_entanglement, entanglement_entropy, reduced_purity
 
 from .util import (
@@ -16,6 +17,7 @@ from .util import (
     density,
     kron_all,
     loop_partial_trace,
+    masked_log_shannon_bits,
     one_copy,
     pure,
     pure_trace_distance,
@@ -139,6 +141,24 @@ class TestEntropies:
             n = 1 + i % 3
             rho = random_density(n, rng, rank=1 + i % (2**n))
             assert von_neumann_entropy(rho) + np.log2(purity(rho)) >= -1e-9
+
+
+class TestShannonBits:
+    @pytest.mark.parametrize("shape", [(7,), (32, 16), (32, 256), (3, 5, 64)])
+    def test_bit_identical_to_the_masked_log(self, shape):
+        # probabilities with exact zeros, entries at and below the floor and tiny negatives
+        rng = np.random.default_rng(sum(shape))
+        p = rng.dirichlet(np.full(shape[-1], 0.3), size=shape[:-1])
+        special = np.array([0.0, -0.0, EIG_FLOOR, EIG_FLOOR / 2, np.nextafter(EIG_FLOOR, 1.0), -1e-17, -EIG_FLOOR])
+        mask = rng.random(shape) < 0.4
+        p[mask] = rng.choice(special, size=int(mask.sum()))
+        got, want = shannon_bits(p), masked_log_shannon_bits(p)
+        assert got.shape == want.shape == shape[:-1]
+        assert got.tobytes() == want.tobytes()
+
+    def test_floor_entries_contribute_zero(self):
+        assert shannon_bits(np.array([0.5, 0.5, 0.0, EIG_FLOOR, -1e-17])) == 1.0
+        assert shannon_bits(np.array([[1.0, 0.0], [0.25, 0.75]])).tolist() == [0.0, -0.25 * -2 - 0.75 * np.log2(0.75)]
 
 
 class TestTraceDistance:

@@ -1,3 +1,4 @@
+import json
 import os
 import signal
 import threading
@@ -304,4 +305,48 @@ class TestForkedChunks:
         with pytest.raises(ValueError, match="caller's share"):
             self._means(3, 2500, (EnsembleSpec("haar", 3),), fns=(fails_here_children_hang,))
         assert time.perf_counter() - start < 30
+        _assert_no_child_left()
+
+
+# gaps that together draw every ensemble kind at n = 3 (the stabilizer orbit
+# stops there), and every other kind at n = 8 and 10
+_CUT_GAPS = {
+    3: [("haar", "stabilizer-orbit"), ("subset-phase-keyed:m=4", "subset-keyed:m=3"),
+        ("subset-phase-true-random:m=4", "subset-true-random:m=5")],
+    8: [("haar", "subset-phase-keyed:m=16"), ("subset-keyed:m=16", "subset-phase-true-random:m=16"),
+        ("subset-true-random:m=16", "haar")],
+    10: [("haar", "subset-phase-keyed:m=32"), ("subset-keyed:m=32", "subset-phase-true-random:m=32"),
+         ("subset-true-random:m=32", "haar")],
+}
+
+
+class TestSubBlockSize:
+    """A result reads the same bits however chunks are cut into sub-blocks:
+    every sampler draws a sub-block with one row-major generator call."""
+
+    def _rows(self, argv, monkeypatch, capsys, sub_block=None, workers=None):
+        from tprslab.cli import main
+
+        with monkeypatch.context() as patch:
+            if sub_block is not None:
+                patch.setattr(sampling, "SUB_BLOCK_AMPS", sub_block)
+            if workers is not None:  # forked on 2 workers, or inline on one
+                patch.setattr(sampling, "FORK_MIN_READS", 0)
+                patch.setattr(sampling, "usable_cores", lambda: workers)
+            assert main([*argv, "--samples", "1100", "--seed", "3", "--format", "json"]) == 0
+        return json.loads(capsys.readouterr().out)["rows"]
+
+    @pytest.mark.parametrize("n", sorted(_CUT_GAPS))
+    def test_gap_and_sweep_rows_do_not_depend_on_the_cut(self, n, monkeypatch, capsys):
+        commands = [["gap", "--measure", "entanglement-entropy", "--n", str(n), "--e1", e1, "--e2", e2]
+                    for e1, e2 in _CUT_GAPS[n]]
+        # the sweep's table starts at n = 4
+        commands.append(["sweep", "--measure", "entanglement-entropy", "--n", str(max(n, 4)), "--classes", "log,linear"])
+        for argv in commands:
+            default = self._rows(argv, monkeypatch, capsys)
+            if argv[0] == "sweep":
+                assert all(row["measured"] is not None for row in default)
+            for sub_block in (1 << 9, 1 << 20):
+                for workers in (1, 2):
+                    assert self._rows(argv, monkeypatch, capsys, sub_block, workers) == default, (argv, sub_block)
         _assert_no_child_left()

@@ -8,7 +8,7 @@ import math
 import numpy as np
 
 from tprslab.bounds import BoundCheckReport
-from tprslab.config import check_dim
+from tprslab.config import EIG_FLOOR, check_dim
 from tprslab.ensembles import exact_moment_block, haar_moment, sample_block
 from tprslab.linalg import PureState, SymmetricOperator, trace_distance
 from tprslab.resources import pauli_basis
@@ -163,6 +163,15 @@ def entropy_bits(probs):
     p = np.asarray(probs, dtype=float)
     p = p[p > 1e-12]
     return float(-(p * np.log2(p)).sum())
+
+
+def masked_log_shannon_bits(p: np.ndarray) -> np.ndarray:
+    """Shannon bits along the last axis through numpy's masked log2 (the
+    ``where=`` path): the formula ``linalg.shannon_bits`` must reproduce bit for bit."""
+    terms = np.zeros_like(p)
+    np.log2(p, out=terms, where=p > EIG_FLOOR)
+    terms *= p
+    return -np.sum(terms, axis=-1)
 
 
 def von_neumann_entropy(mat) -> float:
