@@ -293,8 +293,9 @@ class PropCheckReport:
     verdict: "passed" (measured low resource clears the bound),
     "failed" (it does not), "premise-violated" (the high/low acceptance
     ordering assumed by the claim does not hold empirically), or
-    "non-binding" (the evaluated bound is not positive, e.g. when the
-    measured advantage is far from negligible).
+    "non-binding" (the evaluated bound is not positive or is degenerate,
+    e.g. when the measured advantage is far from negligible; ``bound`` is
+    then 0.0 and ``margin`` the measured value, for every prop).
     """
 
     prop: int
@@ -380,7 +381,8 @@ def empirical_prop_check(
     except BoundDegenerate:
         bound = 0.0
     if bound <= 0.0:
-        verdict = "non-binding"
+        # every measure is >= 0, so such a bound binds nothing: written as 0.0, margin = measured
+        bound, verdict = 0.0, "non-binding"
     else:
         verdict = "passed" if measured >= bound - 3.0 * measured_se else "failed"
     if not premise_ok:

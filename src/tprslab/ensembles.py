@@ -232,8 +232,9 @@ def sample_block(spec: EnsembleSpec, count: int, rng: np.random.Generator) -> np
     Every kind makes one row-major generator call, so rows i..j of a stream
     are the same bits whether drawn in one block or several.
     True-random subsets draw 2^n uniforms per row, plus m for the phase
-    kind's signs (u < 0.5 gives a minus), and take the m smallest of the
-    first 2^n as members. Keyed kinds draw one KEY_BYTES permutation key per
+    kind's signs, and take the indices of the m smallest of the first 2^n as
+    members; in ascending order, the k-th member gets a minus when the k-th
+    sign uniform is below 0.5. Keyed kinds draw one KEY_BYTES permutation key per
     row, followed for the phase kind by that row's phase key, and evaluate
     Feistel images and phase bits on uint64 arrays.
     """
@@ -247,7 +248,9 @@ def sample_block(spec: EnsembleSpec, count: int, rng: np.random.Generator) -> np
     if spec.kind in (KIND_SUBSET_TRUE, KIND_SUBSET_PHASE_TRUE):
         phase = spec.kind == KIND_SUBSET_PHASE_TRUE
         u = rng.random((count, d + spec.m if phase else d))
-        members = np.argpartition(u[:, :d], spec.m - 1, axis=1)[:, : spec.m]
+        # argpartition leaves the order of the m smallest open (it varies with numpy's
+        # SIMD dispatch), so each row's members are sorted before signs attach to them
+        members = np.sort(np.argpartition(u[:, :d], spec.m - 1, axis=1)[:, : spec.m], axis=1)
         if phase:
             signs = u[:, d:] < 0.5
     else:
@@ -352,22 +355,28 @@ def mc_ensemble_moment(spec: EnsembleSpec, samples: int) -> MomentEstimate:
     v[mu] = sqrt(N_mu) prod_i psi[mu_i]. Chunk c draws from a generator seeded
     by (spec.seed, c); chunks run in index order and add their two D x D sums
     into running totals, so the estimate depends only on (spec, samples). The
-    block is real for the subset kinds.
+    block is real for the subset kinds. With samples < D the operator keeps the
+    scaled rows v as its ``factor`` (``SymmetricOperator.from_rows``).
     """
     basis = symmetric_basis(spec.n, spec.t)
     block_cap = max(1, min(DEFAULT_CHUNK, (1 << 22) // len(basis.index)))
     root = np.sqrt(basis.orbit)
-    total = total_sq = 0.0  # a zero start turns a -0.0 sum into 0.0
-    for idx, _, size in chunk_layout(samples, block_cap):
-        block = sample_block(spec, size, spec.seed.generator(idx))
-        prod = block[:, basis.types].prod(axis=2)
-        # every dense entry of the pair (mu, nu) has squared modulus a2[mu] a2[nu]
-        a2 = np.abs(prod) ** 2
-        v = prod * root
-        total += v.T @ v.conj()
-        total_sq += a2.T @ a2
-    mean = total / samples
-    var = np.maximum(total_sq / samples - np.abs(mean) ** 2 / np.outer(basis.orbit, basis.orbit), 0.0)
-    stderr = float(np.sqrt(var.max() / samples))
-    op = SymmetricOperator(spec.n * spec.t, spec.t, (mean + mean.conj().T) / 2)
-    return MomentEstimate(op, stderr, samples)
+    total_sq = 0.0
+
+    def rows():
+        nonlocal total_sq
+        for idx, _, size in chunk_layout(samples, block_cap):
+            prod = sample_block(spec, size, spec.seed.generator(idx))[:, basis.types].prod(axis=2)
+            # every dense entry of the pair (mu, nu) has squared modulus a2[mu] a2[nu]
+            a2 = np.abs(prod) ** 2
+            total_sq += a2.T @ a2
+            yield prod * root
+
+    op = SymmetricOperator.from_rows(spec.n * spec.t, spec.t, rows())
+    # entry variances total_sq / samples - |mean|^2 / (N_mu N_nu), formed in place
+    sq = np.abs(op.block)
+    sq *= sq
+    sq /= np.outer(basis.orbit, basis.orbit)
+    total_sq /= samples
+    total_sq -= sq
+    return MomentEstimate(op, float(np.sqrt(max(total_sq.max(), 0.0) / samples)), samples)

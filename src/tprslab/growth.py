@@ -299,7 +299,7 @@ def _monomial_of(expr: Expr) -> _Monomial | None:
         if inner.b == 0 and inner.e == 0 and inner.x == 0:
             if inner.a == 1.0:
                 return _Monomial(1.0, 0, 0, 0, inner.coeff)
-            if inner.a == 0.0:
+            if inner.a == 0.0 and inner.coeff < 1024:  # 2.0**1024 overflows
                 return _Monomial(2.0**inner.coeff, 0, 0, 0, 0)
         return None
     if isinstance(expr, Log2):
@@ -351,33 +351,38 @@ def is_negligible(eta: Expr, T: GrowthClass) -> NegligibilityReport:
 
     Recognized monomial shapes are decided symbolically; sums recurse with the
     additivity rule; everything else returns an undecided verdict carrying the
-    numeric witness grid.
+    numeric witness grid of the whole of eta, evaluated once.
     """
     if not isinstance(eta, Expr):
         raise NonEvaluable("eta must be a bound expression")
+    report = _decide(eta, T)
+    return _numeric_witness(eta, T) if report is None else report
+
+
+def _decide(eta: Expr, T: GrowthClass) -> NegligibilityReport | None:
+    """is_negligible's symbolic verdict, or None where the rule table cannot decide."""
     if isinstance(eta, Add):
-        ra = is_negligible(eta.a, T)
-        rb = is_negligible(eta.b, T)
-        if ra.verdict == "yes" and rb.verdict == "yes":
+        ra, rb = _decide(eta.a, T), _decide(eta.b, T)
+        if ra and rb:  # a report is truthy only when its verdict is "yes"
             return NegligibilityReport("yes", f"additivity: [{ra.rule}] + [{rb.rule}]")
-        if "no" in (ra.verdict, rb.verdict):
+        if any(r is not None and r.verdict == "no" for r in (ra, rb)):
             ma, mb = _monomial_of(eta.a), _monomial_of(eta.b)
             if ma is not None and mb is not None and ma.coeff >= 0 and mb.coeff >= 0:
                 return NegligibilityReport("no", "a non-negligible nonnegative term dominates the sum")
-        return _numeric_witness(eta, T)
+        return None
 
     m = _monomial_of(eta)
     if m is None:
-        return _numeric_witness(eta, T)
+        return None
     if m.coeff == 0:
         return NegligibilityReport("yes", "identically zero")
     if m.coeff < 0:
-        return _numeric_witness(eta, T)
+        return None
     if m.x > 0 or (m.x == 0 and _lex_positive((m.a, m.b, m.e))):
         return NegligibilityReport("no", "eta does not even tend to zero")
     if m.x < 0:
         if T.form == "exp":
-            return _numeric_witness(eta, T)
+            return None
         return NegligibilityReport("yes", "exponential decay beats any sub-exponential class")
 
     decay = (-m.a, -m.b, -m.e)

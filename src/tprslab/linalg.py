@@ -4,13 +4,15 @@ States and moments are immutable value objects, and every operation is a pure
 function. Arrays are stored as float64 when real and complex128 otherwise.
 Copy moments are ``SymmetricOperator`` blocks in the symmetric subspace's type
 basis (``symmetric_basis``), gathered dense only on request; their trace
-distance is a block eigen-problem.
+distance is a block eigen-problem, or, for a mean of fewer than D sample
+projectors against a multiple of the identity, one on the samples' Gram matrix.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
@@ -73,11 +75,13 @@ class SymmetricOperator:
     """Hermitian, unit-trace operator on the symmetric subspace of t copies of n / t
     qubits, held as its (D, D) ``block`` in the basis of ``symmetric_basis(n // t, t)``,
     float64 when real. ``n`` and ``dim`` = 2^n are the dense space's; ``mat``, the dense
-    gather, is built under the dimension cap when first read, then cached read-only."""
+    gather, is built under the dimension cap when first read, then cached read-only.
+    ``factor`` is None except on a sample mean built by ``from_rows`` from N < D rows."""
 
     n: int
     t: int
     block: np.ndarray
+    factor: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.t < 1 or self.n < self.t or self.n % self.t:
@@ -94,6 +98,37 @@ class SymmetricOperator:
             raise ValidationError(f"trace {tr} deviates from 1 beyond {TRACE_TOL}")
         object.__setattr__(self, "block", block)
 
+    @classmethod
+    def from_rows(cls, n: int, t: int, rows: Iterable[np.ndarray]) -> "SymmetricOperator":
+        """Mean of v v^H over the rows v of the (k, D) arrays ``rows`` yields: their
+        outer-product sums, added array by array in order and divided by the row count
+        N, then averaged with the adjoint. While N < D the operator keeps ``factor``,
+        the (N, D) rows over sqrt(N), so block = factor^T conj(factor) up to rounding:
+        the factor is only ever set here, from the rows that make the block."""
+        total, kept, count = 0.0, [], 0  # a zero start turns a -0.0 sum into 0.0
+        for v in rows:
+            total += v.T @ v.conj()
+            count += len(v)
+            # the rows stay while they are fewer than D, so they never outgrow the block
+            if count < v.shape[1]:
+                kept.append(v)
+            else:
+                kept.clear()
+        if not count:
+            raise ValidationError("a sample mean needs at least one row")
+        # the mean and its Hermitian part formed in place: two fewer D x D temporaries
+        total /= count
+        block = total + total.conj().T
+        del total
+        block *= 0.5
+        op = cls(n, t, block)
+        if kept:
+            factor = np.concatenate(kept)
+            factor /= math.sqrt(count)
+            factor.setflags(write=False)
+            object.__setattr__(op, "factor", factor)
+        return op
+
     @property
     def dim(self) -> int:
         return 2**self.n
@@ -107,6 +142,14 @@ class SymmetricOperator:
         mat = (self.block / np.outer(root, root))[np.ix_(basis.index, basis.index)]
         mat.setflags(write=False)
         return mat
+
+    @cached_property
+    def scalar(self) -> float | None:
+        """c when the block is exactly c times the identity (the Haar moment, c = 1/D), else None."""
+        diag = np.diagonal(self.block)
+        if np.all(diag == diag[0]) and np.count_nonzero(self.block) == len(diag):
+            return float(diag[0].real)
+        return None
 
     def validate_full(self) -> "SymmetricOperator":
         """Check positivity on the block, the dense spectrum's nonzero part; returns self."""
@@ -149,10 +192,19 @@ def shannon_bits(p: np.ndarray) -> np.ndarray:
 def trace_distance(rho: SymmetricOperator, sigma: SymmetricOperator) -> float:
     """Half the absolute eigenvalue sum of rho - sigma. Two moments on one symmetric
     subspace differ by an operator on it, whose nonzero spectrum is their block
-    difference's: a D x D eigen-problem. A real difference goes to the real symmetric
-    solver. Moments of different qubit or copy counts raise DimensionMismatch."""
+    difference's: a D x D eigen-problem, O(D^3). A real difference goes to the real
+    symmetric solver. Moments of different qubit or copy counts raise DimensionMismatch.
+
+    When one side keeps a ``factor`` A, N < D scaled sample rows with block A^T conj(A),
+    and the other is c I, the difference has eigenvalue mu - c for each eigenvalue mu of
+    the N x N Gram A A^H, and -c on the D - N dimensions left: O(N^2 D + N^3)."""
     if (rho.n, rho.t) != (sigma.n, sigma.t):
         raise DimensionMismatch(f"moments on (n, t) = {(rho.n, rho.t)} and {(sigma.n, sigma.t)} differ")
+    for mean, other in ((rho, sigma), (sigma, rho)):
+        if mean.factor is not None and other.scalar is not None:
+            a, c = mean.factor, other.scalar
+            mu = np.linalg.eigvalsh(a @ a.conj().T)
+            return float(0.5 * (np.sum(np.abs(mu - c)) + (a.shape[1] - a.shape[0]) * abs(c)))
     w = np.linalg.eigvalsh(rho.block - sigma.block)
     return float(0.5 * np.sum(np.abs(w)))
 

@@ -208,8 +208,9 @@ class TestEmpiricalPropChecks:
             9, EnsembleSpec("haar", 2), EnsembleSpec("stabilizer-orbit", 2), LOG, 2000, seed=14
         )
         assert rep.verdict == "non-binding"
-        # a bound <= 0 is reported as evaluated
-        assert rep.bound == magic_bound_check(rep.sandwich, rep.eta_hat, 3, 2) < 0
+        # the evaluated bound is negative, and is written as 0.0
+        assert magic_bound_check(rep.sandwich, rep.eta_hat, 3, 2) < 0
+        assert rep.bound == 0.0 and rep.margin == rep.measured
         assert rep.eta_hat > 0.1  # far from negligible: the expected failure mode
         assert rep.measured == pytest.approx(0.0, abs=1e-9)
 
@@ -229,6 +230,20 @@ class TestEmpiricalPropChecks:
             coherence_bound_check(rep.sandwich, rep.eta_hat, 3)
         assert rep.verdict == "non-binding"
         assert rep.bound == 0.0 and rep.margin == rep.measured
+
+    @pytest.mark.parametrize(
+        "prop,low",
+        [
+            (7, EnsembleSpec("subset-phase-true-random", 3, m=1)),  # degenerate: 2^-gamma + eta >= 1
+            (8, EnsembleSpec("subset-keyed", 3, m=1)),  # degenerate: 2^-xi + eta >= 1
+            (9, EnsembleSpec("stabilizer-orbit", 3)),  # evaluated, and negative
+        ],
+    )
+    def test_non_binding_bound_is_written_as_zero(self, prop, low):
+        rep = empirical_prop_check(prop, EnsembleSpec("haar", 3), low, LOG, 1000, seed=18)
+        assert rep.verdict == "non-binding"
+        assert rep.bound == 0.0 and math.copysign(1.0, rep.bound) == 1.0
+        assert rep.margin == rep.measured
 
     def test_premise_violation_reported(self):
         # swap the roles: the "high" ensemble has higher acceptance, breaking

@@ -378,18 +378,39 @@ class TestSampleBlock:
     def test_true_random_rows_read_their_own_uniforms(self, kind, n):
         """Row i is the i-th slice of one rng.random call: its first 2^n
         uniforms choose the m members (the m smallest) and, for the phase
-        kind, the last m give the members' signs, minus where u < 0.5."""
+        kind, the last m give the signs of the members in ascending order,
+        minus where u < 0.5."""
         count, d, m = 12, 2**n, _subset_m(kind, n)
         width = d + m if kind == "subset-phase-true-random" else d
         block = sample_block(EnsembleSpec(kind, n, m=m), count, RngSeed(70 + n).generator())
         uniforms = RngSeed(70 + n).generator().random(count * width)
         for i, row in enumerate(block):
             u = uniforms[i * width : (i + 1) * width]
-            members = np.argpartition(u[:d], m - 1)[:m]
-            assert sorted(members) == sorted(np.argsort(u[:d])[:m])
+            members = sorted(np.argsort(u[:d], kind="stable")[:m])
             want = np.zeros(d)
             want[members] = (np.where(u[d:] < 0.5, -1.0, 1.0) if width > d else 1.0) / math.sqrt(m)
             assert np.array_equal(row, want)
+
+    @pytest.mark.parametrize("kind", ("subset-phase-true-random", "subset-true-random"))
+    def test_true_random_rows_ignore_the_partition_order(self, kind, monkeypatch):
+        """numpy leaves the order within each side of an argpartition open (it
+        follows the SIMD dispatch); any valid order gives the same rows."""
+        spec = EnsembleSpec(kind, 6, m=8)
+        want = sample_block(spec, 40, RngSeed(90).generator())
+        argpartition = np.argpartition
+
+        def reordered(a, kth, axis=-1, **kwargs):
+            out = argpartition(a, kth, axis=axis, **kwargs)
+            # reverse both sides of the kth position: still a valid partition
+            return np.concatenate([out[..., kth::-1], out[..., : kth : -1]], axis=-1)
+
+        monkeypatch.setattr(np, "argpartition", reordered)
+        rng = RngSeed(90).generator()
+        u = rng.random((3, 64))
+        check = reordered(u, 7, axis=1)
+        assert not np.array_equal(check, argpartition(u, 7, axis=1))
+        assert np.all(np.take_along_axis(u, check[:, :8], 1).max(1) < np.take_along_axis(u, check[:, 8:], 1).min(1))
+        assert sample_block(spec, 40, RngSeed(90).generator()).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("kind", ENSEMBLE_KINDS)
     def test_rows_do_not_depend_on_the_block_cut(self, kind):

@@ -1,8 +1,10 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tprslab.errors import UnrecognizedForm, UnsupportedGrowthClass
+from tprslab.errors import NonEvaluable, UnrecognizedForm, UnsupportedGrowthClass
 from tprslab.growth import (
     MAX_EXPR_DEPTH,
     MAX_POLYF_NESTING,
@@ -23,6 +25,7 @@ from tprslab.growth import (
     table_lower_bound,
 )
 
+EXP = GrowthClass.parse("exp")
 LINEAR = GrowthClass.parse("linear")
 LOG = GrowthClass.parse("log")
 NLOGN = GrowthClass.parse("nlogn")
@@ -92,6 +95,36 @@ class TestIsNegligible:
         rep = is_negligible(eta, LOG)
         assert rep.verdict == "undecided"
         assert len(rep.witness) > 0
+
+    def test_long_sum_evaluates_one_witness_grid(self):
+        # only the whole sum's grid is evaluated, not one per undecided sub-sum
+        eta = parse_bound_expr(" + ".join(["1/n"] * 500))
+        t0 = time.perf_counter()
+        rep = is_negligible(eta, LINEAR)
+        assert time.perf_counter() - t0 < 1.0
+        assert (rep.verdict, rep.rule) == ("undecided", "outside rule table; grid violated eta*c*T < 1")
+        assert rep.witness == tuple((c, n, eta.eval(n) * c * n) for c in (1.0, 10.0, 100.0) for n in (2**k for k in range(4, 21)))
+
+    @pytest.mark.parametrize(
+        "text,T,outcome",
+        [
+            # an undecided term's grid (it overflows under exp) does not pre-empt the other term
+            ("2^-n + n", EXP, ("no", "a non-negligible nonnegative term dominates the sum")),
+            ("-n + 1", EXP, (UnrecognizedForm, "class 2\\^n outside the rule table")),
+            # the whole sum's grid meets the log of a negative value at n = 16 first
+            ("-3 + log2(-2^(n*n) + n)", EXP, (NonEvaluable, "log2 of non-positive value")),
+            # 2^c overflows a float for a constant c >= 1024: undecided, and the grid reports it
+            ("2^(1e300) + n", LINEAR, (NonEvaluable, "out of range")),
+        ],
+    )
+    def test_sum_terms_are_decided_before_the_grid(self, text, T, outcome):
+        eta = parse_bound_expr(text)
+        if isinstance(outcome[0], str):
+            rep = is_negligible(eta, T)
+            assert (rep.verdict, rep.rule) == outcome
+        else:
+            with pytest.raises(outcome[0], match=outcome[1]):
+                is_negligible(eta, T)
 
     def test_zero_function(self):
         assert is_negligible(Const(0.0), POLY).verdict == "yes"
