@@ -18,12 +18,11 @@ from .config import DEFAULT_BUDGET_CONSTANT
 from .errors import CopyMismatch, ValidationError
 from .ensembles import EnsembleSpec
 from .growth import GrowthClass
-from .linalg import PartitionSpec
+from .linalg import PartitionSpec, abs2
 from .randprims import as_seed
 from .resources import (
     MEASURE_COLLISION_ENT,
     ResourceMeasure,
-    abs2,
     measure_pure_amps,
     pauli_power_sums,
 )

@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import check_dim, check_domain
 from .errors import BadSubsetExponent, EmptySubset, ValidationError
-from .linalg import PureState, SymmetricOperator, symmetric_basis, symmetric_dimension
+from .linalg import PureState, SymmetricOperator, abs2, hermitian_gram, symmetric_basis, symmetric_dimension
 from .randprims import KeyedPermutation, PhaseFunction, RngSeed, draw_key_words, sample_haar_block
 from .sampling import DEFAULT_CHUNK, chunk_layout
 
@@ -361,22 +361,27 @@ def mc_ensemble_moment(spec: EnsembleSpec, samples: int) -> MomentEstimate:
     basis = symmetric_basis(spec.n, spec.t)
     block_cap = max(1, min(DEFAULT_CHUNK, (1 << 22) // len(basis.index)))
     root = np.sqrt(basis.orbit)
-    total_sq = 0.0
+    total_sq = None
 
     def rows():
         nonlocal total_sq
         for idx, _, size in chunk_layout(samples, block_cap):
-            prod = sample_block(spec, size, spec.seed.generator(idx))[:, basis.types].prod(axis=2)
+            amps = sample_block(spec, size, spec.seed.generator(idx))
+            prod = np.take(amps, basis.types[:, 0], axis=1)
+            for column in basis.types.T[1:]:
+                prod *= np.take(amps, column, axis=1)
             # every dense entry of the pair (mu, nu) has squared modulus a2[mu] a2[nu]
-            a2 = np.abs(prod) ** 2
-            total_sq += a2.T @ a2
-            yield prod * root
+            sq = hermitian_gram(abs2(prod))
+            total_sq = sq if total_sq is None else np.add(total_sq, sq, out=total_sq)
+            del sq  # not held while the caller sums the rows
+            prod *= root
+            yield prod
 
     op = SymmetricOperator.from_rows(spec.n * spec.t, spec.t, rows())
-    # entry variances total_sq / samples - |mean|^2 / (N_mu N_nu), formed in place
-    sq = np.abs(op.block)
-    sq *= sq
-    sq /= np.outer(basis.orbit, basis.orbit)
-    total_sq /= samples
+    # entry variances (total_sq - samples |mean|^2 / (N_mu N_nu)) / samples, formed in place
+    inv = 1.0 / basis.orbit
+    sq = abs2(op.block)
+    sq *= (samples * inv)[:, None]
+    sq *= inv
     total_sq -= sq
-    return MomentEstimate(op, float(np.sqrt(max(total_sq.max(), 0.0) / samples)), samples)
+    return MomentEstimate(op, float(np.sqrt(max(total_sq.max(), 0.0)) / samples), samples)

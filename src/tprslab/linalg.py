@@ -39,6 +39,28 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def abs2(a: np.ndarray) -> np.ndarray:
+    """|a|^2 elementwise, with no hypot or sqrt: a*a for real a, re^2 + im^2 for complex a."""
+    return a.real * a.real + a.imag * a.imag if np.iscomplexobj(a) else a * a
+
+
+def hermitian_gram(v: np.ndarray) -> np.ndarray:
+    """v^T conj(v) of a (k, D) array, exactly Hermitian: numpy computes ``a.T @ a`` as a
+    symmetric rank-k update, one triangle mirrored. For complex v the real part is the
+    Gram of the stacked [Re v; Im v] and the imaginary part M - M^T, M = (Im v)^T Re v,
+    antisymmetric bit for bit: half the multiply-adds of the complex product."""
+    v = np.asarray(v, np.result_type(v, np.float64))
+    if not np.iscomplexobj(v):
+        return v.T @ v
+    k, size = v.shape
+    w = np.concatenate((v.real, v.imag))
+    out = np.empty((size, size), np.complex128)
+    out.real = w.T @ w
+    m = w[k:].T @ w[:k]
+    np.subtract(m, m.T, out=out.imag)
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class PureState:
     """Unit-norm amplitude vector of an n-qubit pure state.
@@ -61,7 +83,8 @@ class PureState:
                 f"amplitude vector has length {amps.shape[0]}, expected 2^{self.n}"
             )
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > NORM_TOL:
+        # written as not (x <= tol), so a NaN or an infinity fails too
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise ValidationError(f"state norm {norm} deviates from 1 beyond {NORM_TOL}")
         object.__setattr__(self, "amps", amps)
 
@@ -84,30 +107,38 @@ class SymmetricOperator:
     factor: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "block", _readonly(np.asarray(self.block)))
+        self._check()
+
+    def _check(self) -> None:
         if self.t < 1 or self.n < self.t or self.n % self.t:
             raise ValidationError("n must be a positive multiple of t")
         size = symmetric_dimension(self.n // self.t, self.t)
-        block = _readonly(np.asarray(self.block))
+        block = self.block
         if block.shape != (size, size):
             raise ValidationError(f"block shape {block.shape}, expected ({size}, {size})")
-        herm = float(np.max(np.abs(block - block.conj().T)))
-        if herm > HERM_TOL:
-            raise ValidationError(f"Hermiticity violation {herm} beyond {HERM_TOL}")
+        # a finite entry sum means finite entries, and then exact equality settles the
+        # check; a NaN or an infinity reaches the tolerance pass, whose maximum is NaN
+        if not (np.isfinite(block.sum()) and np.array_equal(block, block.conj().T)):
+            herm = float(np.max(np.abs(block - block.conj().T)))
+            if not herm <= HERM_TOL:
+                raise ValidationError(f"Hermiticity violation {herm} beyond {HERM_TOL}")
         tr = complex(np.trace(block))
-        if abs(tr - 1.0) > TRACE_TOL:
+        if not abs(tr - 1.0) <= TRACE_TOL:
             raise ValidationError(f"trace {tr} deviates from 1 beyond {TRACE_TOL}")
-        object.__setattr__(self, "block", block)
 
     @classmethod
     def from_rows(cls, n: int, t: int, rows: Iterable[np.ndarray]) -> "SymmetricOperator":
         """Mean of v v^H over the rows v of the (k, D) arrays ``rows`` yields: their
-        outer-product sums, added array by array in order and divided by the row count
-        N, then averaged with the adjoint. While N < D the operator keeps ``factor``,
-        the (N, D) rows over sqrt(N), so block = factor^T conj(factor) up to rounding:
-        the factor is only ever set here, from the rows that make the block."""
-        total, kept, count = 0.0, [], 0  # a zero start turns a -0.0 sum into 0.0
+        exactly Hermitian Gram matrices (``hermitian_gram``), added array by array in
+        order into one buffer and divided by the row count N. The operator owns that
+        buffer; it is not copied. While N < D the operator keeps ``factor``, the (N, D)
+        rows over sqrt(N), so block = factor^T conj(factor) up to rounding: the factor
+        is only ever set here, from the rows that make the block."""
+        total, kept, count = None, [], 0
         for v in rows:
-            total += v.T @ v.conj()
+            gram = hermitian_gram(v)
+            total = gram if total is None else np.add(total, gram, out=total)
             count += len(v)
             # the rows stay while they are fewer than D, so they never outgrow the block
             if count < v.shape[1]:
@@ -116,17 +147,17 @@ class SymmetricOperator:
                 kept.clear()
         if not count:
             raise ValidationError("a sample mean needs at least one row")
-        # the mean and its Hermitian part formed in place: two fewer D x D temporaries
         total /= count
-        block = total + total.conj().T
-        del total
-        block *= 0.5
-        op = cls(n, t, block)
+        total.setflags(write=False)
+        factor = None
         if kept:
             factor = np.concatenate(kept)
             factor /= math.sqrt(count)
             factor.setflags(write=False)
-            object.__setattr__(op, "factor", factor)
+        # built without __init__, whose copy would duplicate a buffer no one else holds
+        op = cls.__new__(cls)
+        vars(op).update(n=n, t=t, block=total, factor=factor)
+        op._check()
         return op
 
     @property
@@ -194,6 +225,7 @@ def trace_distance(rho: SymmetricOperator, sigma: SymmetricOperator) -> float:
     subspace differ by an operator on it, whose nonzero spectrum is their block
     difference's: a D x D eigen-problem, O(D^3). A real difference goes to the real
     symmetric solver. Moments of different qubit or copy counts raise DimensionMismatch.
+    When one side is c I, the other's block eigenvalues are shifted by -c instead.
 
     When one side keeps a ``factor`` A, N < D scaled sample rows with block A^T conj(A),
     and the other is c I, the difference has eigenvalue mu - c for each eigenvalue mu of
@@ -201,10 +233,10 @@ def trace_distance(rho: SymmetricOperator, sigma: SymmetricOperator) -> float:
     if (rho.n, rho.t) != (sigma.n, sigma.t):
         raise DimensionMismatch(f"moments on (n, t) = {(rho.n, rho.t)} and {(sigma.n, sigma.t)} differ")
     for mean, other in ((rho, sigma), (sigma, rho)):
-        if mean.factor is not None and other.scalar is not None:
-            a, c = mean.factor, other.scalar
-            mu = np.linalg.eigvalsh(a @ a.conj().T)
-            return float(0.5 * (np.sum(np.abs(mu - c)) + (a.shape[1] - a.shape[0]) * abs(c)))
+        c, a = other.scalar, mean.factor
+        if c is not None:
+            mu = np.linalg.eigvalsh(mean.block if a is None else a @ a.conj().T)
+            return float(0.5 * (np.sum(np.abs(mu - c)) + (len(mean.block) - len(mu)) * abs(c)))
     w = np.linalg.eigvalsh(rho.block - sigma.block)
     return float(0.5 * np.sum(np.abs(w)))
 

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DimensionCapExceeded, NoAnalyticForm, ValidationError
-from .linalg import shannon_bits
+from .linalg import abs2, shannon_bits
 from .randprims import as_seed
 from .sampling import paired_value_means
 
@@ -102,11 +102,6 @@ class ResourceMeasure:
 
 # ---------------------------------------------------------------------------
 # Pointwise measures
-
-
-def abs2(a: np.ndarray) -> np.ndarray:
-    """|a|^2 elementwise, with no hypot or sqrt: a*a for real a, re^2 + im^2 for complex a."""
-    return a.real * a.real + a.imag * a.imag if np.iscomplexobj(a) else a * a
 
 
 def _reduced_gram(amps: np.ndarray, part: PartitionSpec) -> np.ndarray:

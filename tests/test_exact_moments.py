@@ -327,10 +327,47 @@ class TestSymmetricOperator:
         with pytest.raises(ValidationError):
             SymmetricOperator(n, t, block)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan), complex(0, np.inf)])
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [(0, 1)],  # one off-diagonal entry
+            [(0, 1), (1, 0)],  # a conjugate pair
+            [(1, 1)],  # a diagonal entry, so also the trace
+            [(i, j) for i in range(3) for j in range(3)],  # every entry
+        ],
+    )
+    def test_non_finite_entries(self, entries, bad):
+        block = np.eye(3, dtype=complex) / 3
+        for i, j in entries:
+            block[i, j] = bad if i <= j else np.conj(bad)
+        for candidate in (block, block.real.copy()) if np.isreal(bad) else (block,):
+            with pytest.raises(ValidationError, match="Hermiticity"):
+                SymmetricOperator(2, 2, candidate)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_overflowing_trace(self, sign, dtype):
+        # finite, exactly Hermitian entries whose sum overflows: the trace is +-inf
+        block = np.diag([sign * 1e308, sign * 1e308, 1.0]).astype(dtype)
+        with pytest.raises(ValidationError, match="trace"), np.errstate(over="ignore"):
+            SymmetricOperator(2, 2, block)
+
     def test_hermitian_within_tolerance_is_accepted(self):
         block = np.eye(3, dtype=complex) / 3
         block[0, 1] = 0.4 * HERM_TOL * 1j
         assert SymmetricOperator(2, 2, block).block.dtype == np.complex128
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("offset,accepted", [(1e-12, True), (1e-9, False)])
+    def test_asymmetry_against_the_tolerance(self, dtype, offset, accepted):
+        block = exact_moment_block("subset", 2, 2, 2).astype(dtype)
+        block[0, 1] += offset
+        if accepted:
+            assert np.array_equal(SymmetricOperator(4, 2, block).block, block)
+        else:
+            with pytest.raises(ValidationError, match="Hermiticity"):
+                SymmetricOperator(4, 2, block)
 
     def test_validate_full_checks_positivity_on_the_block(self):
         block = np.diag([0.75, 0.5, -0.25])

@@ -38,9 +38,13 @@ class TestConstructors:
         with pytest.raises(ValidationError):
             PureState(2, np.array([1.0, 0.0]))
 
-    def test_pure_state_bad_norm(self):
-        with pytest.raises(ValidationError):
-            PureState(1, np.array([1.0, 1.0]))
+    @pytest.mark.parametrize(
+        "amps",
+        [[1.0, 1.0], [np.nan, 0.0], [1.0, np.nan], [np.inf, 0.0], [-np.inf, 0.0], [1.0, complex(0, np.inf)]],
+    )
+    def test_pure_state_bad_norm(self, amps):
+        with pytest.raises(ValidationError, match="norm"):
+            PureState(1, np.array(amps))
 
     # a density matrix enters the library as a one-copy moment (tests/util.one_copy)
 

@@ -10,7 +10,7 @@ import numpy as np
 from tprslab.bounds import BoundCheckReport
 from tprslab.config import EIG_FLOOR, check_dim
 from tprslab.ensembles import exact_moment_block, haar_moment, sample_block
-from tprslab.linalg import PureState, SymmetricOperator, trace_distance
+from tprslab.linalg import PureState, SymmetricOperator, symmetric_basis, trace_distance
 from tprslab.resources import pauli_basis
 from tprslab.sampling import DEFAULT_CHUNK, chunk_layout
 
@@ -291,6 +291,36 @@ def mc_ensemble_moment_oracle(spec, samples) -> tuple[np.ndarray, float]:
     mean = sum1 / samples
     var = np.maximum(sum2 / samples - np.abs(mean) ** 2, 0.0)
     return (mean + mean.conj().T) / 2, float(np.sqrt(var.max() / samples))
+
+
+def from_rows_oracle(rows) -> np.ndarray:
+    """Mean of v v^H over the rows of (k, D) arrays as the plain complex product
+    v^T conj(v), summed in order, divided by the row count and averaged with its
+    adjoint: what the real Gram matrices of ``SymmetricOperator.from_rows`` must give."""
+    total, count = 0.0, 0
+    for v in rows:
+        total = total + v.T @ v.conj()
+        count += len(v)
+    mean = total / count
+    return (mean + mean.conj().T) / 2
+
+
+def type_basis_moment_oracle(spec, samples) -> tuple[np.ndarray, float]:
+    """Monte-Carlo moment block and max-entry stderr in the type basis, with the
+    same chunks and draws as ``mc_ensemble_moment`` but other arithmetic: a
+    (k, D, t) gather and its product, ``from_rows_oracle``, and the entry variances
+    through an outer product of the orbit sizes."""
+    basis = symmetric_basis(spec.n, spec.t)
+    root = np.sqrt(basis.orbit)
+    rows, total_sq = [], 0.0
+    for idx, _, size in chunk_layout(samples, max(1, min(DEFAULT_CHUNK, (1 << 22) // len(basis.index)))):
+        prod = sample_block(spec, size, spec.seed.generator(idx))[:, basis.types].prod(axis=2)
+        a2 = np.abs(prod) ** 2
+        total_sq = total_sq + a2.T @ a2
+        rows.append(prod * root)
+    block = from_rows_oracle(rows)
+    var = total_sq / samples - np.abs(block) ** 2 / np.outer(basis.orbit, basis.orbit)
+    return block, float(np.sqrt(max(var.max(), 0.0) / samples))
 
 
 def block_distance_oracle(kind, n, m, t) -> float:
