@@ -26,8 +26,6 @@ _EXPORTS = {
         "SubsetSpec",
         "build_subset_phase_state",
         "build_subset_state",
-        "exact_subset_moment",
-        "exact_subset_phase_moment",
         "haar_moment",
         "mc_ensemble_moment",
     ),

@@ -47,7 +47,6 @@ __all__ = [
     "magic_bound_check",
     "empirical_prop_check",
     "PropCheckReport",
-    "BoundCheckReport",
 ]
 
 
@@ -63,23 +62,6 @@ def subset_distance_bound(n: int, m: int, t: int, c1: float = 1.0, c2: float = 1
     if not (1 <= m <= 2**n):
         raise ValidationError("need 1 <= m <= 2^n")
     return c1 * t * m / 2**n + c2 * t * t / m
-
-
-@dataclass(frozen=True)
-class BoundCheckReport:
-    """Measured value against an evaluated bound; passed <=> margin >= -3 stderr."""
-
-    lhs: float
-    lhs_stderr: float
-    rhs: float
-    margin: float
-    passed: bool
-    constants: dict
-
-    @classmethod
-    def build(cls, lhs: float, lhs_stderr: float, rhs: float, constants: dict) -> "BoundCheckReport":
-        margin = rhs - lhs
-        return cls(lhs, lhs_stderr, rhs, margin, bool(margin >= -3.0 * lhs_stderr), dict(constants))
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ import time
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .config import DEFAULT_BUDGET_CONSTANT, DEFAULT_KAPPA, check_domain, dim_cap
+from .config import DEFAULT_KAPPA, check_domain, dim_cap
 from .errors import DimensionCapExceeded, DomainCapExceeded, TprsError, ValidationError
 from .growth import (
     TABLE_CLASSES, TABLE_MEASURES, GrowthClass, advise_copies, advise_subset_size, check_closure,
@@ -51,7 +51,6 @@ GLOBAL_DEFAULTS = {
     "format": "csv",
     "out": None,
     "kappa": DEFAULT_KAPPA,
-    "budget_constant": DEFAULT_BUDGET_CONSTANT,
     "alpha": 3,
 }
 
@@ -512,7 +511,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="print the resolved config and exit",
     )
     shared.add_argument("--kappa", type=float, default=argparse.SUPPRESS)
-    shared.add_argument("--budget-constant", dest="budget_constant", type=float, default=argparse.SUPPRESS)
     shared.add_argument("--alpha", type=int, default=argparse.SUPPRESS)
 
     parser = argparse.ArgumentParser(prog="tprslab", description=__doc__, parents=[shared])

@@ -22,7 +22,6 @@ DEFAULT_KAPPA = 1.0             # rendering constant for asymptotic table entrie
 NORM_TOL = 1e-12
 HERM_TOL = 1e-10
 TRACE_TOL = 1e-10
-PSD_TOL = 1e-9
 EIG_FLOOR = 1e-12
 
 

@@ -2,8 +2,9 @@
 
 Acceptance probabilities are computed analytically from the state (no shot
 noise); ensemble averaging is the only Monte-Carlo layer. Each distinguisher
-carries a declared abstract gate cost that is compared against c * T(n) to
-flag whether the test respects a runtime budget.
+carries a declared abstract gate cost that is compared against c * T(n), with
+c = config.DEFAULT_BUDGET_CONSTANT = 10, to flag whether the test respects a
+runtime budget.
 """
 
 from __future__ import annotations
@@ -149,7 +150,7 @@ class AdvantageReport:
 
 
 def _advantage_report(
-    dist: DistinguisherDescriptor, acc1: MeanAccumulator, acc2: MeanAccumulator, n: int, T: GrowthClass, budget: float
+    dist: DistinguisherDescriptor, acc1: MeanAccumulator, acc2: MeanAccumulator, n: int, T: GrowthClass
 ) -> AdvantageReport:
     cost = dist.declared_cost(n, dist.copies_required)
     t_val = T.eval(n)
@@ -157,7 +158,7 @@ def _advantage_report(
         distinguisher=dist.name,
         adv=abs(acc1.mean - acc2.mean),
         stderr=float(math.hypot(acc1.stderr, acc2.stderr)),
-        budget_ok=bool(cost <= budget * t_val),
+        budget_ok=bool(cost <= DEFAULT_BUDGET_CONSTANT * t_val),
         threshold=1.0 / t_val,
         p1=acc1.mean,
         p2=acc2.mean,
@@ -174,7 +175,6 @@ def estimate_advantage(
     samples: int,
     T: GrowthClass,
     seed: RngSeed | int = 0,
-    budget_constant: float = DEFAULT_BUDGET_CONSTANT,
 ) -> AdvantageReport:
     """Monte-Carlo advantage |E_1[accept] - E_2[accept]| with paired generators."""
     if e1.n != e2.n:
@@ -185,7 +185,7 @@ def estimate_advantage(
         )
     accept = dist.accept_prob_pure
     acc1, acc2 = paired_value_means(as_seed(seed), samples, (accept, accept), sources=(e1, e2))
-    return _advantage_report(dist, acc1, acc2, e1.n, T, budget_constant)
+    return _advantage_report(dist, acc1, acc2, e1.n, T)
 
 
 # ---------------------------------------------------------------------------
@@ -277,9 +277,7 @@ def hybrid_experiment(
     triangle_ok = True
     for i, dist in enumerate(distinguishers):
         acc = dict(zip(specs, accs[len(specs) * i : len(specs) * (i + 1)]))
-        reports = {
-            pair: _advantage_report(dist, acc[a], acc[b], n, T, DEFAULT_BUDGET_CONSTANT) for pair, a, b in pairs
-        }
+        reports = {pair: _advantage_report(dist, acc[a], acc[b], n, T) for pair, a, b in pairs}
         legs.extend(HybridLeg(pair, rep) for pair, rep in reports.items())
         slack = z * sum(rep.stderr for rep in reports.values())
         lhs = reports["keyed-vs-haar"].adv

@@ -1,10 +1,10 @@
-"""State ensembles and their exact and Monte-Carlo copy-moment operators.
+"""State ensembles, their Monte-Carlo copy moments and the Haar moment.
 
 Subset states superpose computational basis strings from a subset S; the
 phase variants attach (-1)^{f(x)} signs. The keyed kinds draw a fresh
 permutation / phase key per sample; the true-random kinds sample S (and
-signs) uniformly. The exact moments are those of the uniform measure, in
-closed form on the symmetric subspace (``exact_moment_block``).
+signs) uniformly. The exact moments of the uniform measure enter the library
+only through their distance to Haar (``symmetry.exact_distance``).
 """
 
 from __future__ import annotations
@@ -30,9 +30,6 @@ __all__ = [
     "stabilizer_orbit",
     "sample_block",
     "haar_moment",
-    "exact_moment_block",
-    "exact_subset_moment",
-    "exact_subset_phase_moment",
     "mc_ensemble_moment",
     "MomentEstimate",
 ]
@@ -54,10 +51,6 @@ ENSEMBLE_KINDS = (
 )
 _SUBSET_KINDS = (KIND_SUBSET_PHASE_KEYED, KIND_SUBSET_PHASE_TRUE, KIND_SUBSET_KEYED, KIND_SUBSET_TRUE)
 _PHASE_KINDS = (KIND_SUBSET_PHASE_KEYED, KIND_SUBSET_PHASE_TRUE)
-
-# values of the (rows, D, 2t) type array exact_moment_block sorts at a time
-_BLOCK_SLICE_VALUES = 1 << 18
-
 
 @dataclass(frozen=True)
 class SubsetSpec:
@@ -287,57 +280,6 @@ def haar_moment(n: int, t: int) -> SymmetricOperator:
 def _haar_moment(n: int, t: int) -> SymmetricOperator:
     size = symmetric_dimension(n, t)
     return SymmetricOperator(n * t, t, np.eye(size) / size)
-
-
-def _moment_coefficients(d: int, m: int, t: int) -> np.ndarray:
-    """C(d-k, m-k) / C(d, m) / m^t = prod_{j<k} (m-j) / (d-j) / m^t, indexed by
-    k = 0..min(2t, d): the moment entry of a pair of types with k distinct values."""
-    j = np.arange(min(2 * t, d))
-    return np.concatenate(([1.0], np.cumprod(np.maximum(m - j, 0) / (d - j)))) / float(m) ** t
-
-
-def exact_moment_block(kind: str, n: int, m: int, t: int) -> np.ndarray:
-    """Exact t-copy moment of the size-m subset ("subset") or subset-phase
-    ("subset-phase") ensemble, averaged over every subset (and sign pattern),
-    as the real (D, D) block in the type basis of ``linalg.symmetric_basis``.
-
-    Entry <x|M|y> of the dense moment is C(d-k, m-k) / C(d, m) / m^t, where k
-    is the number of distinct values among x_1..x_t, y_1..y_t (zero for
-    k > m). The phase kind's sign average also zeroes every entry in which
-    some value occurs an odd number of times. So B[mu, nu] is that entry times
-    sqrt(N_mu N_nu).
-    """
-    if kind not in ("subset", "subset-phase"):
-        raise ValidationError("kind must be 'subset' or 'subset-phase'")
-    if not (1 <= m <= 2**n):
-        raise ValidationError("need 1 <= m <= 2^n")
-    basis = symmetric_basis(n, t)
-    d = 2**n
-    coef = _moment_coefficients(d, m, t)
-    types = basis.types.astype(np.min_scalar_type(d))
-    root = np.sqrt(basis.orbit)
-    size = len(types)
-    out = np.empty((size, size))
-    step = max(1, _BLOCK_SLICE_VALUES // (size * 2 * t))
-    for lo in range(0, size, step):
-        rows = types[lo : lo + step]
-        both = np.concatenate(np.broadcast_arrays(rows[:, None, :], types[None, :, :]), axis=2)
-        both.sort(axis=2)
-        entry = coef[1 + np.count_nonzero(both[..., 1:] != both[..., :-1], axis=2)]
-        if kind == "subset-phase":
-            entry *= np.all(both[..., 0::2] == both[..., 1::2], axis=2)
-        out[lo : lo + step] = entry * (root[lo : lo + step, None] * root)
-    return out
-
-
-def exact_subset_moment(n: int, m: int, t: int) -> SymmetricOperator:
-    """Exact average of |S><S|^{x t} over all size-m subsets, as a real SymmetricOperator."""
-    return SymmetricOperator(n * t, t, exact_moment_block("subset", n, m, t))
-
-
-def exact_subset_phase_moment(n: int, m: int, t: int) -> SymmetricOperator:
-    """Exact average over all size-m subsets and 2^m sign patterns, as a real SymmetricOperator."""
-    return SymmetricOperator(n * t, t, exact_moment_block("subset-phase", n, m, t))
 
 
 @dataclass(frozen=True)

@@ -23,9 +23,9 @@ __all__ = [
     "Mul",
     "Div",
     "Neg",
+    "Pow",
     "Pow2",
     "Log2",
-    "recip",
     "is_negligible",
     "check_closure",
     "check_repetition_consistency",
@@ -116,8 +116,7 @@ class GrowthClass:
             return 2.0**n
         if self.form == "poly-of":
             return self.base.eval(n) ** self.exponent
-        _, vec, family_base = _FORMS[self.form]
-        a, b, e = vec if family_base is None else self.degree_vector()
+        a, b, e = self.degree_vector()
         value = float(n) ** a if a else 1.0
         if b:
             value *= _log2(n) ** b
@@ -153,62 +152,61 @@ class GrowthClass:
 
 
 class Expr:
-    """Symbolic expression over growth evaluations, constants, + * / 2^ log2 neg."""
+    """Symbolic expression over growth evaluations, constants, + * / ^k 2^ log2 neg.
+    It prints as its class's ``text``, a format string over its fields."""
+
+    text = ""
 
     def eval(self, n: float) -> float:
         raise NotImplementedError
+
+    def __str__(self):
+        return self.text.format(**vars(self))
 
 
 @dataclass(frozen=True)
 class Const(Expr):
     value: float
+    text = "{value:g}"
 
     def eval(self, n: float) -> float:
         return self.value
-
-    def __str__(self):
-        return f"{self.value:g}"
 
 
 @dataclass(frozen=True)
 class Growth(Expr):
     gc: GrowthClass
+    text = "{gc}"
 
     def eval(self, n: float) -> float:
         return self.gc.eval(n)
-
-    def __str__(self):
-        return str(self.gc)
 
 
 @dataclass(frozen=True)
 class Add(Expr):
     a: Expr
     b: Expr
+    text = "({a} + {b})"
 
     def eval(self, n):
         return self.a.eval(n) + self.b.eval(n)
-
-    def __str__(self):
-        return f"({self.a} + {self.b})"
 
 
 @dataclass(frozen=True)
 class Mul(Expr):
     a: Expr
     b: Expr
+    text = "({a} * {b})"
 
     def eval(self, n):
         return self.a.eval(n) * self.b.eval(n)
-
-    def __str__(self):
-        return f"({self.a} * {self.b})"
 
 
 @dataclass(frozen=True)
 class Div(Expr):
     a: Expr
     b: Expr
+    text = "({a} / {b})"
 
     def eval(self, n):
         denom = self.b.eval(n)
@@ -216,45 +214,49 @@ class Div(Expr):
             raise NonEvaluable("division by zero in bound expression")
         return self.a.eval(n) / denom
 
-    def __str__(self):
-        return f"({self.a} / {self.b})"
-
 
 @dataclass(frozen=True)
 class Neg(Expr):
     a: Expr
+    text = "(-{a})"
 
     def eval(self, n):
         return -self.a.eval(n)
-
-    def __str__(self):
-        return f"(-{self.a})"
 
 
 @dataclass(frozen=True)
 class Pow2(Expr):
     a: Expr
+    text = "2^({a})"
 
     def eval(self, n):
         return 2.0 ** self.a.eval(n)
 
-    def __str__(self):
-        return f"2^({self.a})"
+
+@dataclass(frozen=True)
+class Pow(Expr):
+    """a^k, k a nonzero integer: a evaluated once, |k| factors of it multiplied left to right, inverted for k < 0."""
+
+    a: Expr
+    k: int
+    text = "({a})^{k}"
+
+    def eval(self, n):
+        base = out = self.a.eval(n)
+        for _ in range(abs(self.k) - 1):
+            out *= base
+        if self.k < 0 and out == 0:
+            raise NonEvaluable("division by zero in bound expression")
+        return out if self.k > 0 else 1.0 / out
 
 
 @dataclass(frozen=True)
 class Log2(Expr):
     a: Expr
+    text = "log2({a})"
 
     def eval(self, n):
         return _log2(self.a.eval(n))
-
-    def __str__(self):
-        return f"log2({self.a})"
-
-
-def recip(e: Expr) -> Expr:
-    return Div(Const(1.0), e)
 
 
 @dataclass(frozen=True)
@@ -268,6 +270,14 @@ class _Monomial:
     x: float
 
 
+def _times(ma: _Monomial | None, mb: _Monomial | None, sign: int = 1) -> _Monomial | None:
+    """ma * mb (sign 1) or ma / mb (sign -1); None if either is None or divides by 0."""
+    if ma is None or mb is None or (sign < 0 and mb.coeff == 0):
+        return None
+    coeff = ma.coeff * mb.coeff if sign > 0 else ma.coeff / mb.coeff
+    return _Monomial(coeff, ma.a + sign * mb.a, ma.b + sign * mb.b, ma.e + sign * mb.e, ma.x + sign * mb.x)
+
+
 def _monomial_of(expr: Expr) -> _Monomial | None:
     if isinstance(expr, Const):
         return _Monomial(expr.value, 0, 0, 0, 0)
@@ -275,22 +285,17 @@ def _monomial_of(expr: Expr) -> _Monomial | None:
         if expr.gc.form == "exp":
             return _Monomial(1.0, 0, 0, 0, 1)
         vec = expr.gc.degree_vector()
-        if vec is None:
-            return None
-        return _Monomial(1.0, vec[0], vec[1], vec[2], 0)
+        return None if vec is None else _Monomial(1.0, *vec, 0)
     if isinstance(expr, Neg):
         m = _monomial_of(expr.a)
         return None if m is None else _Monomial(-m.coeff, m.a, m.b, m.e, m.x)
-    if isinstance(expr, Mul):
-        ma, mb = _monomial_of(expr.a), _monomial_of(expr.b)
-        if ma is None or mb is None:
-            return None
-        return _Monomial(ma.coeff * mb.coeff, ma.a + mb.a, ma.b + mb.b, ma.e + mb.e, ma.x + mb.x)
-    if isinstance(expr, Div):
-        ma, mb = _monomial_of(expr.a), _monomial_of(expr.b)
-        if ma is None or mb is None or mb.coeff == 0:
-            return None
-        return _Monomial(ma.coeff / mb.coeff, ma.a - mb.a, ma.b - mb.b, ma.e - mb.e, ma.x - mb.x)
+    if isinstance(expr, (Mul, Div)):
+        return _times(_monomial_of(expr.a), _monomial_of(expr.b), 1 if isinstance(expr, Mul) else -1)
+    if isinstance(expr, Pow):
+        base = out = _monomial_of(expr.a)
+        for _ in range(abs(expr.k) - 1):
+            out = _times(out, base)
+        return out if expr.k > 0 else _times(_Monomial(1.0, 0, 0, 0, 0), out, -1)
     if isinstance(expr, Pow2):
         inner = _monomial_of(expr.a)
         if inner is None:
@@ -587,8 +592,8 @@ def parse_bound_expr(text: str) -> Expr:
 
     Accepted: numbers, n, unary minus, + - * /, powers and log2(x). Only base 2
     takes a non-integer exponent (a Pow2 node); any other base needs an integer
-    literal, which expands to a repeated product. Precedence is Python's, so
-    -n^2 is -(n^2) and powers associate to the right.
+    literal k (a Pow node, evaluated as the product of |k| factors). Precedence is
+    Python's, so -n^2 is -(n^2) and powers associate to the right.
     """
     try:
         tree = ast.parse(" ".join(text.split()).replace("^", "**"), mode="eval")
@@ -642,11 +647,6 @@ def _expr_of(node: ast.AST, depth: int) -> Expr:
         k = _int_power(node.right)
         if k is None:
             raise UnrecognizedForm("only base 2 takes a non-integer exponent")
-        atom = _expr_of(node.left, depth + abs(k) - (k > 0))  # the deepest copy of the base
-        if k == 0:
-            return Const(1.0)
-        out = atom
-        for _ in range(abs(k) - 1):
-            out = Mul(out, atom)
-        return recip(out) if k < 0 else out
+        atom = _expr_of(node.left, depth + abs(k) - (k > 0))  # the deepest of |k| factors
+        return Const(1.0) if k == 0 else atom if k == 1 else Pow(atom, k)
     raise UnrecognizedForm(f"unsupported term {getattr(node, 'id', type(node).__name__)!r} in bound expression")

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import EIG_FLOOR, HERM_TOL, NORM_TOL, PSD_TOL, TRACE_TOL, check_dim
+from .config import EIG_FLOOR, HERM_TOL, NORM_TOL, TRACE_TOL, check_dim
 from .errors import DimensionMismatch, PartitionMismatch, ValidationError
 
 __all__ = [
@@ -182,13 +182,6 @@ class SymmetricOperator:
             return float(diag[0].real)
         return None
 
-    def validate_full(self) -> "SymmetricOperator":
-        """Check positivity on the block, the dense spectrum's nonzero part; returns self."""
-        lo = float(np.linalg.eigvalsh(self.block)[0])
-        if lo < -PSD_TOL:
-            raise ValidationError(f"minimum eigenvalue {lo} below -{PSD_TOL}")
-        return self
-
 
 @dataclass(frozen=True)
 class PartitionSpec:
@@ -229,13 +222,14 @@ def trace_distance(rho: SymmetricOperator, sigma: SymmetricOperator) -> float:
 
     When one side keeps a ``factor`` A, N < D scaled sample rows with block A^T conj(A),
     and the other is c I, the difference has eigenvalue mu - c for each eigenvalue mu of
-    the N x N Gram A A^H, and -c on the D - N dimensions left: O(N^2 D + N^3)."""
+    the N x N Gram A A^H (``hermitian_gram``, so exactly Hermitian), and -c on the
+    D - N dimensions left: O(N^2 D + N^3)."""
     if (rho.n, rho.t) != (sigma.n, sigma.t):
         raise DimensionMismatch(f"moments on (n, t) = {(rho.n, rho.t)} and {(sigma.n, sigma.t)} differ")
     for mean, other in ((rho, sigma), (sigma, rho)):
         c, a = other.scalar, mean.factor
         if c is not None:
-            mu = np.linalg.eigvalsh(mean.block if a is None else a @ a.conj().T)
+            mu = np.linalg.eigvalsh(mean.block if a is None else hermitian_gram(a.T))
             return float(0.5 * (np.sum(np.abs(mu - c)) + (len(mean.block) - len(mu)) * abs(c)))
     w = np.linalg.eigvalsh(rho.block - sigma.block)
     return float(0.5 * np.sum(np.abs(w)))

@@ -23,8 +23,9 @@ their joint eigenspace is the space of B_lambda. The kernel U_i is set
 apart from the rest of an integer spectrum, and the X_b have norm below t,
 so no eigenvalue of order d has to be told from a neighbour one apart.
 
-Only ``bounds.verify_distance_bound`` calls this module, and it imports it
-on first use. Its caller checks the inputs and the caps.
+In the library only ``bounds.verify_distance_bound`` calls this module, and
+it imports it on first use; a caller checks the inputs and the caps. The
+module imports no other ``tprslab`` module.
 """
 
 from __future__ import annotations
@@ -37,9 +38,14 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .ensembles import _moment_coefficients
-
 __all__ = ["exact_distance", "isotypic_blocks"]
+
+
+def _moment_coefficients(d: int, m: int, t: int) -> np.ndarray:
+    """C(d-k, m-k) / C(d, m) / m^t = prod_{j<k} (m-j) / (d-j) / m^t, indexed by
+    k = 0..min(2t, d): the moment entry of a pair of types with k distinct values."""
+    j = np.arange(min(2 * t, d))
+    return np.concatenate(([1.0], np.cumprod(np.maximum(m - j, 0) / (d - j)))) / float(m) ** t
 
 
 def _partitions(k: int, top: int | None = None, rows: int | None = None):

@@ -19,8 +19,6 @@ from tprslab.distinguishers import (
 from tprslab.ensembles import (
     ENSEMBLE_KINDS,
     EnsembleSpec,
-    exact_subset_moment,
-    exact_subset_phase_moment,
     haar_moment,
     mc_ensemble_moment,
     sample_block,
@@ -41,6 +39,8 @@ from .util import (
     coherence_re,
     density,
     entropy_bits,
+    exact_subset_moment,
+    exact_subset_phase_moment,
     loop_partial_trace,
     pauli_power_sum,
     schmidt_probs_oracle,

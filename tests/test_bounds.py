@@ -14,10 +14,10 @@ from tprslab.bounds import (
 )
 from tprslab.ensembles import EnsembleSpec
 from tprslab.errors import BoundDegenerate, DimensionCapExceeded, ParameterOrderViolated, ValidationError
-from tprslab.growth import Const, Growth, GrowthClass, Mul, advise_subset_size, recip
+from tprslab.growth import Const, Growth, GrowthClass, Mul, advise_subset_size
 from tprslab.randprims import RngSeed
 
-from .util import distance_row_check
+from .util import recip
 
 LOG = GrowthClass.parse("log")
 
@@ -88,26 +88,13 @@ class TestBoundEvaluators:
         assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
         assert vals[0] == pytest.approx(6.0, abs=1e-3)
 
-    def test_bound_check_report_consistency(self):
-        from tprslab.bounds import BoundCheckReport
-
-        # passed <=> margin >= -3 stderr, by construction
-        ok = BoundCheckReport.build(lhs=0.5, lhs_stderr=0.1, rhs=0.3, constants={})
-        assert ok.margin == pytest.approx(-0.2) and ok.passed  # inside 3 sigma
-        bad = BoundCheckReport.build(lhs=0.8, lhs_stderr=0.1, rhs=0.3, constants={})
-        assert not bad.passed
-        rep = verify_distance_bound("subset-phase", 3, [2, 4], 2)
-        for row in rep.rows:
-            check = distance_row_check(row, rep.constants)
-            assert check.passed == row.passed
-            assert check.margin == pytest.approx(row.margin)
-
 
 class TestVerifyDistanceBound:
     def test_phase_kind_frozen_values(self):
         rep = verify_distance_bound("subset-phase", 3, [2, 4], 2)
         for row in rep.rows:
             assert row.lhs == pytest.approx(PHASE_LHS[row.size], abs=1e-6)
+            assert row.margin == row.rhs - row.lhs
         assert rep.rows[0].lhs > rep.rows[1].lhs  # strictly decreasing
         assert rep.all_passed
         assert rep.constants["c"] == pytest.approx(PHASE_LHS[2] * 2 / 4, abs=1e-6)

@@ -341,6 +341,21 @@ class TestConfigHandling:
         assert main(["--out", str(f2)] + argv) == 0
         assert f1.read_bytes() == f2.read_bytes()
 
+    def test_budget_constant_is_not_an_option(self, tmp_path, capsys):
+        # budget_ok always reads config.DEFAULT_BUDGET_CONSTANT, c = 10
+        hybrid = ["hybrid", "--n", "3", "--m", "4", "--samples", "50"]
+        for argv in (["--budget-constant", "0.001"] + hybrid, hybrid + ["--budget-constant", "0.001"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            out = capsys.readouterr()
+            assert out.out == "" and "error:" in out.err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"budget_constant": 0.001}))
+        code, out, err = run(["--config", str(cfg)] + hybrid, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("config error:") and "budget_constant" in err
+
     def test_unknown_ensemble_kind(self, capsys):
         code, _, err = run(
             ["gap", "--measure", "coherence-re", "--n", "2", "--e1", "haar", "--e2", "nope"], capsys

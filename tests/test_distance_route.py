@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 
 from tprslab.bounds import _exact_lhs, verify_distance_bound
 from tprslab.config import DEFAULT_DIM_CAP, check_reduced_dim
-from tprslab.ensembles import _moment_coefficients
 from tprslab.errors import DimensionCapExceeded
-from tprslab.symmetry import isotypic_blocks
+from tprslab.symmetry import _moment_coefficients, isotypic_blocks
 
 from .util import block_distance_oracle
 

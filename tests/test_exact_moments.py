@@ -14,14 +14,7 @@ from hypothesis import strategies as st
 from tprslab import ensembles, linalg
 from tprslab.bounds import _exact_lhs, verify_distance_bound
 from tprslab.config import HERM_TOL
-from tprslab.ensembles import (
-    EnsembleSpec,
-    exact_moment_block,
-    exact_subset_moment,
-    exact_subset_phase_moment,
-    haar_moment,
-    mc_ensemble_moment,
-)
+from tprslab.ensembles import EnsembleSpec, haar_moment, mc_ensemble_moment
 from tprslab.errors import DimensionCapExceeded, DimensionMismatch, ValidationError
 from tprslab.linalg import (
     SymmetricOperator,
@@ -33,7 +26,10 @@ from tprslab.linalg import (
 from tprslab.randprims import RngSeed
 
 from .util import (
+    exact_moment_block,
+    exact_subset_moment,
     exact_subset_moment_oracle,
+    exact_subset_phase_moment,
     exact_subset_phase_moment_oracle,
     one_copy,
     random_density,
@@ -146,8 +142,9 @@ class TestValidation:
         [("subset", 2, 0, 2), ("subset", 2, 5, 2), ("subset-phase", 0, 1, 2), ("subset", 2, 2, 0), ("haar", 2, 2, 2)],
     )
     def test_bad_parameters(self, args):
+        kind, n, m, t = args
         with pytest.raises(ValidationError):
-            exact_moment_block(*args)
+            verify_distance_bound(kind, n, [m], t)
 
     def test_cap_checked_before_the_basis_is_built(self, monkeypatch):
         def fail(*args):
@@ -157,8 +154,6 @@ class TestValidation:
         monkeypatch.setattr(ensembles, "_haar_moment", fail)
         monkeypatch.setenv("TPRS_DIM_CAP", "64")
         for call in (
-            lambda: exact_moment_block("subset-phase", 7, 16, 2),
-            lambda: exact_subset_moment(2, 2, 4),
             lambda: symmetric_projector(2, 4),
             lambda: haar_moment(2, 4),
             lambda: mc_ensemble_moment(EnsembleSpec("haar", 2, t=4), 10),
@@ -368,14 +363,6 @@ class TestSymmetricOperator:
         else:
             with pytest.raises(ValidationError, match="Hermiticity"):
                 SymmetricOperator(4, 2, block)
-
-    def test_validate_full_checks_positivity_on_the_block(self):
-        block = np.diag([0.75, 0.5, -0.25])
-        op = SymmetricOperator(2, 2, block)  # construction checks no spectrum
-        with pytest.raises(ValidationError, match="minimum eigenvalue"):
-            op.validate_full()
-        ok = exact_subset_moment(2, 3, 2)
-        assert ok.validate_full() is ok
 
     def test_read_only_and_gathered_once(self, monkeypatch):
         source = exact_moment_block("subset", 2, 2, 2)

@@ -11,12 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tprslab.ensembles import EnsembleSpec, exact_subset_moment, haar_moment, mc_ensemble_moment
+from tprslab.ensembles import EnsembleSpec, haar_moment, mc_ensemble_moment
 from tprslab.errors import ValidationError
 from tprslab.linalg import SymmetricOperator, symmetric_dimension, trace_distance
 from tprslab.randprims import RngSeed
 
-from .util import trace_distance_oracle
+from .util import exact_subset_moment, trace_distance_oracle
 
 TOL = 1e-12
 

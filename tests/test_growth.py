@@ -15,15 +15,17 @@ from tprslab.growth import (
     GrowthClass,
     Log2,
     Mul,
-    Pow2,
     Neg,
+    Pow,
+    Pow2,
     check_closure,
     check_repetition_consistency,
     is_negligible,
     parse_bound_expr,
-    recip,
     table_lower_bound,
 )
+
+from .util import recip
 
 EXP = GrowthClass.parse("exp")
 LINEAR = GrowthClass.parse("linear")
@@ -319,6 +321,40 @@ class TestBoundGrammar:
         with pytest.raises(UnrecognizedForm):
             parse_bound_expr(text)
 
+    @pytest.mark.parametrize(
+        "base,reports",
+        [
+            ("log2(n + 1)", (VIOLATED,) * 7 + ("NonEvaluable",)),
+            ("n", (GROWS,) * 8),
+            ("1/n", (
+                ("yes", "eta * O(1) tends to zero (order gap (1099511627776.0, 0.0, 0.0))"),
+                ("yes", "eta * log n tends to zero (order gap (1099511627776.0, -1.0, 0.0))"),
+                ("yes", "eta * loglog n tends to zero (order gap (1099511627776.0, 0.0, -1.0))"),
+                ("yes", "decay order strictly dominates every power of log n"),
+                ("yes", "eta * n tends to zero (order gap (1099511627775.0, 0.0, 0.0))"),
+                ("yes", "eta * n log n tends to zero (order gap (1099511627775.0, -1.0, 0.0))"),
+                ("no", "a fixed power cannot beat all exponents of n"),
+                "UnrecognizedForm",
+            )),
+        ],
+    )
+    def test_forty_nested_squarings_take_linear_work(self, base, reports):
+        # a power is one node that reads its base once; expanded, the text has 2^40 leaves
+        text = base
+        for _ in range(40):
+            text = f"({text})^2"
+        t0 = time.perf_counter()
+        eta = parse_bound_expr(text)
+        got = tuple(_outcome(lambda: is_negligible(eta, GrowthClass.parse(c))) for c in CLASSES)
+        assert time.perf_counter() - t0 < 1.0
+        assert got == reports
+
+    def test_first_power_is_its_base(self):
+        # so the rule table still reads a sum raised to the power 1 term by term
+        eta = parse_bound_expr("(1/n + 2^-n)^1")
+        assert eta == parse_bound_expr("1/n + 2^-n")
+        assert is_negligible(eta, LOG).rule.startswith("additivity: ")
+
     def test_depth_is_bounded(self):
         deepest = parse_bound_expr("*".join(["n"] * MAX_EXPR_DEPTH))
         assert deepest.eval(2) == 2.0**MAX_EXPR_DEPTH
@@ -339,6 +375,7 @@ _EXPRS = st.recursive(
         st.builds(Mul, sub, sub),
         st.builds(Div, sub, sub),
         st.builds(Neg, sub),
+        st.builds(Pow, sub, st.sampled_from([-3, -2, -1, 1, 2, 3])),
         st.builds(Pow2, sub),
         st.builds(Log2, sub),
     ),

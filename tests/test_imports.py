@@ -1,8 +1,10 @@
-"""What each entry point imports, checked in fresh interpreters, and the lazy
-package namespace that makes ``import tprslab`` load nothing."""
+"""What each entry point imports, checked in fresh interpreters, the lazy
+package namespace that makes ``import tprslab`` load nothing, and the README's
+library quick tour, run as written."""
 
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -20,8 +22,8 @@ EXPORTS = [
     "ResourceMeasure", "RngSeed", "SubsetSpec", "SymmetricOperator", "advise_copies", "advise_subset_size",
     "bounds", "build_subset_phase_state", "build_subset_state", "check_closure", "check_repetition_consistency",
     "coherence_bound_check", "config", "distinguishers", "empirical_prop_check", "ensembles",
-    "entanglement_bound_check", "errors", "estimate_advantage", "estimate_gap", "exact_subset_moment",
-    "exact_subset_phase_moment", "forkmap", "growth", "haar_expected", "haar_moment", "hybrid_experiment",
+    "entanglement_bound_check", "errors", "estimate_advantage", "estimate_gap", "forkmap", "growth",
+    "haar_expected", "haar_moment", "hybrid_experiment",
     "is_negligible", "linalg", "magic_bound_check", "mc_ensemble_moment", "randprims", "resources", "sampling",
     "stabilizer_renyi_entropy", "subset_distance_bound", "subset_phase_distance_bound", "symmetric_projector",
     "table_lower_bound", "trace_distance", "verify_distance_bound",
@@ -75,6 +77,9 @@ class TestImportClosures:
 
     def test_linalg_loads_config_and_errors_only(self):
         assert own(loaded_after("import tprslab.linalg")) == {"tprslab.config", "tprslab.errors", "tprslab.linalg"}
+
+    def test_symmetry_loads_no_other_module(self):
+        assert own(loaded_after("import tprslab.symmetry")) == {"tprslab.symmetry"}
 
     def test_resources_loads_no_ensemble_growth_bound_or_cli_module(self):
         loaded = own(loaded_after("import tprslab.resources"))
@@ -131,3 +136,14 @@ class TestLazyExports:
         with pytest.raises(AttributeError, match="no attribute 'nonesuch'"):
             tprslab.nonesuch  # noqa: B018
         assert not hasattr(tprslab, "DensityOperator")
+
+
+class TestReadmeQuickTour:
+    def test_runs_and_gives_the_exact_distance(self):
+        (code,) = re.findall(r"## Library quick tour\n\n```python\n(.*?)```", README.read_text(), re.S)
+        namespace = {}
+        exec(compile(code, str(README), "exec"), namespace)
+        # the exact two-copy subset-phase distance at n = 3, m = 4 is 7/72
+        assert namespace["lhs"] == pytest.approx(7 / 72, abs=1e-12)
+        assert namespace["report"].all_passed
+        assert namespace["gap"].stderr > 0

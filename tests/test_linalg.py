@@ -50,7 +50,7 @@ class TestConstructors:
 
     def test_density_valid(self):
         rho = one_copy(np.eye(2) / 2)
-        assert rho.n == 1 and rho.t == 1 and rho.validate_full() is rho
+        assert rho.n == 1 and rho.t == 1
         assert np.array_equal(rho.mat, np.eye(2) / 2)
 
     def test_density_not_hermitian(self):
@@ -60,10 +60,6 @@ class TestConstructors:
     def test_density_bad_trace(self):
         with pytest.raises(ValidationError, match="trace"):
             one_copy(np.eye(2))
-
-    def test_density_not_psd(self):
-        with pytest.raises(ValidationError, match="minimum eigenvalue"):
-            one_copy(np.diag([1.5, -0.5])).validate_full()
 
     def test_partition_convention(self):
         with pytest.raises(ValidationError):

@@ -7,9 +7,9 @@ import math
 
 import numpy as np
 
-from tprslab.bounds import BoundCheckReport
 from tprslab.config import EIG_FLOOR, check_dim
-from tprslab.ensembles import exact_moment_block, haar_moment, sample_block
+from tprslab.ensembles import haar_moment, sample_block
+from tprslab.growth import Const, Div, Expr
 from tprslab.linalg import PureState, SymmetricOperator, symmetric_basis, trace_distance
 from tprslab.resources import pauli_basis
 from tprslab.sampling import DEFAULT_CHUNK, chunk_layout
@@ -323,9 +323,54 @@ def type_basis_moment_oracle(spec, samples) -> tuple[np.ndarray, float]:
     return block, float(np.sqrt(max(var.max(), 0.0) / samples))
 
 
+# values of the (rows, D, 2t) type array exact_moment_block sorts at a time
+_BLOCK_SLICE_VALUES = 1 << 18
+
+
+def exact_moment_block(kind, n, m, t) -> np.ndarray:
+    """Exact t-copy moment of the size-m subset ("subset") or subset-phase
+    ("subset-phase") ensemble, averaged over every subset (and sign pattern),
+    as the real (D, D) block in the type basis of ``linalg.symmetric_basis``.
+
+    Entry <x|M|y> of the dense moment is C(d-k, m-k) / C(d, m) / m^t, where k
+    is the number of distinct values among x_1..x_t, y_1..y_t (zero for
+    k > m), here from math.comb, not from the library's coefficient product.
+    The phase kind's sign average also zeroes every entry in which some value
+    occurs an odd number of times. So B[mu, nu] is that entry times
+    sqrt(N_mu N_nu).
+    """
+    basis = symmetric_basis(n, t)
+    d = 2**n
+    coef = np.array([math.comb(d - k, m - k) / math.comb(d, m) / m**t if k <= m else 0.0 for k in range(2 * t + 1)])
+    types = basis.types.astype(np.min_scalar_type(d))
+    root = np.sqrt(basis.orbit)
+    size = len(types)
+    out = np.empty((size, size))
+    step = max(1, _BLOCK_SLICE_VALUES // (size * 2 * t))
+    for lo in range(0, size, step):
+        rows = types[lo : lo + step]
+        both = np.concatenate(np.broadcast_arrays(rows[:, None, :], types[None, :, :]), axis=2)
+        both.sort(axis=2)
+        entry = coef[1 + np.count_nonzero(both[..., 1:] != both[..., :-1], axis=2)]
+        if kind == "subset-phase":
+            entry *= np.all(both[..., 0::2] == both[..., 1::2], axis=2)
+        out[lo : lo + step] = entry * (root[lo : lo + step, None] * root)
+    return out
+
+
+def exact_subset_moment(n, m, t) -> SymmetricOperator:
+    """Exact average of |S><S|^{x t} over all size-m subsets, as a real SymmetricOperator."""
+    return SymmetricOperator(n * t, t, exact_moment_block("subset", n, m, t))
+
+
+def exact_subset_phase_moment(n, m, t) -> SymmetricOperator:
+    """Exact average over all size-m subsets and 2^m sign patterns, as a real SymmetricOperator."""
+    return SymmetricOperator(n * t, t, exact_moment_block("subset-phase", n, m, t))
+
+
 def block_distance_oracle(kind, n, m, t) -> float:
     """Exact moment-to-Haar trace distance as one D x D eigen-problem on the
-    type-basis block of ``exact_moment_block``."""
+    type-basis block of ``exact_moment_block``: the oracle of ``symmetry.exact_distance``."""
     return trace_distance(SymmetricOperator(n * t, t, exact_moment_block(kind, n, m, t)), haar_moment(n, t))
 
 
@@ -421,6 +466,6 @@ def operator_from_json(data: list) -> np.ndarray:
     return arr[..., 0] + 1j * arr[..., 1]
 
 
-def distance_row_check(row, constants) -> BoundCheckReport:
-    """A distance-bound row as a BoundCheckReport with zero stderr."""
-    return BoundCheckReport.build(row.lhs, 0.0, row.rhs, constants)
+def recip(e: Expr) -> Expr:
+    """The bound expression 1 / e."""
+    return Div(Const(1.0), e)
