@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .config import check_domain, check_reduced_dim
+from .config import check_budget, check_domain
 from .errors import BoundDegenerate, ParameterOrderViolated, ValidationError
 from .growth import Expr
 from .linalg import PartitionSpec
@@ -108,8 +108,11 @@ def _ls_slope(xs, ys) -> float | None:
     ys = np.asarray(ys, float)
     if np.any(ys <= 0):
         return None  # exact zeros (e.g. single-copy phase moments) have no log slope
-    lx, ly = np.log(np.asarray(xs, float)), np.log(ys)
-    return float(np.polyfit(lx, ly, 1)[0])
+    # least-squares slope of log y on log x in closed form: sum dx dy / sum dx^2
+    dx, dy = np.log(np.asarray(xs, float)), np.log(ys)
+    dx -= dx.mean()
+    dy -= dy.mean()
+    return float(dx @ dy / (dx @ dx))
 
 
 def verify_distance_bound(
@@ -133,8 +136,8 @@ def verify_distance_bound(
     drift term c1 t m / 2^n rules, the segment may be empty.
 
     Every input is checked before any distance: the sizes, n against the
-    2^n table cap (``config.check_domain``) and the reduced problem against
-    TPRS_DIM_CAP (``config.check_reduced_dim``).
+    2^n table cap (``config.check_domain``) and the route's declared peak bytes
+    (``symmetry.route_cost``) against the byte budget (``config.check_budget``).
     """
     sizes = sorted(int(s) for s in sizes)
     if not sizes:
@@ -150,7 +153,8 @@ def verify_distance_bound(
     check_domain(n)
     if not (1 <= sizes[0] and sizes[-1] <= 2**n):
         raise ValidationError("need 1 <= m <= 2^n")
-    check_reduced_dim(n, t)
+    from .symmetry import route_cost  # imported on first use, as the route is
+    check_budget("exact distance route", route_cost(n, t)[0])
     lhs = {s: _exact_lhs(kind, n, s, t) for s in sizes}
 
     fitted_sizes: set[int] = set()
@@ -342,6 +346,7 @@ def empirical_prop_check(
         samples,
         (accept, accept, measure.statistic),
         sources=(e_high, e_low, e_low),
+        costs=(dist.kernel.cost, dist.kernel.cost, measure.cost),
     )
     eta_hat = abs(acc_low.mean - acc_high.mean)
     eta_se = float(math.hypot(acc_low.stderr, acc_high.stderr))

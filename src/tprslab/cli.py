@@ -7,15 +7,17 @@ machines, in "workers", the usable-core count Monte-Carlo calls may fork to).
 --threads is accepted and ignored: large Monte-Carlo chunks run in forked
 processes, one per core of the CPU affinity mask (taskset -c 0 runs them
 serially), and merge in index order, so results are the same bits for any
-core count. The dense-dimension cap of exact and Monte-Carlo moments is the
-TPRS_DIM_CAP environment variable (default 4096). Exit codes: 0 success, 2
-validation, 3 resource limit, 4 bound-check failure.
+core count. Every route's declared peak bytes are checked, before anything is
+allocated, against one budget, the TPRS_MEM_CAP environment variable (bytes,
+default 2^30); a set TPRS_DIM_CAP, the retired dimension cap, exits 2. Exit
+codes: 0 success, 2 validation, 3 resource limit, 4 bound-check failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -25,7 +27,7 @@ import time
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .config import DEFAULT_KAPPA, check_domain, dim_cap
+from .config import DEFAULT_KAPPA, check_budget, check_domain, mem_cap
 from .errors import DimensionCapExceeded, DomainCapExceeded, TprsError, ValidationError
 from .growth import (
     TABLE_CLASSES, TABLE_MEASURES, GrowthClass, advise_copies, advise_subset_size, check_closure,
@@ -222,18 +224,13 @@ def _cmd_distance(resolved: dict) -> tuple[list[str], list[dict], int]:
         raise ValidationError("provide --m (or --mexp for the subset-phase kind)")
     report = verify_distance_bound(kind, n, sizes, t)
     rows = []
-    for r in report.rows:
+    for r in report.rows:  # the row's fields: size, lhs, rhs, margin, passed, fitted
         rows.append(
             {
                 "kind": kind,
                 "n": n,
                 "t": t,
-                "size": r.size,
-                "lhs": r.lhs,
-                "rhs": r.rhs,
-                "margin": r.margin,
-                "passed": r.passed,
-                "fitted": r.fitted,
+                **dataclasses.asdict(r),
                 "c1": report.constants.get("c1", report.constants.get("c")),
                 "c2": report.constants.get("c2"),
                 "overall_slope": report.overall_slope,
@@ -294,24 +291,26 @@ _SWEEP_MEASURE_KEY = {
     "collision-entanglement": _ENTANGLEMENT,
     "stabilizer-renyi": _MAGIC,
 }
-MAX_MEASURED_N = 12
 
 
-def _sweep_source(measure: ResourceMeasure, T: GrowthClass, n: int, seed: int) -> EnsembleSpec | None:
-    """The advised low ensemble of a sweep row, or None where the row is not measured."""
+def _sweep_source(measure: ResourceMeasure, T: GrowthClass, n: int, seed: int, samples: int) -> EnsembleSpec | None:
+    """The advised low ensemble of a sweep row, None where T advises no subset size.
+    A row past a cap or over the byte budget raises before anything is drawn, naming n."""
     from .ensembles import EnsembleSpec
     from .randprims import RngSeed
+    from .sampling import chunk_cost, chunk_layout
 
-    if n > MAX_MEASURED_N:
+    try:
+        m = advise_subset_size(T, n).m
+    except TprsError:
         return None
     try:
         measure.check(n)
-        advice = advise_subset_size(T, n)
-        if advice.m < 1:
-            return None
-        return EnsembleSpec("subset-phase-true-random", n, m=advice.m, t=1, seed=RngSeed(seed))
-    except TprsError:
-        return None
+        spec = EnsembleSpec("subset-phase-true-random", n, m=m, t=1, seed=RngSeed(seed))
+        check_budget("its Monte-Carlo chunk", chunk_cost(chunk_layout(samples)[0][2], (measure.cost,), (spec,))[0])
+    except (DimensionCapExceeded, DomainCapExceeded) as exc:
+        raise type(exc)(f"sweep row n = {n}: {exc}") from None
+    return spec
 
 
 def _cmd_sweep(resolved: dict) -> tuple[list[str], list[dict], int]:
@@ -340,7 +339,7 @@ def _cmd_sweep(resolved: dict) -> tuple[list[str], list[dict], int]:
                 chain_ok = False
             if cname in TABLE_CLASSES:
                 prev = bound
-            spec = _sweep_source(measure, T, n, resolved["seed"])
+            spec = _sweep_source(measure, T, n, resolved["seed"], samples)
             if spec is not None:
                 measured.append((len(rows), measure, spec))
             ref = haar_expected(measure.name, n, part=measure.partition, alpha=measure.alpha)
@@ -365,7 +364,8 @@ def _cmd_sweep(resolved: dict) -> tuple[list[str], list[dict], int]:
         # per-chunk generators, so a row reads what a call of its own would
         _, measures, sources = zip(*measured)
         accs = paired_value_means(
-            RngSeed(resolved["seed"]), samples, tuple(m.statistic for m in measures), sources=sources
+            RngSeed(resolved["seed"]), samples, tuple(m.statistic for m in measures), sources=sources,
+            costs=tuple(m.cost for m in measures),
         )
         for (i, measure, _), acc in zip(measured, accs):
             mean, se = aggregate_measure(measure, acc)
@@ -452,7 +452,7 @@ def _cmd_advise(resolved: dict) -> tuple[list[str], list[dict], int]:
     n = resolved["n"]
     advice = advise_subset_size(T, n)
     t = advise_copies(T, n)
-    row = {"T": resolved["T"], "n": n, "m": advice.m, "m_exp": advice.m_exp, "t": t, "dim_cap": dim_cap()}
+    row = {"T": resolved["T"], "n": n, "m": advice.m, "m_exp": advice.m_exp, "t": t, "mem_cap": mem_cap()}
     return list(row.keys()), [row], EXIT_OK
 
 
@@ -469,20 +469,7 @@ def _cmd_prop_check(resolved: dict) -> tuple[list[str], list[dict], int]:
         resolved["prop"], e_high, e_low, T, resolved["samples"],
         seed=RngSeed(seed), part=part, alpha=resolved["alpha"],
     )
-    row = {
-        "prop": rep.prop,
-        "measure": rep.measure,
-        "eta_hat": rep.eta_hat,
-        "eta_stderr": rep.eta_stderr,
-        "sandwich": rep.sandwich,
-        "bound": rep.bound,
-        "measured": rep.measured,
-        "measured_stderr": rep.measured_stderr,
-        "margin": rep.margin,
-        "verdict": rep.verdict,
-        "threshold": rep.threshold,
-        "samples": rep.samples,
-    }
+    row = dataclasses.asdict(rep)  # prop, measure, eta_hat, ..., verdict, threshold, samples
     code = EXIT_OK if rep.verdict in ("passed", "non-binding", "premise-violated") else EXIT_BOUND_FAIL
     return list(row.keys()), [row], code
 
@@ -620,7 +607,7 @@ def resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
     """defaults < config file < explicit CLI flags.
 
     Config-file keys must be options of the parser (or the reported
-    ``dim_cap``); values are typed by the resolved subcommand's option, else
+    ``mem_cap``); values are typed by the resolved subcommand's option, else
     the shared one, and a key only another subcommand knows is kept as given.
     """
     resolved = dict(GLOBAL_DEFAULTS)
@@ -630,7 +617,7 @@ def resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
         if not isinstance(doc, dict):
             raise ValidationError("config file must hold a JSON object")
         tables = _option_tables(parser)
-        known = set().union(*tables.values()).union(GLOBAL_DEFAULTS, ["dim_cap"]).difference(_NOT_SETTINGS)
+        known = set().union(*tables.values()).union(GLOBAL_DEFAULTS, ["mem_cap"]).difference(_NOT_SETTINGS)
         unknown = sorted(set(doc) - known)
         if unknown:
             raise ValidationError(f"unknown config keys {unknown}")
@@ -644,7 +631,7 @@ def resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
         if value is not None:
             resolved[key] = value
     resolved.setdefault("command", None)
-    resolved["dim_cap"] = dim_cap()
+    resolved["mem_cap"] = mem_cap()
     return resolved
 
 

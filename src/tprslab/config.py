@@ -1,8 +1,9 @@
 """Global numeric knobs and caps.
 
-The dense-dimension cap has one knob, the TPRS_DIM_CAP environment variable,
-read at every check, so whole experiment runs can be resized without touching
-call sites. The table cap on 2^n is fixed.
+Every route declares its peak bytes next to its kernel, computed without
+allocating, and ``check_budget`` compares them with one knob, the TPRS_MEM_CAP
+environment variable (bytes), read at every check, so whole experiment runs can
+be resized without touching call sites. The table cap on 2^n is fixed.
 """
 
 from __future__ import annotations
@@ -11,9 +12,13 @@ import os
 
 from .errors import DimensionCapExceeded, DomainCapExceeded, ValidationError
 
-ENV_DIM_CAP = "TPRS_DIM_CAP"
+ENV_MEM_CAP = "TPRS_MEM_CAP"
+RETIRED_DIM_CAP = "TPRS_DIM_CAP"  # a dimension cap, replaced by the byte budget
 
-DEFAULT_DIM_CAP = 4096          # largest dense operator dimension (2^(n t))
+# Declared peak bytes a route may reach. 1 GiB admits every size the tests and CI
+# run (the largest, a Haar moment at n = 6, t = 2 from 1000 samples, declares
+# 0.47 GB) and the exact distance route to t = 5 at n = 20.
+DEFAULT_MEM_CAP = 1 << 30
 DEFAULT_TABLE_CAP = 2**20       # cap on 2^n: a permutation table or a state vector
 DEFAULT_BUDGET_CONSTANT = 10.0  # c in the runtime-budget test cost <= c * T(n)
 DEFAULT_KAPPA = 1.0             # rendering constant for asymptotic table entries
@@ -25,41 +30,30 @@ TRACE_TOL = 1e-10
 EIG_FLOOR = 1e-12
 
 
-def dim_cap() -> int:
-    """The dense-dimension cap: TPRS_DIM_CAP if set, else DEFAULT_DIM_CAP."""
-    env = os.environ.get(ENV_DIM_CAP)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ValidationError(f"{ENV_DIM_CAP} must be an integer, got {env!r}") from exc
-    return DEFAULT_DIM_CAP
+def mem_cap() -> int:
+    """The byte budget: TPRS_MEM_CAP if set, else DEFAULT_MEM_CAP. A set
+    TPRS_DIM_CAP is rejected, so a run sized by the old knob fails loudly."""
+    if RETIRED_DIM_CAP in os.environ:
+        raise ValidationError(f"{RETIRED_DIM_CAP} is retired; set {ENV_MEM_CAP}, a budget in bytes, instead")
+    env = os.environ.get(ENV_MEM_CAP)
+    if env is None:
+        return DEFAULT_MEM_CAP
+    try:
+        return int(env)
+    except ValueError as exc:
+        raise ValidationError(f"{ENV_MEM_CAP} must be an integer number of bytes, got {env!r}") from exc
 
 
-def check_dim(n: int, t: int) -> int:
-    """Dense dimension 2^(n t) of t copies of n qubits; raises
-    DimensionCapExceeded above the cap. Call it before allocating."""
-    limit = dim_cap()
-    dim = (2**n) ** t
-    if dim > limit:
-        raise DimensionCapExceeded(f"2^({n}*{t}) exceeds dimension cap {limit}")
-    return dim
+def check_budget(what: str, peak_bytes: int) -> int:
+    """The one budget check: raises DimensionCapExceeded when a route's declared
+    peak bytes exceed TPRS_MEM_CAP. Call it before allocating."""
+    limit = mem_cap()
+    if peak_bytes > limit:
+        raise DimensionCapExceeded(f"{what} needs {peak_bytes:,} bytes, over the {ENV_MEM_CAP} budget of {limit:,}")
+    return peak_bytes
 
 
-def check_reduced_dim(n: int, t: int) -> int:
-    """Dense dimension min(2^n, 2t)^t of the problem that the relabelling
-    symmetry reduces the exact t-copy moments of n qubits to: every pair of
-    types spans at most 2t values, so its orbits and patterns are those of
-    min(2^n, 2t) values. Raises DimensionCapExceeded above the cap; call it
-    before enumerating."""
-    limit = dim_cap()
-    values = min(2**n, 2 * t)
-    dim = values**t
-    if dim > limit:
-        raise DimensionCapExceeded(f"reduced problem {values}^{t} exceeds dimension cap {limit}")
-    return dim
-
-
+# a fixed cap, not a cost: dense rows span the whole domain until subset rows are held sparse
 def check_domain(n: int) -> int:
     """Size 2^n of the n-bit domain that a permutation table or a state vector
     spans; raises DomainCapExceeded above DEFAULT_TABLE_CAP. Call it before allocating."""

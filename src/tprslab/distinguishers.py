@@ -22,7 +22,9 @@ from .growth import GrowthClass
 from .linalg import PartitionSpec, abs2
 from .randprims import as_seed
 from .resources import (
+    MEASURE_COHERENCE_HS,
     MEASURE_COLLISION_ENT,
+    MEASURE_MAGIC,
     ResourceMeasure,
     measure_pure_amps,
     pauli_power_sums,
@@ -55,13 +57,15 @@ class DistinguisherDescriptor:
 
     ``accept_prob_pure(amps, n)`` is its acceptance probability on t copies of
     a pure state, read from single-copy amplitudes: a float for one (2^n,)
-    vector, one value per row for a (rows, 2^n) block.
+    vector, one value per row for a (rows, 2^n) block. ``kernel`` is the measure
+    whose block kernel it reads, so ``kernel.cost`` declares its work.
     """
 
     name: str
     copies_required: int
     declared_cost: Callable[[int, int], float]
     accept_prob_pure: Callable[[np.ndarray, int], float]
+    kernel: ResourceMeasure
 
 
 def make_swap_distinguisher(part: PartitionSpec) -> DistinguisherDescriptor:
@@ -76,6 +80,7 @@ def make_swap_distinguisher(part: PartitionSpec) -> DistinguisherDescriptor:
         copies_required=2,
         declared_cost=lambda n, t: float(n + 1),
         accept_prob_pure=accept_pure,
+        kernel=purity,
     )
 
 
@@ -91,6 +96,7 @@ def make_coherence_distinguisher() -> DistinguisherDescriptor:
         copies_required=2,
         declared_cost=lambda n, t: float(2 * n + 1),
         accept_prob_pure=accept_pure,
+        kernel=ResourceMeasure(MEASURE_COHERENCE_HS),
     )
 
 
@@ -111,6 +117,7 @@ def make_hadamard_distinguisher(alpha: int) -> DistinguisherDescriptor:
         copies_required=2 * alpha,
         declared_cost=lambda n, t: float(2 * alpha * (n + 1)),
         accept_prob_pure=accept_pure,
+        kernel=ResourceMeasure(MEASURE_MAGIC, alpha=alpha),
     )
 
 
@@ -184,7 +191,8 @@ def estimate_advantage(
             f"{dist.name} needs t={dist.copies_required}, got {e1.t} and {e2.t}"
         )
     accept = dist.accept_prob_pure
-    acc1, acc2 = paired_value_means(as_seed(seed), samples, (accept, accept), sources=(e1, e2))
+    cost = dist.kernel.cost
+    acc1, acc2 = paired_value_means(as_seed(seed), samples, (accept, accept), sources=(e1, e2), costs=(cost, cost))
     return _advantage_report(dist, acc1, acc2, e1.n, T)
 
 
@@ -257,6 +265,7 @@ def hybrid_experiment(
         samples,
         tuple(dist.accept_prob_pure for dist in distinguishers for _ in specs),
         sources=tuple(specs.values()) * len(distinguishers),
+        costs=tuple(dist.kernel.cost for dist in distinguishers for _ in specs),
     )
     pairs = (
         ("keyed-vs-true", "keyed", "true"),

@@ -15,9 +15,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import check_dim, check_domain
+from .config import check_budget, check_domain
 from .errors import BadSubsetExponent, EmptySubset, ValidationError
-from .linalg import PureState, SymmetricOperator, abs2, hermitian_gram, symmetric_basis, symmetric_dimension
+from .linalg import PureState, SymmetricOperator, abs2, basis_cost, hermitian_gram, symmetric_basis, symmetric_dimension
 from .randprims import KeyedPermutation, PhaseFunction, RngSeed, draw_key_words, sample_haar_block
 from .sampling import DEFAULT_CHUNK, chunk_layout
 
@@ -264,15 +264,34 @@ def sample_block(spec: EnsembleSpec, count: int, rng: np.random.Generator) -> np
     return amps
 
 
+def sample_block_cost(spec: EnsembleSpec, rows: int) -> tuple[int, int]:
+    """Declared (peak bytes, multiply-adds) of ``sample_block(spec, rows, rng)``, a variate
+    counted as 8 multiply-adds and a keyed round or phase bit as 12 per member."""
+    d, m = spec.dim, spec.m or 0
+    if spec.kind == KIND_HAAR:
+        return 32 * d * rows, 20 * d * rows
+    if spec.kind == KIND_STABILIZER:
+        return 16 * d * (rows + 1080), d * rows  # 1,080 states at n = 3, the largest orbit
+    if spec.kind in (KIND_SUBSET_TRUE, KIND_SUBSET_PHASE_TRUE):
+        return 8 * rows * (3 * d + 4 * m), rows * (13 * d + 8 * m)
+    return 8 * rows * (d + 6 * m), rows * (d + m * (12 * KeyedPermutation.default_rounds(spec.n) + 24))
+
+
 # ---------------------------------------------------------------------------
 # Moment operators
 
 
+def haar_moment_cost(n: int, t: int) -> tuple[int, int]:
+    """Declared (peak bytes, multiply-adds) of ``haar_moment``: I, I/D, its copy and a mask."""
+    size = symmetric_dimension(n, t)
+    return 20 * size * size + (1 << 17), size * size
+
+
 def haar_moment(n: int, t: int) -> SymmetricOperator:
     """Average t-copy projector of the Haar ensemble, P_sym / binom(2^n+t-1, t): the
-    SymmetricOperator with block I/D. Cached per (n, t) behind the dimension cap's
+    SymmetricOperator with block I/D. Cached per (n, t) behind the byte budget's
     check; it is read-only, so callers share it."""
-    check_dim(n, t)
+    check_budget("Haar moment", haar_moment_cost(n, t)[0])
     return _haar_moment(n, t)
 
 
@@ -289,6 +308,24 @@ class MomentEstimate:
     samples: int
 
 
+def mc_moment_cost(spec: EnsembleSpec, samples: int) -> tuple[int, int]:
+    """Declared (peak bytes, multiply-adds) of ``mc_ensemble_moment(spec, samples)``: the
+    basis, a chunk's draw and (k, D) type rows with their temporaries, and D x D arrays
+    (running sum, chunk Gram, squared-entry sums, kept factor and its copy); per sample,
+    the type products and two rank-1 updates of D^2 / 2 (real) or 2 D^2 (complex)."""
+    size, rows = symmetric_dimension(spec.n, spec.t), min(samples, _moment_rows(spec))
+    wide = spec.kind in (KIND_HAAR, KIND_STABILIZER)  # complex rows
+    item = 16 if wide else 8
+    draw_bytes, draw_madds = sample_block_cost(spec, rows)
+    peak = basis_cost(spec.n, spec.t)[0] + draw_bytes + rows * size * (2 * item + 24) + (4 * item + 16) * size * size
+    per_sample = draw_madds / rows + 4 * spec.t * size + (5 if wide else 2) * size * size / 2
+    return peak, int(samples * per_sample)
+
+
+def _moment_rows(spec: EnsembleSpec) -> int:
+    return max(1, min(DEFAULT_CHUNK, (1 << 22) // spec.dim**spec.t))  # at most 2^22 dense entries
+
+
 def mc_ensemble_moment(spec: EnsembleSpec, samples: int) -> MomentEstimate:
     """Monte-Carlo mean of the t-copy projector, a SymmetricOperator, with a max-entry standard error.
 
@@ -300,8 +337,9 @@ def mc_ensemble_moment(spec: EnsembleSpec, samples: int) -> MomentEstimate:
     block is real for the subset kinds. With samples < D the operator keeps the
     scaled rows v as its ``factor`` (``SymmetricOperator.from_rows``).
     """
+    check_budget("Monte-Carlo moment", mc_moment_cost(spec, samples)[0])
     basis = symmetric_basis(spec.n, spec.t)
-    block_cap = max(1, min(DEFAULT_CHUNK, (1 << 22) // len(basis.index)))
+    block_cap = _moment_rows(spec)
     root = np.sqrt(basis.orbit)
     total_sq = None
 

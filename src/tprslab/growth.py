@@ -11,8 +11,8 @@ import ast
 import math
 from dataclasses import dataclass
 
-from .config import DEFAULT_KAPPA, check_reduced_dim
-from .errors import DimensionCapExceeded, NonEvaluable, UnrecognizedForm, UnsupportedGrowthClass, ValidationError
+from .config import DEFAULT_KAPPA, check_budget, mem_cap
+from .errors import NonEvaluable, UnrecognizedForm, UnsupportedGrowthClass, ValidationError
 
 __all__ = [
     "GrowthClass",
@@ -561,21 +561,18 @@ def advise_subset_size(T: GrowthClass, n: int) -> SubsetAdvice:
 
 def advise_copies(T: GrowthClass, n: int) -> int:
     """Copy count: the two-copy minimum for plain classes, ceil(f(n)) for
-    poly-of-f classes, clipped to the largest count whose exact moments fit
-    the dimension cap once reduced (``check_reduced_dim``, the gate of
-    ``distance``). Raises DimensionCapExceeded where two copies do not fit."""
+    poly-of-f classes, clipped to the largest count whose exact distance route
+    (``symmetry.route_cost``, the gate of ``distance``) fits the byte budget.
+    Raises DimensionCapExceeded where two copies do not fit."""
+    from .symmetry import route_cost  # numpy-free until it computes
     if n < 2:
         raise ValidationError("advisors require n >= 2")
     if T.form == "exp":
         raise UnsupportedGrowthClass("no valid copy count for exponential runtime")
     raw = max(2, math.ceil(T.base_class().eval(n))) if T.is_family else 2
     t = 2
-    check_reduced_dim(n, t)
-    while t < raw:
-        try:
-            check_reduced_dim(n, t + 1)
-        except DimensionCapExceeded:
-            break
+    check_budget("exact distance route", route_cost(n, t)[0])
+    while t < raw and route_cost(n, t + 1)[0] <= mem_cap():
         t += 1
     return t
 

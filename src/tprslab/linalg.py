@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import EIG_FLOOR, HERM_TOL, NORM_TOL, TRACE_TOL, check_dim
+from .config import EIG_FLOOR, HERM_TOL, NORM_TOL, TRACE_TOL, check_budget
 from .errors import DimensionMismatch, PartitionMismatch, ValidationError
 
 __all__ = [
@@ -98,7 +98,7 @@ class SymmetricOperator:
     """Hermitian, unit-trace operator on the symmetric subspace of t copies of n / t
     qubits, held as its (D, D) ``block`` in the basis of ``symmetric_basis(n // t, t)``,
     float64 when real. ``n`` and ``dim`` = 2^n are the dense space's; ``mat``, the dense
-    gather, is built under the dimension cap when first read, then cached read-only.
+    gather, is built within the byte budget (``gather_cost``) when first read, then cached read-only.
     ``factor`` is None except on a sample mean built by ``from_rows`` from N < D rows."""
 
     n: int
@@ -167,6 +167,7 @@ class SymmetricOperator:
     @cached_property
     def mat(self) -> np.ndarray:
         """Entry (x, y) is block[mu, nu] / sqrt(N_mu N_nu), mu and nu the types of x and y."""
+        check_budget("dense moment gather", gather_cost(self.n // self.t, self.t, self.block.itemsize)[0])
         basis = symmetric_basis(self.n // self.t, self.t)
         root = np.sqrt(basis.orbit)
         # one symmetric divisor keeps an exactly Hermitian block exactly Hermitian
@@ -253,6 +254,13 @@ class SymmetricBasis(NamedTuple):
     index: np.ndarray  # (2^(n t),) type of each dense basis index
 
 
+def basis_cost(n: int, t: int) -> tuple[int, int]:
+    """Declared (peak bytes, multiply-adds) of building ``symmetric_basis(n, t)``: the
+    2^(n t) digit rows, their sorted copy, np.unique's work arrays and its sort."""
+    dense = (2**n) ** t
+    return 8 * dense * (2 * t + 7), dense * (2 * t + 2 * max(1, dense.bit_length()))
+
+
 @lru_cache(maxsize=16)
 def _symmetric_basis(n: int, t: int) -> SymmetricBasis:
     d = 2**n
@@ -269,8 +277,15 @@ def symmetric_basis(n: int, t: int) -> SymmetricBasis:
     """Cached type basis of the symmetric subspace; D = symmetric_dimension(n, t)."""
     if n < 1 or t < 1:
         raise ValidationError("n and t must be >= 1")
-    check_dim(n, t)
+    check_budget("symmetric basis", basis_cost(n, t)[0])
     return _symmetric_basis(n, t)
+
+
+def gather_cost(n: int, t: int, itemsize: int = 8) -> tuple[int, int]:
+    """Declared (peak bytes, multiply-adds) of ``SymmetricOperator.mat`` (``itemsize``-byte
+    entries) or ``symmetric_projector``: the basis, two D x D blocks, a mask and the result."""
+    dense, size = (2**n) ** t, symmetric_dimension(n, t)
+    return basis_cost(n, t)[0] + 16 * size * size + (itemsize + 1) * dense * dense, dense * dense + size * size
 
 
 def symmetric_projector(n: int, t: int) -> np.ndarray:
@@ -280,5 +295,6 @@ def symmetric_projector(n: int, t: int) -> np.ndarray:
     not a unit-trace operator. Entry (x, y) is 1/N_mu when x and y share the
     type mu, else 0.
     """
+    check_budget("symmetric projector", gather_cost(n, t)[0])
     basis = symmetric_basis(n, t)
     return (basis.index[:, None] == basis.index) / basis.orbit[basis.index][:, None]

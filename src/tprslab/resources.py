@@ -42,12 +42,13 @@ __all__ = [
     "pauli_power_sums",
 ]
 
-MAGIC_MAX_QUBITS = 12  # X-part power sums: n 4^n work per state, about 0.2 s at n = 12
+# a time bound, which bytes do not express: n 4^n work per state, about 0.2 s at n = 12
+MAGIC_MAX_QUBITS = 12
 # (row, X-part, x) entries per slice of the power-sum kernel, so memory does
 # not grow with n. Of 2^12..2^15 on a 2-core VM, 2^14 was the fastest or
 # within noise at n = 3..12, and up to 1.3x faster than 2^13 at n = 5..12.
 PAULI_SLICE_ENTRIES = 1 << 14
-PAULI_BASIS_MAX_QUBITS = 4  # dense (4^n, 2^n, 2^n) Pauli stack
+PAULI_BASIS_MAX_QUBITS = 4  # dense (4^n, 2^n, 2^n) Pauli stack; a helper only benchmark set-up and tests call
 
 MEASURE_COHERENCE_RE = "coherence-re"
 MEASURE_COHERENCE_HS = "coherence-hs"
@@ -98,6 +99,20 @@ class ResourceMeasure:
     def statistic(self, block: np.ndarray, n: int) -> np.ndarray:
         """The raw statistic as a block statistic for ``paired_value_means``."""
         return measure_pure_amps(self, block, n)
+
+    def cost(self, rows: int, n: int) -> tuple[int, int]:
+        """Declared (peak bytes, multiply-adds) of ``statistic`` on a (rows, 2^n) complex block,
+        beyond it: |amps|^2 and its logs; the Schmidt Gram with, as a bound for both partition
+        measures, a solver copy and d_A^3 spectrum work; or a Pauli slice and n 4^n work a row."""
+        d = 2**n
+        if self.name in (MEASURE_COHERENCE_RE, MEASURE_COHERENCE_HS):
+            return 32 * d * rows, (12 if self.name == MEASURE_COHERENCE_RE else 4) * d * rows
+        if self.partition is not None:
+            side = 2**self.partition.n_a
+            return 8 * rows * side * (4 * side + 5), rows * (4 * d * side + 8 * side**3 + 10 * side)
+        groups = -(-n // _WHT_GROUP_BITS)
+        transform = sum(2 ** ((n + j) // groups) for j in range(groups))
+        return 64 * PAULI_SLICE_ENTRIES + 8 * rows, rows * d * d * (6 + transform + self.alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +408,7 @@ def estimate_gap(
         raise ValidationError("ensembles must share the qubit count")
     measure.check(e_high.n)
     acc_high, acc_low = paired_value_means(
-        as_seed(seed), samples, (measure.statistic, measure.statistic), sources=(e_high, e_low)
+        as_seed(seed), samples, (measure.statistic,) * 2, sources=(e_high, e_low), costs=(measure.cost,) * 2
     )
     mean_h, se_h = aggregate_measure(measure, acc_high)
     mean_l, se_l = aggregate_measure(measure, acc_low)

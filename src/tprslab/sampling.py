@@ -14,8 +14,9 @@ mask, read at each call): the calling process runs the first share and forked
 children run the others, each returning only its chunks' accumulators.
 Those merge in chunk index order, so an estimate depends only on
 (seed, samples), bit for bit, whatever the worker count and the sub-block
-size; ``taskset -c 0`` gives a serial run. Chunks under FORK_MIN_READS
-amplitude reads run inline.
+size; ``taskset -c 0`` gives a serial run. Chunks whose declared work
+(``chunk_cost``) is under FORK_MIN_MADDS multiply-adds run inline, and a chunk
+whose declared peak bytes exceed the budget is refused before anything is drawn.
 """
 
 from __future__ import annotations
@@ -26,13 +27,14 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .config import check_budget
 from .errors import ValidationError
 from .forkmap import forked_map
 
 if TYPE_CHECKING:
     from .randprims import RngSeed
 
-__all__ = ["MeanAccumulator", "chunk_layout", "paired_value_means", "usable_cores"]
+__all__ = ["MeanAccumulator", "chunk_cost", "chunk_layout", "paired_value_means", "usable_cores"]
 
 DEFAULT_CHUNK = 1024
 # Amplitudes per drawn sub-block (256 KiB of float64 for the subset kinds, 512 KiB
@@ -43,12 +45,11 @@ DEFAULT_CHUNK = 1024
 # (0.450 and 0.433 s against 0.453 and 0.464 s, 15 s runs) and used 4.5 MB
 # (+10%) more peak memory, the benchmark's bound on memory growth.
 SUB_BLOCK_AMPS = 1 << 15
-# Chunks run in forked workers only from this many amplitude reads per chunk
-# (chunk rows x the summed dimension of the streams' sources). A fork and its
-# wait cost 5-10 ms on a 2-core VM, where 2-chunk calls ran 1.4-5x slower
-# forked for an n = 4..6 coherence sweep and an n = 6 prop-check (at most 2^17
-# reads), and 1.1-1.3x faster for n = 7, 8 gaps.
-FORK_MIN_READS = 1 << 18
+# Chunks fork only from this many declared multiply-adds (``chunk_cost``). A fork
+# and its wait cost about 2 ms on a 2-core VM, where a 1024-row chunk of the n = 6
+# prop-check (3.7e6) took 4 ms, of an n = 7 coherence gap (7.5e6) 7 ms, and of an
+# n = 5 magic gap (8.9e7) 12 ms, 1.4x faster forked.
+FORK_MIN_MADDS = 5_000_000
 
 
 def chunk_layout(samples: int, chunk: int = DEFAULT_CHUNK) -> list[tuple[int, int, int]]:
@@ -100,6 +101,29 @@ def usable_cores() -> int:
         return 1
 
 
+def _by_source(sources) -> dict:
+    """Stream indices by source, in first-seen order."""
+    groups: dict = {}
+    for k, spec in enumerate(sources):
+        groups.setdefault(spec, []).append(k)
+    return groups
+
+
+def chunk_cost(rows: int, costs, sources) -> tuple[int, int]:
+    """Declared (peak bytes, multiply-adds) of a chunk of ``rows`` draws and the streams'
+    statistics (``costs[k](rows, n)``): its values and largest sub-block, and all work."""
+    from .ensembles import sample_block_cost  # ensembles imports this module
+
+    peak = madds = 0
+    for spec, streams in _by_source(sources).items():
+        sub = min(rows, max(1, SUB_BLOCK_AMPS // spec.dim))
+        draw = sample_block_cost(spec, sub)
+        stats = [costs[k](sub, spec.n) for k in streams]
+        peak = max(peak, draw[0] + max(b for b, _ in stats))
+        madds += (draw[1] + sum(w for _, w in stats)) * rows // sub
+    return peak + 8 * len(costs) * rows, madds
+
+
 def paired_value_means(
     seed: RngSeed,
     samples: int,
@@ -107,23 +131,24 @@ def paired_value_means(
     chunk: int = DEFAULT_CHUNK,
     *,
     sources,
+    costs,
 ) -> list[MeanAccumulator]:
-    """Per-stream means; stream k calls ``value_fns[k](block, n)`` on the
-    (rows, 2^n) amplitude blocks of ensemble ``sources[k]``.
+    """Per-stream means; stream k calls ``value_fns[k](block, n)`` on the (rows, 2^n)
+    amplitude blocks of ensemble ``sources[k]``, at a declared cost ``costs[k](rows, n)``.
 
     Streams with equal sources read the same rows, drawn once. Chunks of at
-    least FORK_MIN_READS amplitude reads run on every usable core (see
+    least FORK_MIN_MADDS declared multiply-adds run on every usable core (see
     ``forked_map``); all merge in index order.
     """
     from .ensembles import sample_block  # ensembles imports this module
 
     n_streams = len(value_fns)
-    if len(sources) != n_streams:
-        raise ValidationError("one source per value stream required")
-    groups: dict[tuple, list[int]] = {}
-    for k, spec in enumerate(sources):
-        groups.setdefault(spec, []).append(k)
+    if len(sources) != n_streams or len(costs) != n_streams:
+        raise ValidationError("one source per value stream required, and one cost")
+    groups = _by_source(sources)
     layout = chunk_layout(samples, chunk)
+    peak, madds = chunk_cost(layout[0][2], costs, sources)
+    check_budget("Monte-Carlo chunk", peak)
 
     def run_chunk(c: int) -> list[MeanAccumulator]:
         idx, _, size = layout[c]
@@ -138,8 +163,7 @@ def paired_value_means(
         return [MeanAccumulator.of(v) for v in values]
 
     totals = [MeanAccumulator() for _ in range(n_streams)]
-    reads = layout[0][2] * sum(spec.dim for spec in sources)
-    workers = usable_cores() if reads >= FORK_MIN_READS else 1
+    workers = usable_cores() if madds >= FORK_MIN_MADDS else 1
     for accs in forked_map(run_chunk, len(layout), workers):
         for total, acc in zip(totals, accs):
             total.merge(acc)

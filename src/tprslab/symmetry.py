@@ -23,9 +23,9 @@ their joint eigenspace is the space of B_lambda. The kernel U_i is set
 apart from the rest of an integer spectrum, and the X_b have norm below t,
 so no eigenvalue of order d has to be told from a neighbour one apart.
 
-In the library only ``bounds.verify_distance_bound`` calls this module, and
-it imports it on first use; a caller checks the inputs and the caps. The
-module imports no other ``tprslab`` module.
+The route's cost is the level spaces V_i, not the blocks; ``route_cost`` counts
+it without building a level, and callers check it against the byte budget. The
+module imports no other ``tprslab`` module, and numpy only where it computes.
 """
 
 from __future__ import annotations
@@ -36,14 +36,13 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 from types import SimpleNamespace
 
-import numpy as np
-
-__all__ = ["exact_distance", "isotypic_blocks"]
+__all__ = ["exact_distance", "isotypic_blocks", "route_cost"]
 
 
 def _moment_coefficients(d: int, m: int, t: int) -> np.ndarray:
     """C(d-k, m-k) / C(d, m) / m^t = prod_{j<k} (m-j) / (d-j) / m^t, indexed by
     k = 0..min(2t, d): the moment entry of a pair of types with k distinct values."""
+    import numpy as np
     j = np.arange(min(2 * t, d))
     return np.concatenate(([1.0], np.cumprod(np.maximum(m - j, 0) / (d - j)))) / float(m) ** t
 
@@ -108,6 +107,7 @@ def _level(t: int, i: int, width: int) -> SimpleNamespace:
     average: per marked b, (src, dst, fresh) arrays of P_b's transpositions;
     jucys: per marked b >= 1, (src, dst) arrays of X_b's transpositions.
     """
+    import numpy as np
     orbits = [
         (a, pi) for a in product(range(t + 1), repeat=i) if sum(a) <= t for pi in _partitions(t - sum(a), rows=width)
     ]
@@ -149,6 +149,7 @@ def _level(t: int, i: int, width: int) -> SimpleNamespace:
 
 def _falling(x: np.ndarray, r: np.ndarray) -> np.ndarray:
     """(x)_r = x (x - 1) ... (x - r + 1) elementwise, as floats; 0 when r > x >= 0."""
+    import numpy as np
     j = np.arange(max(int(np.max(r, initial=0)), 1))
     return np.prod(np.where(j < np.asarray(r)[..., None], np.asarray(x, float)[..., None] - j, 1.0), axis=-1)
 
@@ -168,6 +169,7 @@ def _irrep_dim(lam: tuple) -> int:
 def _joint_eigenspace(basis: np.ndarray, ops, targets) -> np.ndarray:
     """Columns spanning the vectors of span(basis) on which each commuting
     symmetric operator has its integer target eigenvalue."""
+    import numpy as np
     for op, target in zip(ops, targets):
         w, v = np.linalg.eigh(basis.T @ op @ basis)
         basis = basis @ v[:, np.abs(w - target) < 0.5]
@@ -181,6 +183,7 @@ def isotypic_blocks(kind: str, n: int, t: int) -> SimpleNamespace:
     the (K, R, R) stack with B_lambda = sum_k coef[k] blocks[l, k], coef from
     ``_moment_coefficients``, zero-padded to R = max(sizes); shift[l] is I/D
     on the block's own entries."""
+    import numpy as np
     d = 2**n
     coefs = min(2 * t, d) + 1
     dims, sizes, stacks = [], [], []
@@ -232,10 +235,38 @@ def isotypic_blocks(kind: str, n: int, t: int) -> SimpleNamespace:
     return SimpleNamespace(dims=tuple(dims), sizes=tuple(sizes), blocks=blocks, weights=weights, shift=shift)
 
 
+def _level_sizes(t: int, i: int, width: int) -> tuple[int, int]:
+    """|V_i| and a lower bound on the moment patterns of ``_level(t, i, width)``: C(s + i - 1, s)
+    orbits per unmarked partition pi, s = t - |pi|, and a pattern per count of parts two orbits
+    share, min(len(pi), len(rho)) + 1 (parity splits add 3% over a route, 15% at n = 1)."""
+    by_parts = [0] * (t + 1)  # orbits by their number of unmarked parts
+    for k in range(t + 1):
+        count = math.comb(t - k + i - 1, t - k) if i else int(k == t)
+        for pi in _partitions(k, rows=width) if count else ():
+            by_parts[len(pi)] += count
+    pairs = sum(a * b * (min(x, y) + 1) for x, a in enumerate(by_parts) for y, b in enumerate(by_parts))
+    return sum(by_parts), pairs
+
+
+def route_cost(n: int, t: int) -> tuple[int, int]:
+    """Declared (peak bytes, multiply-adds) of ``isotypic_blocks(kind, n, t)``, summed over
+    the cached levels: 200 bytes and t + 5 multiply-adds a moment pattern, and 3t + 5
+    dense |V_i| x |V_i| arrays with (4t + 12) |V_i|^3 eigen-problem work."""
+    peak = madds = 0
+    for i in range(min(t, 2**n - 1) + 1):
+        size, patterns = _level_sizes(t, i, min(t, 2**n - i))
+        peak += 200 * patterns + 8 * (3 * t + 5) * size * size
+        madds += (t + 5) * patterns + (4 * t + 12) * size**3
+    return peak, madds
+
+
 def exact_distance(kind: str, n: int, m: int, t: int) -> float:
     """Trace distance of the exact t-copy moment of the size-m ``kind``
     ensemble to the Haar moment I/D: half of
-    sum_lambda dim(lambda) * sum |eig(B_lambda - 1/D)|."""
+    sum_lambda dim(lambda) * sum |eig(B_lambda - 1/D)|. Bad input raises ValueError first."""
+    import numpy as np
+    if kind not in ("subset", "subset-phase") or n < 1 or t < 1 or not 1 <= m <= 2**n:
+        raise ValueError(f"need kind subset or subset-phase, n, t >= 1 and 1 <= m <= 2^n; got {(kind, n, m, t)}")
     iso = isotypic_blocks(kind, n, t)
     block = np.einsum("k,lkrs->lrs", _moment_coefficients(2**n, m, t), iso.blocks) - iso.shift
     return 0.5 * float(iso.weights @ np.abs(np.linalg.eigvalsh(block)).sum(axis=1))

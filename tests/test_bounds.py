@@ -16,6 +16,7 @@ from tprslab.ensembles import EnsembleSpec
 from tprslab.errors import BoundDegenerate, DimensionCapExceeded, ParameterOrderViolated, ValidationError
 from tprslab.growth import Const, Growth, GrowthClass, Mul, advise_subset_size
 from tprslab.randprims import RngSeed
+from tprslab.symmetry import route_cost
 
 from .util import recip
 
@@ -145,12 +146,13 @@ class TestVerifyDistanceBound:
         with pytest.raises(ValidationError, match="need 1 <= m <= 2"):
             verify_distance_bound("subset-phase", 6, [16, 128], 2)
 
-    def test_dimension_cap_is_the_env_knob(self, monkeypatch):
-        # n = 3, t = 2 reduces to min(8, 2 t)^t = 16 dense dimensions: allowed at 16, refused below
-        monkeypatch.setenv("TPRS_DIM_CAP", "16")
+    def test_budget_is_the_env_knob(self, monkeypatch):
+        # the exact distance route at n = 3, t = 2 declares its peak bytes: allowed at that budget, refused a byte below
+        need = route_cost(3, 2)[0]
+        monkeypatch.setenv("TPRS_MEM_CAP", str(need))
         assert verify_distance_bound("subset-phase", 3, [2], 2).rows[0].lhs == pytest.approx(PHASE_LHS[2], abs=1e-6)
-        monkeypatch.setenv("TPRS_DIM_CAP", "15")
-        with pytest.raises(DimensionCapExceeded, match="reduced problem 4\\^2 exceeds dimension cap 15"):
+        monkeypatch.setenv("TPRS_MEM_CAP", str(need - 1))
+        with pytest.raises(DimensionCapExceeded, match=f"^exact distance route needs {need:,} bytes, over the TPRS_MEM_CAP"):
             verify_distance_bound("subset-phase", 3, [2], 2)
 
     def test_cross_size_drift_is_real(self):

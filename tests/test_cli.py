@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tprslab.cli import main
+from tprslab.growth import GrowthClass, table_lower_bound
 
 
 def run(argv, capsys):
@@ -63,10 +64,10 @@ class TestDistance:
         assert lhs[0] > lhs[1]
 
     def test_infeasible_exact_is_resource_error(self, capsys):
-        # t = 5 reduces to 10^5 dense dimensions, past the default cap
-        code, _, err = run(["distance", "--kind", "subset", "--n", "8", "--t", "5", "--m", "4"], capsys)
+        # the t = 7 route declares about 17 GB of level arrays, past the default budget
+        code, _, err = run(["distance", "--kind", "subset", "--n", "8", "--t", "7", "--m", "4"], capsys)
         assert code == 3
-        assert "cap" in err
+        assert "TPRS_MEM_CAP" in err
 
     def test_single_copy_distance_beyond_enumeration(self, capsys):
         # C(256, 4) subsets were too many to enumerate; at t = 1 the exact
@@ -164,15 +165,18 @@ class TestSweep:
         assert float(rows[0][3]) <= float(rows[1][3])
 
     def test_magic_alpha_scaling(self, capsys):
-        code, out, _ = run(
-            ["--samples", "100", "sweep", "--measure", "magic", "--n", "16", "--classes", "log,linear"],
-            capsys,
-        )
-        assert code == 0
-        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
         # magic bounds are the coherence bounds divided by alpha - 1 = 2
-        assert float(rows[0][3]) == pytest.approx(3.0 / 2)
-        assert float(rows[1][3]) == pytest.approx(5.0 / 2)
+        bounds = {}
+        for measure in ("magic", "coherence-re"):
+            code, out, _ = run(
+                ["--samples", "100", "sweep", "--measure", measure, "--n", "8", "--classes", "log,linear"], capsys
+            )
+            assert code == 0
+            bounds[measure] = [float(line.split(",")[3]) for line in out.strip().splitlines()[1:]]
+        assert bounds["magic"] == pytest.approx([b / 2 for b in bounds["coherence-re"]])
+        # the rows an n = 16 sweep printed before it measured magic only within reach
+        magic = [table_lower_bound(GrowthClass.parse(c), "magic", 16, alpha=3) for c in ("log", "linear")]
+        assert magic == pytest.approx([3.0 / 2, 5.0 / 2])
 
     def test_chain_violation_exits_4(self, capsys):
         # below n = 8 the rendered class chain genuinely inverts between the
@@ -279,7 +283,7 @@ class TestConfigHandling:
         doc = json.loads(out)
         assert doc["samples"] == 10000
         assert doc["format"] == "csv"
-        assert doc["dim_cap"] == 4096
+        assert doc["mem_cap"] == 2**30
 
     def test_config_file_and_override(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -390,7 +394,7 @@ class TestWorkerIdentity:
     def fork_every_chunk(self, monkeypatch):
         from tprslab import sampling
 
-        monkeypatch.setattr(sampling, "FORK_MIN_READS", 0)
+        monkeypatch.setattr(sampling, "FORK_MIN_MADDS", 0)
         self.monkeypatch = monkeypatch
         self.sampling = sampling
 
@@ -454,11 +458,20 @@ class TestErrorMapping:
         assert "validation error: partition 2:2 does not cover 5 qubits" in err
         assert "Traceback" not in err
 
-    def test_bad_dim_cap_environment_exits_2(self, monkeypatch, capsys):
-        monkeypatch.setenv("TPRS_DIM_CAP", "lots")
+    def test_bad_budget_environment_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setenv("TPRS_MEM_CAP", "lots")
         code, _, err = run(["advise", "--T", "log", "--n", "16"], capsys)
         assert code == 2
-        assert "TPRS_DIM_CAP" in err
+        assert "TPRS_MEM_CAP" in err
+
+    @pytest.mark.parametrize("value", ["4096", "lots"])
+    def test_retired_dimension_cap_exits_2_naming_the_budget(self, value, monkeypatch, capsys):
+        monkeypatch.setenv("TPRS_DIM_CAP", value)
+        distance = ["distance", "--kind", "subset", "--n", "3", "--t", "2", "--m", "2"]
+        for argv in (["advise", "--T", "log", "--n", "16"], distance):
+            code, out, err = run(argv, capsys)
+            assert code == 2 and out == ""
+            assert "TPRS_DIM_CAP is retired; set TPRS_MEM_CAP" in err
 
     @pytest.mark.parametrize("exc", [ValueError, KeyError])
     def test_program_errors_are_not_relabelled(self, exc, monkeypatch):
@@ -504,11 +517,19 @@ class TestMagicReach:
         assert code == 0
         assert out.splitlines()[1].split(",")[6] != ""
 
-    def test_sweep_measures_magic_up_to_the_cap(self, capsys):
-        code, out, _ = run(["--samples", "2", "sweep", "--measure", "magic", "--n", "12..13", "--classes", "log"], capsys)
+    def test_sweep_measures_magic_up_to_the_cap(self, monkeypatch, capsys):
+        code, out, _ = run(["--samples", "2", "sweep", "--measure", "magic", "--n", "12", "--classes", "log"], capsys)
         assert code == 0
-        measured = {line.split(",")[2]: line.split(",")[4] for line in out.splitlines()[1:]}
-        assert measured["12"] != "" and measured["13"] == ""
+        assert out.splitlines()[1].split(",")[4] != ""
+        from tprslab import ensembles
+
+        def fail(*args):
+            raise AssertionError("states drawn before every row was checked")
+
+        monkeypatch.setattr(ensembles, "sample_block", fail)
+        code, out, err = run(["--samples", "2", "sweep", "--measure", "magic", "--n", "12..13", "--classes", "log"], capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("resource limit: sweep row n = 13: Pauli power sums capped at n <= 12")
 
     def test_gap_magic_at_the_cap(self, capsys):
         code, out, _ = run(["--samples", "2", "gap", "--measure", "magic", "--n", "12", "--e1", "haar",
@@ -542,7 +563,7 @@ class TestSweepOneCall:
     @pytest.mark.parametrize(
         "measure,ns,classes",
         [
-            ("magic", "4,5,13", "log,linear"),
+            ("magic", "4,5", "log,linear"),
             ("entanglement-entropy", "4..6", "log,linear,poly"),
             ("coherence-re", "4,6", "log,polylog,linear"),
         ],
@@ -563,13 +584,12 @@ class TestSweepOneCall:
         assert len(rows) == len(cli._int_list(ns)) * len(classes.split(","))
         for row in rows:
             n = int(row["n"])
-            if n > cli.MAX_MEASURED_N:
-                assert row["measured"] == row["measured_se"] == row["delta"] == ""
-                continue
             resource = cli._parse_measure(measure, n, None, 3)
             spec = EnsembleSpec("subset-phase-true-random", n, m=advise_subset_size(GrowthClass.parse(row["T"]), n).m,
                                 seed=RngSeed(seed))
-            (acc,) = paired_value_means(RngSeed(seed), samples, (resource.statistic,), sources=(spec,))
+            (acc,) = paired_value_means(
+                RngSeed(seed), samples, (resource.statistic,), sources=(spec,), costs=(resource.cost,)
+            )
             mean, se = aggregate_measure(resource, acc)
             assert (row["measured"], row["measured_se"]) == (cli._fmt(mean), cli._fmt(se))
             ref = haar_expected(resource.name, n, part=resource.partition, alpha=resource.alpha)
@@ -669,17 +689,24 @@ class TestDistanceRobustness:
             assert err.getvalue().startswith(("validation error:", "resource limit:"))
 
     @pytest.mark.parametrize("flag,value", [("--m", "4"), ("--mexp", "2")])
-    def test_past_the_reduced_cap_exits_3_before_enumerating(self, flag, value, monkeypatch, capsys):
+    def test_past_the_budget_exits_3_before_enumerating(self, flag, value, monkeypatch, capsys):
         from tprslab import linalg, symmetry
 
+        # a budget of the t = 3 route: t = 3 runs, t = 4 is refused before any level is built
+        need = symmetry.route_cost(7, 3)[0]
+        monkeypatch.setenv("TPRS_MEM_CAP", str(need))
+        argv = ["distance", "--kind", "subset-phase", "--n", "7", flag, value]
+        assert run(argv + ["--t", "3"], capsys)[0] in (0, 4)
+
         def fail(*args):
-            raise AssertionError("enumerated beyond the cap")
+            raise AssertionError("enumerated beyond the budget")
 
         monkeypatch.setattr(symmetry, "_level", fail)
         monkeypatch.setattr(linalg, "_symmetric_basis", fail)
-        code, _, err = run(["distance", "--kind", "subset-phase", "--n", "7", "--t", "5", flag, value], capsys)
+        code, _, err = run(argv + ["--t", "4"], capsys)
         assert code == 3
-        assert "resource limit: reduced problem 10^5 exceeds dimension cap 4096" in err
+        over = symmetry.route_cost(7, 4)[0]
+        assert f"resource limit: exact distance route needs {over:,} bytes, over the TPRS_MEM_CAP budget of {need:,}" in err
 
     def test_n21_exits_3(self, capsys):
         code, _, err = run(["distance", "--kind", "subset", "--n", "21", "--t", "2", "--m", "4"], capsys)

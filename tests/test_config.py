@@ -1,15 +1,15 @@
-"""The resource caps in config: the 2^n domain cap and the dense-dimension cap.
+"""The resource caps in config: the 2^n domain cap and the byte budget.
 
 Both are checked before anything is allocated, so a request far beyond a cap
 raises the package's own error instead of a MemoryError or an OverflowError.
-The dimension cap's one knob is the TPRS_DIM_CAP environment variable.
+The budget's one knob is the TPRS_MEM_CAP environment variable, in bytes.
 """
 
 import pytest
 
 from tprslab import config
-from tprslab.config import DEFAULT_TABLE_CAP, check_dim, check_domain
-from tprslab.errors import DimensionCapExceeded, DomainCapExceeded
+from tprslab.config import DEFAULT_MEM_CAP, DEFAULT_TABLE_CAP, check_budget, check_domain, mem_cap
+from tprslab.errors import DimensionCapExceeded, DomainCapExceeded, ValidationError
 
 
 class TestCheckDomain:
@@ -30,9 +30,23 @@ class TestCheckDomain:
             check_domain(5)
 
 
-class TestCheckDim:
-    def test_at_and_beyond_the_cap(self, monkeypatch):
-        monkeypatch.setenv("TPRS_DIM_CAP", "64")
-        assert check_dim(3, 2) == 64
-        with pytest.raises(DimensionCapExceeded):
-            check_dim(3, 3)
+class TestCheckBudget:
+    def test_at_and_beyond_the_budget(self, monkeypatch):
+        monkeypatch.setenv("TPRS_MEM_CAP", "64")
+        assert check_budget("a route", 64) == 64
+        with pytest.raises(DimensionCapExceeded, match="^a route needs 65 bytes, over the TPRS_MEM_CAP budget of 64$"):
+            check_budget("a route", 65)
+
+    def test_default(self, monkeypatch):
+        monkeypatch.delenv("TPRS_MEM_CAP", raising=False)
+        assert mem_cap() == DEFAULT_MEM_CAP == 2**30
+
+    def test_retired_dimension_cap_names_the_new_knob(self, monkeypatch):
+        monkeypatch.setenv("TPRS_DIM_CAP", "4096")
+        with pytest.raises(ValidationError, match="TPRS_DIM_CAP is retired; set TPRS_MEM_CAP"):
+            check_budget("a route", 1)
+
+    def test_budget_must_be_an_integer(self, monkeypatch):
+        monkeypatch.setenv("TPRS_MEM_CAP", "1GB")
+        with pytest.raises(ValidationError, match="TPRS_MEM_CAP must be an integer"):
+            mem_cap()

@@ -9,9 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tprslab.bounds import _exact_lhs, verify_distance_bound
-from tprslab.config import DEFAULT_DIM_CAP, check_reduced_dim
+import tracemalloc
+
+from tprslab import symmetry
+from tprslab.config import DEFAULT_MEM_CAP
 from tprslab.errors import DimensionCapExceeded
-from tprslab.symmetry import _moment_coefficients, isotypic_blocks
+from tprslab.symmetry import _level, _level_sizes, _moment_coefficients, exact_distance, isotypic_blocks, route_cost
 
 from .util import block_distance_oracle
 
@@ -78,18 +81,58 @@ class TestBeyondTheBlock:
         assert rep.pairwise_slopes[0] < -0.4 and rep.pairwise_slopes[1] > 0.4
 
 
-class TestReducedCap:
+class TestRouteCost:
+    @pytest.mark.parametrize("t", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 20])
+    def test_level_sizes_count_the_levels_built(self, n, t):
+        # |V_i| exactly; the moment patterns from below, a route's total short by parity splits only
+        d, counted, built = 2**n, 0, 0
+        for i in range(min(t, d - 1) + 1):
+            level = _level(t, i, min(t, d - i))
+            size, patterns = _level_sizes(t, i, min(t, d - i))
+            assert size == len(level.parts)
+            assert patterns <= len(level.moment[0])
+            counted, built = counted + patterns, built + len(level.moment[0])
+        assert counted >= 0.85 * built
+
+    def test_top_level_sizes(self):
+        assert [_level_sizes(t, t, t)[0] for t in (4, 5, 6, 7)] == [92, 343, 1292, 4902]
+
     def test_accepts_every_size_the_dense_cap_accepted(self):
+        # every (n, t) with 2^(n t) <= 4096, the sizes the retired dimension cap admitted
         for n in range(1, 13):
             for t in range(1, 13):
-                if 2 ** (n * t) <= DEFAULT_DIM_CAP:
-                    check_reduced_dim(n, t)
+                if 2 ** (n * t) <= 4096:
+                    assert route_cost(n, t)[0] <= DEFAULT_MEM_CAP
 
-    @pytest.mark.parametrize("n,t", [(20, 4), (3, 4)])
-    def test_t4_fits_the_default_cap(self, n, t):
-        assert check_reduced_dim(n, t) == 4096
+    @pytest.mark.parametrize("n", [8, 20])
+    def test_default_budget_admits_t5_and_refuses_t6(self, n):
+        assert route_cost(n, 5)[0] <= DEFAULT_MEM_CAP < route_cost(n, 6)[0]
 
-    @pytest.mark.parametrize("n,t", [(4, 5), (20, 5), (2, 7)])
-    def test_refuses_past_the_default_cap(self, n, t):
-        with pytest.raises(DimensionCapExceeded, match="exceeds dimension cap 4096"):
-            check_reduced_dim(n, t)
+    @pytest.mark.parametrize("n,t", [(20, 4), (2, 5)])
+    def test_declared_bytes_bound_the_traced_peak(self, n, t):
+        # within a factor of 2.5 (1.6 and 2.0 measured)
+        exact_distance("subset", 3, 2, 2)  # numpy and the small levels, outside the trace
+        for cached in (_level, isotypic_blocks, symmetry._placements):
+            cached.cache_clear()
+        tracemalloc.start()
+        try:
+            exact_distance("subset-phase", n, 2, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= route_cost(n, t)[0] <= 2.5 * peak
+
+
+@pytest.mark.parametrize(
+    "args",
+    [("haar", 3, 4, 2), ("subset", 3, 9, 2), ("subset", 3, 0, 2), ("subset-phase", 3, 2, 0)],
+    ids=["unknown-kind", "m-above-2^n", "m-zero", "t-zero"],
+)
+def test_exact_distance_rejects_bad_input_before_any_work(args, monkeypatch):
+    def fail(*a):
+        raise AssertionError("work began before the input check")
+
+    monkeypatch.setattr(symmetry, "isotypic_blocks", fail)
+    with pytest.raises(ValueError):
+        exact_distance(*args)

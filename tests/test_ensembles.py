@@ -5,7 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from tprslab.config import check_reduced_dim
+from tprslab.config import check_budget, mem_cap
 from tprslab.ensembles import (
     ENSEMBLE_KINDS,
     EnsembleSpec,
@@ -20,6 +20,7 @@ from tprslab.ensembles import (
 from tprslab.errors import BadSubsetExponent, DimensionCapExceeded, DomainCapExceeded, EmptySubset, ValidationError
 from tprslab.growth import GrowthClass, advise_copies, advise_subset_size
 from tprslab.randprims import KEY_BYTES, KeyedPermutation, PhaseFunction, RngSeed
+from tprslab.symmetry import route_cost
 
 from .util import (
     MINUS,
@@ -481,36 +482,40 @@ class TestAdvisors:
                 assert m & (m - 1) == 0
 
     def test_copies_plain(self):
-        # the two-copy minimum: its reduced problem, 4^2, fits the default cap at every n
+        # the two-copy minimum: its exact distance route fits the default budget at every n
         for n in (4, 8, 16, 64):
             assert advise_copies(GrowthClass.parse("log"), n) == 2
 
     def test_copies_polylog(self, monkeypatch):
-        monkeypatch.setenv("TPRS_DIM_CAP", str(2**80))
+        monkeypatch.setenv("TPRS_MEM_CAP", str(2**80))
         assert advise_copies(GrowthClass.parse("polylog"), 16) == 4
 
-    def test_copies_follow_the_env_cap(self, monkeypatch):
-        # polylog at n = 16 asks for ceil(log2 16) = 4 copies; t copies reduce to (2t)^t
+    def test_copies_follow_the_budget(self, monkeypatch):
+        # polylog at n = 16 asks for ceil(log2 16) = 4 copies; the exact distance
+        # route declares 26,272, 359,848 and 5,232,360 bytes at t = 2, 3 and 4
         polylog = GrowthClass.parse("polylog")
-        for cap, want in ((2**80, 4), (4096, 4), (4095, 3), (216, 3), (215, 2), (16, 2)):
-            monkeypatch.setenv("TPRS_DIM_CAP", str(cap))
+        assert [route_cost(16, t)[0] for t in (2, 3, 4)] == [26272, 359848, 5232360]
+        for cap, want in ((2**80, 4), (5232360, 4), (5232359, 3), (359848, 3), (359847, 2), (26272, 2)):
+            monkeypatch.setenv("TPRS_MEM_CAP", str(cap))
             assert advise_copies(polylog, 16) == want
-        monkeypatch.setenv("TPRS_DIM_CAP", "15")
+        monkeypatch.setenv("TPRS_MEM_CAP", "26271")
         for cls in ("log", "polylog"):
             with pytest.raises(DimensionCapExceeded):
                 advise_copies(GrowthClass.parse(cls), 16)
 
-    def test_copy_clipping(self):
-        # the largest count up to ceil(f(n)) that the distance gate admits, never below two
+    def test_copy_clipping(self, monkeypatch):
+        # the largest count up to ceil(f(n)) that the distance gate admits, never below
+        # two; under a budget of the t = 4 route, n >= 17 asks for 5 and gets 4
+        monkeypatch.setenv("TPRS_MEM_CAP", str(route_cost(20, 4)[0]))
         polylog = GrowthClass.parse("polylog")
         for n in range(2, 21):
             t = advise_copies(polylog, n)
             want = max(2, math.ceil(math.log2(n)))
             assert 2 <= t <= want
-            check_reduced_dim(n, t)
+            check_budget("route", route_cost(n, t)[0])
             if t < want:
-                with pytest.raises(DimensionCapExceeded):
-                    check_reduced_dim(n, t + 1)
+                assert route_cost(n, t + 1)[0] > mem_cap()
+        assert t == 4 < want
 
 
 class TestJsonExport:

@@ -14,10 +14,11 @@ from hypothesis import strategies as st
 from tprslab import ensembles, linalg
 from tprslab.bounds import _exact_lhs, verify_distance_bound
 from tprslab.config import HERM_TOL
-from tprslab.ensembles import EnsembleSpec, haar_moment, mc_ensemble_moment
+from tprslab.ensembles import EnsembleSpec, haar_moment, haar_moment_cost, mc_ensemble_moment, mc_moment_cost
 from tprslab.errors import DimensionCapExceeded, DimensionMismatch, ValidationError
 from tprslab.linalg import (
     SymmetricOperator,
+    gather_cost,
     symmetric_basis,
     symmetric_dimension,
     symmetric_projector,
@@ -146,27 +147,32 @@ class TestValidation:
         with pytest.raises(ValidationError):
             verify_distance_bound(kind, n, [m], t)
 
-    def test_cap_checked_before_the_basis_is_built(self, monkeypatch):
+    def test_budget_checked_before_the_basis_is_built(self, monkeypatch):
         def fail(*args):
-            raise AssertionError("basis built before the cap check")
+            raise AssertionError("basis built before the budget check")
 
-        monkeypatch.setattr(linalg, "_symmetric_basis", fail)
-        monkeypatch.setattr(ensembles, "_haar_moment", fail)
-        monkeypatch.setenv("TPRS_DIM_CAP", "64")
-        for call in (
-            lambda: symmetric_projector(2, 4),
-            lambda: haar_moment(2, 4),
-            lambda: mc_ensemble_moment(EnsembleSpec("haar", 2, t=4), 10),
+        spec = EnsembleSpec("haar", 2, t=4)
+        for call, need in (
+            (lambda: symmetric_projector(2, 4), gather_cost(2, 4)[0]),
+            (lambda: haar_moment(2, 4), haar_moment_cost(2, 4)[0]),
+            (lambda: mc_ensemble_moment(spec, 10), mc_moment_cost(spec, 10)[0]),
         ):
-            with pytest.raises(DimensionCapExceeded, match=r"exceeds dimension cap"):
-                call()
+            # refused a byte below its declared peak, before anything is built; run at it
+            with monkeypatch.context() as patch:
+                patch.setattr(linalg, "_symmetric_basis", fail)
+                patch.setattr(ensembles, "_haar_moment", fail)
+                patch.setenv("TPRS_MEM_CAP", str(need - 1))
+                with pytest.raises(DimensionCapExceeded, match=rf"needs {need:,} bytes, over the TPRS_MEM_CAP"):
+                    call()
+            monkeypatch.setenv("TPRS_MEM_CAP", str(need))
+            call()
 
-    def test_lowered_cap_applies_to_a_cached_haar_moment(self, monkeypatch):
-        haar_moment(3, 2)  # cached at the default cap
-        monkeypatch.setenv("TPRS_DIM_CAP", "16")
-        with pytest.raises(DimensionCapExceeded, match=r"exceeds dimension cap 16"):
+    def test_lowered_budget_applies_to_a_cached_haar_moment(self, monkeypatch):
+        haar_moment(3, 2)  # cached at the default budget
+        monkeypatch.setenv("TPRS_MEM_CAP", str(haar_moment_cost(3, 2)[0] - 1))
+        with pytest.raises(DimensionCapExceeded, match=r"over the TPRS_MEM_CAP budget"):
             haar_moment(3, 2)
-        monkeypatch.delenv("TPRS_DIM_CAP")
+        monkeypatch.delenv("TPRS_MEM_CAP")
         assert haar_moment(3, 2) is haar_moment(3, 2)
 
 
@@ -379,9 +385,12 @@ class TestSymmetricOperator:
         with pytest.raises(ValueError):
             mat[0, 0] = 0.0
 
-    def test_gather_keeps_the_dimension_cap(self, monkeypatch):
+    def test_gather_keeps_the_budget(self, monkeypatch):
         op = SymmetricOperator(8, 4, np.eye(35) / 35)
-        monkeypatch.setenv("TPRS_DIM_CAP", "64")
+        need = gather_cost(2, 4, 8)[0]
+        monkeypatch.setenv("TPRS_MEM_CAP", str(need - 1))
         with pytest.raises(DimensionCapExceeded):
             op.mat
         assert op.dim == 256 and "mat" not in vars(op)
+        monkeypatch.setenv("TPRS_MEM_CAP", str(need))
+        assert op.mat.shape == (256, 256)

@@ -105,9 +105,8 @@ def test_no_factor_from_d_samples_on(samples):
     assert seen == [(36, 36)]
 
 
-def test_factor_kept_across_chunks(monkeypatch):
+def test_factor_kept_across_chunks():
     # 5 copies of 3 qubits: 2^22 / 2^15 = 128 rows per chunk, so 300 < D = 792 rows span three chunks
-    monkeypatch.setenv("TPRS_DIM_CAP", str(2**15))
     spec = EnsembleSpec("subset-phase-true-random", 3, m=4, t=5, seed=RngSeed(6))
     op = mc_ensemble_moment(spec, 300).operator
     assert op.factor.shape == (300, symmetric_dimension(3, 5))

@@ -95,7 +95,7 @@ class TestImportClosures:
 
     def test_readme_advise_loads_no_numpy(self):
         out, imported = readme_line_imports("advise")
-        assert out.startswith("T,n,m,m_exp,t,dim_cap\n")
+        assert out.startswith("T,n,m,m_exp,t,mem_cap\n")
         assert "tprslab.growth" in imported
         assert not {m for m in imported if m == "numpy" or m.startswith("numpy.")}
         assert not {"tprslab.ensembles", "tprslab.linalg", "tprslab.randprims", "tprslab.sampling"} & imported

@@ -6,7 +6,7 @@ import pytest
 from tprslab.ensembles import haar_moment
 from tprslab.errors import DimensionCapExceeded, DimensionMismatch, PartitionMismatch, ValidationError
 from tprslab.config import EIG_FLOOR
-from tprslab.linalg import PartitionSpec, PureState, shannon_bits, symmetric_projector, trace_distance
+from tprslab.linalg import PartitionSpec, PureState, gather_cost, shannon_bits, symmetric_projector, trace_distance
 from tprslab.resources import collision_entanglement, entanglement_entropy, reduced_purity
 
 from .util import (
@@ -218,7 +218,9 @@ class TestSymmetricProjector:
                 w = copy_transposition_operator(1, 3, i, j)
                 assert np.max(np.abs(w @ p - p @ w)) < 1e-9
 
-    def test_cap(self, monkeypatch):
-        monkeypatch.setenv("TPRS_DIM_CAP", "64")
+    def test_budget(self, monkeypatch):
+        monkeypatch.setenv("TPRS_MEM_CAP", str(gather_cost(2, 4)[0] - 1))
         with pytest.raises(DimensionCapExceeded):
             symmetric_projector(2, 4)
+        monkeypatch.setenv("TPRS_MEM_CAP", str(gather_cost(2, 4)[0]))
+        assert symmetric_projector(2, 4).shape == (256, 256)

@@ -19,8 +19,8 @@ from .util import from_rows_oracle, trace_distance_oracle, type_basis_moment_ora
 
 TOL = 1e-12
 
-# 5 copies of 3 qubits under a cap of 2^15: 2^22 / 2^15 = 128 rows per chunk and
-# D = 792, so 300 rows span 3 chunks with N < D and 900 rows span 8 with N >= D
+# 5 copies of 3 qubits: 2^22 / 2^15 = 128 rows per chunk and D = 792, so 300 rows
+# span 3 chunks with N < D and 900 rows span 8 with N >= D
 CHUNKED = {"n": 3, "t": 5}
 KINDS = [
     ("haar", None),
@@ -30,14 +30,9 @@ KINDS = [
 ]
 
 
-@pytest.fixture
-def small_chunks(monkeypatch):
-    monkeypatch.setenv("TPRS_DIM_CAP", str(2**15))
-
-
 @pytest.mark.parametrize("samples", [300, 900])
 @pytest.mark.parametrize("kind,m", KINDS)
-def test_chunked_block_is_exactly_hermitian_and_matches_the_oracle(small_chunks, kind, m, samples):
+def test_chunked_block_is_exactly_hermitian_and_matches_the_oracle(kind, m, samples):
     spec = EnsembleSpec(kind, m=m, seed=RngSeed(11), **CHUNKED)
     est = mc_ensemble_moment(spec, samples)
     block = est.operator.block

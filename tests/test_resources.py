@@ -177,12 +177,11 @@ class TestHaarExpected:
             haar_expected("not-a-measure", 2)
 
     @pytest.mark.parametrize("n,alpha", [(1, 2), (2, 2), (1, 3)])
-    def test_magic_proxy_against_projector_integration(self, n, alpha, monkeypatch):
+    def test_magic_proxy_against_projector_integration(self, n, alpha):
         # brute-force Haar average of the Pauli power sum via the symmetric
         # subspace: E[<P>^{2a}] = Tr(P replica * Proj) / Tr(Proj)
         d = 2**n
         t = 2 * alpha
-        monkeypatch.setenv("TPRS_DIM_CAP", str(d**t))
         proj = symmetric_projector(n, t)
         denom = np.trace(proj).real
         from .util import pauli_strings

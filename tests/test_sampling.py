@@ -54,19 +54,26 @@ class TestLayout:
 
 
 class TestPairedValueMeans:
+    measure = ResourceMeasure("coherence-hs")
+
     def _stat(self):
-        return ResourceMeasure("coherence-hs").statistic
+        return self.measure.statistic
 
     def test_sources_must_match_streams(self):
-        spec = EnsembleSpec("haar", 3)
+        spec, cost = EnsembleSpec("haar", 3), self.measure.cost
         with pytest.raises(ValidationError):
-            paired_value_means(RngSeed(1), 10, (self._stat(), self._stat()), sources=(spec,))
+            paired_value_means(RngSeed(1), 10, (self._stat(), self._stat()), sources=(spec,), costs=(cost, cost))
+        with pytest.raises(ValidationError):
+            paired_value_means(RngSeed(1), 10, (self._stat(), self._stat()), sources=(spec, spec), costs=(cost,))
 
     def test_repeat_calls_give_identical_results(self):
         # the result depends only on (seed, samples, sources): chunks run in index order
         specs = (EnsembleSpec("haar", 5, seed=RngSeed(1)), EnsembleSpec("subset-phase-keyed", 5, m=4, seed=RngSeed(2)))
-        stat = ResourceMeasure("coherence-re").statistic
-        first, again = (paired_value_means(RngSeed(3), 2500, (stat, stat), sources=specs) for _ in range(2))
+        measure = ResourceMeasure("coherence-re")
+        stat, cost = measure.statistic, measure.cost
+        first, again = (
+            paired_value_means(RngSeed(3), 2500, (stat, stat), sources=specs, costs=(cost, cost)) for _ in range(2)
+        )
         assert again == first
 
     def test_shared_source_is_drawn_once(self, monkeypatch):
@@ -79,7 +86,9 @@ class TestPairedValueMeans:
 
         monkeypatch.setattr(ensembles, "sample_block", spy)
         spec = EnsembleSpec("haar", 3)
-        a, b = paired_value_means(RngSeed(1), 100, (self._stat(), self._stat()), sources=(spec, spec))
+        a, b = paired_value_means(
+            RngSeed(1), 100, (self._stat(), self._stat()), sources=(spec, spec), costs=(self.measure.cost,) * 2
+        )
         assert calls == [("haar", 100)]
         assert a == b
 
@@ -88,13 +97,14 @@ class TestPairedValueMeans:
         x = EnsembleSpec("haar", 3, seed=RngSeed(5))
         y = EnsembleSpec("haar", 3, t=2, seed=RngSeed(5))
         z = EnsembleSpec("haar", 3, seed=RngSeed(6))
-        ax, ay, az = paired_value_means(RngSeed(1), 300, (stat, stat, stat), sources=(x, y, z))
+        ax, ay, az = paired_value_means(RngSeed(1), 300, (stat,) * 3, sources=(x, y, z), costs=(self.measure.cost,) * 3)
         assert ax == ay
         assert ax.mean != az.mean
 
     def test_sub_blocks_cover_large_states(self):
         spec = EnsembleSpec("subset-phase-true-random", 14, m=16)
-        (acc,) = paired_value_means(RngSeed(2), 5, (ResourceMeasure("coherence-re").statistic,), sources=(spec,))
+        measure = ResourceMeasure("coherence-re")
+        (acc,) = paired_value_means(RngSeed(2), 5, (measure.statistic,), sources=(spec,), costs=(measure.cost,))
         assert acc.count == 5 and acc.mean == 4.0 and acc.stderr == 0.0
 
 
@@ -144,7 +154,7 @@ class TestDrawOnce:
         total_se = 3 * np.hypot(se, se)
         means = (0.5, 0.5, 0.4, 0.5 + excess * total_se, 0.4)  # keyed, true, haar, then the direct draws
 
-        def stub(seed, samples, value_fns, chunk=sampling.DEFAULT_CHUNK, *, sources):
+        def stub(seed, samples, value_fns, chunk=sampling.DEFAULT_CHUNK, *, sources, costs):
             return [MeanAccumulator(count, means[k % 5], se * se * count * (count - 1)) for k in range(len(sources))]
 
         monkeypatch.setattr(distinguishers, "paired_value_means", stub)
@@ -193,14 +203,15 @@ class TestForkedChunks:
 
     @pytest.fixture(autouse=True)
     def fork_every_chunk(self, monkeypatch):
-        monkeypatch.setattr(sampling, "FORK_MIN_READS", 0)
+        monkeypatch.setattr(sampling, "FORK_MIN_MADDS", 0)
         self.monkeypatch = monkeypatch
 
     def _means(self, workers, samples, sources, chunk=sampling.DEFAULT_CHUNK, fns=None):
+        # every stream declares the coherence kernel's cost, whatever it computes
         self.monkeypatch.setattr(sampling, "usable_cores", lambda: workers)
-        stat = ResourceMeasure("coherence-re").statistic
-        fns = fns or (stat,) * len(sources)
-        return paired_value_means(RngSeed(4), samples, fns, chunk, sources=sources)
+        measure = ResourceMeasure("coherence-re")
+        fns = fns or (measure.statistic,) * len(sources)
+        return paired_value_means(RngSeed(4), samples, fns, chunk, sources=sources, costs=(measure.cost,) * len(fns))
 
     @pytest.mark.parametrize(
         "samples, chunk",
@@ -238,10 +249,10 @@ class TestForkedChunks:
         _assert_no_child_left()
 
     def test_small_chunks_run_inline(self):
-        self.monkeypatch.setattr(sampling, "FORK_MIN_READS", 1 << 18)
+        self.monkeypatch.setattr(sampling, "FORK_MIN_MADDS", 5_000_000)
         parent = float(os.getpid())
-        small = (EnsembleSpec("haar", 3),)  # 1024 rows x 8 amplitudes per chunk
-        large = (EnsembleSpec("haar", 8),)  # 1024 rows x 256 amplitudes per chunk
+        small = (EnsembleSpec("haar", 3),)  # 1024 rows of 8 amplitudes: 2.6e5 declared multiply-adds
+        large = (EnsembleSpec("haar", 8),)  # 1024 rows of 256 amplitudes: 8.4e6
         assert self._means(2, 2048, small, fns=(_pid_values,))[0].mean == parent
         assert self._means(2, 2048, large, fns=(_pid_values,))[0].mean != parent
 
@@ -331,7 +342,7 @@ class TestSubBlockSize:
             if sub_block is not None:
                 patch.setattr(sampling, "SUB_BLOCK_AMPS", sub_block)
             if workers is not None:  # forked on 2 workers, or inline on one
-                patch.setattr(sampling, "FORK_MIN_READS", 0)
+                patch.setattr(sampling, "FORK_MIN_MADDS", 0)
                 patch.setattr(sampling, "usable_cores", lambda: workers)
             assert main([*argv, "--samples", "1100", "--seed", "3", "--format", "json"]) == 0
         return json.loads(capsys.readouterr().out)["rows"]

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from tprslab.config import EIG_FLOOR, check_dim
+from tprslab.config import EIG_FLOOR, check_budget
 from tprslab.ensembles import haar_moment, sample_block
 from tprslab.growth import Const, Div, Expr
 from tprslab.linalg import PureState, SymmetricOperator, symmetric_basis, trace_distance
@@ -280,7 +280,8 @@ def exact_subset_phase_moment_oracle(n, m, t) -> np.ndarray:
 def mc_ensemble_moment_oracle(spec, samples) -> tuple[np.ndarray, float]:
     """Monte-Carlo moment accumulated over dense (d^t, d^t) entries, with the
     same chunks and generators as ``mc_ensemble_moment``: (mean, max-entry stderr)."""
-    dim = check_dim(spec.n, spec.t)
+    dim = spec.dim**spec.t
+    check_budget("dense Monte-Carlo moment oracle", 48 * dim * dim)  # two complex sums and their mean
     sum1 = np.zeros((dim, dim), dtype=complex)
     sum2 = np.zeros((dim, dim))
     for idx, _, size in chunk_layout(samples, max(1, min(DEFAULT_CHUNK, (1 << 22) // dim))):
