@@ -39,9 +39,12 @@ def mem_cap() -> int:
     if env is None:
         return DEFAULT_MEM_CAP
     try:
-        return int(env)
-    except ValueError as exc:
-        raise ValidationError(f"{ENV_MEM_CAP} must be an integer number of bytes, got {env!r}") from exc
+        cap = int(env)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValidationError(f"{ENV_MEM_CAP} must be a positive integer number of bytes, got {env!r}")
+    return cap
 
 
 def check_budget(what: str, peak_bytes: int) -> int:

@@ -46,7 +46,8 @@ class TestCheckBudget:
         with pytest.raises(ValidationError, match="TPRS_DIM_CAP is retired; set TPRS_MEM_CAP"):
             check_budget("a route", 1)
 
-    def test_budget_must_be_an_integer(self, monkeypatch):
-        monkeypatch.setenv("TPRS_MEM_CAP", "1GB")
-        with pytest.raises(ValidationError, match="TPRS_MEM_CAP must be an integer"):
+    @pytest.mark.parametrize("value", ["1GB", "0", "-5", ""])
+    def test_budget_must_be_a_positive_integer(self, value, monkeypatch):
+        monkeypatch.setenv("TPRS_MEM_CAP", value)
+        with pytest.raises(ValidationError, match="TPRS_MEM_CAP must be a positive integer"):
             mem_cap()
