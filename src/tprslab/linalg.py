@@ -258,7 +258,7 @@ def basis_cost(n: int, t: int) -> tuple[int, int]:
     """Declared (peak bytes, multiply-adds) of building ``symmetric_basis(n, t)``: the
     2^(n t) digit rows, their sorted copy, np.unique's work arrays and its sort."""
     dense = (2**n) ** t
-    return 8 * dense * (2 * t + 7), dense * (2 * t + 2 * max(1, dense.bit_length()))
+    return 8 * dense * (2 * t + 8), dense * (2 * t + 2 * max(1, dense.bit_length()))
 
 
 @lru_cache(maxsize=16)
@@ -283,9 +283,10 @@ def symmetric_basis(n: int, t: int) -> SymmetricBasis:
 
 def gather_cost(n: int, t: int, itemsize: int = 8) -> tuple[int, int]:
     """Declared (peak bytes, multiply-adds) of ``SymmetricOperator.mat`` (``itemsize``-byte
-    entries) or ``symmetric_projector``: the basis, two D x D blocks, a mask and the result."""
+    entries) or ``symmetric_projector``: the basis, two D x D blocks, the result and, per
+    entry, a mask byte and a byte of slack for numpy's temporaries."""
     dense, size = (2**n) ** t, symmetric_dimension(n, t)
-    return basis_cost(n, t)[0] + 16 * size * size + (itemsize + 1) * dense * dense, dense * dense + size * size
+    return basis_cost(n, t)[0] + 16 * size * size + (itemsize + 2) * dense * dense, dense * dense + size * size
 
 
 def symmetric_projector(n: int, t: int) -> np.ndarray:
