@@ -16,11 +16,10 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .config import check_budget, check_domain
+from .config import check_domain
 from .errors import BoundDegenerate, ParameterOrderViolated, ValidationError
 from .growth import Expr
 from .linalg import PartitionSpec
-from .randprims import as_seed
 from .resources import (
     MEASURE_COHERENCE_RE,
     MEASURE_ENTANGLEMENT,
@@ -97,13 +96,6 @@ class DistanceBoundReport:
         return tuple(r.lhs for r in self.rows)
 
 
-def _exact_lhs(kind: str, n: int, size: int, t: int) -> float:
-    # imported on first use: `import tprslab` does not compile the route
-    from .symmetry import exact_distance
-
-    return exact_distance(kind, n, size, t)
-
-
 def _ls_slope(xs, ys) -> float | None:
     ys = np.asarray(ys, float)
     if np.any(ys <= 0):
@@ -122,7 +114,7 @@ def verify_distance_bound(
     t: int,
     constants: dict | None = None,
 ) -> DistanceBoundReport:
-    """Exact moment-to-Haar trace distances (``_exact_lhs``) checked against the fitted bound.
+    """Exact moment-to-Haar trace distances (``symmetry.exact_distance``) checked against the fitted bound.
 
     For the phase kind a single constant c is fitted by equality at the
     smallest size. The subset kind has two structural constants (c1, c2);
@@ -135,61 +127,44 @@ def verify_distance_bound(
     term dominates; the slope is only meaningful there, and at sizes where the
     drift term c1 t m / 2^n rules, the segment may be empty.
 
-    Every input is checked before any distance: the sizes, n against the
-    2^n table cap (``config.check_domain``) and the route's declared peak bytes
-    (``symmetry.route_cost``) against the byte budget (``config.check_budget``).
+    Every input is checked before any distance: the size list here, n against
+    the 2^n table cap (``config.check_domain``), and each size through the
+    route's own gate (``symmetry.check_route``: kind, n, m, t and the byte budget).
     """
-    sizes = sorted(int(s) for s in sizes)
+    # imported on first use: `import tprslab` does not compile the route
+    from .symmetry import check_route, exact_distance
+
+    sizes = sorted(sizes)
     if not sizes:
         raise ValidationError("at least one size required")
     if len(set(sizes)) != len(sizes):
         raise ValidationError("sizes must be distinct")
+    check_domain(n)
+    for s in sizes:
+        check_route(kind, n, t, m=s)
     if kind == "subset-phase" and any(s & (s - 1) for s in sizes):
         raise ValidationError("phase kind sizes must be powers of two")
-    if kind not in ("subset", "subset-phase"):
-        raise ValidationError("kind must be 'subset' or 'subset-phase'")
-    if n < 1 or t < 1:
-        raise ValidationError("n and t must be >= 1")
-    check_domain(n)
-    if not (1 <= sizes[0] and sizes[-1] <= 2**n):
-        raise ValidationError("need 1 <= m <= 2^n")
-    from .symmetry import route_cost  # imported on first use, as the route is
-    check_budget("exact distance route", route_cost(n, t)[0])
-    lhs = {s: _exact_lhs(kind, n, s, t) for s in sizes}
+    lhs = {s: exact_distance(kind, n, s, t) for s in sizes}
 
-    fitted_sizes: set[int] = set()
+    s0 = sizes[0]
+    single = lhs[s0] * s0 / (t * t)  # the t^2/m term's constant fitted at the smallest size
+    fitted_sizes = {s0} if constants is None else set()
     if kind == "subset-phase":
-        if constants is None:
-            s0 = sizes[0]
-            c = lhs[s0] * s0 / (t * t)
-            constants = {"c": c}
-            fitted_sizes.add(s0)
+        constants = {"c": single} if constants is None else constants
         # evaluate the bound formula directly: the fit point may sit on the
         # boundary of the strict t < 2^m window the standalone evaluator enforces
         rhs = {s: constants["c"] * t * t / s for s in sizes}
         dominated = tuple(sizes)  # single-term bound: every size is in the t^2/m regime
     else:
         if constants is None:
+            c1, c2 = 0.0, single
             if len(sizes) >= 2:
-                s0, s1 = sizes[0], sizes[1]
-                a = np.array(
-                    [
-                        [t * s0 / 2**n, t * t / s0],
-                        [t * s1 / 2**n, t * t / s1],
-                    ]
-                )
-                b = np.array([lhs[s0], lhs[s1]])
-                c1, c2 = np.linalg.solve(a, b)
-                fitted_sizes.update((s0, s1))
-                if c1 < 0 or c2 < 0:
-                    # degenerate data for the joint fit: fall back to the
-                    # dominant single term at the smallest size
-                    c1, c2 = 0.0, lhs[s0] * s0 / (t * t)
-                    fitted_sizes = {s0}
-            else:
-                s0 = sizes[0]
-                c1, c2 = 0.0, lhs[s0] * s0 / (t * t)
-                fitted_sizes.add(s0)
+                s1 = sizes[1]
+                a = np.array([[t * s0 / 2**n, t * t / s0], [t * s1 / 2**n, t * t / s1]])
+                joint = np.linalg.solve(a, np.array([lhs[s0], lhs[s1]]))
+                # degenerate data for the joint fit keeps the dominant single term at the smallest size
+                if not (joint[0] < 0 or joint[1] < 0):
+                    (c1, c2), fitted_sizes = joint, {s0, s1}
             constants = {"c1": float(c1), "c2": float(c2)}
         rhs = {s: subset_distance_bound(n, s, t, constants["c1"], constants["c2"]) for s in sizes}
         c1, c2 = constants["c1"], constants["c2"]
@@ -206,13 +181,9 @@ def verify_distance_bound(
         )
         for s in sizes
     )
-    pairwise = tuple(
-        _ls_slope(sizes[i : i + 2], [lhs[sizes[i]], lhs[sizes[i + 1]]]) for i in range(len(sizes) - 1)
-    )
+    pairwise = tuple(_ls_slope(pair, [lhs[s] for s in pair]) for pair in zip(sizes, sizes[1:]))
     overall = _ls_slope(sizes, [lhs[s] for s in sizes]) if len(sizes) >= 2 else None
-    dom_slope = (
-        _ls_slope(dominated, [lhs[s] for s in dominated]) if len(dominated) >= 2 else None
-    )
+    dom_slope = _ls_slope(dominated, [lhs[s] for s in dominated]) if len(dominated) >= 2 else None
     return DistanceBoundReport(
         kind=kind,
         n=n,
@@ -342,7 +313,7 @@ def empirical_prop_check(
     accept = dist.accept_prob_pure
     # the low ensemble is drawn once for its acceptance and resource streams
     acc_high, acc_low, res_low = paired_value_means(
-        as_seed(seed),
+        seed,
         samples,
         (accept, accept, measure.statistic),
         sources=(e_high, e_low, e_low),

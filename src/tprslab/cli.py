@@ -27,7 +27,7 @@ import time
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .config import DEFAULT_KAPPA, check_budget, check_domain, mem_cap
+from .config import DEFAULT_KAPPA, check_domain, mem_cap
 from .errors import DimensionCapExceeded, DomainCapExceeded, TprsError, ValidationError
 from .growth import (
     TABLE_CLASSES, TABLE_MEASURES, GrowthClass, advise_copies, advise_subset_size, check_closure,
@@ -132,7 +132,6 @@ def _parse_measure(name: str, n: int, partition: str | None, alpha: int) -> Reso
 def _parse_ensemble(text: str, n: int, t: int, seed: int) -> EnsembleSpec:
     """kind[:m=VALUE], e.g. 'haar' or 'subset-phase-true-random:m=4'."""
     from .ensembles import ENSEMBLE_KINDS, EnsembleSpec
-    from .randprims import RngSeed
 
     kind, _, rest = text.partition(":")
     m = None
@@ -145,7 +144,7 @@ def _parse_ensemble(text: str, n: int, t: int, seed: int) -> EnsembleSpec:
                 raise ValidationError(f"unknown ensemble parameter {key!r}")
     if kind not in ENSEMBLE_KINDS:
         raise ValidationError(f"unknown ensemble kind {kind!r}; choose from {ENSEMBLE_KINDS}")
-    return EnsembleSpec(kind, n, m=m, t=t, seed=RngSeed(seed))
+    return EnsembleSpec(kind, n, m=m, t=t, seed=seed)
 
 
 def _int_list(text: str) -> list[int]:
@@ -243,14 +242,13 @@ def _cmd_distance(resolved: dict) -> tuple[list[str], list[dict], int]:
 
 
 def _cmd_gap(resolved: dict) -> tuple[list[str], list[dict], int]:
-    from .randprims import RngSeed
     from .resources import estimate_gap
 
     n, t, seed = resolved["n"], 1, resolved["seed"]
     measure = _parse_measure(resolved["measure"], n, resolved.get("partition"), resolved["alpha"])
     e1 = _parse_ensemble(resolved["e1"], n, t, seed)
     e2 = _parse_ensemble(resolved["e2"], n, t, seed)
-    rep = estimate_gap(measure, e1, e2, resolved["samples"], seed=RngSeed(seed))
+    rep = estimate_gap(measure, e1, e2, resolved["samples"], seed=seed)
     table_bound = None
     if resolved.get("T"):
         try:
@@ -293,12 +291,10 @@ _SWEEP_MEASURE_KEY = {
 }
 
 
-def _sweep_source(measure: ResourceMeasure, T: GrowthClass, n: int, seed: int, samples: int) -> EnsembleSpec | None:
+def _sweep_source(measure: ResourceMeasure, T: GrowthClass, n: int, seed: int) -> EnsembleSpec | None:
     """The advised low ensemble of a sweep row, None where T advises no subset size.
-    A row past a cap or over the byte budget raises before anything is drawn, naming n."""
+    A row past a cap raises before anything is drawn, naming n (as the engine's budget check does)."""
     from .ensembles import EnsembleSpec
-    from .randprims import RngSeed
-    from .sampling import chunk_cost, chunk_layout
 
     try:
         m = advise_subset_size(T, n).m
@@ -306,15 +302,12 @@ def _sweep_source(measure: ResourceMeasure, T: GrowthClass, n: int, seed: int, s
         return None
     try:
         measure.check(n)
-        spec = EnsembleSpec("subset-phase-true-random", n, m=m, t=1, seed=RngSeed(seed))
-        check_budget("its Monte-Carlo chunk", chunk_cost(chunk_layout(samples)[0][2], (measure.cost,), (spec,))[0])
+        return EnsembleSpec("subset-phase-true-random", n, m=m, t=1, seed=seed)
     except (DimensionCapExceeded, DomainCapExceeded) as exc:
         raise type(exc)(f"sweep row n = {n}: {exc}") from None
-    return spec
 
 
 def _cmd_sweep(resolved: dict) -> tuple[list[str], list[dict], int]:
-    from .randprims import RngSeed
     from .resources import aggregate_measure, haar_expected
     from .sampling import paired_value_means
 
@@ -327,8 +320,6 @@ def _cmd_sweep(resolved: dict) -> tuple[list[str], list[dict], int]:
     chain_ok = True
     for n in ns:
         measure = _parse_measure(resolved["measure"], n, resolved.get("partition"), alpha)
-        if measure.partition is not None:
-            measure.partition.check(n)
         table_key = _SWEEP_MEASURE_KEY[measure.name]
         prev = None
         ordered = [c for c in TABLE_CLASSES if c in classes] + [c for c in classes if c not in TABLE_CLASSES]
@@ -339,7 +330,7 @@ def _cmd_sweep(resolved: dict) -> tuple[list[str], list[dict], int]:
                 chain_ok = False
             if cname in TABLE_CLASSES:
                 prev = bound
-            spec = _sweep_source(measure, T, n, resolved["seed"], samples)
+            spec = _sweep_source(measure, T, n, resolved["seed"])
             if spec is not None:
                 measured.append((len(rows), measure, spec))
             ref = haar_expected(measure.name, n, part=measure.partition, alpha=measure.alpha)
@@ -364,7 +355,7 @@ def _cmd_sweep(resolved: dict) -> tuple[list[str], list[dict], int]:
         # per-chunk generators, so a row reads what a call of its own would
         _, measures, sources = zip(*measured)
         accs = paired_value_means(
-            RngSeed(resolved["seed"]), samples, tuple(m.statistic for m in measures), sources=sources,
+            resolved["seed"], samples, tuple(m.statistic for m in measures), sources=sources,
             costs=tuple(m.cost for m in measures),
         )
         for (i, measure, _), acc in zip(measured, accs):
@@ -376,7 +367,6 @@ def _cmd_sweep(resolved: dict) -> tuple[list[str], list[dict], int]:
 
 def _cmd_hybrid(resolved: dict) -> tuple[list[str], list[dict], int]:
     from .distinguishers import hybrid_experiment
-    from .randprims import RngSeed
 
     names = None
     if resolved.get("distinguishers"):
@@ -385,7 +375,7 @@ def _cmd_hybrid(resolved: dict) -> tuple[list[str], list[dict], int]:
         n=resolved["n"],
         m=resolved["m"],
         t=resolved["t"],
-        seed=RngSeed(resolved["seed"]),
+        seed=resolved["seed"],
         samples=resolved["samples"],
         names=names,
     )
@@ -458,7 +448,6 @@ def _cmd_advise(resolved: dict) -> tuple[list[str], list[dict], int]:
 
 def _cmd_prop_check(resolved: dict) -> tuple[list[str], list[dict], int]:
     from .bounds import empirical_prop_check
-    from .randprims import RngSeed
 
     n, seed = resolved["n"], resolved["seed"]
     T = GrowthClass.parse(resolved["T"])
@@ -467,7 +456,7 @@ def _cmd_prop_check(resolved: dict) -> tuple[list[str], list[dict], int]:
     part = _parse_partition(resolved.get("partition"), n) if resolved.get("partition") else None
     rep = empirical_prop_check(
         resolved["prop"], e_high, e_low, T, resolved["samples"],
-        seed=RngSeed(seed), part=part, alpha=resolved["alpha"],
+        seed=seed, part=part, alpha=resolved["alpha"],
     )
     row = dataclasses.asdict(rep)  # prop, measure, eta_hat, ..., verdict, threshold, samples
     code = EXIT_OK if rep.verdict in ("passed", "non-binding", "premise-violated") else EXIT_BOUND_FAIL

@@ -20,7 +20,6 @@ from .errors import CopyMismatch, ValidationError
 from .ensembles import EnsembleSpec
 from .growth import GrowthClass
 from .linalg import PartitionSpec, abs2
-from .randprims import as_seed
 from .resources import (
     MEASURE_COHERENCE_HS,
     MEASURE_COLLISION_ENT,
@@ -192,7 +191,7 @@ def estimate_advantage(
         )
     accept = dist.accept_prob_pure
     cost = dist.kernel.cost
-    acc1, acc2 = paired_value_means(as_seed(seed), samples, (accept, accept), sources=(e1, e2), costs=(cost, cost))
+    acc1, acc2 = paired_value_means(seed, samples, (accept, accept), sources=(e1, e2), costs=(cost, cost))
     return _advantage_report(dist, acc1, acc2, e1.n, T)
 
 
@@ -261,7 +260,7 @@ def hybrid_experiment(
         raise CopyMismatch(f"distinguishers {wrong_t} need t != {t}")
     distinguishers = tuple(table[nm] for nm in names)
     accs = paired_value_means(
-        as_seed(seed),
+        seed,
         samples,
         tuple(dist.accept_prob_pure for dist in distinguishers for _ in specs),
         sources=tuple(specs.values()) * len(distinguishers),

@@ -128,8 +128,8 @@ class EnsembleSpec:
             raise ValidationError("m_exp only defined for phase kinds")
         return self.m.bit_length() - 1
 
-    def with_seed(self, seed: int) -> "EnsembleSpec":
-        return replace(self, seed=RngSeed(seed))
+    def with_seed(self, seed: "RngSeed | int") -> "EnsembleSpec":
+        return replace(self, seed=seed)  # coerced by __post_init__
 
 
 # ---------------------------------------------------------------------------

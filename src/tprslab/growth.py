@@ -11,7 +11,7 @@ import ast
 import math
 from dataclasses import dataclass
 
-from .config import DEFAULT_KAPPA, check_budget, mem_cap
+from .config import DEFAULT_KAPPA, mem_cap
 from .errors import NonEvaluable, UnrecognizedForm, UnsupportedGrowthClass, ValidationError
 
 __all__ = [
@@ -520,6 +520,8 @@ def table_lower_bound(
         raise UnsupportedGrowthClass(f"table has no row for {T.form}")
     if n < 4:
         raise ValidationError("table evaluation requires n >= 4")
+    if not math.isfinite(kappa):
+        raise ValidationError(f"kappa must be finite, got {kappa}")
     ln = math.log2(n)
     lln = math.log2(ln)
     value = kappa + {
@@ -562,16 +564,16 @@ def advise_subset_size(T: GrowthClass, n: int) -> SubsetAdvice:
 def advise_copies(T: GrowthClass, n: int) -> int:
     """Copy count: the two-copy minimum for plain classes, ceil(f(n)) for
     poly-of-f classes, clipped to the largest count whose exact distance route
-    (``symmetry.route_cost``, the gate of ``distance``) fits the byte budget.
-    Raises DimensionCapExceeded where two copies do not fit."""
-    from .symmetry import route_cost  # numpy-free until it computes
+    (``symmetry.route_cost``) fits the byte budget. Where two copies do not fit,
+    the route's gate (``symmetry.check_route``) raises DimensionCapExceeded."""
+    from .symmetry import check_route, route_cost  # numpy-free until it computes
     if n < 2:
         raise ValidationError("advisors require n >= 2")
     if T.form == "exp":
         raise UnsupportedGrowthClass("no valid copy count for exponential runtime")
     raw = max(2, math.ceil(T.base_class().eval(n))) if T.is_family else 2
     t = 2
-    check_budget("exact distance route", route_cost(n, t)[0])
+    check_route("subset", n, t)
     while t < raw and route_cost(n, t + 1)[0] <= mem_cap():
         t += 1
     return t

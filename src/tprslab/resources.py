@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import DimensionCapExceeded, NoAnalyticForm, ValidationError
 from .linalg import abs2, shannon_bits
-from .randprims import as_seed
 from .sampling import paired_value_means
 
 if TYPE_CHECKING:
@@ -408,7 +407,7 @@ def estimate_gap(
         raise ValidationError("ensembles must share the qubit count")
     measure.check(e_high.n)
     acc_high, acc_low = paired_value_means(
-        as_seed(seed), samples, (measure.statistic,) * 2, sources=(e_high, e_low), costs=(measure.cost,) * 2
+        seed, samples, (measure.statistic,) * 2, sources=(e_high, e_low), costs=(measure.cost,) * 2
     )
     mean_h, se_h = aggregate_measure(measure, acc_high)
     mean_l, se_l = aggregate_measure(measure, acc_low)

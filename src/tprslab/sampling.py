@@ -16,7 +16,8 @@ Those merge in chunk index order, so an estimate depends only on
 (seed, samples), bit for bit, whatever the worker count and the sub-block
 size; ``taskset -c 0`` gives a serial run. Chunks whose declared work
 (``chunk_cost``) is under FORK_MIN_MADDS multiply-adds run inline, and a chunk
-whose declared peak bytes exceed the budget is refused before anything is drawn.
+whose declared peak bytes exceed the budget is refused before anything is drawn,
+in a message that names the source's kind and n.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import numpy as np
 from .config import check_budget
 from .errors import ValidationError
 from .forkmap import forked_map
+from .randprims import as_seed
 
 if TYPE_CHECKING:
     from .randprims import RngSeed
@@ -109,23 +111,28 @@ def _by_source(sources) -> dict:
     return groups
 
 
-def chunk_cost(rows: int, costs, sources) -> tuple[int, int]:
-    """Declared (peak bytes, multiply-adds) of a chunk of ``rows`` draws and the streams'
-    statistics (``costs[k](rows, n)``): its values and largest sub-block, and all work."""
+def _source_costs(rows: int, costs, sources):
+    """(spec, declared peak bytes, multiply-adds) per source of a chunk of ``rows`` draws: every
+    stream's values, and one sub-block of the source with its largest statistic ``costs[k]``."""
     from .ensembles import sample_block_cost  # ensembles imports this module
 
-    peak = madds = 0
     for spec, streams in _by_source(sources).items():
         sub = min(rows, max(1, SUB_BLOCK_AMPS // spec.dim))
         draw = sample_block_cost(spec, sub)
         stats = [costs[k](sub, spec.n) for k in streams]
-        peak = max(peak, draw[0] + max(b for b, _ in stats))
-        madds += (draw[1] + sum(w for _, w in stats)) * rows // sub
-    return peak + 8 * len(costs) * rows, madds
+        peak = 8 * len(costs) * rows + draw[0] + max(b for b, _ in stats)
+        yield spec, peak, (draw[1] + sum(w for _, w in stats)) * rows // sub
+
+
+def chunk_cost(rows: int, costs, sources) -> tuple[int, int]:
+    """Declared (peak bytes, multiply-adds) of a chunk of ``rows`` draws and the streams'
+    statistics: the largest of its sources' peaks, and all their work."""
+    _, peaks, madds = zip(*_source_costs(rows, costs, sources))
+    return max(peaks), sum(madds)
 
 
 def paired_value_means(
-    seed: RngSeed,
+    seed: RngSeed | int,
     samples: int,
     value_fns,
     chunk: int = DEFAULT_CHUNK,
@@ -136,19 +143,24 @@ def paired_value_means(
     """Per-stream means; stream k calls ``value_fns[k](block, n)`` on the (rows, 2^n)
     amplitude blocks of ensemble ``sources[k]``, at a declared cost ``costs[k](rows, n)``.
 
-    Streams with equal sources read the same rows, drawn once. Chunks of at
-    least FORK_MIN_MADDS declared multiply-adds run on every usable core (see
-    ``forked_map``); all merge in index order.
+    The engine owns two checks, so its callers make neither: it coerces ``seed`` (``as_seed``),
+    and before anything is drawn it checks each source's chunk against the byte budget,
+    naming the source's kind and n. Streams with equal sources read the same rows, drawn
+    once. Chunks of at least FORK_MIN_MADDS declared multiply-adds run on every usable core
+    (see ``forked_map``); all merge in index order.
     """
     from .ensembles import sample_block  # ensembles imports this module
 
     n_streams = len(value_fns)
     if len(sources) != n_streams or len(costs) != n_streams:
         raise ValidationError("one source per value stream required, and one cost")
+    seed = as_seed(seed)
     groups = _by_source(sources)
     layout = chunk_layout(samples, chunk)
-    peak, madds = chunk_cost(layout[0][2], costs, sources)
-    check_budget("Monte-Carlo chunk", peak)
+    madds = 0
+    for spec, peak, work in _source_costs(layout[0][2], costs, sources):
+        check_budget(f"Monte-Carlo chunk of {spec.kind} at n = {spec.n}", peak)
+        madds += work
 
     def run_chunk(c: int) -> list[MeanAccumulator]:
         idx, _, size = layout[c]

@@ -24,19 +24,21 @@ apart from the rest of an integer spectrum, and the X_b have norm below t,
 so no eigenvalue of order d has to be told from a neighbour one apart.
 
 The route's cost is the level spaces V_i, not the blocks; ``route_cost`` counts
-it without building a level, and callers check it against the byte budget. The
-module imports no other ``tprslab`` module, and numpy only where it computes.
+it without building a level. ``check_route``, the route's one gate, checks the
+input and that cost against the byte budget before any level is built. The module
+imports no other ``tprslab`` module; numpy, ``config`` and ``errors`` only where used.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from types import SimpleNamespace
 
-__all__ = ["exact_distance", "isotypic_blocks", "route_cost"]
+__all__ = ["check_route", "exact_distance", "isotypic_blocks", "route_cost"]
 
 
 def _moment_coefficients(d: int, m: int, t: int) -> np.ndarray:
@@ -176,13 +178,18 @@ def _joint_eigenspace(basis: np.ndarray, ops, targets) -> np.ndarray:
     return basis
 
 
-@lru_cache(maxsize=32)
 def isotypic_blocks(kind: str, n: int, t: int) -> SimpleNamespace:
     """Per irrep lambda with a nonzero block: dims[l] = dim lambda (an int),
     weights[l] the same as a float, sizes[l] its multiplicity, and blocks[l]
     the (K, R, R) stack with B_lambda = sum_k coef[k] blocks[l, k], coef from
     ``_moment_coefficients``, zero-padded to R = max(sizes); shift[l] is I/D
-    on the block's own entries."""
+    on the block's own entries. Cached per (kind, n, t) behind ``check_route``."""
+    check_route(kind, n, t)
+    return _isotypic_blocks(kind, n, t)
+
+
+@lru_cache(maxsize=32)
+def _isotypic_blocks(kind: str, n: int, t: int) -> SimpleNamespace:
     import numpy as np
     d = 2**n
     coefs = min(2 * t, d) + 1
@@ -248,6 +255,7 @@ def _level_sizes(t: int, i: int, width: int) -> tuple[int, int]:
     return sum(by_parts), pairs
 
 
+@lru_cache(maxsize=None)
 def route_cost(n: int, t: int) -> tuple[int, int]:
     """Declared (peak bytes, multiply-adds) of ``isotypic_blocks(kind, n, t)``, summed over
     the cached levels: 200 bytes and t + 5 multiply-adds a moment pattern, and 3t + 5
@@ -260,13 +268,27 @@ def route_cost(n: int, t: int) -> tuple[int, int]:
     return peak, madds
 
 
+def check_route(kind: str, n: int, t: int, m: int = 1) -> None:
+    """The route's one gate, run before any level is built: a known kind and integers
+    n, t >= 1 and 1 <= m <= 2^n, else ValidationError; then ``route_cost(n, t)`` against
+    the byte budget (``config.check_budget``), else DimensionCapExceeded."""
+    from .config import check_budget
+    from .errors import ValidationError
+    if kind not in ("subset", "subset-phase"):
+        raise ValidationError(f"kind must be 'subset' or 'subset-phase', got {kind!r}")
+    if not all(isinstance(v, numbers.Integral) for v in (n, t, m)) or n < 1 or t < 1:
+        raise ValidationError(f"n, t and m must be integers, n, t >= 1; got n = {n!r}, t = {t!r}, m = {m!r}")
+    if not 1 <= m <= 2**n:
+        raise ValidationError(f"need 1 <= m <= 2^n; got m = {m} at n = {n}")
+    check_budget("exact distance route", route_cost(n, t)[0])
+
+
 def exact_distance(kind: str, n: int, m: int, t: int) -> float:
     """Trace distance of the exact t-copy moment of the size-m ``kind``
     ensemble to the Haar moment I/D: half of
-    sum_lambda dim(lambda) * sum |eig(B_lambda - 1/D)|. Bad input raises ValueError first."""
+    sum_lambda dim(lambda) * sum |eig(B_lambda - 1/D)|, behind ``check_route``."""
     import numpy as np
-    if kind not in ("subset", "subset-phase") or n < 1 or t < 1 or not 1 <= m <= 2**n:
-        raise ValueError(f"need kind subset or subset-phase, n, t >= 1 and 1 <= m <= 2^n; got {(kind, n, m, t)}")
-    iso = isotypic_blocks(kind, n, t)
+    check_route(kind, n, t, m=m)
+    iso = _isotypic_blocks(kind, n, t)
     block = np.einsum("k,lkrs->lrs", _moment_coefficients(2**n, m, t), iso.blocks) - iso.shift
     return 0.5 * float(iso.weights @ np.abs(np.linalg.eigvalsh(block)).sum(axis=1))

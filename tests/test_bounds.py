@@ -135,12 +135,12 @@ class TestVerifyDistanceBound:
         assert rep.dominated_slope == pytest.approx(-1.515, abs=2e-3)
 
     def test_phase_sizes_checked_before_any_distance(self, monkeypatch):
-        from tprslab import bounds
+        from tprslab import symmetry
 
         def fail(*args, **kwargs):
             raise AssertionError("distance computed before the size check")
 
-        monkeypatch.setattr(bounds, "_exact_lhs", fail)
+        monkeypatch.setattr(symmetry, "exact_distance", fail)
         with pytest.raises(ValidationError, match="powers of two"):
             verify_distance_bound("subset-phase", 6, [16, 3], 2)
         with pytest.raises(ValidationError, match="need 1 <= m <= 2"):

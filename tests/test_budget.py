@@ -14,6 +14,7 @@ from tprslab.growth import GrowthClass, advise_subset_size
 from tprslab.linalg import PartitionSpec, gather_cost, symmetric_projector
 from tprslab.randprims import RngSeed
 from tprslab.resources import ResourceMeasure
+from tprslab.symmetry import exact_distance, isotypic_blocks, route_cost
 
 # declared peak bytes lie between the traced peak and FACTOR times it
 # (the largest ratio measured below is 3.3, for subset-kind moments)
@@ -86,8 +87,13 @@ class TestRefusedBeforeAllocating:
 
     @pytest.mark.parametrize(
         "call",
-        [lambda: mc_ensemble_moment(EnsembleSpec("haar", 8, t=4), 100), lambda: haar_moment(10, 4)],
-        ids=["monte-carlo-moment", "haar-moment"],
+        [
+            lambda: mc_ensemble_moment(EnsembleSpec("haar", 8, t=4), 100),
+            lambda: haar_moment(10, 4),
+            lambda: exact_distance("subset", 20, 64, 7),
+            lambda: isotypic_blocks("subset", 20, 7),
+        ],
+        ids=["monte-carlo-moment", "haar-moment", "exact-distance", "isotypic-blocks"],
     )
     def test_moments_raise(self, call):
         def raises():
@@ -95,6 +101,16 @@ class TestRefusedBeforeAllocating:
                 call()
 
         assert traced_peak(raises) < 1 << 20
+
+
+def test_exact_distance_reads_the_budget(monkeypatch):
+    # the library route checks its own declared bytes: run at exactly route_cost, refused a byte below
+    need = route_cost(4, 3)[0]
+    monkeypatch.setenv("TPRS_MEM_CAP", str(need - 1))
+    with pytest.raises(DimensionCapExceeded, match=f"^exact distance route needs {need:,} bytes"):
+        exact_distance("subset", 4, 2, 3)
+    monkeypatch.setenv("TPRS_MEM_CAP", str(need))
+    assert 0 < exact_distance("subset", 4, 2, 3) < 1
 
 
 class _Decided(Exception):
@@ -161,10 +177,11 @@ def test_sweep_over_budget_exits_3_naming_the_first_n(monkeypatch, capsys):
         raise AssertionError("states drawn before every row was checked")
 
     # from n = 15 a sub-block is one row of 2^n amplitudes, so each row's chunk
-    # declares more than the last: a budget one byte short of n = 16's admits n = 15
+    # declares more than the last: a budget one byte short of n = 16's admits n = 15.
+    # A row's chunk holds the values of all three rows and one sub-block of its own.
     def chunk_bytes(n):
         spec = EnsembleSpec("subset-phase-true-random", n, m=advise_subset_size(GrowthClass.parse("log"), n).m)
-        return sampling.chunk_cost(200, (measure.cost,), (spec,))[0]
+        return sampling.chunk_cost(200, (measure.cost,) * 3, (spec,) * 3)[0]
 
     measure = ResourceMeasure("coherence-re")
     assert chunk_bytes(15) < chunk_bytes(16) < chunk_bytes(17)
@@ -173,4 +190,6 @@ def test_sweep_over_budget_exits_3_naming_the_first_n(monkeypatch, capsys):
     code = main(["sweep", "--measure", "coherence-re", "--n", "15..17", "--classes", "log", "--samples", "200"])
     out, err = capsys.readouterr()
     assert code == 3 and out == ""
-    assert err.startswith(f"resource limit: sweep row n = 16: its Monte-Carlo chunk needs {chunk_bytes(16):,} bytes")
+    assert err.startswith(
+        f"resource limit: Monte-Carlo chunk of subset-phase-true-random at n = 16 needs {chunk_bytes(16):,} bytes"
+    )

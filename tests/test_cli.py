@@ -116,6 +116,21 @@ class TestGapAndReproducibility:
         assert row[header.index("T")] == "log"
         assert float(row[header.index("table_bound")]) == 2.0  # kappa + log2 log2 4
 
+    @pytest.mark.parametrize("kappa", ["nan", "inf", "-inf"])
+    def test_non_finite_kappa(self, kappa, tmp_path, capsys):
+        # the sweep's bounds need kappa and exit 2; a gap's table_bound is empty, as for a class with no row
+        sweep = ["sweep", "--measure", "coherence-re", "--n", "8", "--classes", "log", "--samples", "50"]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kappa": float(kappa)}))
+        for argv in (sweep + [f"--kappa={kappa}"], ["--config", str(cfg)] + sweep):
+            code, out, err = run(argv, capsys)
+            assert code == 2 and out == "" and "kappa must be finite" in err
+        gap = ["--samples", "50", "gap", "--measure", "coherence-re", "--n", "4", "--e1", "haar",
+               "--e2", "subset-phase-true-random:m=4", "--T", "log", f"--kappa={kappa}"]
+        code, out, _ = run(gap, capsys)
+        header, row = (line.split(",") for line in out.strip().splitlines())
+        assert code == 0 and row[header.index("table_bound")] == ""
+
     def test_sweep_byte_identical_reruns(self, tmp_path):
         argv = [
             "--samples", "150", "--seed", "6",

@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tprslab.bounds import _exact_lhs, verify_distance_bound
+from tprslab.bounds import verify_distance_bound
 import tracemalloc
 
 from tprslab import symmetry
 from tprslab.config import DEFAULT_MEM_CAP
-from tprslab.errors import DimensionCapExceeded
+from tprslab.errors import DimensionCapExceeded, ValidationError
 from tprslab.symmetry import _level, _level_sizes, _moment_coefficients, exact_distance, isotypic_blocks, route_cost
 
 from .util import block_distance_oracle
@@ -33,7 +33,7 @@ def _block_cases():
 
 def _assert_matches_block(kind, n, m, t):
     want = block_distance_oracle(kind, n, m, t)
-    assert _exact_lhs(kind, n, m, t) == pytest.approx(want, rel=1e-12, abs=1e-15)
+    assert exact_distance(kind, n, m, t) == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
 class TestAgainstTheBlockRoute:
@@ -59,9 +59,9 @@ class TestBeyondTheBlock:
     def test_one_copy_at_n20(self, m):
         # subset: eigenvalue m/d on the uniform vector, (d - m) / (d (d - 1)) on the rest;
         # subset-phase: one copy averages to I/d
-        assert _exact_lhs("subset", 20, m, 1) == pytest.approx((m - 1) / 2**20, rel=1e-12, abs=1e-15)
+        assert exact_distance("subset", 20, m, 1) == pytest.approx((m - 1) / 2**20, rel=1e-12, abs=1e-15)
         if m & (m - 1) == 0:
-            assert _exact_lhs("subset-phase", 20, m, 1) == pytest.approx(0.0, abs=1e-15)
+            assert exact_distance("subset-phase", 20, m, 1) == pytest.approx(0.0, abs=1e-15)
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("n,t", [(7, 2), (20, 2), (7, 3), (20, 3)])
@@ -113,7 +113,7 @@ class TestRouteCost:
     def test_declared_bytes_bound_the_traced_peak(self, n, t):
         # within a factor of 2.5 (1.6 and 2.0 measured)
         exact_distance("subset", 3, 2, 2)  # numpy and the small levels, outside the trace
-        for cached in (_level, isotypic_blocks, symmetry._placements):
+        for cached in (_level, symmetry._isotypic_blocks, symmetry._placements):
             cached.cache_clear()
         tracemalloc.start()
         try:
@@ -124,15 +124,33 @@ class TestRouteCost:
         assert peak <= route_cost(n, t)[0] <= 2.5 * peak
 
 
-@pytest.mark.parametrize(
-    "args",
-    [("haar", 3, 4, 2), ("subset", 3, 9, 2), ("subset", 3, 0, 2), ("subset-phase", 3, 2, 0)],
-    ids=["unknown-kind", "m-above-2^n", "m-zero", "t-zero"],
-)
-def test_exact_distance_rejects_bad_input_before_any_work(args, monkeypatch):
+def _refuse_work(monkeypatch):
+    """A spy on the level builder, and the cached blocks replaced, so no earlier call's cache answers."""
+
     def fail(*a):
         raise AssertionError("work began before the input check")
 
-    monkeypatch.setattr(symmetry, "isotypic_blocks", fail)
-    with pytest.raises(ValueError):
+    monkeypatch.setattr(symmetry, "_level", fail)
+    monkeypatch.setattr(symmetry, "_isotypic_blocks", fail)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("haar", 3, 4, 2), ("subset", 3, 9, 2), ("subset", 3, 0, 2), ("subset-phase", 3, 2, 0),
+        ("subset", 3, 2.5, 2), ("subset", 3.0, 2, 2), ("subset-phase", 3, 2, 1.5),
+    ],
+    ids=["unknown-kind", "m-above-2^n", "m-zero", "t-zero", "m-not-integer", "n-not-integer", "t-not-integer"],
+)
+def test_exact_distance_rejects_bad_input_before_any_work(args, monkeypatch):
+    _refuse_work(monkeypatch)
+    with pytest.raises(ValidationError):
         exact_distance(*args)
+
+
+@pytest.mark.parametrize("args", [("haar", 3, 2), ("subset", 0, 2), ("subset", 3.0, 2), ("subset-phase", 3, 1.5)])
+def test_isotypic_blocks_rejects_bad_input_before_any_work(args, monkeypatch):
+    _refuse_work(monkeypatch)
+    with pytest.raises(ValidationError):
+        isotypic_blocks(*args)
+

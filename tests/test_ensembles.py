@@ -105,6 +105,10 @@ class TestEnsembleSpec:
         with pytest.raises(ValidationError):
             EnsembleSpec("haar", 2, m=2)
 
+    def test_seed_is_an_int_or_an_rng_seed(self):
+        spec = EnsembleSpec("haar", 2, seed=3)
+        assert spec.seed == RngSeed(3) == spec.with_seed(RngSeed(3)).seed == spec.with_seed(3).seed
+
 
 class TestStabilizerOrbit:
     def test_counts(self):

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tprslab import ensembles, linalg
-from tprslab.bounds import _exact_lhs, verify_distance_bound
+from tprslab.bounds import verify_distance_bound
 from tprslab.config import HERM_TOL
 from tprslab.ensembles import EnsembleSpec, haar_moment, haar_moment_cost, mc_ensemble_moment, mc_moment_cost
 from tprslab.errors import DimensionCapExceeded, DimensionMismatch, ValidationError
@@ -25,6 +25,7 @@ from tprslab.linalg import (
     trace_distance,
 )
 from tprslab.randprims import RngSeed
+from tprslab.symmetry import exact_distance
 
 from .util import (
     exact_moment_block,
@@ -112,7 +113,7 @@ class TestBlockAgainstEnumeration:
     )
     def test_block_distance_matches_dense_trace_distance(self, kind, n, t, sizes):
         for m in sizes:
-            lhs = _exact_lhs(kind, n, m, t)
+            lhs = exact_distance(kind, n, m, t)
             want = trace_distance_oracle(ORACLE[kind](n, m, t), haar_moment(n, t).mat)
             assert lhs == pytest.approx(want, abs=TOL)
 
@@ -140,7 +141,10 @@ class TestPins:
 class TestValidation:
     @pytest.mark.parametrize(
         "args",
-        [("subset", 2, 0, 2), ("subset", 2, 5, 2), ("subset-phase", 0, 1, 2), ("subset", 2, 2, 0), ("haar", 2, 2, 2)],
+        [
+            ("subset", 2, 0, 2), ("subset", 2, 5, 2), ("subset-phase", 0, 1, 2), ("subset", 2, 2, 0), ("haar", 2, 2, 2),
+            ("subset", 3, 2.5, 2),
+        ],
     )
     def test_bad_parameters(self, args):
         kind, n, m, t = args

@@ -1,10 +1,11 @@
+import math
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tprslab.errors import NonEvaluable, UnrecognizedForm, UnsupportedGrowthClass
+from tprslab.errors import NonEvaluable, UnrecognizedForm, UnsupportedGrowthClass, ValidationError
 from tprslab.growth import (
     MAX_EXPR_DEPTH,
     MAX_POLYF_NESTING,
@@ -222,6 +223,11 @@ class TestTableLowerBound:
 
     def test_kappa_knob(self):
         assert table_lower_bound(LINEAR, "coherence", 16, kappa=2.0) == pytest.approx(6.0)
+
+    @pytest.mark.parametrize("kappa", [math.nan, math.inf, -math.inf])
+    def test_kappa_must_be_finite(self, kappa):
+        with pytest.raises(ValidationError, match="kappa must be finite"):
+            table_lower_bound(LINEAR, "coherence", 16, kappa=kappa)
 
 
 CLASSES = ("const", "log", "loglog", "polylog", "linear", "nlogn", "poly", "exp")

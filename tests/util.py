@@ -456,6 +456,52 @@ def replica_test_prob_oracle(mat, alpha) -> float:
     return 0.5 * (1.0 + total / 2**n)
 
 
+# Closed forms of the true-random kinds: S is uniform among the m-subsets of the
+# d = d_A d_B basis values, and the phase kind gives each member an independent
+# uniform sign.
+
+
+def _occupancy_square(k, d, m) -> float:
+    """Q(k): the mean of sum n_row^2 over k rows of d / k values each, n_row the
+    members of S in the row (hypergeometric counts)."""
+    return m * m / k + m * (1 - 1 / k) * (d - m) / (d - 1)
+
+
+def true_random_purity(kind, n_a, n_b, m) -> float:
+    """E tr rho_A^2 of the true-random ``kind``: (Q(d_A) + Q(d_B) - m) / m^2, the terms
+    whose signs pair up, plus for the subset kind the rectangles with all four
+    corners in S, d_A (d_A - 1) d_B (d_B - 1) (m)_4 / ((d)_4 m^2)."""
+    d_a, d_b = 2**n_a, 2**n_b
+    d = d_a * d_b
+    purity = (_occupancy_square(d_a, d, m) + _occupancy_square(d_b, d, m) - m) / m**2
+    if kind == "subset-true-random":
+        purity += d_a * (d_a - 1) * d_b * (d_b - 1) * math.perm(m, 4) / (math.perm(d, 4) * m**2)
+    return purity
+
+
+def coherence_accept_mean(kind, n, m=None) -> float:
+    """E sum_x p_x^2, the coherence test's acceptance: 1/m on every subset-kind
+    state, 2/(d + 1) for Haar."""
+    return 2 / (2**n + 1) if kind == "haar" else 1 / m
+
+
+def swap_accept_mean(kind, n_a, n_b, m) -> float:
+    """The swap test's mean acceptance, (1 + E tr rho_A^2) / 2."""
+    return (1 + true_random_purity(kind, n_a, n_b, m)) / 2
+
+
+def enumerated_states(kind, n, m) -> np.ndarray:
+    """Every state of the true-random ``kind`` as a row, each as likely as the next:
+    all m-subsets, times every sign pattern for the phase kind."""
+    members = np.array(list(itertools.combinations(range(2**n), m)))
+    signs = np.ones((1, m))
+    if kind == "subset-phase-true-random":
+        signs = np.array(list(itertools.product((1.0, -1.0), repeat=m)))
+    rows = np.zeros((len(members), len(signs), 2**n))
+    rows[np.arange(len(members))[:, None, None], np.arange(len(signs))[:, None], members[:, None, :]] = signs
+    return rows.reshape(-1, 2**n) / np.sqrt(m)
+
+
 def operator_to_json(op) -> list:
     """Nested [re, im] pairs."""
     mat = op.mat if isinstance(op, SymmetricOperator) else np.asarray(op)
