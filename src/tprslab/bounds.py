@@ -309,7 +309,6 @@ def empirical_prop_check(
         raise ValidationError("ensembles must share the qubit count")
     n = e_high.n
     measure, dist = _prop_statistics(prop, part, alpha, n)
-    measure.check(n)
     accept = dist.accept_prob_pure
     # the low ensemble is drawn once for its acceptance and resource streams
     acc_high, acc_low, res_low = paired_value_means(

@@ -21,7 +21,7 @@ import dataclasses
 import functools
 import io
 import json
-import math
+import re
 import sys
 import time
 from typing import TYPE_CHECKING
@@ -30,7 +30,7 @@ from . import __version__
 from .config import DEFAULT_KAPPA, check_domain, mem_cap
 from .errors import DimensionCapExceeded, DomainCapExceeded, TprsError, ValidationError
 from .growth import (
-    TABLE_CLASSES, TABLE_MEASURES, GrowthClass, advise_copies, advise_subset_size, check_closure,
+    TABLE_CLASSES, GrowthClass, advise_copies, advise_subset_size, check_closure,
     check_repetition_consistency, is_negligible, parse_bound_expr, table_lower_bound,
 )
 
@@ -117,16 +117,12 @@ def _parse_partition(text: str | None, n: int) -> PartitionSpec:
 
 
 def _parse_measure(name: str, n: int, partition: str | None, alpha: int) -> ResourceMeasure:
-    from .resources import MEASURE_NAMES, ResourceMeasure
+    from .resources import ResourceMeasure
 
     name = _MEASURE_ALIASES.get(name, name)
-    if name not in MEASURE_NAMES:
-        raise ValidationError(f"unknown measure {name!r}; choose from {MEASURE_NAMES}")
     if name in ("entanglement-entropy", "collision-entanglement"):
         return ResourceMeasure(name, partition=_parse_partition(partition, n))
-    if name == "stabilizer-renyi":
-        return ResourceMeasure(name, alpha=alpha)
-    return ResourceMeasure(name)
+    return ResourceMeasure(name, alpha=alpha if name == "stabilizer-renyi" else None)
 
 
 def _parse_ensemble(text: str, n: int, t: int, seed: int) -> EnsembleSpec:
@@ -253,11 +249,7 @@ def _cmd_gap(resolved: dict) -> tuple[list[str], list[dict], int]:
     if resolved.get("T"):
         try:
             table_bound = table_lower_bound(
-                GrowthClass.parse(resolved["T"]),
-                _SWEEP_MEASURE_KEY[measure.name],
-                n,
-                kappa=resolved["kappa"],
-                alpha=resolved["alpha"],
+                GrowthClass.parse(resolved["T"]), measure.resource, n, kappa=resolved["kappa"], alpha=resolved["alpha"]
             )
         except TprsError:
             table_bound = None
@@ -281,30 +273,15 @@ def _cmd_gap(resolved: dict) -> tuple[list[str], list[dict], int]:
     return columns, [row], EXIT_OK
 
 
-_COHERENCE, _ENTANGLEMENT, _MAGIC = TABLE_MEASURES
-_SWEEP_MEASURE_KEY = {
-    "coherence-re": _COHERENCE,
-    "coherence-hs": _COHERENCE,
-    "entanglement-entropy": _ENTANGLEMENT,
-    "collision-entanglement": _ENTANGLEMENT,
-    "stabilizer-renyi": _MAGIC,
-}
-
-
-def _sweep_source(measure: ResourceMeasure, T: GrowthClass, n: int, seed: int) -> EnsembleSpec | None:
-    """The advised low ensemble of a sweep row, None where T advises no subset size.
-    A row past a cap raises before anything is drawn, naming n (as the engine's budget check does)."""
+def _sweep_source(T: GrowthClass, n: int, seed: int) -> EnsembleSpec | None:
+    """The advised low ensemble of a sweep row, None where T advises no subset size."""
     from .ensembles import EnsembleSpec
 
     try:
         m = advise_subset_size(T, n).m
     except TprsError:
         return None
-    try:
-        measure.check(n)
-        return EnsembleSpec("subset-phase-true-random", n, m=m, t=1, seed=seed)
-    except (DimensionCapExceeded, DomainCapExceeded) as exc:
-        raise type(exc)(f"sweep row n = {n}: {exc}") from None
+    return EnsembleSpec("subset-phase-true-random", n, m=m, t=1, seed=seed)
 
 
 def _cmd_sweep(resolved: dict) -> tuple[list[str], list[dict], int]:
@@ -314,27 +291,24 @@ def _cmd_sweep(resolved: dict) -> tuple[list[str], list[dict], int]:
     classes = [c.strip() for c in resolved["classes"].split(",")]
     ns = _int_list(resolved["n"])
     kappa, alpha = resolved["kappa"], resolved["alpha"]
-    samples = min(resolved["samples"], 2000)
     rows = []
     measured = []  # (row index, measure, source) of the rows measured below
     chain_ok = True
     for n in ns:
         measure = _parse_measure(resolved["measure"], n, resolved.get("partition"), alpha)
-        table_key = _SWEEP_MEASURE_KEY[measure.name]
         prev = None
         ordered = [c for c in TABLE_CLASSES if c in classes] + [c for c in classes if c not in TABLE_CLASSES]
         for cname in ordered:
             T = GrowthClass.parse(cname)
-            bound = table_lower_bound(T, table_key, n, kappa=kappa, alpha=alpha)
+            bound = table_lower_bound(T, measure.resource, n, kappa=kappa, alpha=alpha)
             if prev is not None and cname in TABLE_CLASSES and bound < prev - 1e-12:
                 chain_ok = False
             if cname in TABLE_CLASSES:
                 prev = bound
-            spec = _sweep_source(measure, T, n, resolved["seed"])
+            spec = _sweep_source(T, n, resolved["seed"])
             if spec is not None:
                 measured.append((len(rows), measure, spec))
             ref = haar_expected(measure.name, n, part=measure.partition, alpha=measure.alpha)
-            ref_value = ref.value / math.log(2) if ref.units.startswith("harmonic") else ref.value
             rows.append(
                 {
                     "measure": measure.label(),
@@ -343,11 +317,11 @@ def _cmd_sweep(resolved: dict) -> tuple[list[str], list[dict], int]:
                     "bound": bound,
                     "measured": None,
                     "measured_se": None,
-                    "haar_ref": ref_value,
-                    "haar_ref_units": "bits" if ref.units.startswith("harmonic") else ref.units,
+                    "haar_ref": ref.value,
+                    "haar_ref_units": ref.units,
                     "delta": None,
                     "kappa": kappa,
-                    "alpha": alpha if table_key == _MAGIC else None,
+                    "alpha": measure.alpha,
                 }
             )
     if measured:
@@ -355,7 +329,7 @@ def _cmd_sweep(resolved: dict) -> tuple[list[str], list[dict], int]:
         # per-chunk generators, so a row reads what a call of its own would
         _, measures, sources = zip(*measured)
         accs = paired_value_means(
-            resolved["seed"], samples, tuple(m.statistic for m in measures), sources=sources,
+            resolved["seed"], resolved["samples"], tuple(m.statistic for m in measures), sources=sources,
             costs=tuple(m.cost for m in measures),
         )
         for (i, measure, _), acc in zip(measured, accs):
@@ -626,6 +600,12 @@ def resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads a negative number other than -digits or -digits.digits (-1e-3, -inf)
+    # as an option, so each value of that form is attached to the option before it
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1].startswith("--") and "=" not in argv[i - 1] and re.match(r"-\.?\d|-inf|-nan", argv[i], re.I):
+            argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = parser.parse_args(argv)
     try:
         resolved = resolve_config(args, parser)

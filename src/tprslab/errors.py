@@ -49,10 +49,6 @@ class BoundDegenerate(TprsError):
     """Bound argument degenerate (logarithm of a value >= 1)."""
 
 
-class NoAnalyticForm(TprsError):
-    """No closed-form reference value is available for the request."""
-
-
 class UnsupportedGrowthClass(TprsError):
     """Growth class not handled by the requested rule or table."""
 

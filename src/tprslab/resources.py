@@ -1,10 +1,11 @@
 """Resource measures (coherence, entanglement, magic), their Haar-ensemble
 reference values, and resource-gap estimation between ensembles.
 
-All measures report base-2 values. The one deliberate exception is the Haar
-coherence reference, which is a harmonic sum whose derivation carries natural
-log units; it is returned verbatim with its units flagged, and Monte-Carlo
-comparisons convert to matching units instead of asserting a base.
+Every measure and every Haar reference is in bits, except coherence-hs, which
+is dimensionless. Each measure's rules live on ``ResourceMeasure``: its
+parameters (constructor), the qubit counts it can be evaluated at (``check``,
+which ``cost`` runs, so the sampling engine refuses a stream before it draws)
+and its growth-table row (``resource``).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DimensionCapExceeded, NoAnalyticForm, ValidationError
+from .errors import DimensionCapExceeded, ValidationError
 from .linalg import abs2, shannon_bits
 from .sampling import paired_value_means
 
@@ -74,12 +75,19 @@ class ResourceMeasure:
 
     def __post_init__(self):
         if self.name not in MEASURE_NAMES:
-            raise ValidationError(f"unknown measure {self.name!r}")
+            raise ValidationError(f"unknown measure {self.name!r}; choose from {MEASURE_NAMES}")
         if self.name in (MEASURE_ENTANGLEMENT, MEASURE_COLLISION_ENT) and self.partition is None:
             raise ValidationError(f"{self.name} requires a partition")
         if self.name == MEASURE_MAGIC:
             if self.alpha is None or self.alpha < 2:
                 raise ValidationError("stabilizer-renyi requires alpha >= 2")
+
+    @property
+    def resource(self) -> str:
+        """The growth table's row: coherence, entanglement or magic."""
+        if self.name in (MEASURE_COHERENCE_RE, MEASURE_COHERENCE_HS):
+            return "coherence"
+        return "magic" if self.name == MEASURE_MAGIC else "entanglement"
 
     def label(self) -> str:
         if self.name == MEASURE_MAGIC:
@@ -102,7 +110,9 @@ class ResourceMeasure:
     def cost(self, rows: int, n: int) -> tuple[int, int]:
         """Declared (peak bytes, multiply-adds) of ``statistic`` on a (rows, 2^n) complex block,
         beyond it: |amps|^2 and its logs; the Schmidt Gram with, as a bound for both partition
-        measures, a solver copy and d_A^3 spectrum work; or a Pauli slice and n 4^n work a row."""
+        measures, a solver copy and d_A^3 spectrum work; or a Pauli slice and n 4^n work a row.
+        Refuses, through ``check``, an n the statistic cannot be evaluated at."""
+        self.check(n)
         d = 2**n
         if self.name in (MEASURE_COHERENCE_RE, MEASURE_COHERENCE_HS):
             return 32 * d * rows, (12 if self.name == MEASURE_COHERENCE_RE else 4) * d * rows
@@ -173,7 +183,7 @@ def _check_magic_qubits(n: int) -> None:
     if n < 1:
         raise ValidationError("n must be >= 1")
     if n > MAGIC_MAX_QUBITS:
-        raise DimensionCapExceeded(f"Pauli power sums capped at n <= {MAGIC_MAX_QUBITS}")
+        raise DimensionCapExceeded(f"Pauli power sums capped at n <= {MAGIC_MAX_QUBITS}, got n = {n}")
 
 
 @lru_cache(maxsize=8)
@@ -257,7 +267,7 @@ class HaarExpectation:
     """Closed-form or leading-order Haar average of a measure.
 
     ``band`` brackets the finite-size value when only an asymptotic form is
-    available; ``units`` is "bits" except for the coherence harmonic sum.
+    available; ``units`` is "bits", except "dimensionless" for coherence-hs.
     """
 
     value: float
@@ -307,33 +317,25 @@ def haar_expected(
     part: PartitionSpec | None = None,
     alpha: int | None = None,
 ) -> HaarExpectation:
-    """Analytic Haar-ensemble expectation of a measure at qubit count n."""
+    """Analytic Haar-ensemble expectation of a measure at qubit count n, under ``ResourceMeasure``'s
+    rules but without the magic qubit cap, since a closed form has no kernel limit."""
+    ResourceMeasure(measure, partition=part, alpha=alpha)
+    if part is not None:
+        part.check(n)
     d = 2**n
-    if measure == MEASURE_COHERENCE_RE:
-        value = _harmonic_tail(d)
-        return HaarExpectation(value, units="harmonic (natural-log derivation)", exact=True)
+    if measure == MEASURE_COHERENCE_RE:  # the harmonic sum is in nats
+        return HaarExpectation(_harmonic_tail(d) / math.log(2))
     if measure == MEASURE_COHERENCE_HS:
-        return HaarExpectation(1.0 - 2.0 / (d + 1), units="dimensionless", exact=True)
+        return HaarExpectation(1.0 - 2.0 / (d + 1), units="dimensionless")
     if measure == MEASURE_COLLISION_ENT:
-        if part is None:
-            raise ValidationError("collision-entanglement requires a partition")
-        part.check(n)
         da, db = 2**part.n_a, 2**part.n_b
-        return HaarExpectation(float(-np.log2((da + db) / (d + 1))), exact=True)
+        return HaarExpectation(float(-np.log2((da + db) / (d + 1))))
     if measure == MEASURE_ENTANGLEMENT:
-        if part is None:
-            raise ValidationError("entanglement-entropy requires a partition")
-        part.check(n)
         lead = float(min(part.n_a, part.n_b))
         return HaarExpectation(lead, exact=False, band=(lead - 1.0, lead))
-    if measure == MEASURE_MAGIC:
-        if alpha is None or alpha < 2:
-            raise ValidationError("stabilizer-renyi requires alpha >= 2")
-        lead = float(n - 2) if alpha == 2 else n / (alpha - 1)
-        proxy = haar_magic_proxy(n, alpha)
-        lo, hi = sorted((lead, proxy))
-        return HaarExpectation(lead, exact=False, band=(lo, hi))
-    raise NoAnalyticForm(f"no analytic Haar form for {measure!r}")
+    lead = float(n - 2) if alpha == 2 else n / (alpha - 1)
+    lo, hi = sorted((lead, haar_magic_proxy(n, alpha)))
+    return HaarExpectation(lead, exact=False, band=(lo, hi))
 
 
 # ---------------------------------------------------------------------------
@@ -357,10 +359,8 @@ def measure_pure_amps(measure: ResourceMeasure, amps: np.ndarray, n: int):
         values = shannon_bits(_schmidt_probs(block, measure.partition))
     elif measure.name == MEASURE_COLLISION_ENT:  # Tr(rho_A^2) as the Gram matrix's squared Frobenius norm
         values = abs2(_reduced_gram(block, measure.partition)).sum(axis=(1, 2))
-    elif measure.name == MEASURE_MAGIC:
-        values = np.log2(pauli_power_sums(block, n, measure.alpha)) / (1 - measure.alpha)
     else:
-        raise ValidationError(f"unknown measure {measure.name!r}")
+        values = np.log2(pauli_power_sums(block, n, measure.alpha)) / (1 - measure.alpha)
     return float(values[0]) if np.ndim(amps) == 1 else values
 
 
@@ -405,7 +405,6 @@ def estimate_gap(
     """
     if e_high.n != e_low.n:
         raise ValidationError("ensembles must share the qubit count")
-    measure.check(e_high.n)
     acc_high, acc_low = paired_value_means(
         seed, samples, (measure.statistic,) * 2, sources=(e_high, e_low), costs=(measure.cost,) * 2
     )

@@ -15,9 +15,10 @@ children run the others, each returning only its chunks' accumulators.
 Those merge in chunk index order, so an estimate depends only on
 (seed, samples), bit for bit, whatever the worker count and the sub-block
 size; ``taskset -c 0`` gives a serial run. Chunks whose declared work
-(``chunk_cost``) is under FORK_MIN_MADDS multiply-adds run inline, and a chunk
-whose declared peak bytes exceed the budget is refused before anything is drawn,
-in a message that names the source's kind and n.
+(``chunk_cost``) is under FORK_MIN_MADDS multiply-adds run inline. Before anything
+is drawn, every stream's cost is evaluated, which runs the stream's own range
+check (a measure's ``check``, say), and a chunk whose declared peak bytes exceed
+the budget is refused in a message that names the source's kind and n.
 """
 
 from __future__ import annotations
@@ -143,9 +144,10 @@ def paired_value_means(
     """Per-stream means; stream k calls ``value_fns[k](block, n)`` on the (rows, 2^n)
     amplitude blocks of ensemble ``sources[k]``, at a declared cost ``costs[k](rows, n)``.
 
-    The engine owns two checks, so its callers make neither: it coerces ``seed`` (``as_seed``),
-    and before anything is drawn it checks each source's chunk against the byte budget,
-    naming the source's kind and n. Streams with equal sources read the same rows, drawn
+    The engine owns three checks, so its callers make none: it coerces ``seed`` (``as_seed``),
+    and before anything is drawn it evaluates every stream's cost, which refuses an n the
+    stream's statistic cannot be evaluated at, and checks each source's chunk against the byte
+    budget, naming the source's kind and n. Streams with equal sources read the same rows, drawn
     once. Chunks of at least FORK_MIN_MADDS declared multiply-adds run on every usable core
     (see ``forked_map``); all merge in index order.
     """

@@ -103,11 +103,9 @@ def test_criterion_04_haar_coherence():
     rep = estimate_gap(
         m, EnsembleSpec("haar", 2), EnsembleSpec("subset-true-random", 2, m=1), 10000, seed=104
     )
-    # the harmonic closed form carries natural-log units; compare there
-    mean_nats = rep.e_high[0] * math.log(2)
-    se_nats = rep.e_high[1] * math.log(2)
-    dev_c = abs(mean_nats - 13 / 12)
-    ok_c = dev_c <= 3 * se_nats
+    ref_c = 13 / 12 / math.log(2)  # the Haar mean at n = 2, 13/12 nats, in bits
+    dev_c = abs(rep.e_high[0] - ref_c)
+    ok_c = dev_c <= 3 * rep.e_high[1]
 
     m2 = ResourceMeasure("coherence-hs")
     rep2 = estimate_gap(
@@ -119,7 +117,7 @@ def test_criterion_04_haar_coherence():
         4,
         "haar-coherence",
         ok_c and ok_h,
-        f"E[C]={mean_nats:.4f} (13/12={13/12:.4f}, dev {dev_c:.4f} <= 3se {3*se_nats:.4f}); "
+        f"E[C]={rep.e_high[0]:.4f} bits ({ref_c:.4f}, dev {dev_c:.4f} <= 3se {3*rep.e_high[1]:.4f}); "
         f"E[C2]={rep2.e_high[0]:.4f} (0.6, dev {dev_h:.4f} <= 3se {3*rep2.e_high[1]:.4f})",
     )
 

@@ -2,7 +2,6 @@ import contextlib
 import csv
 import io
 import json
-import math
 import os
 
 import pytest
@@ -131,6 +130,19 @@ class TestGapAndReproducibility:
         header, row = (line.split(",") for line in out.strip().splitlines())
         assert code == 0 and row[header.index("table_bound")] == ""
 
+    @pytest.mark.parametrize("value", ["-1e-3", "-1E+1", "-2.5e0"])
+    def test_negative_values_parse_spaced(self, value, capsys):
+        # argparse alone reads -1e-3 as an option; the spaced form must print what the "=" form does
+        sweep = ["sweep", "--measure", "coherence-re", "--n", "4", "--classes", "log", "--samples", "20"]
+        spaced = run(sweep + ["--kappa", value], capsys)
+        assert spaced == run(sweep + [f"--kappa={value}"], capsys)
+        assert spaced[0] == 0 and spaced[1].splitlines()[1].split(",")[-2] == format(float(value), ".12g")
+
+    def test_negative_infinity_kappa_spaced(self, capsys):
+        code, out, err = run(["sweep", "--measure", "coherence-re", "--n", "8", "--classes", "log", "--kappa", "-inf"],
+                             capsys)
+        assert code == 2 and out == "" and "kappa must be finite" in err
+
     def test_sweep_byte_identical_reruns(self, tmp_path):
         argv = [
             "--samples", "150", "--seed", "6",
@@ -192,6 +204,24 @@ class TestSweep:
         # the rows an n = 16 sweep printed before it measured magic only within reach
         magic = [table_lower_bound(GrowthClass.parse(c), "magic", 16, alpha=3) for c in ("log", "linear")]
         assert magic == pytest.approx([3.0 / 2, 5.0 / 2])
+
+    def test_every_sample_asked_for_is_drawn(self, capsys):
+        from tprslab import cli
+        from tprslab.ensembles import EnsembleSpec
+        from tprslab.growth import advise_subset_size
+        from tprslab.resources import ResourceMeasure, aggregate_measure
+        from tprslab.sampling import paired_value_means
+
+        samples = 2500  # above the 2,000 an earlier sweep used at most
+        code, out, _ = run(["--samples", str(samples), "--seed", "3", "sweep", "--measure", "coherence-re", "--n", "8",
+                            "--classes", "log"], capsys)
+        assert code == 0
+        measure = ResourceMeasure("coherence-re")
+        spec = EnsembleSpec("subset-phase-true-random", 8, m=advise_subset_size(GrowthClass("log"), 8).m, seed=3)
+        (acc,) = paired_value_means(3, samples, (measure.statistic,), sources=(spec,), costs=(measure.cost,))
+        assert acc.count == samples
+        row = out.splitlines()[1].split(",")
+        assert row[4:6] == [cli._fmt(v) for v in aggregate_measure(measure, acc)]
 
     def test_chain_violation_exits_4(self, capsys):
         # below n = 8 the rendered class chain genuinely inverts between the
@@ -544,7 +574,7 @@ class TestMagicReach:
         monkeypatch.setattr(ensembles, "sample_block", fail)
         code, out, err = run(["--samples", "2", "sweep", "--measure", "magic", "--n", "12..13", "--classes", "log"], capsys)
         assert code == 3 and out == ""
-        assert err.startswith("resource limit: sweep row n = 13: Pauli power sums capped at n <= 12")
+        assert err.startswith("resource limit: Pauli power sums capped at n <= 12, got n = 13")
 
     def test_gap_magic_at_the_cap(self, capsys):
         code, out, _ = run(["--samples", "2", "gap", "--measure", "magic", "--n", "12", "--e1", "haar",
@@ -569,7 +599,7 @@ class TestMagicReach:
         monkeypatch.setattr(ensembles, "sample_block", fail)
         code, _, err = run(["--samples", "4"] + argv, capsys)
         assert code == 3
-        assert "resource limit" in err
+        assert err.startswith("resource limit: Pauli power sums capped at n <= 12, got n = 13")
 
 
 class TestSweepOneCall:
@@ -608,8 +638,7 @@ class TestSweepOneCall:
             mean, se = aggregate_measure(resource, acc)
             assert (row["measured"], row["measured_se"]) == (cli._fmt(mean), cli._fmt(se))
             ref = haar_expected(resource.name, n, part=resource.partition, alpha=resource.alpha)
-            ref_bits = ref.value / math.log(2) if ref.units.startswith("harmonic") else ref.value
-            assert row["delta"] == cli._fmt(abs(ref_bits - mean))
+            assert row["delta"] == cli._fmt(abs(ref.value - mean))
 
 
 class TestParserBuiltOnce:

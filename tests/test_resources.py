@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from tprslab.ensembles import EnsembleSpec, stabilizer_orbit
-from tprslab.errors import NoAnalyticForm, ValidationError
+from tprslab.errors import DimensionCapExceeded, PartitionMismatch, ValidationError
 from tprslab.linalg import PartitionSpec, symmetric_projector
 from tprslab.randprims import RngSeed, sample_haar_block
 from tprslab.resources import (
+    MEASURE_NAMES,
     ResourceMeasure,
     collision_entanglement,
     entanglement_entropy,
@@ -147,12 +148,18 @@ class TestStabilizerRenyi:
 class TestHaarExpected:
     def test_coherence_re_n2(self):
         ref = haar_expected("coherence-re", 2)
-        assert ref.value == pytest.approx(13 / 12, abs=1e-12)
-        assert "harmonic" in ref.units
+        assert ref.value == pytest.approx(13 / 12 / math.log(2), abs=1e-12)
+        assert ref.units == "bits"
+
+    def test_coherence_re_in_bits_bit_for_bit(self):
+        # the harmonic sum in nats, divided by ln 2 once, as the sweep converted it
+        for n in range(1, 21):
+            nats = float(sum(1.0 / k for k in range(2, 2**n + 1)))
+            assert haar_expected("coherence-re", n).value == nats / math.log(2)
 
     def test_coherence_re_large_n_closed_form(self):
         # Euler-Maclaurin branch against direct summation at the crossover
-        direct = sum(1.0 / k for k in range(2, 2**20 + 1))
+        direct = sum(1.0 / k for k in range(2, 2**20 + 1)) / math.log(2)
         assert haar_expected("coherence-re", 20).value == pytest.approx(direct, rel=1e-12)
         assert np.isfinite(haar_expected("coherence-re", 64).value)
 
@@ -173,8 +180,26 @@ class TestHaarExpected:
         assert ref.band[0] <= haar_magic_proxy(3, 2) <= ref.band[1]
 
     def test_no_analytic_form(self):
-        with pytest.raises(NoAnalyticForm):
+        with pytest.raises(ValidationError, match="unknown measure 'not-a-measure'"):
             haar_expected("not-a-measure", 2)
+
+    def test_measure_rules_of_the_constructor(self):
+        with pytest.raises(ValidationError, match="requires a partition"):
+            haar_expected("entanglement-entropy", 4)
+        with pytest.raises(ValidationError, match="alpha >= 2"):
+            haar_expected("stabilizer-renyi", 4, alpha=1)
+        with pytest.raises(PartitionMismatch, match="does not cover 5 qubits"):
+            haar_expected("collision-entanglement", 5, part=PartitionSpec(2, 2))
+
+    def test_closed_form_has_no_magic_cap(self):
+        ref = haar_expected("stabilizer-renyi", 13, alpha=3)
+        assert ref.value == 6.5 and ref.band[0] <= haar_magic_proxy(13, 3) <= ref.band[1]
+
+    def test_units(self):
+        part = PartitionSpec(2, 2)
+        for name in ("coherence-re", "entanglement-entropy", "collision-entanglement", "stabilizer-renyi"):
+            assert haar_expected(name, 4, part=part, alpha=3).units == "bits"
+        assert haar_expected("coherence-hs", 4).units == "dimensionless"
 
     @pytest.mark.parametrize("n,alpha", [(1, 2), (2, 2), (1, 3)])
     def test_magic_proxy_against_projector_integration(self, n, alpha):
@@ -221,10 +246,10 @@ class TestRelations:
         block = sample_haar_block(n, 10000, RngSeed(31 + n).generator())
         p = np.abs(block) ** 2
         with np.errstate(divide="ignore", invalid="ignore"):
-            c_nats = -(np.where(p > 0, p * np.log(p), 0.0)).sum(axis=1)
+            c_bits = -(np.where(p > 0, p * np.log2(p), 0.0)).sum(axis=1)
         ref = haar_expected("coherence-re", n).value
-        se = c_nats.std(ddof=1) / math.sqrt(len(c_nats))
-        assert abs(c_nats.mean() - ref) <= 3 * se
+        se = c_bits.std(ddof=1) / math.sqrt(len(c_bits))
+        assert abs(c_bits.mean() - ref) <= 3 * se
 
         c2 = 1 - (p**2).sum(axis=1)
         ref2 = haar_expected("coherence-hs", n).value
@@ -265,8 +290,7 @@ class TestEstimateGap:
             10000,
             seed=5,
         )
-        # compare in the harmonic reference's own (natural-log) units
-        assert abs(rep.delta * math.log(2) - 13 / 12) <= 3 * rep.stderr * math.log(2)
+        assert abs(rep.delta - haar_expected("coherence-re", 2).value) <= 3 * rep.stderr
         assert rep.e_low[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_haar_vs_haar_entanglement(self):
@@ -306,3 +330,54 @@ class TestEstimateGap:
             ResourceMeasure("entanglement-entropy")
         with pytest.raises(ValidationError):
             ResourceMeasure("stabilizer-renyi", alpha=1)
+
+
+class TestChecksBeforeDraw:
+    """Each stream's range check runs in the engine's pass over costs, before its first draw."""
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        from tprslab import ensembles
+
+        seen = []
+        original = ensembles.sample_block
+
+        def spy(spec, count, rng):
+            seen.append((spec.kind, spec.n, count))
+            return original(spec, count, rng)
+
+        monkeypatch.setattr(ensembles, "sample_block", spy)
+        return seen
+
+    def test_growth_table_rows(self):
+        part = PartitionSpec(1, 1)
+        rows = {name: ResourceMeasure(name, partition=part, alpha=3).resource for name in MEASURE_NAMES}
+        assert rows == {
+            "coherence-re": "coherence", "coherence-hs": "coherence", "entanglement-entropy": "entanglement",
+            "collision-entanglement": "entanglement", "stabilizer-renyi": "magic",
+        }
+
+    def test_cost_refuses_what_check_refuses(self):
+        magic = ResourceMeasure("stabilizer-renyi", alpha=3)
+        assert magic.cost(1, 12)[0] > 0
+        with pytest.raises(DimensionCapExceeded, match="capped at n <= 12, got n = 13"):
+            magic.cost(1, 13)
+        with pytest.raises(PartitionMismatch, match="does not cover 5 qubits"):
+            ResourceMeasure("entanglement-entropy", partition=PartitionSpec(2, 2)).cost(1, 5)
+
+    def test_estimate_gap_partition_not_covering_n(self, draws):
+        m = ResourceMeasure("entanglement-entropy", partition=PartitionSpec(2, 2))
+        with pytest.raises(PartitionMismatch, match="does not cover 5 qubits"):
+            estimate_gap(m, EnsembleSpec("haar", 5), EnsembleSpec("haar", 5), 10)
+        assert draws == []
+        estimate_gap(m, EnsembleSpec("haar", 4), EnsembleSpec("haar", 4), 10)
+        assert draws == [("haar", 4, 10)]
+
+    def test_estimate_advantage_replica_test_beyond_the_cap(self, draws):
+        from tprslab.distinguishers import estimate_advantage, make_hadamard_distinguisher
+        from tprslab.growth import GrowthClass
+
+        spec = EnsembleSpec("haar", 13, t=6)
+        with pytest.raises(DimensionCapExceeded, match="got n = 13"):
+            estimate_advantage(make_hadamard_distinguisher(3), spec, spec, 8, GrowthClass("log"))
+        assert draws == []
