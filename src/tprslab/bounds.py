@@ -274,14 +274,15 @@ class PropCheckReport:
 
 
 def _prop_statistics(prop: int, part: PartitionSpec | None, alpha: int, n: int):
-    """(resource measure, distinguisher) of one pipeline check."""
+    """(resource measure, distinguisher) of one pipeline check; a given partition goes to
+    every measure, whose rule refuses it where the measure takes none."""
     if prop == 7:
-        return ResourceMeasure(MEASURE_COHERENCE_RE), make_coherence_distinguisher()
+        return ResourceMeasure(MEASURE_COHERENCE_RE, partition=part), make_coherence_distinguisher()
     if prop == 8:
         part = part or PartitionSpec(1, n - 1)
         return ResourceMeasure(MEASURE_ENTANGLEMENT, partition=part), make_swap_distinguisher(part)
     if prop == 9:
-        return ResourceMeasure(MEASURE_MAGIC, alpha=alpha), make_hadamard_distinguisher(alpha)
+        return ResourceMeasure(MEASURE_MAGIC, partition=part, alpha=alpha), make_hadamard_distinguisher(alpha)
     raise ValidationError("prop must be 7, 8, or 9")
 
 

@@ -120,9 +120,10 @@ def _parse_measure(name: str, n: int, partition: str | None, alpha: int) -> Reso
     from .resources import ResourceMeasure
 
     name = _MEASURE_ALIASES.get(name, name)
-    if name in ("entanglement-entropy", "collision-entanglement"):
-        return ResourceMeasure(name, partition=_parse_partition(partition, n))
-    return ResourceMeasure(name, alpha=alpha if name == "stabilizer-renyi" else None)
+    # a given partition goes to every measure, whose rule refuses it where the measure takes none
+    partitioned = partition is not None or name in ("entanglement-entropy", "collision-entanglement")
+    part = _parse_partition(partition, n) if partitioned else None
+    return ResourceMeasure(name, partition=part, alpha=alpha if name == "stabilizer-renyi" else None)
 
 
 def _parse_ensemble(text: str, n: int, t: int, seed: int) -> EnsembleSpec:

@@ -16,8 +16,8 @@ ENV_MEM_CAP = "TPRS_MEM_CAP"
 RETIRED_DIM_CAP = "TPRS_DIM_CAP"  # a dimension cap, replaced by the byte budget
 
 # Declared peak bytes a route may reach. 1 GiB admits every size the tests and CI
-# run (the largest, a Haar moment at n = 6, t = 2 from 1000 samples, declares
-# 0.47 GB) and the exact distance route to t = 5 at n = 20.
+# run: the exact distance route to t = 6 at n = 20 (0.66 GB declared) and a Haar
+# moment at n = 6, t = 2 from 1000 samples (0.47 GB).
 DEFAULT_MEM_CAP = 1 << 30
 DEFAULT_TABLE_CAP = 2**20       # cap on 2^n: a permutation table or a state vector
 DEFAULT_BUDGET_CONSTANT = 10.0  # c in the runtime-budget test cost <= c * T(n)

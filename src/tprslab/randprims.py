@@ -3,10 +3,11 @@
 The keyed permutation is a balanced Feistel network over n-bit strings
 (unbalanced split for odd n). A byte key is hashed once into a 64-bit word;
 round outputs and keyed phase bits come from a SplitMix64 mixer of that word,
-the round index and the half-block, evaluated on ``uint64`` arrays with one
-key word per row (the scalar methods are the one-element case). Both are
-deterministic desk-scale stand-ins: only functional correctness and empirical
-uniformity are claimed, never cryptographic security.
+the round index and the half-block. ``KeyedPermutation.apply_block`` and
+``PhaseFunction.keyed_bits`` evaluate them on ``uint64`` arrays with one key
+word per row, the route the sampler runs. Both are deterministic desk-scale
+stand-ins: only functional correctness and empirical uniformity are claimed,
+never cryptographic security.
 """
 
 from __future__ import annotations
@@ -108,33 +109,8 @@ def _word_of(key: bytes) -> np.ndarray:
     return key_words(np.frombuffer(key, dtype=np.uint8)[None, :])
 
 
-def _round(words: np.ndarray | None, rnd: int, half: np.ndarray, width: int) -> np.ndarray:
-    """Keyed Feistel round function; ``words is None`` is the identity key."""
-    if words is None:
-        return np.zeros_like(half)
-    sub = _mix(words + np.uint64((rnd + 1) * _GOLDEN % 2**64))
-    return _mix(sub ^ half) & _mask(width)
-
-
-@dataclass(frozen=True)
 class KeyedPermutation:
-    """Keyed Feistel bijection on {0,1}^n.
-
-    The empty key is the identity-key convention: the round function returns
-    zero, so the rounds reduce to half-swaps (a rotation-like baseline that is
-    still trivially a bijection).
-    """
-
-    n: int
-    key: bytes
-    rounds: int = 4
-
-    def __post_init__(self):
-        if not 1 <= self.n <= MAX_WIDTH:
-            raise ValidationError(f"domain width must be in 1..{MAX_WIDTH}")
-        if self.rounds < 1:
-            raise ValidationError("at least one Feistel round required")
-        object.__setattr__(self, "_words", _word_of(self.key) if self.key else None)
+    """Keyed Feistel bijections on {0,1}^n, one per key word."""
 
     @staticmethod
     def default_rounds(n: int) -> int:
@@ -144,42 +120,17 @@ class KeyedPermutation:
         residual bias below Monte-Carlo resolution."""
         return 4 + 2 * max(0, 8 - n)
 
-    @classmethod
-    def from_rng(cls, n: int, rng: np.random.Generator, rounds: int | None = None) -> "KeyedPermutation":
-        """Fresh random key; round count adapts to the width when unspecified."""
-        return cls(n, bytes(rng.bytes(KEY_BYTES)), cls.default_rounds(n) if rounds is None else rounds)
-
     @staticmethod
-    def apply_block(words: np.ndarray | None, xs: np.ndarray, n: int, rounds: int) -> np.ndarray:
-        """Images of the uint64 array ``xs`` under the permutations keyed by
-        ``words`` (broadcast against ``xs``; None is the identity key)."""
+    def apply_block(words: np.ndarray, xs: np.ndarray, n: int, rounds: int) -> np.ndarray:
+        """Images of the uint64 array ``xs`` of n-bit points under the
+        permutations keyed by ``words`` (broadcast against ``xs``)."""
         wl, wr = n - n // 2, n // 2  # left gets the ceil half so n=1 degenerates to (1, 0)
         left, right = xs >> wr, xs & _mask(wr)
         for rnd in range(rounds):
-            left, right = right, left ^ _round(words, rnd, right, wl)
+            sub = _mix(words + np.uint64((rnd + 1) * _GOLDEN % 2**64))
+            left, right = right, left ^ (_mix(sub ^ right) & _mask(wl))
             wl, wr = wr, wl
         return (left << wr) | right
-
-    def apply_many(self, xs) -> np.ndarray:
-        return self.apply_block(self._words, _domain(xs, self.n), self.n, self.rounds).astype(np.int64)
-
-    def apply(self, x: int) -> int:
-        return int(self.apply_many([x])[0])
-
-    def invert(self, y: int) -> int:
-        wl, wr = self.n - self.n // 2, self.n // 2
-        if self.rounds % 2 == 1:
-            wl, wr = wr, wl
-        ys = _domain([y], self.n)
-        left, right = ys >> wr, ys & _mask(wr)
-        for rnd in range(self.rounds - 1, -1, -1):
-            wl, wr = wr, wl
-            left, right = right ^ _round(self._words, rnd, left, wl), left
-        return int(((left << wr) | right)[0])
-
-    def table(self) -> np.ndarray:
-        """Full forward map as an int array; exportable as a JSON list."""
-        return self.apply_many(np.arange(2**self.n))
 
 
 @dataclass(frozen=True)

@@ -67,7 +67,8 @@ MEASURE_NAMES = (
 
 @dataclass(frozen=True)
 class ResourceMeasure:
-    """A named measure plus its parameters (partition or Renyi index)."""
+    """A named measure plus its parameters (partition or Renyi index). The two
+    entanglement measures take a partition and require one; the others refuse one."""
 
     name: str
     partition: PartitionSpec | None = None
@@ -76,8 +77,9 @@ class ResourceMeasure:
     def __post_init__(self):
         if self.name not in MEASURE_NAMES:
             raise ValidationError(f"unknown measure {self.name!r}; choose from {MEASURE_NAMES}")
-        if self.name in (MEASURE_ENTANGLEMENT, MEASURE_COLLISION_ENT) and self.partition is None:
-            raise ValidationError(f"{self.name} requires a partition")
+        partitioned = self.name in (MEASURE_ENTANGLEMENT, MEASURE_COLLISION_ENT)
+        if partitioned != (self.partition is not None):
+            raise ValidationError(f"{self.name} {'requires a' if partitioned else 'takes no'} partition")
         if self.name == MEASURE_MAGIC:
             if self.alpha is None or self.alpha < 2:
                 raise ValidationError("stabilizer-renyi requires alpha >= 2")
@@ -279,8 +281,10 @@ class HaarExpectation:
 _EULER_GAMMA = 0.5772156649015329
 
 
+@lru_cache(maxsize=None)
 def _harmonic_tail(d: int) -> float:
-    """sum_{k=2}^{d} 1/k; Euler-Maclaurin beyond 2^20 (exact at double precision)."""
+    """sum_{k=2}^{d} 1/k; Euler-Maclaurin beyond 2^20 (exact at double precision).
+    Cached per d: at d = 2^20 the sum is a million-term Python loop."""
     if d <= 2**20:
         return float(sum(1.0 / k for k in range(2, d + 1)))
     return math.log(d) + _EULER_GAMMA - 1.0 + 1.0 / (2 * d) - 1.0 / (12 * d * d)

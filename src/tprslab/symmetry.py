@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from array import array
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations, permutations, product
@@ -114,13 +115,18 @@ def _level(t: int, i: int, width: int) -> SimpleNamespace:
         (a, pi) for a in product(range(t + 1), repeat=i) if sum(a) <= t for pi in _partitions(t - sum(a), rows=width)
     ]
     index = {o: x for x, o in enumerate(orbits)}
-    moment = []
+    row, col, k, r, w, even = (array(code) for code in "iibbdb")  # typed columns, 19 bytes a pattern
     for x, (a, pi) in enumerate(orbits):
         for y, (b, rho) in enumerate(orbits):
             marked = sum(1 for u, v in zip(a, b) if u + v)
-            even = all((u + v) % 2 == 0 for u, v in zip(a, b))
-            for r, ev, w in _placements(pi, rho):
-                moment.append((x, y, marked + len(pi) + r, r, w, even and ev))
+            both = all((u + v) % 2 == 0 for u, v in zip(a, b))
+            for fresh, ev, weight in _placements(pi, rho):
+                row.append(x)
+                col.append(y)
+                k.append(marked + len(pi) + fresh)
+                r.append(fresh)
+                w.append(weight)
+                even.append(both and ev)
     average, jucys = [], []
     for b in range(i):
         moves = []
@@ -138,12 +144,11 @@ def _level(t: int, i: int, width: int) -> SimpleNamespace:
                 swaps.append((x, index[tuple(s), pi]))
         if b:
             jucys.append(tuple(np.array(c) for c in zip(*swaps)))
-    row, col, k, r, w, even = (np.array(c) for c in zip(*moment))
     return SimpleNamespace(
         parts=np.array([len(pi) for _, pi in orbits]),
         symmetry=np.array([_symmetry(pi) for _, pi in orbits], dtype=float),
         root=np.sqrt([math.factorial(t) / math.prod(map(math.factorial, a + pi)) for a, pi in orbits]),
-        moment=(row, col, k, r, w, even),
+        moment=(*map(np.asarray, (row, col, k, r, w)), np.frombuffer(even, dtype=bool)),
         average=tuple(average),
         jucys=tuple(jucys),
     )
@@ -258,12 +263,14 @@ def _level_sizes(t: int, i: int, width: int) -> tuple[int, int]:
 @lru_cache(maxsize=None)
 def route_cost(n: int, t: int) -> tuple[int, int]:
     """Declared (peak bytes, multiply-adds) of ``isotypic_blocks(kind, n, t)``, summed over
-    the cached levels: 200 bytes and t + 5 multiply-adds a moment pattern, and 3t + 5
-    dense |V_i| x |V_i| arrays with (4t + 12) |V_i|^3 eigen-problem work."""
+    the cached levels: 64 bytes and t + 5 multiply-adds a moment pattern, and 3t + 5
+    dense |V_i| x |V_i| arrays with (4t + 12) |V_i|^3 eigen-problem work. A pattern holds
+    21 bytes in its level's typed columns and 43 more while its level's moment is
+    assembled (tracemalloc peaks at t = 5 and 6)."""
     peak = madds = 0
     for i in range(min(t, 2**n - 1) + 1):
         size, patterns = _level_sizes(t, i, min(t, 2**n - i))
-        peak += 200 * patterns + 8 * (3 * t + 5) * size * size
+        peak += 64 * patterns + 8 * (3 * t + 5) * size * size
         madds += (t + 5) * patterns + (4 * t + 12) * size**3
     return peak, madds
 

@@ -15,6 +15,7 @@ from tprslab.bounds import (
 from tprslab.ensembles import EnsembleSpec
 from tprslab.errors import BoundDegenerate, DimensionCapExceeded, ParameterOrderViolated, ValidationError
 from tprslab.growth import Const, Growth, GrowthClass, Mul, advise_subset_size
+from tprslab.linalg import PartitionSpec
 from tprslab.randprims import RngSeed
 from tprslab.symmetry import route_cost
 
@@ -233,6 +234,17 @@ class TestEmpiricalPropChecks:
         assert rep.verdict == "non-binding"
         assert rep.bound == 0.0 and math.copysign(1.0, rep.bound) == 1.0
         assert rep.margin == rep.measured
+
+    @pytest.mark.parametrize("prop", [7, 9])
+    def test_partition_refused_where_the_measure_takes_none(self, prop, monkeypatch):
+        from tprslab import bounds
+
+        def no_draws(*a, **k):
+            raise AssertionError("drew before the measure's check")
+
+        monkeypatch.setattr(bounds, "paired_value_means", no_draws)
+        with pytest.raises(ValidationError, match="takes no partition"):
+            empirical_prop_check(prop, self.e_high, self.e_low, LOG, 100, part=PartitionSpec(1, 2))
 
     def test_premise_violation_reported(self):
         # swap the roles: the "high" ensemble has higher acceptance, breaking

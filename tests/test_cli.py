@@ -496,6 +496,22 @@ class TestErrorMapping:
         assert code == 2
         assert "validation error" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gap", "--measure", "coherence-re", "--n", "4", "--e1", "haar", "--e2", "haar", "--partition", "2:3"],
+            ["prop-check", "--prop", "7", "--n", "4", "--T", "log", "--e1", "haar",
+             "--e2", "subset-phase-keyed:m=4", "--partition", "1:2"],
+            ["sweep", "--measure", "coherence-re", "--n", "4", "--classes", "log", "--partition", "3:3"],
+            ["gap", "--measure", "magic", "--n", "3", "--e1", "haar", "--e2", "haar", "--partition", "1:2"],
+        ],
+        ids=["gap", "prop-check", "sweep", "gap-magic"],
+    )
+    def test_partition_on_a_measure_without_one_exits_2(self, argv, capsys):
+        code, out, err = run(argv + ["--samples", "20"], capsys)
+        assert code == 2 and out == ""
+        assert "takes no partition" in err and "Traceback" not in err
+
     def test_sweep_partition_that_misses_an_n_exits_2(self, capsys):
         code, out, err = run(["sweep", "--measure", "entanglement", "--n", "4..5", "--partition", "2:2"], capsys)
         assert code == 2

@@ -106,12 +106,12 @@ class TestRouteCost:
                     assert route_cost(n, t)[0] <= DEFAULT_MEM_CAP
 
     @pytest.mark.parametrize("n", [8, 20])
-    def test_default_budget_admits_t5_and_refuses_t6(self, n):
-        assert route_cost(n, 5)[0] <= DEFAULT_MEM_CAP < route_cost(n, 6)[0]
+    def test_default_budget_admits_t6_and_refuses_t7(self, n):
+        assert route_cost(n, 6)[0] <= DEFAULT_MEM_CAP < route_cost(n, 7)[0]
 
-    @pytest.mark.parametrize("n,t", [(20, 4), (2, 5)])
+    @pytest.mark.parametrize("n,t", [(20, 4), (2, 5), (20, 5)])
     def test_declared_bytes_bound_the_traced_peak(self, n, t):
-        # within a factor of 2.5 (1.6 and 2.0 measured)
+        # within a factor of 2.5 (1.5, 2.0 and 1.6 measured)
         exact_distance("subset", 3, 2, 2)  # numpy and the small levels, outside the trace
         for cached in (_level, symmetry._isotypic_blocks, symmetry._placements):
             cached.cache_clear()

@@ -28,10 +28,12 @@ from .util import (
     copy_transposition_operator,
     exact_subset_moment,
     exact_subset_phase_moment,
+    feistel_apply_oracle,
     kron_all,
     mc_ensemble_moment_oracle,
     operator_from_json,
     operator_to_json,
+    phase_bit_oracle,
 )
 
 
@@ -356,15 +358,14 @@ class TestSampleBlock:
         keys = [raw[j * KEY_BYTES : (j + 1) * KEY_BYTES] for j in range(per_row * count)]
         rounds = KeyedPermutation.default_rounds(n)
         for i, row in enumerate(block):
-            perm = KeyedPermutation(n, keys[per_row * i], rounds)
+            key = keys[per_row * i]
             want = np.zeros(2**n, dtype=complex)
             if per_row == 1:
-                want[[perm.apply(x) for x in range(m)]] = 1 / math.sqrt(m)
+                want[[feistel_apply_oracle(key, n, rounds, x) for x in range(m)]] = 1 / math.sqrt(m)
             else:
-                f = PhaseFunction.keyed(n, keys[per_row * i + 1])
                 for x in range(m):
-                    y = perm.apply(x << (n - spec.m_exp))
-                    want[y] = 1 / math.sqrt(m) * (1.0 - 2.0 * f.eval(y))
+                    y = feistel_apply_oracle(key, n, rounds, x << (n - spec.m_exp))
+                    want[y] = 1 / math.sqrt(m) * (1.0 - 2.0 * phase_bit_oracle(keys[per_row * i + 1], y))
             assert np.array_equal(row, want)
 
     @pytest.mark.parametrize("n", [1, 3, 8])
@@ -496,13 +497,13 @@ class TestAdvisors:
 
     def test_copies_follow_the_budget(self, monkeypatch):
         # polylog at n = 16 asks for ceil(log2 16) = 4 copies; the exact distance
-        # route declares 26,272, 359,848 and 5,232,360 bytes at t = 2, 3 and 4
+        # route declares 12,536, 182,096 and 2,775,792 bytes at t = 2, 3 and 4
         polylog = GrowthClass.parse("polylog")
-        assert [route_cost(16, t)[0] for t in (2, 3, 4)] == [26272, 359848, 5232360]
-        for cap, want in ((2**80, 4), (5232360, 4), (5232359, 3), (359848, 3), (359847, 2), (26272, 2)):
+        assert [route_cost(16, t)[0] for t in (2, 3, 4)] == [12536, 182096, 2775792]
+        for cap, want in ((2**80, 4), (2775792, 4), (2775791, 3), (182096, 3), (182095, 2), (12536, 2)):
             monkeypatch.setenv("TPRS_MEM_CAP", str(cap))
             assert advise_copies(polylog, 16) == want
-        monkeypatch.setenv("TPRS_MEM_CAP", "26271")
+        monkeypatch.setenv("TPRS_MEM_CAP", "12535")
         for cls in ("log", "polylog"):
             with pytest.raises(DimensionCapExceeded):
                 advise_copies(GrowthClass.parse(cls), 16)

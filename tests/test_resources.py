@@ -10,6 +10,7 @@ from tprslab.randprims import RngSeed, sample_haar_block
 from tprslab.resources import (
     MEASURE_NAMES,
     ResourceMeasure,
+    _harmonic_tail,
     collision_entanglement,
     entanglement_entropy,
     estimate_gap,
@@ -163,6 +164,13 @@ class TestHaarExpected:
         assert haar_expected("coherence-re", 20).value == pytest.approx(direct, rel=1e-12)
         assert np.isfinite(haar_expected("coherence-re", 64).value)
 
+    def test_coherence_re_sums_once_per_dimension(self):
+        _harmonic_tail.cache_clear()
+        values = {haar_expected("coherence-re", 20).value for _ in range(3)}
+        assert len(values) == 1
+        info = _harmonic_tail.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
     def test_coherence_hs_n2(self):
         assert haar_expected("coherence-hs", 2).value == pytest.approx(0.6, abs=1e-12)
 
@@ -198,7 +206,7 @@ class TestHaarExpected:
     def test_units(self):
         part = PartitionSpec(2, 2)
         for name in ("coherence-re", "entanglement-entropy", "collision-entanglement", "stabilizer-renyi"):
-            assert haar_expected(name, 4, part=part, alpha=3).units == "bits"
+            assert haar_expected(name, 4, part=part if "entanglement" in name else None, alpha=3).units == "bits"
         assert haar_expected("coherence-hs", 4).units == "dimensionless"
 
     @pytest.mark.parametrize("n,alpha", [(1, 2), (2, 2), (1, 3)])
@@ -331,6 +339,13 @@ class TestEstimateGap:
         with pytest.raises(ValidationError):
             ResourceMeasure("stabilizer-renyi", alpha=1)
 
+    @pytest.mark.parametrize("name,alpha", [("coherence-re", None), ("coherence-hs", None), ("stabilizer-renyi", 3)])
+    def test_partition_refused_where_the_measure_takes_none(self, name, alpha):
+        with pytest.raises(ValidationError, match="takes no partition"):
+            ResourceMeasure(name, partition=PartitionSpec(1, 1), alpha=alpha)
+        with pytest.raises(ValidationError, match="takes no partition"):
+            haar_expected(name, 2, part=PartitionSpec(1, 1), alpha=alpha)
+
 
 class TestChecksBeforeDraw:
     """Each stream's range check runs in the engine's pass over costs, before its first draw."""
@@ -351,7 +366,10 @@ class TestChecksBeforeDraw:
 
     def test_growth_table_rows(self):
         part = PartitionSpec(1, 1)
-        rows = {name: ResourceMeasure(name, partition=part, alpha=3).resource for name in MEASURE_NAMES}
+        rows = {
+            name: ResourceMeasure(name, partition=part if "entanglement" in name else None, alpha=3).resource
+            for name in MEASURE_NAMES
+        }
         assert rows == {
             "coherence-re": "coherence", "coherence-hs": "coherence", "entanglement-entropy": "entanglement",
             "collision-entanglement": "entanglement", "stabilizer-renyi": "magic",

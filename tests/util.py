@@ -221,16 +221,13 @@ def key_word_oracle(key: bytes) -> int:
 
 
 def feistel_apply_oracle(key: bytes, n: int, rounds: int, x: int) -> int:
-    """Scalar Python-int Feistel network; an empty key has zero round output."""
-    word = key_word_oracle(key) if key else None
+    """Scalar Python-int Feistel network of the library's keyed permutation."""
+    word = key_word_oracle(key)
     wl, wr = n - n // 2, n // 2
     left, right = x >> wr, x & ((1 << wr) - 1)
     for rnd in range(rounds):
-        f = 0
-        if word is not None:
-            sub = _splitmix_int((word + (rnd + 1) * _GOLDEN) & _MASK64)
-            f = _splitmix_int(sub ^ right) & ((1 << wl) - 1)
-        left, right = right, left ^ f
+        sub = _splitmix_int((word + (rnd + 1) * _GOLDEN) & _MASK64)
+        left, right = right, left ^ (_splitmix_int(sub ^ right) & ((1 << wl) - 1))
         wl, wr = wr, wl
     return (left << wr) | right
 
