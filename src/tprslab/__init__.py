@@ -19,17 +19,10 @@ __version__ = "0.1.0"
 
 # exported names by the submodule that defines them; a submodule is itself exported
 _EXPORTS = {
-    "linalg": ("PartitionSpec", "PureState", "SymmetricOperator", "symmetric_projector", "trace_distance"),
+    "linalg": ("PartitionSpec", "SymmetricOperator", "symmetric_projector", "trace_distance"),
     "randprims": ("KeyedPermutation", "PhaseFunction", "RngSeed"),
-    "ensembles": (
-        "EnsembleSpec",
-        "SubsetSpec",
-        "build_subset_phase_state",
-        "build_subset_state",
-        "haar_moment",
-        "mc_ensemble_moment",
-    ),
-    "resources": ("ResourceMeasure", "estimate_gap", "haar_expected", "stabilizer_renyi_entropy"),
+    "ensembles": ("EnsembleSpec", "haar_moment", "mc_ensemble_moment"),
+    "resources": ("ResourceMeasure", "estimate_gap", "haar_expected"),
     "distinguishers": ("estimate_advantage", "hybrid_experiment"),
     "growth": (
         "GrowthClass",

@@ -128,25 +128,26 @@ def _parse_measure(name: str, n: int, partition: str | None, alpha: int) -> Reso
 
 def _parse_ensemble(text: str, n: int, t: int, seed: int) -> EnsembleSpec:
     """kind[:m=VALUE], e.g. 'haar' or 'subset-phase-true-random:m=4'."""
-    from .ensembles import ENSEMBLE_KINDS, EnsembleSpec
+    from .ensembles import EnsembleSpec
 
     kind, _, rest = text.partition(":")
     m = None
     if rest:
         for item in rest.split(","):
             key, _, val = item.partition("=")
-            if key.strip() == "m":
-                (m,) = _ints(val, ",", "ensemble parameter m must be an integer", 1)
-            else:
+            if key.strip() != "m":
                 raise ValidationError(f"unknown ensemble parameter {key!r}")
-    if kind not in ENSEMBLE_KINDS:
-        raise ValidationError(f"unknown ensemble kind {kind!r}; choose from {ENSEMBLE_KINDS}")
+            if m is not None:
+                raise ValidationError(f"ensemble parameter m given twice in {text!r}")
+            (m,) = _ints(val, ",", "ensemble parameter m must be an integer", 1)
     return EnsembleSpec(kind, n, m=m, t=t, seed=seed)
 
 
 def _int_list(text: str) -> list[int]:
     if ".." in text:
         lo, hi = _ints(text, "..", "range must be lo..hi", 2)
+        if hi < lo:
+            raise ValidationError(f"range {text!r} is empty")
         return list(range(lo, hi + 1))
     return _ints(text, ",", "expected a comma list of integers")
 
@@ -156,54 +157,49 @@ def _int_list(text: str) -> list[int]:
 
 
 def _cmd_build(resolved: dict) -> tuple[list[str], list[dict], int]:
+    """The amplitude row of one subset state: members from --members or drawn by
+    generator 0, and for the subset-phase kind signs from a table or key of generator 1."""
+    import math
+
     import numpy as np
 
-    from .ensembles import SubsetSpec, build_subset_phase_state, build_subset_state
-    from .randprims import PhaseFunction, RngSeed
+    from .randprims import PhaseFunction, RngSeed, draw_key_words
 
     n = resolved.get("n")
-    kind = resolved["kind"]
     seed = RngSeed(resolved["seed"])
     if resolved.get("members"):
-        spec = SubsetSpec.from_bitstrings(resolved["members"].split(","))
-        if n and spec.n != n:
+        strings = resolved["members"].split(",")
+        width = len(strings[0])
+        if any(len(s) != width for s in strings):
+            raise ValidationError("all member strings must share one width")
+        if not width or any(set(s) - {"0", "1"} for s in strings):
+            raise ValidationError("member strings must be binary")
+        check_domain(width)
+        if len(set(strings)) != len(strings):
+            raise ValidationError("subset members must be distinct")
+        if n and width != n:
             raise ValidationError("member width disagrees with --n")
+        n, members = width, np.array([int(s, 2) for s in strings])
     else:
         if not resolved.get("m") or not n:
             raise ValidationError("provide --members, or both --n and --m")
         if n < 1 or not 1 <= resolved["m"] <= 2**n:
             raise ValidationError("need n >= 1 and 1 <= m <= 2^n")
-        rng = seed.generator(0)
-        members = rng.choice(check_domain(n), size=resolved["m"], replace=False)
-        spec = SubsetSpec(n, tuple(int(x) for x in members))
-    if kind == "subset":
-        state = build_subset_state(spec)
-    elif kind == "subset-phase":
-        phase_kind = resolved.get("phase", "zero")
-        if phase_kind == "zero":
-            f = PhaseFunction.zero(spec.n)
-        elif phase_kind == "table":
-            f = PhaseFunction.random_table(spec.n, seed.generator(1))
-        else:
-            f = PhaseFunction.keyed_from_rng(spec.n, seed.generator(1))
-        state = build_subset_phase_state(spec, f)
-    else:
-        raise ValidationError("kind must be subset or subset-phase")
-    rows = []
-    for idx in np.flatnonzero(np.abs(state.amps) > 0):
-        amp = state.amps[idx]
-        rows.append(
-            {
-                "index": int(idx),
-                "bitstring": format(int(idx), f"0{spec.n}b"),
-                "re": float(amp.real),
-                "im": float(amp.imag),
-            }
-        )
-    norm = float(np.linalg.norm(state.amps))
-    for row in rows:
-        row["norm"] = norm
-        row["support"] = len(rows)
+        members = seed.generator(0).choice(check_domain(n), size=resolved["m"], replace=False)
+    bits = np.zeros(len(members), dtype=np.uint8)
+    phase = resolved.get("phase", "zero") if resolved["kind"] == "subset-phase" else "zero"
+    if phase == "table":
+        bits = seed.generator(1).integers(0, 2, size=2**n, dtype=np.uint8)[members]
+    elif phase == "keyed":
+        bits = PhaseFunction.keyed_bits(draw_key_words(seed.generator(1), 1), members.astype(np.uint64))
+    amps = np.zeros(2**n)
+    amps[members] = (1.0 - 2.0 * bits) / math.sqrt(len(members))
+    norm, support = float(np.linalg.norm(amps)), np.flatnonzero(amps)
+    rows = [
+        {"index": int(x), "bitstring": format(int(x), f"0{n}b"), "re": float(amps[x]), "im": 0.0,
+         "norm": norm, "support": len(support)}
+        for x in support
+    ]
     return ["index", "bitstring", "re", "im", "norm", "support"], rows, EXIT_OK
 
 

@@ -23,8 +23,7 @@ DEFAULT_TABLE_CAP = 2**20       # cap on 2^n: a permutation table or a state vec
 DEFAULT_BUDGET_CONSTANT = 10.0  # c in the runtime-budget test cost <= c * T(n)
 DEFAULT_KAPPA = 1.0             # rendering constant for asymptotic table entries
 
-# Tolerance ladder: tight at construction, looser for derived property checks.
-NORM_TOL = 1e-12
+# Tolerances of the moment operator's checks, and the floor below which an eigenvalue counts as 0.
 HERM_TOL = 1e-10
 TRACE_TOL = 1e-10
 EIG_FLOOR = 1e-12

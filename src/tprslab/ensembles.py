@@ -3,7 +3,8 @@
 Subset states superpose computational basis strings from a subset S; the
 phase variants attach (-1)^{f(x)} signs. The keyed kinds draw a fresh
 permutation / phase key per sample; the true-random kinds sample S (and
-signs) uniformly. The exact moments of the uniform measure enter the library
+signs) uniformly. Every kind is drawn as blocks of amplitude rows
+(``sample_block``). The exact moments of the uniform measure enter the library
 only through their distance to Haar (``symmetry.exact_distance``).
 """
 
@@ -16,17 +17,14 @@ from functools import lru_cache
 import numpy as np
 
 from .config import check_budget, check_domain
-from .errors import BadSubsetExponent, EmptySubset, ValidationError
-from .linalg import PureState, SymmetricOperator, abs2, basis_cost, hermitian_gram, symmetric_basis, symmetric_dimension
+from .errors import BadSubsetExponent, ValidationError
+from .linalg import SymmetricOperator, abs2, basis_cost, hermitian_gram, symmetric_basis, symmetric_dimension
 from .randprims import KeyedPermutation, PhaseFunction, RngSeed, draw_key_words, sample_haar_block
 from .sampling import DEFAULT_CHUNK, chunk_layout
 
 __all__ = [
-    "SubsetSpec",
     "EnsembleSpec",
     "ENSEMBLE_KINDS",
-    "build_subset_state",
-    "build_subset_phase_state",
     "stabilizer_orbit",
     "sample_block",
     "haar_moment",
@@ -52,43 +50,6 @@ ENSEMBLE_KINDS = (
 _SUBSET_KINDS = (KIND_SUBSET_PHASE_KEYED, KIND_SUBSET_PHASE_TRUE, KIND_SUBSET_KEYED, KIND_SUBSET_TRUE)
 _PHASE_KINDS = (KIND_SUBSET_PHASE_KEYED, KIND_SUBSET_PHASE_TRUE)
 
-@dataclass(frozen=True)
-class SubsetSpec:
-    """A sorted set of distinct n-bit strings (stored as integers)."""
-
-    n: int
-    members: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValidationError("qubit count must be >= 1")
-        check_domain(self.n)
-        if len(self.members) == 0:
-            raise EmptySubset("subset needs at least one member")
-        members = tuple(int(x) for x in self.members)
-        if len(set(members)) != len(members):
-            raise ValidationError("subset members must be distinct")
-        if any(not (0 <= x < 2**self.n) for x in members):
-            raise ValidationError("subset member outside {0,1}^n")
-        object.__setattr__(self, "members", tuple(sorted(members)))
-
-    @property
-    def m(self) -> int:
-        return len(self.members)
-
-    @classmethod
-    def from_bitstrings(cls, strings) -> "SubsetSpec":
-        strings = list(strings)
-        if not strings:
-            raise EmptySubset("subset needs at least one member")
-        widths = {len(s) for s in strings}
-        if len(widths) != 1:
-            raise ValidationError("all member strings must share one width")
-        n = widths.pop()
-        if any(set(s) - {"0", "1"} for s in strings):
-            raise ValidationError("member strings must be binary")
-        return cls(n, tuple(int(s, 2) for s in strings))
-
 
 @dataclass(frozen=True)
 class EnsembleSpec:
@@ -102,7 +63,7 @@ class EnsembleSpec:
 
     def __post_init__(self):
         if self.kind not in ENSEMBLE_KINDS:
-            raise ValidationError(f"unknown ensemble kind {self.kind!r}")
+            raise ValidationError(f"unknown ensemble kind {self.kind!r}; choose from {ENSEMBLE_KINDS}")
         if self.n < 1:
             raise ValidationError("qubit count must be >= 1")
         check_domain(self.n)
@@ -133,24 +94,7 @@ class EnsembleSpec:
 
 
 # ---------------------------------------------------------------------------
-# State builders
-
-
-def build_subset_state(spec: SubsetSpec) -> PureState:
-    """|S> = sum_{x in S} |x> / sqrt(|S|)."""
-    amps = np.zeros(2**spec.n)
-    amps[list(spec.members)] = 1.0 / math.sqrt(spec.m)
-    return PureState(spec.n, amps)
-
-
-def build_subset_phase_state(spec: SubsetSpec, f: PhaseFunction) -> PureState:
-    """sum_{x in S} (-1)^{f(x)} |x> / sqrt(|S|)."""
-    if f.n != spec.n:
-        raise ValidationError("phase function domain width must match the subset")
-    amps = np.zeros(2**spec.n)
-    signs = 1.0 - 2.0 * f.eval_many(spec.members).astype(float)
-    amps[list(spec.members)] = signs / math.sqrt(spec.m)
-    return PureState(spec.n, amps)
+# Stabilizer states
 
 
 _CLIFFORD_KEY_DECIMALS = 8

@@ -21,16 +21,8 @@ class PartitionMismatch(TprsError):
     """A bipartition is inconsistent with the state it is applied to."""
 
 
-class DomainOverflow(TprsError):
-    """An input lies outside the {0,1}^n domain of a keyed primitive."""
-
-
 class DomainCapExceeded(TprsError):
     """An explicit permutation table or a 2^n state vector would exceed the table-size cap."""
-
-
-class EmptySubset(TprsError):
-    """A subset specification with no members."""
 
 
 class BadSubsetExponent(TprsError):

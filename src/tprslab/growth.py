@@ -88,6 +88,8 @@ class GrowthClass:
             raise ValidationError("poly-of requires a base class")
         if self.form != "poly-of" and self.base is not None:
             raise ValidationError("base only allowed for poly-of")
+        if self.form == "poly-of" and self.base.degree_vector() is None:
+            raise UnsupportedGrowthClass(f"poly-of needs a base below exponential growth, not {self.base}")
 
     @classmethod
     def parse(cls, text: str) -> "GrowthClass":
@@ -138,8 +140,6 @@ class GrowthClass:
             vec = self.base.degree_vector()
         elif family_base is None:
             return vec
-        if vec is None:
-            return None
         a, b, e = vec
         return (self.exponent * a, self.exponent * b, self.exponent * e)
 
@@ -393,7 +393,7 @@ def _decide(eta: Expr, T: GrowthClass) -> NegligibilityReport | None:
     decay = (-m.a, -m.b, -m.e)
     if T.is_family:
         beta = T.base_class().degree_vector()
-        if beta is None or not _lex_positive(beta):
+        if not _lex_positive(beta):
             raise UnrecognizedForm(f"family class {T} has no usable base")
         if _lead_level(decay) < _lead_level(beta):
             return NegligibilityReport(
@@ -448,7 +448,7 @@ def _repeats_within_poly_base(T: GrowthClass, R: GrowthClass) -> bool:
     if not T.is_family:
         return False
     base, rvec = T.base_class().degree_vector(), R.base_class().degree_vector()
-    return base is not None and rvec is not None and _lead_level(rvec) >= _lead_level(base)
+    return rvec is not None and _lead_level(rvec) >= _lead_level(base)
 
 
 def check_closure(negl_class: GrowthClass, repeats: GrowthClass) -> RuleReport:

@@ -1,6 +1,8 @@
-"""Pure states, copy moments and the symmetric subspace.
+"""Copy moments, bipartitions and the symmetric subspace.
 
-States and moments are immutable value objects, and every operation is a pure
+A pure state is a row of 2^n amplitudes in big-endian order: index x encodes
+the bit string of x with qubit 0 as the most significant bit, matching np.kron
+composition. Moments are immutable value objects, and every operation is a pure
 function. Arrays are stored as float64 when real and complex128 otherwise.
 Copy moments are ``SymmetricOperator`` blocks in the symmetric subspace's type
 basis (``symmetric_basis``), gathered dense only on request; their trace
@@ -18,11 +20,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import EIG_FLOOR, HERM_TOL, NORM_TOL, TRACE_TOL, check_budget
+from .config import EIG_FLOOR, HERM_TOL, TRACE_TOL, check_budget
 from .errors import DimensionMismatch, PartitionMismatch, ValidationError
 
 __all__ = [
-    "PureState",
     "SymmetricOperator",
     "PartitionSpec",
     "trace_distance",
@@ -59,38 +60,6 @@ def hermitian_gram(v: np.ndarray) -> np.ndarray:
     m = w[k:].T @ w[:k]
     np.subtract(m, m.T, out=out.imag)
     return out
-
-
-@dataclass(frozen=True, eq=False)
-class PureState:
-    """Unit-norm amplitude vector of an n-qubit pure state.
-
-    Real amplitudes are stored as float64, complex ones as complex128.
-    Basis ordering is big-endian: index x encodes the bit string of x with
-    qubit 0 as the most significant bit, matching np.kron composition.
-    Equality is identity; compare amplitudes explicitly when needed.
-    """
-
-    n: int
-    amps: np.ndarray
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValidationError("qubit count must be >= 1")
-        amps = _readonly(np.asarray(self.amps).reshape(-1))
-        if amps.shape[0] != 2**self.n:
-            raise ValidationError(
-                f"amplitude vector has length {amps.shape[0]}, expected 2^{self.n}"
-            )
-        norm = float(np.linalg.norm(amps))
-        # written as not (x <= tol), so a NaN or an infinity fails too
-        if not abs(norm - 1.0) <= NORM_TOL:
-            raise ValidationError(f"state norm {norm} deviates from 1 beyond {NORM_TOL}")
-        object.__setattr__(self, "amps", amps)
-
-    @property
-    def dim(self) -> int:
-        return 2**self.n
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,11 +12,11 @@ never cryptographic security.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainOverflow, ValidationError
+from .errors import ValidationError
 
 __all__ = [
     "RngSeed",
@@ -28,12 +28,7 @@ __all__ = [
     "as_seed",
 ]
 
-PHASE_KEYED = "keyed"
-PHASE_TABLE = "truly-random-table"
-PHASE_ZERO = "constant-zero"
-
 KEY_BYTES = 16
-MAX_WIDTH = 63  # widest domain the uint64 (int64 at the boundary) arrays hold
 
 
 @dataclass(frozen=True)
@@ -76,14 +71,6 @@ def _mask(width: int) -> np.uint64:
     return np.uint64((1 << width) - 1)
 
 
-def _domain(xs, n: int) -> np.ndarray:
-    """Points of {0,1}^n as a uint64 array; anything outside is an overflow."""
-    xs = np.asarray(xs, dtype=np.int64).reshape(-1)
-    for x in xs[(xs < 0) | (xs >= 2**n)][:1]:
-        raise DomainOverflow(f"{x} outside 0..2^{n}-1")
-    return xs.astype(np.uint64)
-
-
 def key_words(keys: np.ndarray) -> np.ndarray:
     """Hash a (count, length) uint8 array of byte keys into (count,) uint64
     words: the mixer folds the zero-padded little-endian 64-bit chunks into
@@ -103,10 +90,6 @@ def draw_key_words(rng: np.random.Generator, count: int) -> np.ndarray:
     """Words of ``count`` fresh KEY_BYTES-byte keys, drawn as one ``rng.bytes`` call."""
     raw = np.frombuffer(rng.bytes(KEY_BYTES * count), dtype=np.uint8)
     return key_words(raw.reshape(count, KEY_BYTES))
-
-
-def _word_of(key: bytes) -> np.ndarray:
-    return key_words(np.frombuffer(key, dtype=np.uint8)[None, :])
 
 
 class KeyedPermutation:
@@ -133,59 +116,13 @@ class KeyedPermutation:
         return (left << wr) | right
 
 
-@dataclass(frozen=True)
 class PhaseFunction:
-    """Deterministic binary function on {0,1}^n."""
-
-    n: int
-    kind: str
-    key: bytes = b""
-    table: np.ndarray | None = field(default=None, compare=False)
-
-    def __post_init__(self):
-        if not 1 <= self.n <= MAX_WIDTH:
-            raise ValidationError(f"domain width must be in 1..{MAX_WIDTH}")
-        if self.kind not in (PHASE_KEYED, PHASE_TABLE, PHASE_ZERO):
-            raise ValidationError(f"unknown phase function kind {self.kind!r}")
-        if self.kind == PHASE_TABLE:
-            if self.table is None or len(self.table) != 2**self.n:
-                raise ValidationError("table kind requires a 2^n bit table")
-            tab = np.asarray(self.table, dtype=np.uint8) & 1
-            tab.setflags(write=False)
-            object.__setattr__(self, "table", tab)
-        object.__setattr__(self, "_words", _word_of(self.key) if self.kind == PHASE_KEYED else None)
-
-    @classmethod
-    def zero(cls, n: int) -> "PhaseFunction":
-        return cls(n, PHASE_ZERO)
-
-    @classmethod
-    def keyed(cls, n: int, key: bytes) -> "PhaseFunction":
-        return cls(n, PHASE_KEYED, key=key)
-
-    @classmethod
-    def keyed_from_rng(cls, n: int, rng: np.random.Generator) -> "PhaseFunction":
-        return cls(n, PHASE_KEYED, key=bytes(rng.bytes(KEY_BYTES)))
-
-    @classmethod
-    def random_table(cls, n: int, rng: np.random.Generator) -> "PhaseFunction":
-        return cls(n, PHASE_TABLE, table=rng.integers(0, 2, size=2**n, dtype=np.uint8))
+    """Keyed binary functions on n-bit strings, one per key word."""
 
     @staticmethod
     def keyed_bits(words: np.ndarray, xs: np.ndarray) -> np.ndarray:
         """Keyed phase bits of the uint64 array ``xs`` under ``words`` (broadcast)."""
         return (_mix(_mix(words ^ _PHASE_TWEAK) ^ xs) >> 63).astype(np.uint8)
-
-    def eval(self, x: int) -> int:
-        return int(self.eval_many([x])[0])
-
-    def eval_many(self, xs) -> np.ndarray:
-        xs = _domain(xs, self.n)
-        if self.kind == PHASE_ZERO:
-            return np.zeros(xs.shape, dtype=np.uint8)
-        if self.kind == PHASE_TABLE:
-            return self.table[xs.astype(np.intp)]
-        return self.keyed_bits(self._words, xs)
 
 
 def sample_haar_block(n: int, count: int, rng: np.random.Generator) -> np.ndarray:

@@ -23,16 +23,13 @@ from .sampling import paired_value_means
 
 if TYPE_CHECKING:
     from .ensembles import EnsembleSpec
-    from .linalg import PartitionSpec, PureState
+    from .linalg import PartitionSpec
     from .randprims import RngSeed
     from .sampling import MeanAccumulator
 
 __all__ = [
     "ResourceMeasure",
     "MEASURE_NAMES",
-    "entanglement_entropy",
-    "collision_entanglement",
-    "stabilizer_renyi_entropy",
     "pauli_basis",
     "haar_expected",
     "HaarExpectation",
@@ -142,21 +139,6 @@ def _schmidt_probs(amps: np.ndarray, part: PartitionSpec) -> np.ndarray:
     return np.linalg.eigvalsh(_reduced_gram(amps, part))
 
 
-def entanglement_entropy(psi: PureState, part: PartitionSpec) -> float:
-    """Entropy of either reduction of a pure state across the partition, in bits."""
-    return measure_pure_amps(ResourceMeasure(MEASURE_ENTANGLEMENT, partition=part), psi.amps, psi.n)
-
-
-def reduced_purity(psi: PureState, part: PartitionSpec) -> float:
-    """Tr(rho_A^2) of the smaller-side reduction."""
-    return measure_pure_amps(ResourceMeasure(MEASURE_COLLISION_ENT, partition=part), psi.amps, psi.n)
-
-
-def collision_entanglement(psi: PureState, part: PartitionSpec) -> float:
-    """Renyi-2 entropy of the reduction: -log2 Tr(rho_A^2)."""
-    return float(-np.log2(reduced_purity(psi, part)))
-
-
 _PAULI_1 = (
     np.eye(2, dtype=np.complex128),
     np.array([[0, 1], [1, 0]], dtype=np.complex128),
@@ -253,11 +235,6 @@ def pauli_power_sums(amps: np.ndarray, n: int, alpha: int) -> np.ndarray:
             g = f.real + f.imag if np.iscomplexobj(f) else f
             out[lo : lo + rows] += _power_sum(_walsh_hadamard(g, n).reshape(len(g), -1), alpha)
     return out / 2**n
-
-
-def stabilizer_renyi_entropy(psi: PureState, alpha: int) -> float:
-    """Magic monotone of a pure state from 2*alpha-th powers of its Pauli expectations, in bits."""
-    return measure_pure_amps(ResourceMeasure(MEASURE_MAGIC, alpha=alpha), psi.amps, psi.n)
 
 
 # ---------------------------------------------------------------------------

@@ -28,10 +28,9 @@ from tprslab.resources import (
     haar_magic_proxy,
     measure_pure_amps,
     pauli_basis,
-    stabilizer_renyi_entropy,
 )
 
-from .util import TKET, coherence_hs, coherence_re, pauli_power_sum, pure, random_pure
+from .util import TKET, coherence_hs, coherence_re, measure, pauli_power_sum, pure, random_pure
 
 LOG = GrowthClass.parse("log")
 
@@ -150,7 +149,7 @@ def test_criterion_06_coherence_relation():
     worst = np.inf
     for i in range(1000):
         n = 1 + i % 3
-        amps = random_pure(n, rng).amps
+        amps = random_pure(n, rng)
         margin = measure_pure_amps(coherence, amps, n) + math.log2(1 - measure_pure_amps(hs, amps, n))
         worst = min(worst, margin)
         if margin < -1e-9:
@@ -173,9 +172,9 @@ def test_criterion_07_replica_identity():
     for i in range(200):
         n = 1 + i % 2
         psi = random_pure(n, rng)
-        p = replica(psi.amps, n)
+        p = replica(psi, n)
         via_test = math.log2(2 * p - 1) / (1 - 3)
-        direct = stabilizer_renyi_entropy(psi, 3)
+        direct = measure("stabilizer-renyi", psi, alpha=3)
         worst = max(worst, abs(via_test - direct))
     report(
         7,
@@ -190,13 +189,13 @@ def test_criterion_08_magic_point_values():
     # independent oracle: hand-built Pauli enumeration
     oracle_m2 = math.log2(pauli_power_sum(TKET, 1, 2) / 2) / (1 - 2)
     oracle_m3 = math.log2(pauli_power_sum(TKET, 1, 3) / 2) / (1 - 3)
-    dev2 = abs(stabilizer_renyi_entropy(t_state, 2) - math.log2(4 / 3))
-    dev3 = abs(stabilizer_renyi_entropy(t_state, 3) - 0.5 * math.log2(8 / 5))
+    dev2 = abs(measure("stabilizer-renyi", t_state, alpha=2) - math.log2(4 / 3))
+    dev3 = abs(measure("stabilizer-renyi", t_state, alpha=3) - 0.5 * math.log2(8 / 5))
     oracle_ok = abs(oracle_m2 - math.log2(4 / 3)) <= 1e-12 and abs(
         oracle_m3 - 0.5 * math.log2(8 / 5)
     ) <= 1e-12
     stab_worst = max(
-        abs(stabilizer_renyi_entropy(pure(v), alpha))
+        abs(measure("stabilizer-renyi", pure(v), alpha=alpha))
         for v in stabilizer_orbit(1)
         for alpha in (2, 3)
     )

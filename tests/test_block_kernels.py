@@ -1,9 +1,9 @@
 """Batched measure and acceptance kernels against the per-state routes.
 
 Every block statistic the sampling engine evaluates must agree row by row,
-to 1e-12, with the single-state library function of the same quantity and
-with the independent oracles in tests/util.py. Real rows stay float64 through
-every kernel and agree with their complex128 cast.
+to 1e-12, with the same kernel on that one row and with the independent
+oracles in tests/util.py. Real rows stay float64 through every kernel and
+agree with their complex128 cast.
 """
 
 import numpy as np
@@ -23,15 +23,9 @@ from tprslab.ensembles import (
     mc_ensemble_moment,
     sample_block,
 )
-from tprslab.linalg import PartitionSpec, PureState, SymmetricOperator
+from tprslab.linalg import PartitionSpec, SymmetricOperator
 from tprslab.randprims import RngSeed
-from tprslab.resources import (
-    ResourceMeasure,
-    entanglement_entropy,
-    measure_pure_amps,
-    reduced_purity,
-    stabilizer_renyi_entropy,
-)
+from tprslab.resources import ResourceMeasure, measure_pure_amps
 
 from .util import (
     coherence_hs,
@@ -42,6 +36,7 @@ from .util import (
     exact_subset_moment,
     exact_subset_phase_moment,
     loop_partial_trace,
+    measure,
     pauli_power_sum,
     schmidt_probs_oracle,
 )
@@ -92,9 +87,8 @@ class TestBlockKernels:
             ent = measure_pure_amps(ResourceMeasure("entanglement-entropy", partition=part), block, n)
             pur = measure_pure_amps(ResourceMeasure("collision-entanglement", partition=part), block, n)
             for i, row in enumerate(block):
-                psi = PureState(n, row)
-                assert abs(ent[i] - entanglement_entropy(psi, part)) <= TOL
-                assert abs(pur[i] - reduced_purity(psi, part)) <= TOL
+                assert abs(ent[i] - measure("entanglement-entropy", row, partition=part)) <= TOL
+                assert abs(pur[i] - measure("collision-entanglement", row, partition=part)) <= TOL
                 if n <= 6:
                     lam = schmidt_probs_oracle(row, part.n_a, part.n_b)
                     assert abs(ent[i] - entropy_bits(lam)) <= TOL
@@ -108,7 +102,7 @@ class TestBlockKernels:
         for part in _partitions(n):
             swap = make_swap_distinguisher(part).accept_prob_pure(block, n)
             for i, row in enumerate(block):
-                assert abs(swap[i] - 0.5 * (1 + reduced_purity(PureState(n, row), part))) <= TOL
+                assert abs(swap[i] - 0.5 * (1 + measure("collision-entanglement", row, partition=part))) <= TOL
                 if n <= 8:
                     red = loop_partial_trace(np.outer(row, row.conj()), part.n_a, part.n_b, "A")
                     assert abs(swap[i] - 0.5 * (1 + np.vdot(red, red).real)) <= TOL
@@ -124,7 +118,7 @@ def test_magic(kind, n):
     for alpha in (2, 3):
         magic = measure_pure_amps(ResourceMeasure("stabilizer-renyi", alpha=alpha), block, n)
         for i, row in enumerate(block):
-            assert abs(magic[i] - stabilizer_renyi_entropy(PureState(n, row), alpha)) <= TOL
+            assert abs(magic[i] - measure("stabilizer-renyi", row, alpha=alpha)) <= TOL
             oracle = np.log2(pauli_power_sum(row, n, alpha) / 2**n) / (1 - alpha)
             assert abs(magic[i] - oracle) <= 1e-10
 
@@ -154,10 +148,7 @@ def test_sample_block_dtype(kind):
     assert _block(kind, 3).dtype == (REAL if kind.startswith("subset") else COMPLEX)
 
 
-def test_state_and_operator_keep_the_input_dtype():
-    real = np.full(4, 0.5)
-    assert PureState(2, real).amps.dtype == REAL
-    assert PureState(2, real.astype(complex)).amps.dtype == COMPLEX
+def test_operator_keeps_the_input_dtype():
     assert SymmetricOperator(1, 1, np.eye(2, dtype=np.float32) / 2).mat.dtype == REAL
     assert SymmetricOperator(1, 1, np.array([[0.5, 0.5j], [-0.5j, 0.5]])).mat.dtype == COMPLEX
 
@@ -190,7 +181,7 @@ def test_purity_needs_no_eigen_solve(monkeypatch):
     block = _block("haar", 4)
     measure_pure_amps(ResourceMeasure("collision-entanglement", partition=part), block, 4)
     make_swap_distinguisher(part).accept_prob_pure(block, 4)
-    reduced_purity(PureState(4, block[0]), part)
+    measure("collision-entanglement", block[0], partition=part)
 
 
 def _kernels(n, n_a):

@@ -40,6 +40,59 @@ class TestBuild:
         assert code == 2
         assert "distinct" in err
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--members", "01,10,01"], "subset members must be distinct"),
+            (["--members", "01,2"], "all member strings must share one width"),
+            (["--members", "01,1x"], "member strings must be binary"),
+            (["--members", ","], "member strings must be binary"),
+            (["--members", "01,10", "--n", "3"], "member width disagrees with --n"),
+            (["--n", "3"], "provide --members, or both --n and --m"),
+            (["--n", "3", "--m", "9"], "need n >= 1 and 1 <= m <= 2^n"),
+        ],
+    )
+    def test_member_refusals_exit_2(self, argv, message, capsys):
+        code, out, err = run(["build", "--kind", "subset-phase", "--phase", "keyed", *argv], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"validation error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv,rows",
+        [
+            (["--members", "0,1"], ["0,0,0.707106781187,0,1,2", "1,1,0.707106781187,0,1,2"]),
+            (["--members", "10,01"], ["1,01,0.707106781187,0,1,2", "2,10,0.707106781187,0,1,2"]),
+            (["--n", "2", "--m", "4"], ["0,00,0.5,0,1,4", "1,01,0.5,0,1,4", "2,10,0.5,0,1,4", "3,11,0.5,0,1,4"]),
+            (["--members", "1" * 20], [f"{2**20 - 1},{'1' * 20},1,0,1,1"]),  # at the 2^20 table cap
+        ],
+    )
+    def test_subset_rows(self, argv, rows, capsys):
+        code, out, _ = run(["build", "--kind", "subset", *argv], capsys)
+        assert code == 0
+        assert out.splitlines() == ["index,bitstring,re,im,norm,support", *rows]
+
+    @pytest.mark.parametrize(
+        "argv,signs",
+        [
+            (["--phase", "zero", "--n", "6", "--m", "5"], "+++++"),
+            (["--phase", "table", "--n", "6", "--m", "5"], "++---"),
+            (["--phase", "keyed", "--n", "6", "--m", "5"], "+++--"),
+            (["--phase", "table", "--members", "0101,1100,0011,1111"], "-+++"),
+            (["--phase", "keyed", "--members", "0101,1100,0011,1111"], "----"),
+        ],
+    )
+    def test_draws_at_seed_11_are_pinned(self, argv, signs, capsys):
+        # members from generator 0 (or --members), signs from generator 1's 2^n-bit
+        # table or one drawn key; the rows are the recorded output of these draws
+        code, out, _ = run(["build", "--kind", "subset-phase", *argv, "--seed", "11"], capsys)
+        if "--n" in argv:
+            cells, amp = ("36,100100", "43,101011", "44,101100", "52,110100", "54,110110"), "0.4472135955"
+        else:
+            cells, amp = ("3,0011", "5,0101", "12,1100", "15,1111"), "0.5"
+        want = [f"{c},{'-' if s == '-' else ''}{amp},0,1,{len(cells)}" for c, s in zip(cells, signs)]
+        assert code == 0
+        assert out.splitlines() == ["index,bitstring,re,im,norm,support", *want]
+
 
 class TestDistance:
     def test_subset_rows(self, capsys, tmp_path):
@@ -410,7 +463,7 @@ class TestConfigHandling:
             ["gap", "--measure", "coherence-re", "--n", "2", "--e1", "haar", "--e2", "nope"], capsys
         )
         assert code == 2
-        assert "kind" in err
+        assert "unknown ensemble kind 'nope'; choose from ('subset-phase-keyed'," in err
 
 
 class TestThreadIdentity:
@@ -489,6 +542,16 @@ class TestErrorMapping:
             ["build", "--kind", "subset", "--n", "2", "--m", "5"],
             ["--samples", "0", "gap", "--measure", "coherence-re", "--n", "3", "--e1", "haar", "--e2", "haar"],
             ["--samples", "0", "sweep", "--measure", "coherence-re", "--n", "4"],
+            # a poly-of class needs a base below exponential growth: polyf:exp is refused
+            ["negl-check", "--eta", "1/n", "--T", "poly", "--repeats", "polyf:exp"],
+            ["negl-check", "--eta", "1/n", "--T", "log", "--repeats", "polyf:exp"],
+            ["advise", "--T", "polyf:exp", "--n", "2000"],
+            ["advise", "--T", "polyf:exp", "--n", "64"],
+            # an empty lo..hi range
+            ["sweep", "--measure", "coherence-re", "--n", "4..3", "--classes", "log"],
+            ["distance", "--kind", "subset", "--n", "3", "--t", "2", "--m", "2..1"],
+            # an ensemble parameter given twice
+            ["gap", "--measure", "coherence-re", "--n", "4", "--e1", "haar", "--e2", "subset-keyed:m=2,m=3"],
         ],
     )
     def test_bad_input_exits_2(self, argv, capsys):

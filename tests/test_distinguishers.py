@@ -16,7 +16,7 @@ from tprslab.errors import CopyMismatch, DimensionCapExceeded, ValidationError
 from tprslab.growth import GrowthClass
 from tprslab.linalg import PartitionSpec
 from tprslab.randprims import RngSeed
-from tprslab.resources import MAGIC_MAX_QUBITS, stabilizer_renyi_entropy
+from tprslab.resources import MAGIC_MAX_QUBITS
 from tprslab.bounds import verify_distance_bound
 
 from .util import (
@@ -29,6 +29,7 @@ from .util import (
     density,
     kron_all,
     loop_partial_trace,
+    measure,
     pauli_power_sum,
     pauli_replica_operator,
     pauli_trace_power_sum,
@@ -45,7 +46,7 @@ LOG = GrowthClass.parse("log")
 
 def hadamard_accept(psi, alpha=3):
     """The Pauli-replica descriptor's acceptance of one pure state."""
-    return make_hadamard_distinguisher(alpha).accept_prob_pure(psi.amps, psi.n)
+    return make_hadamard_distinguisher(alpha).accept_prob_pure(psi, int(np.log2(len(psi))))
 
 
 class TestSwapTest:
@@ -72,9 +73,9 @@ class TestSwapTest:
         for i in range(100):
             n_a, n_b = ((1, 1), (1, 2), (2, 2), (1, 3))[i % 4]
             psi = random_pure(n_a + n_b, rng)
-            p = make_swap_distinguisher(PartitionSpec(n_a, n_b)).accept_prob_pure(psi.amps, n_a + n_b)
+            p = make_swap_distinguisher(PartitionSpec(n_a, n_b)).accept_prob_pure(psi, n_a + n_b)
             assert 0.5 - 1e-9 <= p <= 1.0 + 1e-9
-            red = loop_partial_trace(density(psi.amps), n_a, n_b, "A")
+            red = loop_partial_trace(density(psi), n_a, n_b, "A")
             assert p == pytest.approx(0.5 * (1.0 + purity(red)), abs=1e-12)
 
     def test_two_copy_operator_route(self):
@@ -83,9 +84,9 @@ class TestSwapTest:
         dist = make_swap_distinguisher(part)
         for _ in range(10):
             psi = random_pure(2, rng)
-            omega = np.kron(density(psi.amps), density(psi.amps))
+            omega = np.kron(density(psi), density(psi))
             via_op = 0.5 * (1.0 + float(np.einsum("ij,ji->", swap_on_a_operator(2, part), omega).real))
-            via_pure = dist.accept_prob_pure(psi.amps, 2)
+            via_pure = dist.accept_prob_pure(psi, 2)
             assert via_op == pytest.approx(via_pure, abs=1e-10)
 
 
@@ -122,8 +123,8 @@ class TestCoherenceProjector:
             want = float(np.einsum("ij,ji->", op, np.kron(rho, rho)).real)
             assert coherence_projector_prob(rho) == pytest.approx(want, abs=1e-12)
             psi = random_pure(2, rng)
-            want = float(np.einsum("ij,ji->", op, np.kron(density(psi.amps), density(psi.amps))).real)
-            assert dist.accept_prob_pure(psi.amps, 2) == pytest.approx(want, abs=1e-12)
+            want = float(np.einsum("ij,ji->", op, np.kron(density(psi), density(psi))).real)
+            assert dist.accept_prob_pure(psi, 2) == pytest.approx(want, abs=1e-12)
 
     def test_swap_operator_is_permutation(self):
         op = swap_on_a_operator(2, PartitionSpec(1, 1))
@@ -151,12 +152,12 @@ class TestPauliReplicaOperator:
         proj = pauli_replica_operator(1, 3)
         for _ in range(10):
             psi = random_pure(1, rng)
-            omega = functools.reduce(np.kron, [density(psi.amps)] * 6)
+            omega = functools.reduce(np.kron, [density(psi)] * 6)
             tr = float(np.einsum("ij,ji->", proj, omega).real)
-            m3 = stabilizer_renyi_entropy(psi, 3)
+            m3 = measure("stabilizer-renyi", psi, alpha=3)
             assert tr == pytest.approx(2.0 ** ((1 - 3) * m3), abs=1e-9)
             # the phased-permutation oracle against the dense replica operator
-            assert replica_test_prob_oracle(density(psi.amps), 3) == pytest.approx(0.5 * (1.0 + tr), abs=1e-12)
+            assert replica_test_prob_oracle(density(psi), 3) == pytest.approx(0.5 * (1.0 + tr), abs=1e-12)
 
 
 class TestHadamardTest:
@@ -182,7 +183,7 @@ class TestHadamardTest:
         for n in (1, 2):
             for _ in range(5):
                 psi = random_pure(n, rng)
-                assert abs(hadamard_accept(psi) - replica_test_prob_oracle(density(psi.amps), 3)) <= 1e-12
+                assert abs(hadamard_accept(psi) - replica_test_prob_oracle(density(psi), 3)) <= 1e-12
 
     def test_alpha_validation(self):
         for alpha in (1, 2, 4):
@@ -205,7 +206,7 @@ class TestHadamardTest:
             psi = random_pure(n, rng)
             p = hadamard_accept(psi)
             m_from_p = math.log2(2 * p - 1) / (1 - 3)
-            assert m_from_p == pytest.approx(stabilizer_renyi_entropy(psi, 3), abs=1e-8)
+            assert m_from_p == pytest.approx(measure("stabilizer-renyi", psi, alpha=3), abs=1e-8)
 
 
 class TestEstimateAdvantage:
@@ -295,7 +296,7 @@ class TestDescriptorInvariants:
     def test_accept_prob_in_unit_interval(self, dist):
         rng = np.random.default_rng(8)
         for _ in range(50):
-            amps = random_pure(2, rng).amps
+            amps = random_pure(2, rng)
             p = dist.accept_prob_pure(amps, 2)
             assert -1e-9 <= p <= 1 + 1e-9
 

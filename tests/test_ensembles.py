@@ -9,21 +9,17 @@ from tprslab.config import check_budget, mem_cap
 from tprslab.ensembles import (
     ENSEMBLE_KINDS,
     EnsembleSpec,
-    SubsetSpec,
-    build_subset_phase_state,
-    build_subset_state,
     haar_moment,
     mc_ensemble_moment,
     sample_block,
     stabilizer_orbit,
 )
-from tprslab.errors import BadSubsetExponent, DimensionCapExceeded, DomainCapExceeded, EmptySubset, ValidationError
+from tprslab.errors import BadSubsetExponent, DimensionCapExceeded, DomainCapExceeded, ValidationError
 from tprslab.growth import GrowthClass, advise_copies, advise_subset_size
-from tprslab.randprims import KEY_BYTES, KeyedPermutation, PhaseFunction, RngSeed
+from tprslab.randprims import KEY_BYTES, KeyedPermutation, RngSeed
 from tprslab.symmetry import route_cost
 
 from .util import (
-    MINUS,
     PLUS,
     copy_transposition_operator,
     exact_subset_moment,
@@ -37,64 +33,11 @@ from .util import (
 )
 
 
-class TestSubsetSpec:
-    def test_from_bitstrings(self):
-        s = SubsetSpec.from_bitstrings(["00", "11"])
-        assert s.n == 2 and s.members == (0, 3)
-
-    def test_empty(self):
-        with pytest.raises(EmptySubset):
-            SubsetSpec(2, ())
-
-    def test_duplicates(self):
-        with pytest.raises(ValidationError):
-            SubsetSpec(2, (1, 1))
-
-    def test_out_of_range(self):
-        with pytest.raises(ValidationError):
-            SubsetSpec(1, (0, 2))
-
-
-class TestBuilders:
-    def test_bell_like_subset(self):
-        s = build_subset_state(SubsetSpec.from_bitstrings(["00", "11"]))
-        assert np.allclose(s.amps, np.array([1, 0, 0, 1]) / np.sqrt(2))
-
-    def test_single_qubit_plus(self):
-        s = build_subset_state(SubsetSpec(1, (0, 1)))
-        assert np.allclose(s.amps, PLUS)
-
-    def test_full_domain_uniform(self):
-        s = build_subset_state(SubsetSpec(2, tuple(range(4))))
-        assert np.allclose(s.amps, kron_all(PLUS, PLUS))
-
-    def test_zero_phase_matches_subset(self):
-        spec = SubsetSpec(3, (1, 4, 6))
-        assert np.allclose(
-            build_subset_phase_state(spec, PhaseFunction.zero(3)).amps,
-            build_subset_state(spec).amps,
-        )
-
-    def test_minus_state(self):
-        f = PhaseFunction(1, "truly-random-table", table=np.array([0, 1], dtype=np.uint8))
-        s = build_subset_phase_state(SubsetSpec(1, (0, 1)), f)
-        assert np.allclose(s.amps, MINUS)
-
-    def test_norm_random_phases(self):
-        rng = RngSeed(8).generator()
-        spec = SubsetSpec(4, tuple(range(0, 16, 3)))
-        s = build_subset_phase_state(spec, PhaseFunction.random_table(4, rng))
-        assert abs(np.linalg.norm(s.amps) - 1) < 1e-12
-
-
 class TestEnsembleSpec:
     def test_state_vector_cap(self):
         assert EnsembleSpec("haar", 20).dim == 2**20  # at the cap
-        SubsetSpec(20, (2**20 - 1,))
         with pytest.raises(DomainCapExceeded):
             EnsembleSpec("haar", 21)
-        with pytest.raises(DomainCapExceeded):
-            SubsetSpec(21, (0,))
 
     def test_phase_kind_power_of_two(self):
         with pytest.raises(BadSubsetExponent):

@@ -59,6 +59,13 @@ class TestGrowthClass:
         with pytest.raises(UnsupportedGrowthClass):
             GrowthClass.parse("polyf:" * (MAX_POLYF_NESTING + 1) + "log")
 
+    def test_poly_of_an_exponential_is_refused(self):
+        # poly(2^n) has no degree vector, so every rule and evaluation would miss it
+        for make in (lambda: GrowthClass.parse("polyf:exp"), lambda: GrowthClass("poly-of", base=EXP)):
+            with pytest.raises(UnsupportedGrowthClass, match="below exponential growth"):
+                make()
+        assert GrowthClass.parse("polyf:polyf:log").degree_vector() == (0.0, 4.0, 0.0)
+
 
 class TestIsNegligible:
     def test_exponential_beats_polylog(self):

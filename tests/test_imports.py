@@ -18,14 +18,14 @@ SRC = Path(tprslab.__file__).resolve().parent.parent
 README = SRC.parent / "README.md"
 
 EXPORTS = [
-    "EnsembleSpec", "GrowthClass", "KeyedPermutation", "PartitionSpec", "PhaseFunction", "PureState",
-    "ResourceMeasure", "RngSeed", "SubsetSpec", "SymmetricOperator", "advise_copies", "advise_subset_size",
-    "bounds", "build_subset_phase_state", "build_subset_state", "check_closure", "check_repetition_consistency",
+    "EnsembleSpec", "GrowthClass", "KeyedPermutation", "PartitionSpec", "PhaseFunction",
+    "ResourceMeasure", "RngSeed", "SymmetricOperator", "advise_copies", "advise_subset_size",
+    "bounds", "check_closure", "check_repetition_consistency",
     "coherence_bound_check", "config", "distinguishers", "empirical_prop_check", "ensembles",
     "entanglement_bound_check", "errors", "estimate_advantage", "estimate_gap", "forkmap", "growth",
     "haar_expected", "haar_moment", "hybrid_experiment",
     "is_negligible", "linalg", "magic_bound_check", "mc_ensemble_moment", "randprims", "resources", "sampling",
-    "stabilizer_renyi_entropy", "subset_distance_bound", "subset_phase_distance_bound", "symmetric_projector",
+    "subset_distance_bound", "subset_phase_distance_bound", "symmetric_projector",
     "table_lower_bound", "trace_distance", "verify_distance_bound",
 ]
 
@@ -136,6 +136,13 @@ class TestLazyExports:
         with pytest.raises(AttributeError, match="no attribute 'nonesuch'"):
             tprslab.nonesuch  # noqa: B018
         assert not hasattr(tprslab, "DensityOperator")
+
+    def test_states_are_amplitude_rows_only(self):
+        # the single-state route is gone: no state type, builders or one-state wrappers
+        for name in ("PureState", "SubsetSpec", "build_subset_state", "build_subset_phase_state",
+                     "stabilizer_renyi_entropy"):
+            assert not hasattr(tprslab, name)
+        assert [k for k in vars(tprslab.PhaseFunction) if not k.startswith("__")] == ["keyed_bits"]
 
 
 class TestReadmeQuickTour:

@@ -6,8 +6,7 @@ import pytest
 from tprslab.ensembles import haar_moment
 from tprslab.errors import DimensionCapExceeded, DimensionMismatch, PartitionMismatch, ValidationError
 from tprslab.config import EIG_FLOOR
-from tprslab.linalg import PartitionSpec, PureState, gather_cost, shannon_bits, symmetric_projector, trace_distance
-from tprslab.resources import collision_entanglement, entanglement_entropy, reduced_purity
+from tprslab.linalg import PartitionSpec, gather_cost, shannon_bits, symmetric_projector, trace_distance
 
 from .util import (
     KET0,
@@ -18,6 +17,7 @@ from .util import (
     kron_all,
     loop_partial_trace,
     masked_log_shannon_bits,
+    measure,
     one_copy,
     pure,
     pure_trace_distance,
@@ -29,23 +29,6 @@ from .util import (
 
 
 class TestConstructors:
-    def test_pure_state_valid(self):
-        s = pure([1, 0, 0, 1] / np.sqrt(2))
-        assert s.n == 2
-        assert abs(np.linalg.norm(s.amps) - 1) < 1e-12
-
-    def test_pure_state_bad_length(self):
-        with pytest.raises(ValidationError):
-            PureState(2, np.array([1.0, 0.0]))
-
-    @pytest.mark.parametrize(
-        "amps",
-        [[1.0, 1.0], [np.nan, 0.0], [1.0, np.nan], [np.inf, 0.0], [-np.inf, 0.0], [1.0, complex(0, np.inf)]],
-    )
-    def test_pure_state_bad_norm(self, amps):
-        with pytest.raises(ValidationError, match="norm"):
-            PureState(1, np.array(amps))
-
     # a density matrix enters the library as a one-copy moment (tests/util.one_copy)
 
     def test_density_valid(self):
@@ -79,13 +62,13 @@ class TestLoopPartialTrace:
 
     def test_product_keep_b(self):
         psi = pure(kron_all(KET0, PLUS))
-        red = loop_partial_trace(density(psi.amps), 1, 1, "B")
+        red = loop_partial_trace(density(psi), 1, 1, "B")
         assert np.allclose(red, np.outer(PLUS, PLUS.conj()), atol=1e-12)
 
     def test_schmidt_symmetry(self):
         rng = np.random.default_rng(42)
         for _ in range(25):
-            rho = density(random_pure(3, rng).amps)
+            rho = density(random_pure(3, rng))
             ha = von_neumann_entropy(loop_partial_trace(rho, 1, 2, "A"))
             hb = von_neumann_entropy(loop_partial_trace(rho, 1, 2, "B"))
             assert abs(ha - hb) < 1e-9
@@ -100,16 +83,17 @@ class TestPartialTrace:
         part = PartitionSpec(n_a, n_b)
         for _ in range(5):
             psi = random_pure(n_a + n_b, rng)
-            red = loop_partial_trace(density(psi.amps), n_a, n_b, keep)
+            red = loop_partial_trace(density(psi), n_a, n_b, keep)
             assert np.trace(red).real == pytest.approx(1.0, abs=1e-12)
             # either reduction of a pure state has the same nonzero spectrum
-            assert entanglement_entropy(psi, part) == pytest.approx(von_neumann_entropy(red), abs=1e-10)
-            assert reduced_purity(psi, part) == pytest.approx(purity(red), abs=1e-12)
+            ent = measure("entanglement-entropy", psi, partition=part)
+            assert ent == pytest.approx(von_neumann_entropy(red), abs=1e-10)
+            assert measure("collision-entanglement", psi, partition=part) == pytest.approx(purity(red), abs=1e-12)
 
     def test_mismatch(self):
         psi = random_pure(3, np.random.default_rng(0))
         with pytest.raises(PartitionMismatch):
-            entanglement_entropy(psi, PartitionSpec(1, 1))
+            measure("entanglement-entropy", psi, partition=PartitionSpec(1, 1))
 
 
 class TestEntropies:
@@ -122,16 +106,16 @@ class TestEntropies:
 
     def test_collision_pure(self):
         part = PartitionSpec(1, 1)
-        assert collision_entanglement(pure(kron_all(KET0, PLUS)), part) == pytest.approx(0.0, abs=1e-12)
-        bell = pure(np.array([1, 0, 0, 1]) / np.sqrt(2))
-        assert collision_entanglement(bell, part) == pytest.approx(1.0, abs=1e-12)
+        for psi, want in ((pure(kron_all(KET0, PLUS)), 0.0), (pure(np.array([1, 0, 0, 1]) / np.sqrt(2)), 1.0)):
+            assert -np.log2(measure("collision-entanglement", psi, partition=part)) == pytest.approx(want, abs=1e-12)
 
     def test_collision_mixed(self):
         # Schmidt probabilities (3/4, 1/4): either reduction is diag(p)
         p = np.array([0.75, 0.25])
         want = -np.log2(float(p @ p))
         psi = pure(np.array([np.sqrt(p[0]), 0, 0, np.sqrt(p[1])]))
-        assert collision_entanglement(psi, PartitionSpec(1, 1)) == pytest.approx(want, abs=1e-12)
+        purity_psi = measure("collision-entanglement", psi, partition=PartitionSpec(1, 1))
+        assert -np.log2(purity_psi) == pytest.approx(want, abs=1e-12)
         assert -np.log2(purity(np.diag(p))) == pytest.approx(want, abs=1e-12)
         assert want == pytest.approx(0.678, abs=5e-4)
 

@@ -16,18 +16,17 @@ from hypothesis import strategies as st
 
 from tprslab.ensembles import ENSEMBLE_KINDS, EnsembleSpec, sample_block
 from tprslab.errors import DimensionCapExceeded
-from tprslab.linalg import PureState
 from tprslab.randprims import RngSeed
 from tprslab.resources import (
     MAGIC_MAX_QUBITS,
     PAULI_SLICE_ENTRIES,
     pauli_basis,
     pauli_power_sums,
-    stabilizer_renyi_entropy,
 )
 
 from .util import (
     density,
+    measure,
     pauli_basis_expectations,
     pauli_expectation_values,
     pauli_expectations_mixed,
@@ -58,7 +57,7 @@ def _oracle_power_sums(ev, n, alpha):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_signed_vector_matches_dense_stack(n):
     rng = np.random.default_rng(300 + n)
-    states = [random_pure(n, rng).amps for _ in range(5)]
+    states = [random_pure(n, rng) for _ in range(5)]
     states += [np.eye(2**n, dtype=complex)[x] for x in range(2**n)]
     for psi in states:
         got = pauli_expectations_pure(psi, n)
@@ -116,14 +115,14 @@ def test_pure_route_matches_the_mixed_oracle(n):
     # the library's pure-state route, and the magic read from it, against the
     # signed oracle of |psi><psi|, for complex and for real amplitudes
     psi = random_pure(n, np.random.default_rng(330 + n))
-    real = PureState(n, psi.amps.real / np.linalg.norm(psi.amps.real))
+    real = psi.real / np.linalg.norm(psi.real)
     for state in (psi, real):
-        ev = pauli_expectations_mixed(density(state.amps), n)
+        ev = pauli_expectations_mixed(density(state), n)
         for alpha in (2, 3):
             want = _oracle_power_sums(ev, n, alpha)
-            assert abs(pauli_power_sums(state.amps, n, alpha)[0] / want - 1.0) <= TOL
+            assert abs(pauli_power_sums(state, n, alpha)[0] / want - 1.0) <= TOL
             magic = np.log2(want) / (1 - alpha)
-            assert abs(stabilizer_renyi_entropy(state, alpha) - magic) <= TOL * max(1.0, magic)
+            assert abs(measure("stabilizer-renyi", state, alpha=alpha) - magic) <= TOL * max(1.0, magic)
 
 
 @settings(max_examples=25, deadline=None)
@@ -143,7 +142,7 @@ def test_spectrum_property(n, support, seed):
 
 
 def test_one_state_at_n10_stays_within_2_mib():
-    psi = random_pure(10, np.random.default_rng(360)).amps
+    psi = random_pure(10, np.random.default_rng(360))
     pauli_power_sums(psi, 10, 2)  # warm the Hadamard-block cache
     tracemalloc.start()
     try:

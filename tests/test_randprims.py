@@ -3,11 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tprslab.errors import DomainOverflow, ValidationError
 from tprslab.linalg import symmetric_projector
 from tprslab.randprims import (
     KEY_BYTES,
-    MAX_WIDTH,
     KeyedPermutation,
     PhaseFunction,
     RngSeed,
@@ -17,6 +15,8 @@ from tprslab.randprims import (
 )
 
 from .util import feistel_apply_oracle, key_word_oracle, phase_bit_oracle
+
+WIDEST = 63  # the widest domain whose points fit the int64 indices the sampler casts them to
 
 
 def _words(key: bytes) -> np.ndarray:
@@ -47,7 +47,7 @@ class TestKeyedPermutation:
 
 class TestVectorisedFeistel:
     @settings(max_examples=60, deadline=None)
-    @given(key=st.binary(min_size=1, max_size=24), n=st.integers(1, MAX_WIDTH), rounds=st.integers(1, 9))
+    @given(key=st.binary(min_size=1, max_size=24), n=st.integers(1, WIDEST), rounds=st.integers(1, 9))
     def test_block_matches_python_int_oracle(self, key, n, rounds):
         xs = sorted({0, 1, 2**n - 1, (0x5A5A5A & (2**n - 1))})
         images = KeyedPermutation.apply_block(_words(key), np.array(xs, dtype=np.uint64), n, rounds)
@@ -67,13 +67,6 @@ class TestVectorisedFeistel:
         for key, row in zip(keys, bits):
             assert row.tolist() == [phase_bit_oracle(key, x) for x in range(2**n)]
 
-    def test_widths_beyond_uint64_are_rejected(self):
-        top = 2**MAX_WIDTH - 1
-        assert PhaseFunction.keyed(MAX_WIDTH, b"wide").eval(top) in (0, 1)
-        for n in (MAX_WIDTH + 1, 128):
-            with pytest.raises(ValidationError):
-                PhaseFunction.keyed(n, b"wide")
-
     def test_key_word_matches_oracle(self):
         for key in (b"", b"k", b"det", b"exhaustive-key!!", bytes(range(23))):
             assert int(key_words(np.frombuffer(key, dtype=np.uint8)[None, :])[0]) == key_word_oracle(key)
@@ -84,32 +77,20 @@ class TestVectorisedFeistel:
         assert [int(w) for w in a] == [key_word_oracle(raw[i : i + KEY_BYTES]) for i in range(0, len(raw), KEY_BYTES)]
 
     def test_phase_bits_match_oracle(self):
-        f = PhaseFunction.keyed(7, b"phase-oracle-key")
-        assert [f.eval(x) for x in range(128)] == [phase_bit_oracle(b"phase-oracle-key", x) for x in range(128)]
+        xs = [*range(128), 2**WIDEST - 1]
+        bits = PhaseFunction.keyed_bits(_words(b"phase-oracle-key"), np.array(xs, dtype=np.uint64))
+        assert bits.tolist() == [phase_bit_oracle(b"phase-oracle-key", x) for x in xs]
 
 
 class TestPhaseFunction:
-    def test_zero_kind(self):
-        f = PhaseFunction.zero(4)
-        assert all(f.eval(x) == 0 for x in range(16))
-
-    def test_table_reproducible(self):
-        f1 = PhaseFunction.random_table(5, RngSeed(9).generator())
-        f2 = PhaseFunction.random_table(5, RngSeed(9).generator())
-        assert np.array_equal(f1.eval_many(range(32)), f2.eval_many(range(32)))
-
     def test_keyed_bias(self):
-        f = PhaseFunction.keyed(8, b"bias-probe-key!!")
-        bits = f.eval_many(range(256)).astype(float)
+        bits = PhaseFunction.keyed_bits(_words(b"bias-probe-key!!"), np.arange(256, dtype=np.uint64)).astype(float)
         assert abs(bits.mean() - 0.5) <= 0.1
 
     def test_keyed_deterministic(self):
-        f = PhaseFunction.keyed(6, b"det")
-        assert list(f.eval_many(range(64))) == list(f.eval_many(range(64)))
-
-    def test_overflow(self):
-        with pytest.raises(DomainOverflow):
-            PhaseFunction.zero(3).eval(8)
+        xs = np.arange(64, dtype=np.uint64)
+        first = PhaseFunction.keyed_bits(_words(b"det"), xs)
+        assert np.array_equal(first, PhaseFunction.keyed_bits(_words(b"det"), xs))
 
 
 class TestHaarSampler:

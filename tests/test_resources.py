@@ -11,17 +11,16 @@ from tprslab.resources import (
     MEASURE_NAMES,
     ResourceMeasure,
     _harmonic_tail,
-    collision_entanglement,
-    entanglement_entropy,
     estimate_gap,
     haar_expected,
     haar_magic_proxy,
     measure_pure_amps,
     pauli_power_sums,
-    stabilizer_renyi_entropy,
 )
 
-from .util import KET0, PLUS, TKET, coherence_hs, coherence_re, density, kron_all, pauli_power_sum, pure, random_pure
+from .util import (
+    KET0, PLUS, TKET, coherence_hs, coherence_re, density, kron_all, measure, pauli_power_sum, pure, random_pure,
+)
 
 COHERENCE_RE, COHERENCE_HS = ResourceMeasure("coherence-re"), ResourceMeasure("coherence-hs")
 
@@ -63,42 +62,35 @@ class TestCoherence:
 class TestEntanglement:
     def test_bell(self):
         bell = pure(np.array([1, 0, 0, 1]) / np.sqrt(2))
-        assert entanglement_entropy(bell, PartitionSpec(1, 1)) == pytest.approx(1.0, abs=1e-10)
+        assert measure("entanglement-entropy", bell, partition=PartitionSpec(1, 1)) == pytest.approx(1.0, abs=1e-10)
 
     def test_product(self):
         psi = pure(kron_all(KET0, PLUS))
-        assert entanglement_entropy(psi, PartitionSpec(1, 1)) == pytest.approx(0.0, abs=1e-10)
-
-    def test_subset_bell_equivalent(self):
-        from tprslab.ensembles import SubsetSpec, build_subset_state
-
-        s = build_subset_state(SubsetSpec.from_bitstrings(["00", "11"]))
-        assert entanglement_entropy(s, PartitionSpec(1, 1)) == pytest.approx(1.0, abs=1e-10)
+        assert measure("entanglement-entropy", psi, partition=PartitionSpec(1, 1)) == pytest.approx(0.0, abs=1e-10)
 
     def test_von_neumann_above_renyi_on_reductions(self):
         rng = np.random.default_rng(13)
         part = PartitionSpec(1, 2)
         for _ in range(200):
             psi = random_pure(3, rng)
-            assert (
-                entanglement_entropy(psi, part) - collision_entanglement(psi, part) >= -1e-9
-            )
+            collision = -np.log2(measure("collision-entanglement", psi, partition=part))
+            assert measure("entanglement-entropy", psi, partition=part) - collision >= -1e-9
 
 
 class TestStabilizerRenyi:
     def test_basis_state_zero(self):
         for alpha in (2, 3):
-            assert stabilizer_renyi_entropy(pure(KET0), alpha) == pytest.approx(0.0, abs=1e-12)
+            assert measure("stabilizer-renyi", pure(KET0), alpha=alpha) == pytest.approx(0.0, abs=1e-12)
 
     def test_t_state_alpha2(self):
-        got = stabilizer_renyi_entropy(pure(TKET), 2)
+        got = measure("stabilizer-renyi", pure(TKET), alpha=2)
         # Pauli expectations 1, 1/sqrt2, 1/sqrt2, 0 -> fourth powers 1, 1/4, 1/4, 0
         want = -math.log2((1 + 0.25 + 0.25) / 2)
         assert got == pytest.approx(want, abs=1e-12)
         assert want == pytest.approx(math.log2(4 / 3), abs=1e-12)
 
     def test_t_state_alpha3(self):
-        got = stabilizer_renyi_entropy(pure(TKET), 3)
+        got = measure("stabilizer-renyi", pure(TKET), alpha=3)
         want = 0.5 * math.log2(8 / 5)
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -107,8 +99,8 @@ class TestStabilizerRenyi:
         for n in (1, 2):
             for alpha in (2, 3):
                 psi = random_pure(n, rng)
-                want = math.log2(pauli_power_sum(psi.amps, n, alpha) / 2**n) / (1 - alpha)
-                assert stabilizer_renyi_entropy(psi, alpha) == pytest.approx(want, abs=1e-10)
+                want = math.log2(pauli_power_sum(psi, n, alpha) / 2**n) / (1 - alpha)
+                assert measure("stabilizer-renyi", psi, alpha=alpha) == pytest.approx(want, abs=1e-10)
 
     def test_same_bits_as_the_power_sum_formula(self):
         # the pure-state route through measure_pure_amps keeps the bits of
@@ -117,13 +109,13 @@ class TestStabilizerRenyi:
         for n in range(1, 7):
             psi = random_pure(n, rng)
             for alpha in (2, 3):
-                want = float(np.log2(pauli_power_sums(psi.amps, n, alpha)[0]) / (1 - alpha))
-                assert stabilizer_renyi_entropy(psi, alpha) == want
+                want = float(np.log2(pauli_power_sums(psi, n, alpha)[0]) / (1 - alpha))
+                assert measure("stabilizer-renyi", psi, alpha=alpha) == want
 
     def test_all_two_qubit_stabilizer_states_zero(self):
         for v in stabilizer_orbit(2):
             for alpha in (2, 3):
-                assert abs(stabilizer_renyi_entropy(pure(v), alpha)) <= 1e-9
+                assert abs(measure("stabilizer-renyi", pure(v), alpha=alpha)) <= 1e-9
 
     def test_clifford_invariance(self):
         from .util import H as HAD
@@ -135,15 +127,15 @@ class TestStabilizerRenyi:
         rng = np.random.default_rng(17)
         for _ in range(20):
             psi = random_pure(2, rng)
-            base = stabilizer_renyi_entropy(psi, 2)
+            base = measure("stabilizer-renyi", psi, alpha=2)
             for g in gates:
-                moved = pure(g @ psi.amps)
-                assert abs(stabilizer_renyi_entropy(moved, 2) - base) <= 1e-9
+                moved = pure(g @ psi)
+                assert abs(measure("stabilizer-renyi", moved, alpha=2) - base) <= 1e-9
 
     def test_nonnegative(self):
         rng = np.random.default_rng(23)
         for _ in range(100):
-            assert stabilizer_renyi_entropy(random_pure(2, rng), 3) >= -1e-9
+            assert measure("stabilizer-renyi", random_pure(2, rng), alpha=3) >= -1e-9
 
 
 class TestHaarExpected:
@@ -237,7 +229,7 @@ class TestRelations:
         rng = np.random.default_rng(29)
         for i in range(1000):
             n = 1 + i % 3
-            amps = random_pure(n, rng).amps
+            amps = random_pure(n, rng)
             c = measure_pure_amps(COHERENCE_RE, amps, n)
             c2 = measure_pure_amps(COHERENCE_HS, amps, n)
             assert c + math.log2(1 - c2) >= -1e-9
@@ -278,8 +270,7 @@ class TestRelations:
         n = na + nb
         block = sample_haar_block(n, 2000, RngSeed(37).generator())
         part = PartitionSpec(na, nb)
-        vals = [entanglement_entropy(pure(b), part) for b in block]
-        mean = float(np.mean(vals))
+        mean = float(np.mean(measure_pure_amps(ResourceMeasure("entanglement-entropy", partition=part), block, n)))
         assert na - 1 <= mean <= na
 
 

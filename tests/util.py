@@ -10,8 +10,8 @@ import numpy as np
 from tprslab.config import EIG_FLOOR, check_budget
 from tprslab.ensembles import haar_moment, sample_block
 from tprslab.growth import Const, Div, Expr
-from tprslab.linalg import PureState, SymmetricOperator, symmetric_basis, trace_distance
-from tprslab.resources import pauli_basis
+from tprslab.linalg import SymmetricOperator, symmetric_basis, trace_distance
+from tprslab.resources import ResourceMeasure, measure_pure_amps, pauli_basis
 from tprslab.sampling import DEFAULT_CHUNK, chunk_layout
 
 I2 = np.eye(2, dtype=complex)
@@ -34,10 +34,17 @@ def kron_all(*mats):
     return out
 
 
-def pure(amps) -> PureState:
+def pure(amps) -> np.ndarray:
+    """A state's amplitudes as a complex vector, checked to unit norm."""
     amps = np.asarray(amps, dtype=complex)
-    n = int(np.log2(len(amps)))
-    return PureState(n, amps)
+    assert abs(np.linalg.norm(amps) - 1) <= 1e-12
+    return amps
+
+
+def measure(name, amps, **params) -> float:
+    """The library's value of a measure on one state given as a (2^n,) amplitude vector."""
+    amps = np.asarray(amps)
+    return measure_pure_amps(ResourceMeasure(name, **params), amps, int(np.log2(len(amps))))
 
 
 def density(amps) -> np.ndarray:
@@ -52,9 +59,9 @@ def one_copy(mat) -> SymmetricOperator:
     return SymmetricOperator(int(np.log2(len(mat))), 1, mat)
 
 
-def random_pure(n, rng) -> PureState:
+def random_pure(n, rng) -> np.ndarray:
     z = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
-    return PureState(n, z / np.linalg.norm(z))
+    return z / np.linalg.norm(z)
 
 
 def random_density(n, rng, rank=None) -> np.ndarray:
