@@ -56,6 +56,13 @@ GLOBAL_DEFAULTS = {
     "alpha": 3,
 }
 
+# the subcommand options that have a default; the others are absent until given
+COMMAND_DEFAULTS = {
+    "build": {"kind": "subset", "phase": "zero"},
+    "sweep": {"classes": ",".join(TABLE_CLASSES)},
+    "hybrid": {"t": 2},
+}
+
 _MEASURE_ALIASES = {"magic": "stabilizer-renyi", "entanglement": "entanglement-entropy"}
 
 
@@ -91,8 +98,11 @@ def _write_report(resolved: dict, columns: list[str], rows: list[dict], wall_tim
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValidationError(f"cannot write --out {out_path!r}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -208,12 +218,12 @@ def _cmd_distance(resolved: dict) -> tuple[list[str], list[dict], int]:
 
     kind = resolved["kind"]
     n, t = resolved["n"], resolved["t"]
-    if kind == "subset-phase" and resolved.get("mexp"):
-        sizes = [2**e for e in _int_list(resolved["mexp"])]
-    elif resolved.get("m"):
-        sizes = _int_list(resolved["m"])
-    else:
+    m, mexp = resolved.get("m"), resolved.get("mexp")
+    if mexp is not None and (m is not None or kind != "subset-phase"):
+        raise ValidationError("give the sizes once: --m, or --mexp for the subset-phase kind")
+    if not (m or mexp):
         raise ValidationError("provide --m (or --mexp for the subset-phase kind)")
+    sizes = [2**e for e in _int_list(mexp)] if mexp else _int_list(m)
     report = verify_distance_bound(kind, n, sizes, t)
     rows = []
     for r in report.rows:  # the row's fields: size, lhs, rhs, margin, passed, fitted
@@ -441,69 +451,64 @@ def _cmd_prop_check(resolved: dict) -> tuple[list[str], list[dict], int]:
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The CLI parser, built once per process (parsing leaves it unchanged)."""
-    shared = argparse.ArgumentParser(add_help=False)
-    # SUPPRESS keeps a subcommand's re-parse from clobbering values given
-    # before the subcommand name; flags are accepted in either position
-    shared.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    shared.add_argument("--samples", type=int, default=argparse.SUPPRESS)
-    shared.add_argument(
-        "--threads", type=int, default=argparse.SUPPRESS,
-        help="accepted and ignored: chunks fork to every core of the CPU affinity mask",
-    )
-    shared.add_argument("--out", default=argparse.SUPPRESS)
-    shared.add_argument("--format", choices=("csv", "json"), default=argparse.SUPPRESS)
-    shared.add_argument("--config", default=argparse.SUPPRESS, help="JSON config file; flags override")
-    shared.add_argument(
-        "--print-config", action="store_true", default=argparse.SUPPRESS,
-        help="print the resolved config and exit",
-    )
-    shared.add_argument("--kappa", type=float, default=argparse.SUPPRESS)
-    shared.add_argument("--alpha", type=int, default=argparse.SUPPRESS)
+    # Every option defaults to SUPPRESS, so args holds only the flags given: a subcommand's
+    # re-parse keeps values given before the subcommand name (flags are accepted in either
+    # position), and resolve_config puts GLOBAL_DEFAULTS and COMMAND_DEFAULTS below a config file
+    shared = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    shared.add_argument("--seed", type=int)
+    shared.add_argument("--samples", type=int)
+    shared.add_argument("--threads", type=int, help="accepted and ignored: chunks fork to every core of the CPU affinity mask")
+    shared.add_argument("--out")
+    shared.add_argument("--format", choices=("csv", "json"))
+    shared.add_argument("--config", help="JSON config file; flags override")
+    shared.add_argument("--print-config", action="store_true", help="print the resolved config and exit")
+    shared.add_argument("--kappa", type=float)
+    shared.add_argument("--alpha", type=int)
 
     parser = argparse.ArgumentParser(prog="tprslab", description=__doc__, parents=[shared])
     sub = parser.add_subparsers(dest="command")
 
     def add_sub(name: str, help_text: str):
-        return sub.add_parser(name, help=help_text, parents=[shared])
+        return sub.add_parser(name, help=help_text, parents=[shared], argument_default=argparse.SUPPRESS)
 
     p = add_sub("build", "build a state and print amplitudes")
-    p.add_argument("--kind", default="subset", choices=("subset", "subset-phase"))
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--members", default=None, help="comma-separated bit strings")
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--phase", default="zero", choices=("zero", "table", "keyed"))
+    p.add_argument("--kind", choices=("subset", "subset-phase"))
+    p.add_argument("--n", type=int)
+    p.add_argument("--members", help="comma-separated bit strings")
+    p.add_argument("--m", type=int)
+    p.add_argument("--phase", choices=("zero", "table", "keyed"))
 
     p = add_sub("distance", "exact moment-to-Haar distances vs bound")
     p.add_argument("--kind", required=True, choices=("subset", "subset-phase"))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
-    p.add_argument("--m", default=None, help="comma list or lo..hi of subset sizes")
-    p.add_argument("--mexp", default=None, help="comma list of size exponents (phase kind)")
+    p.add_argument("--m", help="comma list or lo..hi of subset sizes")
+    p.add_argument("--mexp", help="comma list of size exponents (phase kind)")
 
     p = add_sub("gap", "resource gap between two ensembles")
     p.add_argument("--measure", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--e1", required=True)
     p.add_argument("--e2", required=True)
-    p.add_argument("--partition", default=None)
-    p.add_argument("--T", default=None, help="runtime-class label echoed into the report rows")
+    p.add_argument("--partition")
+    p.add_argument("--T", help="runtime-class label echoed into the report rows")
 
     p = add_sub("sweep", "table of bounds across runtime classes")
     p.add_argument("--measure", required=True)
-    p.add_argument("--classes", default=",".join(TABLE_CLASSES))
+    p.add_argument("--classes")
     p.add_argument("--n", required=True, help="comma list or lo..hi")
-    p.add_argument("--partition", default=None)
+    p.add_argument("--partition")
 
     p = add_sub("hybrid", "pairwise advantages keyed/true-random/Haar")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--t", type=int, default=2)
-    p.add_argument("--distinguishers", default=None, help="comma list of registry names (default: all two-copy)")
+    p.add_argument("--t", type=int)
+    p.add_argument("--distinguishers", help="comma list of registry names (default: all two-copy)")
 
     p = add_sub("negl-check", "negligibility / closure / consistency verdicts")
     p.add_argument("--eta", required=True)
     p.add_argument("--T", required=True)
-    p.add_argument("--repeats", default=None)
+    p.add_argument("--repeats")
 
     p = add_sub("advise", "advised subset size and copy count")
     p.add_argument("--T", required=True)
@@ -515,7 +520,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", required=True)
     p.add_argument("--e1", required=True, help="high-resource ensemble")
     p.add_argument("--e2", required=True, help="low-resource ensemble")
-    p.add_argument("--partition", default=None)
+    p.add_argument("--partition")
     return parser
 
 
@@ -536,21 +541,18 @@ _NOT_SETTINGS = ("help", "config", "print_config")
 
 def _option_tables(parser: argparse.ArgumentParser) -> dict:
     """Option actions by dest: the top level's under None, each subcommand's under its name."""
-    tables = {None: {}}
-    for action in parser._actions:
-        tables[None][action.dest] = action
-        if isinstance(action, argparse._SubParsersAction):
-            for name, sub in action.choices.items():
-                tables[name] = {a.dest: a for a in sub._actions}
+    tables = {None: {a.dest: a for a in parser._actions}}
+    for name, sub in tables[None]["command"].choices.items():
+        tables[name] = {a.dest: a for a in sub._actions}
     return tables
 
 
-def _config_value(key: str, value, action: argparse.Action | None):
+def _config_value(key: str, value, action: argparse.Action | None, default=None):
     """A config-file value converted as the parser converts the same text on
-    the command line; None only where the setting defaults to None."""
+    the command line; None only where an optional setting defaults to None."""
     if action is None:
         return value
-    if value is None and GLOBAL_DEFAULTS.get(key, action.default) is None:
+    if value is None and default is None and not action.required:
         return None
     if isinstance(value, (str, int, float)) and not isinstance(value, bool):
         try:
@@ -564,13 +566,14 @@ def _config_value(key: str, value, action: argparse.Action | None):
 
 
 def resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
-    """defaults < config file < explicit CLI flags.
+    """defaults < config file < explicit CLI flags, for shared and subcommand options.
 
-    Config-file keys must be options of the parser (or the reported
+    The subcommand is the one given, else the file's, which then needs its required
+    options. Config-file keys must be options of the parser (or the reported
     ``mem_cap``); values are typed by the resolved subcommand's option, else
     the shared one, and a key only another subcommand knows is kept as given.
     """
-    resolved = dict(GLOBAL_DEFAULTS)
+    command, doc = args.command, {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
             doc = json.load(fh)
@@ -581,16 +584,15 @@ def resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
         unknown = sorted(set(doc) - known)
         if unknown:
             raise ValidationError(f"unknown config keys {unknown}")
-        command = args.command or _config_value("command", doc.get("command"), tables[None]["command"])
+        command = command or _config_value("command", doc.get("command"), tables[None]["command"])
         own = tables.get(command, {})
-        for key, value in doc.items():
-            resolved[key] = _config_value(key, value, own.get(key, tables[None].get(key)))
-    for key, value in vars(args).items():
-        if key in ("config", "print_config"):
-            continue
-        if value is not None:
-            resolved[key] = value
-    resolved.setdefault("command", None)
+        missing = [a.option_strings[0] for a in own.values() if a.required and a.dest not in doc]
+        if missing and not args.command:
+            raise ValidationError(f"config names the {command} command but not its options {missing}")
+        defaults = {**GLOBAL_DEFAULTS, **COMMAND_DEFAULTS.get(command, {})}
+        doc = {k: _config_value(k, v, own.get(k, tables[None].get(k)), defaults.get(k)) for k, v in doc.items()}
+    flags = {k: v for k, v in vars(args).items() if k not in _NOT_SETTINGS}
+    resolved = {**GLOBAL_DEFAULTS, **COMMAND_DEFAULTS.get(command, {}), **doc, **flags, "command": command}
     resolved["mem_cap"] = mem_cap()
     return resolved
 
@@ -619,14 +621,14 @@ def main(argv: list[str] | None = None) -> int:
     start = time.perf_counter()
     try:
         columns, rows, code = _COMMANDS[command](resolved)
+        wall = time.perf_counter() - start
+        _emit(_write_report(resolved, columns, rows, wall), resolved.get("out"))
     except (DimensionCapExceeded, DomainCapExceeded) as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except TprsError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    wall = time.perf_counter() - start
-    _emit(_write_report(resolved, columns, rows, wall), resolved.get("out"))
     return code
 
 

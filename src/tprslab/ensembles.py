@@ -3,16 +3,18 @@
 Subset states superpose computational basis strings from a subset S; the
 phase variants attach (-1)^{f(x)} signs. The keyed kinds draw a fresh
 permutation / phase key per sample; the true-random kinds sample S (and
-signs) uniformly. Every kind is drawn as blocks of amplitude rows
-(``sample_block``). The exact moments of the uniform measure enter the library
-only through their distance to Haar (``symmetry.exact_distance``).
+signs) uniformly, and stabilizer states are drawn from their canonical form at
+any n. Every kind is drawn as blocks of amplitude rows (``sample_block``). The
+exact moments of the uniform measure enter the library only through their
+distance to Haar (``symmetry.exact_distance``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cache, lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -25,7 +27,6 @@ from .sampling import DEFAULT_CHUNK, chunk_layout
 __all__ = [
     "EnsembleSpec",
     "ENSEMBLE_KINDS",
-    "stabilizer_orbit",
     "sample_block",
     "haar_moment",
     "mc_ensemble_moment",
@@ -97,64 +98,58 @@ class EnsembleSpec:
 # Stabilizer states
 
 
-_CLIFFORD_KEY_DECIMALS = 8
+@cache
+def _stabilizer_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The cumulative law of the support dimension k of a uniform n-qubit stabilizer state, of
+    weight G(n, k) 2^n 2^(k(k+1)/2), and ``odds[N, r]``, the chance that the first of N columns
+    is a pivot of a uniform r-dimensional subspace in reduced row-echelon form. G(N, r) is the
+    Gaussian binomial G(N-1, r) + 2^(N-r) G(N-1, r-1), whose second term has that pivot."""
+    gauss, odds = [[1]], np.zeros((n + 1, n + 1))
+    for size in range(1, n + 1):
+        prev = gauss[-1] + [0]
+        gauss.append([1] + [prev[r] + (prev[r - 1] << (size - r)) for r in range(1, size + 1)])
+        odds[size, 1 : size + 1] = [(prev[r - 1] << (size - r)) / gauss[size][r] for r in range(1, size + 1)]
+    cdf = list(accumulate(gauss[n][k] << (k * (k + 1) // 2) for k in range(n + 1)))
+    return np.array([c / cdf[-1] for c in cdf]), odds
 
 
-@lru_cache(maxsize=8)
-def stabilizer_orbit(n: int) -> tuple[np.ndarray, ...]:
-    """All n-qubit stabilizer states: the orbit of |0..0> under H, S, CNOT.
+def _stabilizer_block(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """(count, 2^n) uniform stabilizer states 2^(-k/2) sum_y i^(l.y + 2 q(y)) |v + yG>, y in F_2^k.
 
-    Breadth-first closure with global phase quotiented out; yields 6 states at
-    n=1 and 60 at n=2.
+    A row reads 2n^2 + 3n + 1 uniforms: k, a pivot decision per column, the free entries of the
+    echelon basis G, the coset v (zero on the pivots), l, and q (upper-triangular). Its
+    amplitudes are filled by doubling over the k rows of G.
     """
-    if n < 1 or n > 3:
-        raise ValidationError("stabilizer orbit supported for 1 <= n <= 3")
-    eye = np.eye(2, dtype=np.complex128)
-    had = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2)
-    phs = np.array([[1, 0], [0, 1j]], dtype=np.complex128)
-
-    def embed(gate: np.ndarray, pos: int) -> np.ndarray:
-        out = np.array([[1.0 + 0j]])
-        for q in range(n):
-            out = np.kron(out, gate if q == pos else eye)
-        return out
-
-    gates = [embed(g, q) for q in range(n) for g in (had, phs)]
-    d = 2**n
-    for ctl in range(n):
-        for tgt in range(n):
-            if ctl == tgt:
-                continue
-            cnot = np.zeros((d, d), dtype=np.complex128)
-            for x in range(d):
-                bit = (x >> (n - 1 - ctl)) & 1
-                y = x ^ (bit << (n - 1 - tgt))
-                cnot[y, x] = 1.0
-            gates.append(cnot)
-
-    def canon_key(v: np.ndarray):
-        k = int(np.argmax(np.abs(v) > 1e-8))
-        w = v / (v[k] / abs(v[k]))
-        return tuple(np.round(w.view(float), _CLIFFORD_KEY_DECIMALS))
-
-    start = np.zeros(d, dtype=np.complex128)
-    start[0] = 1.0
-    start.setflags(write=False)
-    seen = {canon_key(start): start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for g in gates:
-                w = g @ v
-                key = canon_key(w)
-                if key not in seen:
-                    w = w / np.linalg.norm(w)
-                    w.setflags(write=False)
-                    seen[key] = w
-                    nxt.append(w)
-        frontier = nxt
-    return tuple(seen.values())
+    cdf, odds = _stabilizer_tables(n)
+    u = rng.random((count, 2 * n * n + 3 * n + 1))
+    free, coset, lin, quad = np.split(u[:, n + 1 :] < 0.5, [n * n, n * n + n, n * n + 2 * n], axis=1)
+    free, quad = free.reshape(count, n, n), quad.reshape(count, n, n)
+    k = np.searchsorted(cdf, u[:, 0], side="right")
+    pivot, left = np.empty((count, n), dtype=bool), k.copy()
+    for c in range(n):
+        pivot[:, c] = u[:, 1 + c] < odds[n - c, left]
+        left -= pivot[:, c]
+    cols, weights = np.arange(n), 1 << np.arange(n)
+    place = np.sort(np.where(pivot, cols, n + cols), axis=1)[:, :, None]  # the pivot column of G's row j
+    gens = ((place < cols) & ~pivot[:, None, :] & free | (place == cols)) @ weights  # free bits right of it
+    start = (coset & ~pivot) @ weights + (np.arange(count) << n)  # flat index of x = v
+    steps = lin + 2 * np.diagonal(quad, axis1=1, axis2=2)  # phase exponent of y_j alone
+    cross = weights @ np.triu(quad, 1)  # bit m of cross[:, j]: the y_m y_j term of q
+    amps = np.zeros((count, 1 << n), dtype=np.complex128)
+    for dim in np.unique(k):
+        rows = np.flatnonzero(k == dim)
+        x = np.empty((len(rows), 1 << dim), dtype=np.int64)
+        e = np.zeros((len(rows), 1 << dim), dtype=np.uint8)
+        x[:, 0] = start[rows]
+        for j in range(dim):
+            h = 1 << j
+            np.bitwise_xor(x[:, :h], gens[rows, j, None], out=x[:, h : 2 * h])
+            par = np.arange(h) & cross[rows, j, None]
+            for shift in (16, 8, 4, 2, 1):  # parity of the bits
+                par ^= par >> shift
+            e[:, h : 2 * h] = ((par & 1) * 2 + steps[rows, j, None] + e[:, :h]) & 3
+        amps.reshape(-1)[x] = (np.array([1, 1j, -1, -1j]) * 2.0 ** (-dim / 2))[e]
+    return amps
 
 
 # ---------------------------------------------------------------------------
@@ -173,14 +168,14 @@ def sample_block(spec: EnsembleSpec, count: int, rng: np.random.Generator) -> np
     members; in ascending order, the k-th member gets a minus when the k-th
     sign uniform is below 0.5. Keyed kinds draw one KEY_BYTES permutation key per
     row, followed for the phase kind by that row's phase key, and evaluate
-    Feistel images and phase bits on uint64 arrays.
+    Feistel images and phase bits on uint64 arrays. Stabilizer rows, uniform up to
+    global phase, draw 2n^2 + 3n + 1 uniforms each (``_stabilizer_block``).
     """
     d = spec.dim
     if spec.kind == KIND_HAAR:
         return sample_haar_block(spec.n, count, rng)
     if spec.kind == KIND_STABILIZER:
-        orbit = np.stack(stabilizer_orbit(spec.n))
-        return orbit[rng.integers(len(orbit), size=count)]
+        return _stabilizer_block(spec.n, count, rng)
     signs = None
     if spec.kind in (KIND_SUBSET_TRUE, KIND_SUBSET_PHASE_TRUE):
         phase = spec.kind == KIND_SUBSET_PHASE_TRUE
@@ -214,8 +209,9 @@ def sample_block_cost(spec: EnsembleSpec, rows: int) -> tuple[int, int]:
     d, m = spec.dim, spec.m or 0
     if spec.kind == KIND_HAAR:
         return 32 * d * rows, 20 * d * rows
-    if spec.kind == KIND_STABILIZER:
-        return 16 * d * (rows + 1080), d * rows  # 1,080 states at n = 3, the largest orbit
+    if spec.kind == KIND_STABILIZER:  # uniforms, (n, n) echelon arrays, and 48 bytes an amplitude at k = n
+        width = 2 * spec.n**2 + 3 * spec.n + 1
+        return rows * (48 * d + 16 * width + 32 * spec.n**2 + 128), rows * (16 * d + 8 * width)
     if spec.kind in (KIND_SUBSET_TRUE, KIND_SUBSET_PHASE_TRUE):
         return 8 * rows * (3 * d + 4 * m), rows * (13 * d + 8 * m)
     return 8 * rows * (d + 6 * m), rows * (d + m * (12 * KeyedPermutation.default_rounds(spec.n) + 24))

@@ -12,7 +12,7 @@ import numpy as np
 from tprslab.bounds import empirical_prop_check, verify_distance_bound
 from tprslab.cli import main as cli_main
 from tprslab.distinguishers import make_hadamard_distinguisher
-from tprslab.ensembles import EnsembleSpec, mc_ensemble_moment, stabilizer_orbit
+from tprslab.ensembles import EnsembleSpec, mc_ensemble_moment
 from tprslab.growth import (
     GrowthClass,
     advise_subset_size,
@@ -30,7 +30,7 @@ from tprslab.resources import (
     pauli_basis,
 )
 
-from .util import TKET, coherence_hs, coherence_re, measure, pauli_power_sum, pure, random_pure
+from .util import TKET, coherence_hs, coherence_re, measure, pauli_power_sum, pure, random_pure, stabilizer_orbit
 
 LOG = GrowthClass.parse("log")
 

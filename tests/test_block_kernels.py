@@ -48,8 +48,6 @@ ROWS = 6
 def _cases():
     for kind in ENSEMBLE_KINDS:
         for n in range(3, 11):
-            if kind == "stabilizer-orbit" and n > 3:
-                continue
             yield kind, n
 
 

@@ -458,6 +458,38 @@ class TestConfigHandling:
         assert code == 2 and out == ""
         assert err.startswith("config error:") and "budget_constant" in err
 
+    def test_subcommand_named_in_the_file_gets_its_defaults(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"command": "build", "members": "00,11"}))
+        code, out, _ = run(["--config", str(cfg)], capsys)
+        assert code == 0
+        assert out == run(["build", "--members", "00,11"], capsys)[1]
+        cfg.write_text(json.dumps({"command": "sweep", "measure": "coherence-re", "n": "8"}))
+        code, out, _ = run(["--config", str(cfg), "--samples", "50"], capsys)
+        assert code == 0
+        assert out == run(["--samples", "50", "sweep", "--measure", "coherence-re", "--n", "8"], capsys)[1]
+
+    def test_file_values_beat_subcommand_defaults_and_flags_beat_both(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kind": "subset-phase", "phase": "keyed", "members": "00,11"}))
+        code, out, _ = run(["build", "--config", str(cfg)], capsys)
+        flags = ["build", "--kind", "subset-phase", "--phase", "keyed", "--members", "00,11"]
+        assert code == 0 and out == run(flags, capsys)[1]
+        assert out.splitlines()[2].split(",")[2] == "-0.707106781187"  # row 3 is signed
+        code, out, _ = run(["build", "--config", str(cfg), "--print-config"], capsys)
+        doc = json.loads(out)
+        assert doc["kind"] == "subset-phase" and doc["phase"] == "keyed"
+        code, out, _ = run(["build", "--config", str(cfg), "--phase", "zero"], capsys)
+        assert code == 0 and out == run(flags[:-4] + ["--phase", "zero", "--members", "00,11"], capsys)[1]
+        assert "-" not in out
+
+    def test_subcommand_in_the_file_without_its_required_options_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"command": "gap", "n": 3}))
+        code, out, err = run(["--config", str(cfg)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("config error:") and "--measure" in err
+
     def test_unknown_ensemble_kind(self, capsys):
         code, _, err = run(
             ["gap", "--measure", "coherence-re", "--n", "2", "--e1", "haar", "--e2", "nope"], capsys
@@ -552,6 +584,11 @@ class TestErrorMapping:
             ["distance", "--kind", "subset", "--n", "3", "--t", "2", "--m", "2..1"],
             # an ensemble parameter given twice
             ["gap", "--measure", "coherence-re", "--n", "4", "--e1", "haar", "--e2", "subset-keyed:m=2,m=3"],
+            # a report path that cannot be opened
+            ["--out", "/nonexistent/x.json", "advise", "--T", "log", "--n", "8"],
+            # subset sizes given twice, or as exponents to the subset kind
+            ["distance", "--kind", "subset-phase", "--n", "3", "--t", "2", "--mexp", "1", "--m", "4"],
+            ["distance", "--kind", "subset", "--n", "3", "--t", "2", "--m", "2", "--mexp", "1"],
         ],
     )
     def test_bad_input_exits_2(self, argv, capsys):
@@ -581,6 +618,14 @@ class TestErrorMapping:
         assert out == ""
         assert "validation error: partition 2:2 does not cover 5 qubits" in err
         assert "Traceback" not in err
+
+    def test_stabilizer_chunk_past_the_budget_exits_3(self, monkeypatch, capsys):
+        # 2.85 MB declared for the stabilizer chunk at n = 10, 2.1 MB for Haar's
+        monkeypatch.setenv("TPRS_MEM_CAP", "2500000")
+        argv = ["gap", "--measure", "coherence-re", "--n", "10", "--e1", "haar", "--e2", "stabilizer-orbit"]
+        code, out, err = run(argv + ["--samples", "100"], capsys)
+        assert code == 3 and out == ""
+        assert "Monte-Carlo chunk of stabilizer-orbit at n = 10" in err
 
     def test_bad_budget_environment_exits_2(self, monkeypatch, capsys):
         monkeypatch.setenv("TPRS_MEM_CAP", "lots")

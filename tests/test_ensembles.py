@@ -1,10 +1,12 @@
 import json
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+from tprslab import ensembles
 from tprslab.config import check_budget, mem_cap
 from tprslab.ensembles import (
     ENSEMBLE_KINDS,
@@ -12,11 +14,13 @@ from tprslab.ensembles import (
     haar_moment,
     mc_ensemble_moment,
     sample_block,
-    stabilizer_orbit,
+    sample_block_cost,
 )
 from tprslab.errors import BadSubsetExponent, DimensionCapExceeded, DomainCapExceeded, ValidationError
 from tprslab.growth import GrowthClass, advise_copies, advise_subset_size
 from tprslab.randprims import KEY_BYTES, KeyedPermutation, RngSeed
+from tprslab.resources import pauli_power_sums
+from tprslab.sampling import SUB_BLOCK_AMPS
 from tprslab.symmetry import route_cost
 
 from .util import (
@@ -29,7 +33,9 @@ from .util import (
     mc_ensemble_moment_oracle,
     operator_from_json,
     operator_to_json,
+    orbit_fit_z,
     phase_bit_oracle,
+    stabilizer_orbit,
 )
 
 
@@ -56,13 +62,68 @@ class TestEnsembleSpec:
 
 
 class TestStabilizerOrbit:
+    """The breadth-first orbit in tests/util.py, the oracle of the stabilizer sampler."""
+
     def test_counts(self):
         assert len(stabilizer_orbit(1)) == 6
         assert len(stabilizer_orbit(2)) == 60
+        assert len(stabilizer_orbit(3)) == 1080
 
     def test_normalized(self):
         for v in stabilizer_orbit(2):
             assert abs(np.linalg.norm(v) - 1) < 1e-10
+
+
+def _fixed_support_dimension(monkeypatch, n):
+    """Make the stabilizer sampler draw support dimension k = n on every row."""
+    odds = ensembles._stabilizer_tables(n)[1]
+    monkeypatch.setattr(ensembles, "_stabilizer_tables", lambda _: (np.where(np.arange(n + 1) < n, 0.0, 1.0), odds))
+
+
+class TestStabilizerSampler:
+    # one-sided 1e-6 tail of the Wilson-Hilferty z of Pearson's chi^2
+    FIT_Z = 4.75
+
+    def _fit_z(self, n, seed):
+        draws = 300 * len(stabilizer_orbit(n))
+        return orbit_fit_z(sample_block(EnsembleSpec("stabilizer-orbit", n), draws, RngSeed(seed).generator()), n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_uniform_over_the_orbit(self, n):
+        assert self._fit_z(n, 600 + n) < self.FIT_Z
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_the_fit_rejects_a_fixed_support_dimension(self, n, monkeypatch):
+        # the negative control: full-support stabilizer states only, each in the orbit
+        _fixed_support_dimension(monkeypatch, n)
+        assert self._fit_z(n, 600 + n) > self.FIT_Z
+
+    @pytest.mark.parametrize("n", range(4, 21))
+    def test_unit_norm_past_the_orbit(self, n):
+        block = sample_block(EnsembleSpec("stabilizer-orbit", n), 3 if n <= 16 else 1, RngSeed(n).generator())
+        assert np.max(np.abs(np.linalg.norm(block, axis=1) - 1)) <= 1e-12
+
+    @pytest.mark.parametrize("n", range(4, 13))
+    def test_zero_magic(self, n):
+        block = sample_block(EnsembleSpec("stabilizer-orbit", n), 3 if n <= 10 else 1, RngSeed(n).generator())
+        for alpha in (2, 3):
+            assert np.max(np.abs(pauli_power_sums(block, n, alpha) - 1)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [3, 10, 16])
+    @pytest.mark.parametrize("full", [False, True])
+    def test_declared_peak_covers_the_traced_peak(self, n, full, monkeypatch):
+        # the engine's sub-block, as drawn and with every row at the fullest support
+        if full:
+            _fixed_support_dimension(monkeypatch, n)
+        spec, rows = EnsembleSpec("stabilizer-orbit", n), max(1, SUB_BLOCK_AMPS >> n)
+        rng = RngSeed(n).generator()
+        tracemalloc.start()
+        try:
+            sample_block(spec, rows, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= sample_block_cost(spec, rows)[0]
 
 
 class TestMoments:
@@ -176,7 +237,7 @@ class TestMonteCarloMoment:
 
     def test_stabilizer_orbit_moment_against_orbit_average(self):
         # the orbit is finite, so its exact two-copy moment is a direct average
-        orbit = stabilizer_orbit(2)
+        orbit = stabilizer_orbit(2)  # the oracle in tests/util.py
         acc = np.zeros((16, 16), dtype=complex)
         for v in orbit:
             w = np.kron(v, v)
@@ -236,9 +297,8 @@ def _oracle_cases():
                 ("haar", n, None, t),
                 ("subset-keyed", n, max(1, d - 1), t),
                 ("subset-phase-true-random", n, max(1, d // 2), t),
+                ("stabilizer-orbit", n, None, t),
             ]
-            if n <= 3:
-                out.append(("stabilizer-orbit", n, None, t))
     return out
 
 
@@ -365,12 +425,12 @@ class TestSampleBlock:
     @pytest.mark.parametrize("kind", ENSEMBLE_KINDS)
     def test_rows_do_not_depend_on_the_block_cut(self, kind):
         """Rows drawn as one block equal the same rows drawn as several."""
-        n = 3 if kind == "stabilizer-orbit" else 6
-        spec = EnsembleSpec(kind, n, m=_subset_m(kind, n) if kind in SUBSET_KINDS else None)
-        whole = sample_block(spec, 40, RngSeed(80).generator())
-        rng = RngSeed(80).generator()
-        parts = [sample_block(spec, size, rng) for size in (1, 3, 7, 29)]
-        assert np.concatenate(parts).tobytes() == whole.tobytes()
+        for n in (3, 8) if kind == "stabilizer-orbit" else (6,):
+            spec = EnsembleSpec(kind, n, m=_subset_m(kind, n) if kind in SUBSET_KINDS else None)
+            whole = sample_block(spec, 40, RngSeed(80).generator())
+            rng = RngSeed(80).generator()
+            parts = [sample_block(spec, size, rng) for size in (1, 3, 7, 29)]
+            assert np.concatenate(parts).tobytes() == whole.tobytes()
 
     def test_one_row_block_is_one_state(self):
         # callers read a single state as sample_block(spec, 1, rng)[0]

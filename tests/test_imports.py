@@ -144,6 +144,11 @@ class TestLazyExports:
             assert not hasattr(tprslab, name)
         assert [k for k in vars(tprslab.PhaseFunction) if not k.startswith("__")] == ["keyed_bits"]
 
+    def test_the_stabilizer_orbit_is_a_test_oracle(self):
+        # stabilizer rows come from their canonical form; the enumerated orbit lives in tests/util.py
+        assert not hasattr(tprslab.ensembles, "stabilizer_orbit")
+        assert "stabilizer_orbit" not in tprslab.ensembles.__all__
+
 
 class TestReadmeQuickTour:
     def test_runs_and_gives_the_exact_distance(self):

@@ -41,8 +41,6 @@ TOL = 1e-12
 
 
 def _kind_rows(kind, n, rows, rng):
-    if kind == "stabilizer-orbit" and n > 3:
-        return np.empty((0, 2**n), dtype=complex)
     if kind.startswith("subset"):
         m = 2 ** (n // 2) if "phase" in kind else max(1, n - 1)
     else:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tprslab.ensembles import EnsembleSpec, stabilizer_orbit
+from tprslab.ensembles import EnsembleSpec
 from tprslab.errors import DimensionCapExceeded, PartitionMismatch, ValidationError
 from tprslab.linalg import PartitionSpec, symmetric_projector
 from tprslab.randprims import RngSeed, sample_haar_block
@@ -20,6 +20,7 @@ from tprslab.resources import (
 
 from .util import (
     KET0, PLUS, TKET, coherence_hs, coherence_re, density, kron_all, measure, pauli_power_sum, pure, random_pure,
+    stabilizer_orbit,
 )
 
 COHERENCE_RE, COHERENCE_HS = ResourceMeasure("coherence-re"), ResourceMeasure("coherence-hs")
